@@ -107,7 +107,6 @@ def _add_common(p):
     p.add_argument("--out", required=True, help="output report path (JSON)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="node budget (or HYPME_BUDGET)")
-    p.add_argument("--threads", type=int, default=1, help="parallelism cap (results are deterministic regardless)")
 
 
 def cmd_graph_analyze(args):
