@@ -26,7 +26,7 @@ over the finite fundamental domains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
@@ -34,7 +34,7 @@ from sympy.combinatorics.free_groups import free_group
 from sympy import Matrix
 
 from .errors import BudgetError, ParseError, PreconditionError
-from .groups import MarkedGroup, ball, parse_group
+from .groups import MarkedGroup, ball, parse_group, sphere_levels
 from .integrability import IntegrabilityFunction
 from .rational import format_fraction
 
@@ -269,10 +269,6 @@ class Coupling:
     def mu_x_lambda(self) -> Fraction:
         return self.mu_scale * self.index * self.fiber_count
 
-    def normalized(self) -> "Coupling":
-        """Rescale the measure so mu(X_gamma) = 1 (exact rational reweighting)."""
-        return replace(self, mu_scale=Fraction(1, len(self.x_gamma)))
-
     # --- cocycles ---------------------------------------------------------------
 
     def alpha(self, p, point):
@@ -338,54 +334,29 @@ class Coupling:
                     f"length target {self.group.describe(t)} is not in the subgroup"
                 )
         out = {}
-        seen = {self.group.identity()}
-        frontier = [self.group.identity()]
-        if self.group.identity() in pending:
-            out[self.group.identity()] = 0
-            pending.discard(self.group.identity())
-        depth = 0
-        while pending:
-            depth += 1
-            nxt = set()
-            for g in frontier:
-                for s in self.sub.schreier_generators:
-                    h = self.group.multiply(g, s)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.add(h)
-            if not nxt:
+        for depth, level in sphere_levels(
+            self.group, self.sub.schreier_generators, max_elements, "subgroup length budget"
+        ):
+            if not level:
                 raise PreconditionError(
                     "targets unreachable over Schreier generators (not in subgroup?)"
                 )
-            if len(seen) > max_elements:
-                raise BudgetError(
-                    f"subgroup length BFS exceeded {max_elements} elements at radius {depth}"
-                )
-            for h in nxt:
-                if h in pending:
-                    out[h] = depth
-                    pending.discard(h)
-            frontier = sorted(nxt, key=self.group.to_word)
+            found = pending.intersection(level)
+            out.update(dict.fromkeys(found, depth))
+            pending -= found
+            if not pending:
+                break
         return out
 
     def lambda_ball(self, radius: int, max_elements: int = DEFAULT_LENGTH_BUDGET):
         """All subgroup elements of Schreier-length <= radius, with lengths."""
-        lengths = {self.group.identity(): 0}
-        frontier = [self.group.identity()]
-        for depth in range(1, radius + 1):
-            nxt = set()
-            for g in frontier:
-                for s in self.sub.schreier_generators:
-                    h = self.group.multiply(g, s)
-                    if h not in lengths and h not in nxt:
-                        nxt.add(h)
-            if len(lengths) + len(nxt) > max_elements:
-                raise BudgetError(
-                    f"subgroup ball exceeded {max_elements} elements at radius {depth}"
-                )
-            for h in nxt:
-                lengths[h] = depth
-            frontier = sorted(nxt, key=self.group.to_word)
+        lengths = {}
+        for depth, level in sphere_levels(
+            self.group, self.sub.schreier_generators, max_elements, "subgroup ball budget"
+        ):
+            lengths.update(dict.fromkeys(level, depth))
+            if depth >= radius:
+                break
         return lengths
 
     # --- serialization ----------------------------------------------------------
@@ -442,15 +413,6 @@ def coupling_from_spec(spec: dict | str, max_cosets: int = DEFAULT_COSET_BUDGET)
         x_gamma_word=spec.get("x_gamma", "e"),
         max_cosets=max_cosets,
     )
-
-
-def cocycle(c: Coupling, side: str, g, x):
-    """Exact cocycle value: alpha(gamma, x) or beta(lambda, x) by coset lookup."""
-    if side == "alpha":
-        return c.alpha(g, x)
-    if side == "beta":
-        return c.beta(g, x)
-    raise PreconditionError(f"side must be 'alpha' or 'beta', got {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +765,7 @@ def coboundedness_witness(c: Coupling):
     then lexicographically).
     """
     g = c.group
-    out = {}
-    for point in c.x_gamma:
-        x, i = point
-        f = g.multiply(
-            g.inverse(x), g.multiply(c.sub.rep(x), g.inverse(c.fibers[i]))
-        )
-        out.setdefault(f, None)
+    out = dict.fromkeys(required_translate(c, point) for point in c.x_gamma)
     return sorted(out, key=lambda e: (g.word_length(e), g.to_word(e)))
 
 
@@ -1004,7 +960,7 @@ def claim_bound_check(
     for w in (u, v):
         if not c.sub.contains(w):
             raise PreconditionError("u and v must be subgroup elements")
-    # measure normalized so mu(X_gamma) = 1: exact rational reweighting
+    # measure scaled so mu(X_gamma) = 1: exact rational reweighting
     weight = Fraction(1, len(c.x_gamma))
 
     w = g.multiply(g.inverse(u), v)

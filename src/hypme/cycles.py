@@ -368,7 +368,7 @@ def find_fat_cycle(
         raise PreconditionError("min_n must be >= 3")
     if mode not in ("auto", "exhaustive", "heuristic"):
         raise PreconditionError(f"unknown search mode {mode!r}")
-    if g.m == g.n - 1:  # a connected graph with n-1 edges is a tree
+    if g.is_tree:
         if min_a > 0:
             return FatCycleResult(None, "proven_absent", 0)
         if g.m >= 1:

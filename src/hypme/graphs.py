@@ -48,6 +48,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def is_tree(self) -> bool:
+        """Whether this connected graph is a tree: it has exactly n - 1 edges."""
+        return self.m == self.n - 1
+
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -320,22 +325,3 @@ def random_tree(n: int, rng) -> Graph:
         return Graph(n=1, edges=frozenset())
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return make_graph(n, edges)
-
-
-def add_random_chords(g: Graph, count: int, rng) -> Graph:
-    """Add `count` random non-edges as chords (returns a new graph)."""
-    edges = set(g.edges)
-    attempts = 0
-    added = 0
-    while added < count and attempts < 100 * (count + 1):
-        attempts += 1
-        u = rng.randrange(g.n)
-        v = rng.randrange(g.n)
-        if u == v:
-            continue
-        e = (min(u, v), max(u, v))
-        if e in edges:
-            continue
-        edges.add(e)
-        added += 1
-    return make_graph(g.n, edges)

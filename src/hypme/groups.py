@@ -14,6 +14,7 @@ whole group expression, so at most 26 generators are supported.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -645,9 +646,6 @@ class CayleyBall:
     growth: GrowthTable
     group: MarkedGroup
 
-    def index_of(self, g) -> int:
-        return self._index[g]  # type: ignore[attr-defined]
-
     def to_json_dict(self) -> dict:
         return {
             "radius": self.radius,
@@ -660,30 +658,36 @@ class CayleyBall:
         }
 
 
-def _bfs_levels(group: MarkedGroup, radius: int, gens, max_elements: int):
-    """Yield (depth, sorted frontier list); deterministic via word-string sort."""
-    if gens is None:
-        gens = [g for _, g in group.symmetric_generators()]
-    seen = {group.identity()}
-    frontier = [group.identity()]
+def sphere_levels(group: MarkedGroup, gens, max_elements: int, what: str):
+    """Yield (depth, level) for depth 0, 1, 2, ...: the elements of word
+    length exactly `depth` over `gens`, sorted by `group.to_word`.
+
+    `gens` must be symmetric (closed under inverses), so every neighbour of
+    a level-d element lies in level d-1, d or d+1 and two levels suffice to
+    tell new elements from old.  Past the end of a finite group the levels
+    are empty.  Once more than `max_elements` elements have been found,
+    raises BudgetError naming `what` and the radius.  Stop iterating at the
+    last level needed: the next one is computed only when asked for.
+    """
+    prev: set = set()
+    curr = {group.identity()}
     total = 1
-    yield 0, list(frontier)
-    for depth in range(1, radius + 1):
+    yield 0, [group.identity()]
+    for depth in itertools.count(1):
         nxt = set()
-        for g in frontier:
+        for g in curr:
             for s in gens:
                 h = group.multiply(g, s)
-                if h not in seen and h not in nxt:
+                if h not in prev and h not in curr:
                     nxt.add(h)
         total += len(nxt)
         if total > max_elements:
             raise BudgetError(
-                f"ball budget {max_elements} exceeded at radius {depth} "
+                f"{what} {max_elements} exceeded at radius {depth} "
                 f"(radius {depth - 1} completed)"
             )
-        frontier = sorted(nxt, key=group.to_word)
-        seen |= nxt
-        yield depth, frontier
+        prev, curr = curr, nxt
+        yield depth, sorted(nxt, key=group.to_word)
 
 
 def bfs_growth_table(
@@ -692,28 +696,16 @@ def bfs_growth_table(
     gens=None,
     max_elements: int = DEFAULT_BALL_BUDGET,
 ) -> GrowthTable:
-    """Growth table from BFS counting only (memory stays at two frontiers)."""
+    """Growth table from BFS counting only (memory stays at two levels)."""
     if gens is None:
         gens = [g for _, g in group.symmetric_generators()]
-    prev: set = set()
-    curr = {group.identity()}
-    vols = [1]
-    total = 1
-    for depth in range(1, radius + 1):
-        nxt = set()
-        for g in curr:
-            for s in gens:
-                h = group.multiply(g, s)
-                if h not in prev and h not in curr and h not in nxt:
-                    nxt.add(h)
-        total += len(nxt)
-        if total > max_elements:
-            raise BudgetError(
-                f"ball budget {max_elements} exceeded at radius {depth} "
-                f"(radius {depth - 1} completed)"
-            )
+    vols = []
+    total = 0
+    for depth, level in sphere_levels(group, gens, max_elements, "ball budget"):
+        total += len(level)
         vols.append(total)
-        prev, curr = curr, nxt
+        if depth >= radius:
+            break
     return GrowthTable(values=tuple(vols), group_name=group.name)
 
 
@@ -731,10 +723,12 @@ def ball(
     elements = []
     lengths = []
     vols = []
-    for depth, frontier in _bfs_levels(group, radius, gens, max_elements):
-        elements.extend(frontier)
-        lengths.extend([depth] * len(frontier))
+    for depth, level in sphere_levels(group, gens, max_elements, "ball budget"):
+        elements.extend(level)
+        lengths.extend([depth] * len(level))
         vols.append(len(elements))
+        if depth >= radius:
+            break
     index = {g: i for i, g in enumerate(elements)}
     edges = set()
     for i, g in enumerate(elements):
@@ -744,7 +738,7 @@ def ball(
             if j is not None and j != i:
                 edges.add((min(i, j), max(i, j)))
     graph = make_graph(len(elements), edges) if edges else Graph(n=len(elements), edges=frozenset())
-    b = CayleyBall(
+    return CayleyBall(
         radius=radius,
         graph=graph,
         elements=tuple(elements),
@@ -752,8 +746,6 @@ def ball(
         growth=GrowthTable(values=tuple(vols), group_name=group.name, closed_form=group),
         group=group,
     )
-    object.__setattr__(b, "_index", index)
-    return b
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def thin_triangle_delta(g: Graph, dm: DistanceMatrix) -> tuple[Fraction, tuple]:
     the constant is 0.
     """
     n = dm.n
-    if n <= 2 or g.m == g.n - 1:  # connected with n-1 edges: a tree
+    if n <= 2 or g.is_tree:
         return Fraction(0), ((0, 0, 0), 0)
     if n > EXACT_CUTOFF:
         raise PreconditionError(
@@ -154,7 +154,7 @@ def four_point_delta(
 
 def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> HyperbolicityReport:
     dt, wt = thin_triangle_delta(g, dm)
-    d4, w4 = four_point_delta(dm, tree_hint=g.m == g.n - 1)
+    d4, w4 = four_point_delta(dm, tree_hint=g.is_tree)
     return HyperbolicityReport(
         delta_thin=dt, delta_four_point=d4, witness_thin=wt, witness_4pt=w4, exact=True
     )

@@ -12,9 +12,9 @@ phi(delta * t); the scale is what makes integrability independent of the
 generating set for non-doubling families.  Evaluation is exact (Fraction)
 whenever the family and arguments allow (power with integer exponent,
 tables); otherwise certified upper/lower bounds at a fixed dyadic precision
-are available, plus an mpmath value for numeric work.  The generalized
-inverse is inv(y) = inf { t : phi(t) >= y }, with closed forms for the three
-parametric families.
+are available.  The interval API gives certified rational intervals for
+ln(phi(x)) and for the generalized inverse inv(y) = inf { t : phi(t) >= y },
+with closed forms for the three parametric families.
 """
 
 from __future__ import annotations
@@ -25,15 +25,9 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ParseError, PreconditionError
-from .rational import format_fraction
+from .rational import FracInterval, format_fraction
 
 _NUMERIC_PREC = 128
-
-
-def _mpf(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
 
 
 @dataclass(frozen=True)
@@ -94,20 +88,6 @@ class IntegrabilityFunction:
             return value
         raise PreconditionError(f"{self.describe()} has no exact rational values")
 
-    def eval_numeric(self, t) -> mpmath.mpf:
-        """High-precision value at t (int, Fraction, or mpf)."""
-        with mpmath.workprec(_NUMERIC_PREC):
-            ts = _mpf(self.scale) * _mpf(t)
-            if self.family == "power":
-                return ts ** _mpf(self.param)
-            if self.family == "exp_power":
-                return mpmath.exp(ts ** _mpf(self.param))
-            if self.family == "poly_plus":
-                return ts ** (1 + 1 / _mpf(self.param))
-            if not isinstance(t, Fraction):
-                t = Fraction(str(t)) if not isinstance(t, int) else Fraction(t)
-            return _mpf(self.eval_exact(t))
-
     def eval_bounds(self, t: Fraction, bits: int = 32) -> tuple[Fraction, Fraction]:
         """Certified rational lower/upper bounds on the value."""
         if self.is_exact():
@@ -135,32 +115,46 @@ class IntegrabilityFunction:
         finally:
             iv.prec = old
 
-    # --- generalized inverse --------------------------------------------------
+    # --- interval API -----------------------------------------------------------
 
-    def inverse_numeric(self, y) -> mpmath.mpf:
-        """Generalized inverse inf{t : phi(t) >= y} (scale folded in)."""
-        with mpmath.workprec(_NUMERIC_PREC):
-            ym = _mpf(y)
-            if ym <= 0:
-                return mpmath.mpf(0)
-            if self.family == "power":
-                t = ym ** (1 / _mpf(self.param))
-            elif self.family == "exp_power":
-                ly = mpmath.log(ym)
-                t = ly ** (1 / _mpf(self.param)) if ly > 0 else mpmath.mpf(0)
-            elif self.family == "poly_plus":
-                p = _mpf(self.param)
-                t = ym ** (p / (1 + p))
-            else:
-                t = None
-                for t0, v0 in self.table:
-                    if _mpf(v0) >= ym:
-                        t = _mpf(t0)
-                        break
-                if t is None:
-                    raise PreconditionError("y exceeds the table range")
-                return t / _mpf(self.scale)
-            return t / _mpf(self.scale)
+    def ln_interval(self, x: FracInterval) -> FracInterval:
+        """ln(phi(x)) as a certified interval, for x > 0."""
+        xs = x * self.scale
+        if self.family == "power":
+            return xs.ln() * self.param
+        if self.family == "exp_power":
+            return xs.pow_rational(self.param)
+        if self.family == "poly_plus":
+            return xs.ln() * (1 + 1 / self.param)
+        raise PreconditionError("table functions have no interval logarithm")
+
+    def inverse_interval(self, y: Fraction) -> FracInterval:
+        """Generalized inverse inf{t : phi(t) >= y} as a certified interval
+        (scale folded in)."""
+        if y <= 0:
+            return FracInterval(0)
+        yi = FracInterval(y)
+        if self.family == "power":
+            t = yi.pow_rational(1 / self.param)
+        elif self.family == "poly_plus":
+            t = yi.pow_rational(self.param / (1 + self.param))
+        elif self.family == "exp_power":
+            ly = yi.ln()
+            if ly.hi <= 0:
+                return FracInterval(0)
+            hi_t = FracInterval(ly.hi).pow_rational(1 / self.param).hi
+            lo_t = (
+                FracInterval(ly.lo).pow_rational(1 / self.param).lo
+                if ly.lo > 0
+                else Fraction(0)
+            )
+            t = FracInterval(lo_t, hi_t)
+        else:
+            for t0, v0 in self.table:
+                if v0 >= y:
+                    return FracInterval(t0 / self.scale)
+            raise PreconditionError("y exceeds the table range")
+        return t / self.scale
 
 
 def power(p, scale=Fraction(1)) -> IntegrabilityFunction:

@@ -186,18 +186,6 @@ class ConditionReport:
         }
 
 
-def _ln_phi(phi: IntegrabilityFunction, x: FracInterval) -> FracInterval:
-    """ln(phi(x)) as a certified interval, for x > 0."""
-    xs = x * phi.scale
-    if phi.family == "power":
-        return xs.ln() * phi.param
-    if phi.family == "exp_power":
-        return xs.pow_rational(phi.param)
-    if phi.family == "poly_plus":
-        return xs.ln() * (1 + 1 / phi.param)
-    raise PreconditionError("table functions have no interval logarithm")
-
-
 def _analytic_condition_5(
     phi: IntegrabilityFunction, r: Schedule, growth_class
 ) -> tuple[str, dict] | None:
@@ -274,7 +262,7 @@ def check_condition_5(rc: RigidityConditions, growth: GrowthTable) -> ConditionR
             + rn.ln()
             + FracInterval(*ln_bounds(Fraction(vol)))
         )
-        ln_den = _ln_phi(rc.phi, FracInterval(Fraction(n)) / rn)
+        ln_den = rc.phi.ln_interval(FracInterval(Fraction(n)) / rn)
         lr = ln_num - ln_den
         log_ratios.append(lr)
         samples.append({"n": n, "log_ratio": lr.midpoint_float()})
@@ -318,34 +306,6 @@ def _growth_class_of(growth: GrowthTable):
     return ("table", None)
 
 
-def _psi_inverse_interval(psi: IntegrabilityFunction, y: Fraction) -> FracInterval:
-    """psi^-1(y) as an interval (closed forms; generalized inverse for tables)."""
-    if y <= 0:
-        return FracInterval(0)
-    yi = FracInterval(y)
-    if psi.family == "power":
-        t = yi.pow_rational(1 / psi.param)
-    elif psi.family == "poly_plus":
-        t = yi.pow_rational(psi.param / (1 + psi.param))
-    elif psi.family == "exp_power":
-        ly = yi.ln()
-        if ly.hi <= 0:
-            return FracInterval(0)
-        hi_t = FracInterval(ly.hi).pow_rational(1 / psi.param).hi
-        lo_t = (
-            FracInterval(ly.lo).pow_rational(1 / psi.param).lo
-            if ly.lo > 0
-            else Fraction(0)
-        )
-        t = FracInterval(lo_t, hi_t)
-    else:
-        for t0, v0 in psi.table:
-            if v0 >= y:
-                return FracInterval(t0 / psi.scale)
-        raise PreconditionError("y exceeds the table range of psi")
-    return t / psi.scale
-
-
 def _analytic_condition_6(rc: RigidityConditions) -> tuple[str, dict] | None:
     psi, r = rc.psi, rc.r
     if r.family == "pow":
@@ -387,9 +347,9 @@ def check_condition_6_7(rc: RigidityConditions, mode: str) -> ConditionReport:
         lhs = rc.r.value(n) / 18
         ln_n = FracInterval(Fraction(n)).ln()
         if mode == "thm41":
-            rhs = (ln_n / LOG2_LN) * (4 * (rc.delta + 1)) + _psi_inverse_interval(
-                rc.psi, 3 * rc.L * n
-            ) * 3
+            rhs = (ln_n / LOG2_LN) * (4 * (rc.delta + 1)) + (
+                rc.psi.inverse_interval(3 * rc.L * n) * 3
+            )
         else:
             rhs = ln_n * (6 * (rc.delta + 1))
         if lhs.definitely_at_least(rhs):

@@ -15,7 +15,6 @@ from hypme.coupling import (
     claim_bound_check,
     claim_bound_sweep,
     coboundedness_witness,
-    cocycle,
     coupling_from_spec,
     integrability_report,
     projection_and_similarity,
@@ -132,16 +131,14 @@ class TestCocycles:
         assert k == 0
         assert gamma == f2.multiply(g0, f2.multiply(lam, f2.inverse(g0)))
 
-    def test_cocycle_dispatch_and_domain_errors(self, f2, f2_coupling):
+    def test_cocycle_domain_errors(self, f2, f2_coupling):
         c = f2_coupling
         a = f2.parse_word("a")
-        assert cocycle(c, "alpha", a, (a, 0)) == f2.parse_word("aa")
+        assert c.alpha(a, (a, 0)) == f2.parse_word("aa")
         with pytest.raises(PreconditionError):
-            cocycle(c, "alpha", a, (f2.parse_word("aa"), 0))  # aa not in T
+            c.alpha(a, (f2.parse_word("aa"), 0))  # aa not in T
         with pytest.raises(PreconditionError):
-            cocycle(c, "beta", a, c.x_gamma[0])  # a is not in the subgroup
-        with pytest.raises(PreconditionError):
-            cocycle(c, "gamma", a, (a, 0))
+            c.beta(a, c.x_gamma[0])  # a is not in the subgroup
 
     def test_cocycle_identity_f2(self, f2_coupling):
         rep = check_cocycle_identity(f2_coupling, 3)
@@ -195,6 +192,22 @@ class TestLambdaMetric:
     def test_non_subgroup_target_errors(self, f2, f2_coupling):
         with pytest.raises(PreconditionError):
             f2_coupling.lambda_lengths({f2.parse_word("a")})
+
+    @pytest.mark.parametrize("group, gens", [("F2", F2_GENS), ("C3xC4", ["b"])])
+    def test_lengths_agree_with_ball_depths(self, group, gens):
+        # the subgroup <b> of C3xC4 has order 4, so its ball stops growing
+        c = subgroup_coupling(parse_group(group), gens)
+        depths = c.lambda_ball(3)
+        assert c.lambda_lengths(set(depths)) == depths
+
+    def test_budget_names_radius(self, f2, f2_coupling):
+        # the rank-3 free subgroup has 7 elements within radius 1 and 37 within 2
+        with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
+            f2_coupling.lambda_ball(4, max_elements=20)
+        aaaaaa = f2.parse_word("aaaaaa")  # (aa)^3: Schreier length 3
+        with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
+            f2_coupling.lambda_lengths({aaaaaa}, max_elements=20)
+        assert f2_coupling.lambda_lengths({aaaaaa}, max_elements=187)[aaaaaa] == 3
 
 
 class TestProjections:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hypme.errors import BudgetError, ParseError
 from hypme.groups import (
+    Cyclic,
+    DirectProduct,
     ball,
     bfs_growth_table,
     entropy_estimate,
@@ -143,6 +145,23 @@ class TestBalls:
     def test_budget_names_radius(self):
         with pytest.raises(BudgetError, match="radius 3"):
             bfs_growth_table(parse_group("F2"), 8, max_elements=40)
+
+    @pytest.mark.parametrize("spec, radius", [("F2", 5), ("Z^2", 6), ("C2*C3", 7), ("C3xC4", 8)])
+    def test_growth_table_matches_ball(self, spec, radius):
+        # C3xC4 has diameter 3, so its levels run out before the radius
+        g = parse_group(spec)
+        assert bfs_growth_table(g, radius).values == ball(g, radius).growth.values
+
+    def test_growth_table_matches_ball_on_fibered_product(self):
+        # the generating set check_growth_comparison uses for 4 fibers:
+        # S_gamma in fiber 0 plus every nontrivial element of C4
+        f2 = parse_group("F2")
+        prod = DirectProduct([f2, Cyclic(4)])
+        gens = [(s, 0) for _, s in f2.symmetric_generators()]
+        gens += [(f2.identity(), k) for k in (1, 2, 3)]
+        table = bfs_growth_table(prod, 4, gens=gens)
+        assert table.values == ball(prod, 4, gens=gens).growth.values
+        assert list(table.values) == [1] + [f2.volume(r) + 3 * f2.volume(r - 1) for r in range(1, 5)]
 
     def test_ball_deterministic(self):
         b1 = ball(parse_group("C2*C3"), 5)

@@ -11,6 +11,7 @@ from hypme.integrability import (
     power,
     table_function,
 )
+from hypme.rational import FracInterval
 
 
 def test_power_exact():
@@ -35,9 +36,11 @@ def test_exp_power_bounds_bracket_true_value():
 
 def test_poly_plus_numeric():
     psi = poly_plus(1)  # t^2
-    assert abs(float(psi.eval_numeric(3)) - 9.0) < 1e-12
+    lo, hi = psi.eval_bounds(Fraction(3))
+    assert lo <= 9 <= hi and hi - lo < 1e-6
     psi = poly_plus(2)  # t^(3/2)
-    assert abs(float(psi.eval_numeric(4)) - 8.0) < 1e-12
+    ln = psi.ln_interval(FracInterval(4))
+    assert ln.lo <= math.log(8) <= ln.hi and ln.hi - ln.lo < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -50,26 +53,34 @@ def test_poly_plus_numeric():
     ],
 )
 def test_generalized_inverse_closed_forms(fn, y, expected):
-    assert abs(float(fn.inverse_numeric(y)) - expected) < 1e-9
+    t = fn.inverse_interval(Fraction(y))
+    assert t.lo - 1e-9 <= expected <= t.hi + 1e-9
+    assert t.hi - t.lo < 1e-6
 
 
 @pytest.mark.parametrize("fn", [power(1), power(3), poly_plus(1), exp_power(1)])
 def test_inverse_property_on_samples(fn):
     for y in (Fraction(1), Fraction(5), Fraction(50), Fraction(1000)):
-        t = fn.inverse_numeric(y)
-        assert float(fn.eval_numeric(t)) >= float(y) * (1 - 1e-20)
+        t = fn.inverse_interval(y)
+        # certified: phi is at least y at the upper end and at most y at the lower
+        assert fn.eval_bounds(t.hi)[1] >= y
+        assert fn.eval_bounds(t.lo)[0] <= y
 
 
 def test_table_function():
     tab = table_function([(0, 0), (1, 1), (2, 4), (3, 9)])
     assert tab.eval_exact(Fraction(5, 2)) == 4
     assert tab.eval_exact(Fraction(3)) == 9
-    assert float(tab.inverse_numeric(4)) == 2.0
+    t = tab.inverse_interval(Fraction(4))
+    assert t.lo == t.hi == 2
     # generalized inverse satisfies psi(psi^-1(y)) >= y on sample values
     for _, v in tab.table:
         if v > 0:
-            t = tab.inverse_numeric(v)
-            assert tab.eval_exact(Fraction(str(t))) >= v
+            assert tab.eval_exact(tab.inverse_interval(v).lo) >= v
+    with pytest.raises(PreconditionError):
+        tab.inverse_interval(Fraction(10))
+    with pytest.raises(PreconditionError):
+        tab.ln_interval(FracInterval(1))
 
 
 def test_table_monotonicity_enforced():
