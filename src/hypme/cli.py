@@ -70,17 +70,23 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
+# generator kind -> (constructor, number of integer parameters)
+_GENERATORS = {"tree": (tree_graph, 2), "grid": (grid_graph, 2), "cycle": (cycle_graph, 1)}
+
+
 def _load_host(args) -> Graph:
     if getattr(args, "gen", None):
         kind, _, rest = args.gen.partition(":")
-        params = [int(x) for x in rest.split(",")] if rest else []
-        if kind == "tree":
-            return tree_graph(*params)
-        if kind == "grid":
-            return grid_graph(*params)
-        if kind == "cycle":
-            return cycle_graph(*params)
-        raise HypmeError(f"unknown generator {kind!r} (tree|grid|cycle)")
+        if kind not in _GENERATORS:
+            raise ParseError(f"unknown generator {kind!r} (tree|grid|cycle)")
+        make, arity = _GENERATORS[kind]
+        try:
+            params = [int(x) for x in rest.split(",")]
+        except ValueError:
+            params = []
+        if len(params) != arity:
+            raise ParseError(f"generator spec {args.gen!r} needs {arity} integer parameter(s)")
+        return make(*params)
     if getattr(args, "edges", None):
         with open(args.edges) as fh:
             return load_graph(fh.read(), largest_component=args.largest_component)
@@ -112,8 +118,7 @@ def _add_common(p):
 def cmd_graph_analyze(args):
     g = _load_host(args)
     dm = distance_matrix(g)
-    is_tree = g.m == g.n - 1
-    if g.n <= EXACT_CUTOFF or is_tree or args.force:
+    if g.n <= EXACT_CUTOFF or g.is_tree or args.force:
         rep = hyperbolicity_report(g, dm)
     else:
         rep = sampled_hyperbolicity(g, dm, samples=args.samples, seed=args.seed)
@@ -162,7 +167,7 @@ def _read_embedding(path: str) -> CycleEmbedding:
         raise ParseError(f"embedding has {len(images)} images, a cycle needs at least 3")
     try:
         a, b = parse_fraction(str(obj["a"])), parse_fraction(str(obj["b"]))
-    except (ValueError, ZeroDivisionError):
+    except ParseError:
         raise ParseError(f"embedding constants a={obj['a']!r}, b={obj['b']!r} are not fractions") from None
     return CycleEmbedding(n=len(images), images=tuple(images), a=a, b=b)
 

@@ -14,6 +14,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv
 
+from .errors import ParseError
+
 # Dyadic precision of rounded logarithms: results are multiples of 2**-32.
 LOG_PRECISION_BITS = 32
 
@@ -25,12 +27,18 @@ def format_fraction(x: Fraction | int) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
-    """Parse "p/q" or a plain integer/decimal string into a Fraction."""
+    """Parse "p/q" or a plain integer/decimal string into a Fraction.
+
+    Anything else, a zero denominator included, raises ParseError.
+    """
     s = s.strip()
-    if "/" in s:
-        p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(s)
+    try:
+        if "/" in s:
+            p, q = s.split("/", 1)
+            return Fraction(int(p), int(q))
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{s!r} is not a fraction (expected p/q, an integer or a decimal)") from None
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -127,6 +127,26 @@ class TestExitCodes:
         assert "out of range for a host with 36 vertices" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["find-cycles", "--gen", "grid:4,4", "--min-n", "4", "--min-a", "abc"],
+        ["find-cycles", "--gen", "grid:4,4", "--min-n", "4", "--min-a", "1/0"],
+        ["conditions", "--group", "F2", "--r", "log:x"],
+        ["integrability", "--spec", "SPEC", "--phi", "power:x"],
+        ["graph-analyze", "--gen", "grid:a,b"],
+        ["graph-analyze", "--gen", "grid:4"],
+        ["check-obstruction", "--embedding", "EMB", "--delta", "abc"],
+    ], ids=["min-a-word", "min-a-zero-denominator", "schedule", "phi-param",
+            "gen-params", "gen-arity", "delta"])
+    def test_bad_flag_value_is_exit_one(self, tmp_path, capsys, argv):
+        files = {"SPEC": write_spec(tmp_path, F2_SPEC), "EMB": str(tmp_path / "emb.json")}
+        (tmp_path / "emb.json").write_text('{"n": 4, "images": [0, 1, 7, 6], "a": "1/1", "b": "1/1"}')
+        out = tmp_path / "x.json"
+        code = dispatch([files.get(a, a) for a in argv] + ["--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSubcommands:
     def test_graph_analyze_examples(self, tmp_path):
         code, doc = run(tmp_path, "graph-analyze", "--gen", "cycle:4")
