@@ -62,7 +62,8 @@ def test_generalized_inverse_closed_forms(fn, y, expected):
 def test_inverse_property_on_samples(fn):
     for y in (Fraction(1), Fraction(5), Fraction(50), Fraction(1000)):
         t = fn.inverse_interval(y)
-        # certified: phi is at least y at the upper end and at most y at the lower
+        # the true inverse lies in t, so phi(t.hi) >= y >= phi(t.lo); the certified
+        # bounds must allow that
         assert fn.eval_bounds(t.hi)[1] >= y
         assert fn.eval_bounds(t.lo)[0] <= y
 
