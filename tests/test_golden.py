@@ -27,6 +27,8 @@ INPUTS = GOLDEN / "inputs"
 CASES = {
     "graph-analyze": (["graph-analyze", "--gen", "grid:4,4"], 0),
     "graph-analyze-tree": (["graph-analyze", "--gen", "tree:2,3"], 0),
+    # n = 625 > EXACT_CUTOFF: the sampled path (exact false, samples set)
+    "graph-analyze-sampled": (["graph-analyze", "--gen", "grid:25,25", "--samples", "50"], 0),
     "find-cycles": (["find-cycles", "--gen", "grid:4,4", "--min-a", "1/2", "--min-n", "8"], 0),
     "find-cycles-tree": (["find-cycles", "--gen", "tree:2,3", "--min-a", "1/2", "--min-n", "4"], 0),
     "check-obstruction": (["check-obstruction", "--gen", "grid:4,4", "--embedding", "embedding.json"], 0),
