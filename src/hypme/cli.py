@@ -48,7 +48,7 @@ from .coupling import (
     integrability_report,
 )
 from .integrability import parse_function
-from .rational import format_fraction, parse_fraction
+from .rational import parse_fraction
 from .reports import write_report
 from .rigidity import (
     RigidityConditions,
@@ -126,7 +126,7 @@ def cmd_graph_analyze(args):
         "n": g.n,
         "m": g.m,
         "diameter": int(dm.d.max()),
-        **rep.to_json_dict(),
+        **vars(rep),
     }
     return payload, True
 
@@ -143,7 +143,7 @@ def cmd_find_cycles(args):
         budget=_budget(args),
         seed=args.seed,
     )
-    return res.to_json_dict(), True
+    return res, True
 
 
 def _read_embedding(path: str) -> CycleEmbedding:
@@ -187,8 +187,19 @@ def cmd_check_obstruction(args):
         delta_source = "thin_triangle_plus_slack_2"
         emb = verify_embedding(dm, list(emb.images))  # re-verify against the host
     report = check_obstruction(emb, delta)
-    payload = {"delta_source": delta_source, **report.to_json_dict()}
+    payload = {"delta_source": delta_source, **vars(report)}
     return payload, report.verdict == "consistent"
+
+
+def _entropy_view(est) -> dict:
+    declared = est.declared is not None
+    return {
+        "lower": est.lower,
+        "point_estimates": est.point_estimates,
+        "ratio_estimates": est.ratio_estimates,
+        "declared": est.declared.describe() if declared else None,
+        "declared_exact": declared,
+    }
 
 
 def cmd_group_ball(args):
@@ -198,17 +209,23 @@ def cmd_group_ball(args):
         payload = {
             "group": group.name,
             "radius": args.radius,
-            "growth": list(table.values),
-            "entropy": entropy_estimate(
-                group.growth_table(args.radius)
-            ).to_json_dict() if args.radius >= 2 else None,
+            "growth": table.values,
+            "entropy": _entropy_view(entropy_estimate(group.growth_table(args.radius))) if args.radius >= 2 else None,
         }
         csv_source = table
     else:
         b = ball(group, args.radius, max_elements=_budget(args))
-        payload = b.to_json_dict()
+        payload = {
+            "radius": b.radius,
+            "group": group.name,
+            "n": b.graph.n,
+            "edges": sorted(b.graph.edges),
+            "word_lengths": b.word_lengths,
+            "labels": [group.describe(g) for g in b.elements],
+            "growth": b.growth.values,
+        }
         if args.radius >= 2:
-            payload["entropy"] = entropy_estimate(b.growth).to_json_dict()
+            payload["entropy"] = _entropy_view(entropy_estimate(b.growth))
         csv_source = b.growth
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -221,9 +238,26 @@ def _load_coupling(args):
         return coupling_from_spec(fh.read(), max_cosets=_budget(args))
 
 
+def _coupling_view(c) -> dict:
+    g = c.group
+    return {
+        "group": g.name,
+        "subgroup_generators": c.sub.generator_words,
+        "index": c.index,
+        "transversal": [g.describe(t) for t in c.sub.transversal],
+        "schreier_generators": [g.describe(s) for s in c.sub.schreier_generators],
+        "fibers": [g.describe(f) for f in c.fibers],
+        "x_gamma": [[g.describe(p[0]), p[1]] for p in c.x_gamma],
+        "mu_scale": c.mu_scale,
+        "mu_x_gamma": c.mu_x_gamma(),
+        "mu_x_lambda": c.mu_x_lambda(),
+        "x_gamma_in_x_lambda": c.x_gamma_in_x_lambda(),
+    }
+
+
 def cmd_coupling_build(args):
     c = _load_coupling(args)
-    payload = c.summary_dict()
+    payload = _coupling_view(c)
     payload["coboundedness_witness"] = [
         c.group.describe(f) for f in coboundedness_witness(c)
     ]
@@ -241,9 +275,9 @@ def cmd_coupling_verify(args):
     if c.x_gamma_in_x_lambda():
         checks.append(check_inverse_relation(c, args.radius))
     payload = {
-        "coupling": c.summary_dict(),
+        "coupling": _coupling_view(c),
         "radius": args.radius,
-        "checks": [r.to_json_dict() for r in checks],
+        "checks": checks,
     }
     ok = all(r.passed for r in checks)
     return payload, ok
@@ -252,7 +286,7 @@ def cmd_coupling_verify(args):
 def cmd_integrability(args):
     c = _load_coupling(args)
     rep = integrability_report(c, parse_function(args.phi), parse_function(args.psi))
-    return rep.to_json_dict(), True
+    return rep, True
 
 
 def cmd_claim_check(args):
@@ -281,9 +315,7 @@ def cmd_threshold(args):
             "group": group.name,
         },
     )
-    payload = rep.to_json_dict()
-    payload["entropy_estimate"] = est.to_json_dict()
-    return payload, True
+    return {**vars(rep), "entropy_estimate": _entropy_view(est)}, True
 
 
 def cmd_conditions(args):
@@ -313,7 +345,7 @@ def cmd_conditions(args):
         reports.append(check_condition_6_7(rc, "thm42"))
     payload = {
         "group": group.name,
-        "conditions": [r.to_json_dict() for r in reports],
+        "conditions": reports,
     }
     return payload, True
 

@@ -359,24 +359,6 @@ class Coupling:
                 break
         return lengths
 
-    # --- serialization ----------------------------------------------------------
-
-    def summary_dict(self) -> dict:
-        g = self.group
-        return {
-            "group": g.name,
-            "subgroup_generators": list(self.sub.generator_words),
-            "index": self.index,
-            "transversal": [g.describe(t) for t in self.sub.transversal],
-            "schreier_generators": [g.describe(s) for s in self.sub.schreier_generators],
-            "fibers": [g.describe(f) for f in self.fibers],
-            "x_gamma": [[g.describe(p[0]), p[1]] for p in self.x_gamma],
-            "mu_scale": format_fraction(self.mu_scale),
-            "mu_x_gamma": format_fraction(self.mu_x_gamma()),
-            "mu_x_lambda": format_fraction(self.mu_x_lambda()),
-            "x_gamma_in_x_lambda": self.x_gamma_in_x_lambda(),
-        }
-
 
 def subgroup_coupling(
     group: MarkedGroup,
@@ -421,33 +403,25 @@ def coupling_from_spec(spec: dict | str, max_cosets: int = DEFAULT_COSET_BUDGET)
 
 @dataclass(frozen=True)
 class CheckReport:
-    name: str
+    name: str = field(metadata={"key": "check"})
     cases: int
-    violations: tuple
-    details: dict = field(default_factory=dict)
+    violations: int
+    passed: bool
+    details: dict = field(default_factory=dict, metadata={"inline": True})
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "cases": self.cases,
-            "violations": len(self.violations),
-            "passed": self.passed,
-            **self.details,
-        }
+    @classmethod
+    def of(cls, name: str, cases: int, violations: int, **details) -> CheckReport:
+        return cls(name, cases, violations, violations == 0, details)
 
 
 def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
     """alpha(g'g, x) == alpha(g', g.x) alpha(g, x) for all |g|,|g'| <= radius."""
     if radius < 1:
-        return CheckReport("cocycle_identity", 0, ())
+        return CheckReport.of("cocycle_identity", 0, 0)
     ballg = c.gamma_ball(radius)
     points = c.x_lambda_points()
     cases = 0
-    bad = []
+    bad = 0
     for x in points:
         alpha_x = {p: c.alpha(p, x) for p in ballg}
         moved = {p: c.induced_gamma(p, x) for p in ballg}
@@ -459,8 +433,8 @@ def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
                 left = c.alpha(c.gamma_multiply(q, p), x)
                 right = c.group.multiply(c.alpha(q, mx), ax)
                 if left != right:
-                    bad.append((q, p, x))
-    return CheckReport("cocycle_identity", cases, tuple(bad), {"radius": radius})
+                    bad += 1
+    return CheckReport.of("cocycle_identity", cases, bad, radius=radius)
 
 
 def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
@@ -472,13 +446,13 @@ def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
         )
     lengths = c.lambda_ball(radius)
     cases = 0
-    bad = []
+    bad = 0
     for x in c.x_gamma:
         for lam in lengths:
             cases += 1
             if c.alpha(c.beta(lam, x), x) != lam:
-                bad.append((lam, x))
-    return CheckReport("inverse_relation", cases, tuple(bad), {"radius": radius})
+                bad += 1
+    return CheckReport.of("inverse_relation", cases, bad, radius=radius)
 
 
 def check_b_identity(c: Coupling, radius: int) -> CheckReport:
@@ -486,7 +460,7 @@ def check_b_identity(c: Coupling, radius: int) -> CheckReport:
     lengths = c.lambda_ball(radius)
     elems = sorted(lengths, key=c.group.to_word)
     cases = 0
-    bad = []
+    bad = 0
     inv = c.group.inverse
     for x in c.x_gamma:
         b_of = {u: c.b_map(u, x) for u in elems}
@@ -498,8 +472,8 @@ def check_b_identity(c: Coupling, radius: int) -> CheckReport:
                 left = c.gamma_multiply(bu_inv, b_of[v])
                 right = c.gamma_inverse(c.beta(c.group.multiply(inv(v), u), ux))
                 if left != right:
-                    bad.append((u, v, x))
-    return CheckReport("b_identity", cases, tuple(bad), {"radius": radius})
+                    bad += 1
+    return CheckReport.of("b_identity", cases, bad, radius=radius)
 
 
 def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> CheckReport:
@@ -511,7 +485,7 @@ def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> 
     lams = sorted(c.lambda_ball(radius), key=c.group.to_word)
     points = [(p[0], i) for p in ballg for i in range(c.fiber_count)]
     cases = 0
-    bad = []
+    bad = 0
     for _ in range(samples):
         p = rng.choice(ballg)
         lam = rng.choice(lams)
@@ -520,8 +494,8 @@ def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> 
         one = c.lambda_act(lam, c.gamma_act(p, w))
         two = c.gamma_act(p, c.lambda_act(lam, w))
         if one != two:
-            bad.append((p, lam, w))
-    return CheckReport("actions_commute", cases, tuple(bad), {"radius": radius})
+            bad += 1
+    return CheckReport.of("actions_commute", cases, bad, radius=radius)
 
 
 def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
@@ -534,7 +508,7 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
     membership tests rather than through the coset index.
     """
     g = c.group
-    bad = []
+    bad = 0
     cases = 0
 
     base_ball = ball(g, radius).elements
@@ -545,7 +519,7 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
             t for t in c.sub.transversal if c.sub.contains(g.multiply(g.inverse(t), w))
         ]
         if len(hits) != 1:
-            bad.append(("transversal", w, len(hits)))
+            bad += 1
 
     # gamma side: injectivity and coverage (fiber moves cost one letter)
     c_gamma = max(g.word_length(p[0]) for p in c.x_gamma)
@@ -557,7 +531,7 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
             cases += 1
             pt = c.gamma_act(p, x)
             if pt in seen:
-                bad.append(("gamma_injective", p, x))
+                bad += 1
             seen[pt] = (p, x)
     for w in base_ball:
         if g.word_length(w) > radius - c_gamma:
@@ -565,7 +539,7 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
         for i in range(c.fiber_count):
             cases += 1
             if (w, i) not in seen:
-                bad.append(("gamma_cover", w, i))
+                bad += 1
 
     # lambda side: round-trip projection and injectivity over a lambda ball
     lam_lengths = c.lambda_ball(radius)
@@ -575,7 +549,7 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
             cases += 1
             pt = c.lambda_act(lam, x)
             if pt in seen_l:
-                bad.append(("lambda_injective", lam, x))
+                bad += 1
             seen_l[pt] = (lam, x)
     c_lambda = max(
         g.word_length(p[0]) for p in c.x_lambda_points()
@@ -587,12 +561,9 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
             lam = g.multiply(g.inverse(w), x[0])  # x lam^-1 == w
             pt = c.lambda_act(lam, x)
             if pt != (w, i) or not c.sub.contains(lam):
-                bad.append(("lambda_cover", w, i))
-    return CheckReport(
-        "fundamental_domains",
-        cases,
-        tuple(bad),
-        {"radius": radius, "c_gamma": c_gamma, "c_lambda": c_lambda},
+                bad += 1
+    return CheckReport.of(
+        "fundamental_domains", cases, bad, radius=radius, c_gamma=c_gamma, c_lambda=c_lambda
     )
 
 
@@ -671,27 +642,11 @@ def projection_and_similarity(
 class IntegrabilityReport:
     phi: str
     psi: str
-    k_constant: Fraction | tuple[Fraction, Fraction]
-    l_constant: Fraction | tuple[Fraction, Fraction]
-    beta_sup: int
+    k_constant: Fraction | tuple[Fraction, Fraction] = field(metadata={"key": "K"})
+    l_constant: Fraction | tuple[Fraction, Fraction] = field(metadata={"key": "L"})
+    beta_sup: int = field(metadata={"key": "beta_ess_sup"})
     alpha_max_length: int
     exact: bool
-
-    def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, tuple):
-                return [format_fraction(v[0]), format_fraction(v[1])]
-            return format_fraction(v)
-
-        return {
-            "phi": self.phi,
-            "psi": self.psi,
-            "K": enc(self.k_constant),
-            "L": enc(self.l_constant),
-            "beta_ess_sup": self.beta_sup,
-            "alpha_max_length": self.alpha_max_length,
-            "exact": self.exact,
-        }
 
 
 def integrability_report(
@@ -829,15 +784,15 @@ def strengthen_coboundedness(c: Coupling, F) -> Coupling:
 def check_step_bound(c: Coupling) -> CheckReport:
     """d((x,f), (x,f')) <= 1 for gamma-domain base points across fibers."""
     cases = 0
-    bad = []
+    bad = 0
     for x, _ in c.x_gamma:
         for i in range(c.fiber_count):
             for j in range(c.fiber_count):
                 cases += 1
                 dist = c.gamma_distance((x, i), (x, j))
                 if dist > 1:
-                    bad.append((x, i, j, dist))
-    return CheckReport("step_bound", cases, tuple(bad))
+                    bad += 1
+    return CheckReport.of("step_bound", cases, bad)
 
 
 def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
@@ -847,12 +802,12 @@ def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
 
     g = c.group
     m = c.fiber_count
-    bad = []
+    bad = 0
     cases = 0
     if m == 1:
         for r in range(radius + 1):
             cases += 1
-        return CheckReport("growth_comparison", cases, (), {"radius": radius})
+        return CheckReport.of("growth_comparison", cases, 0, radius=radius)
     prod = DirectProduct([g, Cyclic(m)])
     gens = []
     for i in range(g.num_generators):
@@ -867,11 +822,11 @@ def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
         lhs = table.values[r]
         rhs = m * g.volume(r)
         if lhs > rhs:
-            bad.append((r, lhs, rhs))
+            bad += 1
         expected = c.gamma_volume(r)
         if lhs != expected:
-            bad.append((r, lhs, "formula", expected))
-    return CheckReport("growth_comparison", cases, tuple(bad), {"radius": radius})
+            bad += 1
+    return CheckReport.of("growth_comparison", cases, bad, radius=radius)
 
 
 def validate_strengthened(c: Coupling, radius: int = 3, growth_radius: int = 6) -> dict:
@@ -884,7 +839,7 @@ def validate_strengthened(c: Coupling, radius: int = 3, growth_radius: int = 6) 
     inclusion = c.x_gamma_in_x_lambda()
     return {
         "x_gamma_in_x_lambda": inclusion,
-        "checks": [r.to_json_dict() for r in reports],
+        "checks": reports,
         "passed": inclusion and all(r.passed for r in reports),
     }
 
@@ -906,26 +861,6 @@ class ClaimBoundReport:
     identity_violations: int
     degenerate: bool
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, tuple):
-                return [format_fraction(v[0]), format_fraction(v[1])]
-            return format_fraction(v)
-
-        return {
-            "u": self.u,
-            "v": self.v,
-            "R": self.R,
-            "d_lambda": self.d_lambda,
-            "measured": format_fraction(self.measured),
-            "bound": enc(self.bound),
-            "K": enc(self.k_constant),
-            "identity_cases": self.identity_cases,
-            "identity_violations": self.identity_violations,
-            "degenerate": self.degenerate,
-            "passed": self.passed,
-        }
 
 
 def _k_constant(c: Coupling, phi: IntegrabilityFunction):
@@ -1086,8 +1021,7 @@ def claim_bound_sweep(
         "ball_size": len(elems),
         "pair_checks": checked_pairs,
         "nontrivial_evaluations": evaluated,
-        "K": {k: format_fraction(v) if not isinstance(v, tuple) else
-              [format_fraction(v[0]), format_fraction(v[1])] for k, v in k_constants.items()},
+        "K": k_constants,
         "failures": failures,
         "passed": not failures,
     }

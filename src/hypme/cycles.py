@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .graphs import DistanceMatrix, Graph, direct_image_path
-from .rational import format_fraction, ln_lower, ln_upper, log2_upper
+from .rational import ln_lower, ln_upper, log2_upper
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 EXHAUSTIVE_VERTEX_LIMIT = 40
@@ -31,14 +31,6 @@ class CycleEmbedding:
     images: tuple[int, ...]
     a: Fraction
     b: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "images": list(self.images),
-            "a": format_fraction(self.a),
-            "b": format_fraction(self.b),
-        }
 
 
 def cycle_distance(n: int, i: int, j: int) -> int:
@@ -133,19 +125,6 @@ class ObstructionReport:
     bound_cor: Fraction | None
     cor_applicable: bool
     verdict: str  # "consistent" | "violation"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": format_fraction(self.delta),
-            "a": format_fraction(self.a),
-            "b": format_fraction(self.b),
-            "n": self.n,
-            "n_even": self.n_even,
-            "bound_prop": format_fraction(self.bound_prop),
-            "bound_cor": format_fraction(self.bound_cor) if self.bound_cor is not None else None,
-            "cor_applicable": self.cor_applicable,
-            "verdict": self.verdict,
-        }
 
 
 def check_obstruction(e: CycleEmbedding, delta: Fraction) -> ObstructionReport:
@@ -242,13 +221,6 @@ class FatCycleResult:
     embedding: CycleEmbedding | None
     outcome: str  # "found" | "proven_absent" | "budget_exhausted" | "not_found"
     nodes_used: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "embedding": self.embedding.to_json_dict() if self.embedding else None,
-            "outcome": self.outcome,
-            "nodes_used": self.nodes_used,
-        }
 
 
 def _closed_walk_images(dm: DistanceMatrix, corners: list[int]) -> list[int] | None:

@@ -646,17 +646,6 @@ class CayleyBall:
     growth: GrowthTable
     group: MarkedGroup
 
-    def to_json_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "group": self.group.name,
-            "n": self.graph.n,
-            "edges": sorted([list(e) for e in self.graph.edges]),
-            "word_lengths": list(self.word_lengths),
-            "labels": [self.group.describe(g) for g in self.elements],
-            "growth": list(self.growth.values),
-        }
-
 
 def sphere_levels(group: MarkedGroup, gens, max_elements: int, what: str):
     """Yield (depth, level) for depth 0, 1, 2, ...: the elements of word
@@ -763,21 +752,6 @@ class EntropyEstimate:
     point_estimates: tuple[float, ...]
     ratio_estimates: tuple[float, ...]
     declared: EntropyValue | None
-
-    @property
-    def declared_flag(self) -> bool:
-        return self.declared is not None
-
-    def to_json_dict(self) -> dict:
-        from .rational import format_fraction
-
-        return {
-            "lower": format_fraction(self.lower),
-            "point_estimates": list(self.point_estimates),
-            "ratio_estimates": list(self.ratio_estimates),
-            "declared": self.declared.describe() if self.declared else None,
-            "declared_exact": self.declared_flag,
-        }
 
 
 def entropy_estimate(table: GrowthTable) -> EntropyEstimate:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .graphs import DistanceMatrix, Graph, Path, geodesic_mask
-from .rational import format_fraction, log2_upper
+from .rational import log2_upper
 
 EXACT_CUTOFF = 600
 _CHUNK_BYTES = 1 << 26
@@ -35,23 +35,13 @@ _CHUNK_BYTES = 1 << 26
 class HyperbolicityReport:
     delta_thin: Fraction
     delta_four_point: Fraction
-    witness_thin: tuple[tuple[int, int, int], int] | None
-    witness_4pt: tuple[int, int, int, int] | None
+    witness: dict  # thin_triple, thin_vertex, four_point
     exact: bool
     samples: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_thin": format_fraction(self.delta_thin),
-            "delta_four_point": format_fraction(self.delta_four_point),
-            "witness": {
-                "thin_triple": list(self.witness_thin[0]) if self.witness_thin else None,
-                "thin_vertex": self.witness_thin[1] if self.witness_thin else None,
-                "four_point": list(self.witness_4pt) if self.witness_4pt else None,
-            },
-            "exact": self.exact,
-            "samples": self.samples,
-        }
+
+def _witness(thin: tuple[tuple[int, int, int], int], four: tuple[int, int, int, int]) -> dict:
+    return {"thin_triple": thin[0], "thin_vertex": thin[1], "four_point": four}
 
 
 def _nearest_to_geodesics(dm: DistanceMatrix, v: int) -> np.ndarray:
@@ -156,7 +146,7 @@ def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> HyperbolicityReport:
     dt, wt = thin_triangle_delta(g, dm)
     d4, w4 = four_point_delta(dm, tree_hint=g.is_tree)
     return HyperbolicityReport(
-        delta_thin=dt, delta_four_point=d4, witness_thin=wt, witness_4pt=w4, exact=True
+        delta_thin=dt, delta_four_point=d4, witness=_witness(wt, w4), exact=True
     )
 
 
@@ -185,8 +175,7 @@ def sampled_hyperbolicity(
     return HyperbolicityReport(
         delta_thin=Fraction(max(best_t, 0)),
         delta_four_point=max(best_q, Fraction(0)),
-        witness_thin=wt,
-        witness_4pt=wq,
+        witness=_witness(wt, wq),
         exact=False,
         samples=samples,
     )
@@ -200,16 +189,6 @@ class GeodesicPathBoundReport:
     path_length: int
     geodesic_vertices: int
     slack: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_observed": self.max_observed,
-            "bound": format_fraction(self.bound),
-            "passes": self.passes,
-            "path_length": self.path_length,
-            "geodesic_vertices": self.geodesic_vertices,
-            "slack": self.slack,
-        }
 
 
 def verify_geodesic_path_bound(

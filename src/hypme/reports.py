@@ -2,28 +2,59 @@
 
 Every CLI run emits one JSON report that embeds the tool version, the full
 configuration echo (including seed and budget), and the payload.  Identical
-configurations produce byte-identical files: keys are sorted, no timestamps
-or machine identifiers are recorded, and all rationals are "p/q" strings.
+configurations produce byte-identical files: keys are sorted and no
+timestamps or machine identifiers are recorded.
+
+Payloads hold raw values; `encode` turns them into JSON data by one rule:
+
+  - a Fraction becomes the exact "p/q" string;
+  - a dataclass becomes a dict of its fields, where field metadata `key`
+    renames a field and `inline` merges a dict field into its parent;
+  - tuples and lists become lists, dicts stay dicts, both encoded item by item;
+  - everything else passes through unchanged.  In particular a float stays a
+    JSON number, so an uncertified float never looks like an exact "p/q".
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from fractions import Fraction
 
 from . import __version__
+from .rational import format_fraction
 
 
-def render_report(config: dict, payload: dict) -> str:
+def encode(obj):
+    if isinstance(obj, Fraction):
+        return format_fraction(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {}
+        for f in dataclasses.fields(obj):
+            value = encode(getattr(obj, f.name))
+            if f.metadata.get("inline"):
+                out.update(value)
+            else:
+                out[f.metadata.get("key", f.name)] = value
+        return out
+    if isinstance(obj, (tuple, list)):
+        return [encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: encode(v) for k, v in obj.items()}
+    return obj
+
+
+def render_report(config: dict, payload) -> str:
     doc = {
         "tool": "hypme",
         "version": __version__,
         "config": config,
         "report": payload,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(encode(doc), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(path: str, config: dict, payload: dict) -> None:
+def write_report(path: str, config: dict, payload) -> None:
     text = render_report(config, payload)
     with open(path, "w") as fh:
         fh.write(text)

@@ -20,7 +20,7 @@ logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -103,14 +103,6 @@ class ThresholdReport:
     p_threshold: Fraction
     provenance: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": format_fraction(self.delta),
-            "entropy": format_fraction(self.entropy),
-            "p_threshold": format_fraction(self.p_threshold),
-            "provenance": self.provenance,
-        }
-
 
 def threshold_p(delta: Fraction, entropy: Fraction, provenance: dict | None = None) -> ThresholdReport:
     """The critical integrability exponent 108*delta*entropy + 2."""
@@ -170,20 +162,9 @@ class ConditionReport:
     name: str
     verdict: str  # "tends_to_zero" | "fails" | "holds_eventually" | "inconclusive"
     analytic: bool
-    n0: int | None
+    n0: int | None = field(metadata={"key": "N0"})
     samples: list
-    notes: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "name": self.name,
-            "verdict": self.verdict,
-            "analytic": self.analytic,
-            "N0": self.n0,
-            "samples": self.samples,
-            **self.notes,
-        }
+    notes: dict = field(metadata={"inline": True})
 
 
 def _analytic_condition_5(
@@ -314,14 +295,8 @@ def _analytic_condition_6(rc: RigidityConditions) -> tuple[str, dict] | None:
                 1 / psi.param if psi.family == "power" else psi.param / (1 + psi.param)
             )
             if r.exponent > inv_exp:
-                return "holds_eventually", {
-                    "r_exponent": format_fraction(r.exponent),
-                    "psi_inverse_exponent": format_fraction(inv_exp),
-                }
-            return "fails", {
-                "r_exponent": format_fraction(r.exponent),
-                "psi_inverse_exponent": format_fraction(inv_exp),
-            }
+                return "holds_eventually", {"r_exponent": r.exponent, "psi_inverse_exponent": inv_exp}
+            return "fails", {"r_exponent": r.exponent, "psi_inverse_exponent": inv_exp}
         if psi.family == "exp_power":
             return "holds_eventually", {"reason": "psi inverse grows logarithmically"}
     if r.family == "log" and psi.family in ("power", "poly_plus"):
@@ -402,8 +377,8 @@ def check_condition_6_7(rc: RigidityConditions, mode: str) -> ConditionReport:
         notes={
             "r": rc.r.describe(),
             "psi": rc.psi.describe(),
-            "delta": format_fraction(rc.delta),
-            "L": format_fraction(rc.L),
+            "delta": rc.delta,
+            "L": rc.L,
             **notes,
         },
     )

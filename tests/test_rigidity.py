@@ -9,6 +9,7 @@ from hypme.errors import PreconditionError
 from hypme.groups import GrowthTable, parse_group
 from hypme.integrability import exp_power, poly_plus, power
 from hypme.rational import FracInterval
+from hypme.reports import encode
 from hypme.rigidity import (
     RigidityConditions,
     Schedule,
@@ -143,7 +144,7 @@ class TestCondition5:
         gt = parse_group("F2").growth_table(2)
         rc = make_rc(power(200), power(1), Schedule("log", coefficient=Fraction(108)))
         rep = check_condition_5(rc, gt)
-        assert "r_exceeds_n_at" in rep.to_json_dict()
+        assert "r_exceeds_n_at" in encode(rep)
 
 
 class TestCondition67:
