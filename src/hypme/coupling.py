@@ -29,14 +29,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
-from sympy.combinatorics.free_groups import free_group
-from sympy import Matrix
-
 from .errors import BudgetError, ParseError, PreconditionError
 from .groups import MarkedGroup, ball, parse_group, sphere_levels
 from .integrability import IntegrabilityFunction
-from .rational import format_fraction
+from .rational import format_fraction, matrix_rank
 
 DEFAULT_COSET_BUDGET = 20_000
 DEFAULT_LENGTH_BUDGET = 500_000
@@ -81,6 +77,10 @@ class SubgroupData:
 
 
 def _build_coset_table(group: MarkedGroup, words, max_cosets: int):
+    # sympy takes about half a second to import, so only coset enumeration pays it
+    from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
+    from sympy.combinatorics.free_groups import free_group
+
     names = ", ".join(group.letter(i) for i in range(group.num_generators))
     objs = free_group(names)
     fgroup, sym_gens = objs[0], list(objs[1:])
@@ -119,11 +119,10 @@ def subgroup_data(
     gens = [group.parse_word(w) for w in subgroup_gen_words]
     rank = group.abelian_free_rank()
     if rank > 0:
-        rows = [list(group.abelian_vector(g)) for g in gens]
-        if not rows or Matrix(rows).rank() < rank:
+        sub_rank = matrix_rank([group.abelian_vector(g) for g in gens])
+        if sub_rank < rank:
             raise PreconditionError(
-                "subgroup has infinite index: abelianized image has rank "
-                f"{Matrix(rows).rank() if rows else 0} < {rank}"
+                f"subgroup has infinite index: abelianized image has rank {sub_rank} < {rank}"
             )
     table = _build_coset_table(group, gens, max_cosets)
     index = len(table)

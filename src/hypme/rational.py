@@ -41,6 +41,25 @@ def parse_fraction(s: str) -> Fraction:
         raise ParseError(f"{s!r} is not a fraction (expected p/q, an integer or a decimal)") from None
 
 
+def matrix_rank(rows) -> int:
+    """Rank over the rationals of an integer or rational matrix, by exact
+    Fraction row reduction."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / top[col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 

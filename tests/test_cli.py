@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +49,11 @@ class TestEnvelope:
         code, doc = run(tmp_path, "graph-analyze", "--gen", "cycle:8")
         assert code == 0
         assert doc["config"]["budget_effective"] == 123456
+
+    def test_cli_import_leaves_sympy_unloaded(self):
+        code = "import sys, hypme.cli; sys.exit('sympy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestExitCodes:

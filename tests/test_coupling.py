@@ -1,4 +1,5 @@
 import json
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from hypme.coupling import (
 from hypme.errors import BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, power
+from hypme.rational import matrix_rank
 
 F2_GENS = ["aa", "b", "abA"]
 
@@ -89,6 +91,19 @@ class TestSubgroupCoupling:
     def test_infinite_index_rejected(self, f2):
         with pytest.raises(PreconditionError, match="infinite index"):
             subgroup_coupling(f2, ["a"])
+
+    def test_matrix_rank_matches_sympy(self):
+        from sympy import Matrix
+
+        rng = random.Random(7)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.5:  # force a dependent row
+                k = rng.randint(-2, 2)
+                m[-1] = [x + k * y for x, y in zip(m[0], m[1])]
+            assert matrix_rank(m) == Matrix(m).rank(), m
+        assert matrix_rank([]) == 0
 
     def test_undetectable_infinite_index_hits_budget(self):
         # <a, bab^-1> in C2*C3 has infinite index but full abelian rank (0)
