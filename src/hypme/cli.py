@@ -66,7 +66,10 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("HYPME_BUDGET")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"HYPME_BUDGET={env!r} is not an integer") from None
     return DEFAULT_BUDGET
 
 
@@ -292,7 +295,10 @@ def cmd_integrability(args):
 def cmd_claim_check(args):
     c = _load_coupling(args)
     phis = [parse_function(s) for s in args.phi.split(",")]
-    r_values = [int(x) for x in args.radii.split(",")]
+    try:
+        r_values = [int(x) for x in args.radii.split(",")]
+    except ValueError:
+        raise ParseError(f"--radii {args.radii!r} is not a comma-separated list of integers") from None
     payload = claim_bound_sweep(c, args.lambda_radius, r_values, phis)
     return payload, payload["passed"]
 
@@ -337,6 +343,9 @@ def cmd_conditions(args):
     )
     reports = []
     wanted = args.check.split(",")
+    unknown = sorted(set(wanted) - {"5", "6", "7"})
+    if unknown:
+        raise ParseError(f"--check takes conditions 5, 6 and 7, not {', '.join(map(repr, unknown))}")
     if "5" in wanted:
         reports.append(check_condition_5(rc, group.growth_table(2)))
     if "6" in wanted:
@@ -443,8 +452,8 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     config = _config_echo(args)
-    config["budget_effective"] = _budget(args) if hasattr(args, "budget") else None
     try:
+        config["budget_effective"] = _budget(args) if hasattr(args, "budget") else None
         payload, math_ok = args.func(args)
     except MathCheckError as exc:
         write_report(args.out, config, {"error": str(exc), "kind": "math"})

@@ -964,6 +964,8 @@ def claim_bound_sweep(
     g = c.group
     if len(c.x_gamma) != 1:
         raise PreconditionError("sweep assumes a singleton gamma domain")
+    if not R_values or min(R_values) < 1:
+        raise PreconditionError("R values must be positive integers")
     lengths = c.lambda_ball(lambda_radius)
     elems = sorted(lengths, key=g.to_word)
     max_R = max(R_values)

@@ -142,9 +142,19 @@ class TestExitCodes:
         ["graph-analyze", "--gen", "grid:a,b"],
         ["graph-analyze", "--gen", "grid:4"],
         ["check-obstruction", "--embedding", "EMB", "--delta", "abc"],
+        ["claim-check", "--spec", "SPEC", "--radii", "a"],
+        ["HYPME_BUDGET=abc", "graph-analyze", "--gen", "cycle:4"],
+        ["claim-check", "--spec", "SPEC", "--radii", "0"],
+        ["claim-check", "--spec", "SPEC", "--radii", "-1"],
+        ["conditions", "--group", "F2", "--check", "9"],
     ], ids=["min-a-word", "min-a-zero-denominator", "schedule", "phi-param",
-            "gen-params", "gen-arity", "delta"])
-    def test_bad_flag_value_is_exit_one(self, tmp_path, capsys, argv):
+            "gen-params", "gen-arity", "delta", "radii-word", "env-budget",
+            "radii-zero", "radii-negative", "unknown-condition"])
+    def test_bad_flag_value_is_exit_one(self, tmp_path, capsys, monkeypatch, argv):
+        argv = list(argv)
+        while "=" in argv[0]:  # leading NAME=value items set the environment
+            name, _, value = argv.pop(0).partition("=")
+            monkeypatch.setenv(name, value)
         files = {"SPEC": write_spec(tmp_path, F2_SPEC), "EMB": str(tmp_path / "emb.json")}
         (tmp_path / "emb.json").write_text('{"n": 4, "images": [0, 1, 7, 6], "a": "1/1", "b": "1/1"}')
         out = tmp_path / "x.json"
