@@ -213,7 +213,10 @@ def cmd_group_ball(args):
             "group": group.name,
             "radius": args.radius,
             "growth": table.values,
-            "entropy": _entropy_view(entropy_estimate(group.growth_table(args.radius))) if args.radius >= 2 else None,
+            "entropy": (
+                _entropy_view(entropy_estimate(group.growth_table(args.radius)))
+                if args.radius >= 2 else None
+            ),
         }
         csv_source = table
     else:
@@ -298,7 +301,7 @@ def cmd_claim_check(args):
     try:
         r_values = [int(x) for x in args.radii.split(",")]
     except ValueError:
-        raise ParseError(f"--radii {args.radii!r} is not a comma-separated list of integers") from None
+        raise ParseError(f"--radii {args.radii!r} is not a list of integers") from None
     payload = claim_bound_sweep(c, args.lambda_radius, r_values, phis)
     return payload, payload["passed"]
 
@@ -345,7 +348,7 @@ def cmd_conditions(args):
     wanted = args.check.split(",")
     unknown = sorted(set(wanted) - {"5", "6", "7"})
     if unknown:
-        raise ParseError(f"--check takes conditions 5, 6 and 7, not {', '.join(map(repr, unknown))}")
+        raise ParseError(f"--check takes conditions 5, 6 and 7, not {', '.join(unknown)!r}")
     if "5" in wanted:
         reports.append(check_condition_5(rc, group.growth_table(2)))
     if "6" in wanted:

@@ -294,9 +294,8 @@ def _analytic_condition_6(rc: RigidityConditions) -> tuple[str, dict] | None:
             inv_exp = (
                 1 / psi.param if psi.family == "power" else psi.param / (1 + psi.param)
             )
-            if r.exponent > inv_exp:
-                return "holds_eventually", {"r_exponent": r.exponent, "psi_inverse_exponent": inv_exp}
-            return "fails", {"r_exponent": r.exponent, "psi_inverse_exponent": inv_exp}
+            notes = {"r_exponent": r.exponent, "psi_inverse_exponent": inv_exp}
+            return ("holds_eventually" if r.exponent > inv_exp else "fails"), notes
         if psi.family == "exp_power":
             return "holds_eventually", {"reason": "psi inverse grows logarithmically"}
     if r.family == "log" and psi.family in ("power", "poly_plus"):
