@@ -26,9 +26,10 @@ from .rational import format_fraction
 
 
 def encode(obj):
+    """JSON data for a payload, by the rule in the module docstring."""
     if isinstance(obj, Fraction):
         return format_fraction(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if dataclasses.is_dataclass(obj):
         out = {}
         for f in dataclasses.fields(obj):
             value = encode(getattr(obj, f.name))
