@@ -122,7 +122,7 @@ def cmd_graph_analyze(args):
     g = _load_host(args)
     dm = distance_matrix(g)
     if g.n <= EXACT_CUTOFF or g.is_tree or args.force:
-        rep = hyperbolicity_report(g, dm)
+        rep = hyperbolicity_report(g, dm, force=args.force)
     else:
         rep = sampled_hyperbolicity(g, dm, samples=args.samples, seed=args.seed)
     payload = {

@@ -7,8 +7,10 @@ are explicit vertex sequences.
 
 Conventions:
     - vertices are dense integers 0..n-1 (labels are kept only for reports);
-    - the distance matrix is a full int32 numpy array (graphs are capped at
-      MAX_VERTICES by default to bound memory);
+    - the distance matrix is a full int32 numpy array, built by a
+      multi-source bitset BFS that runs all n searches level by level; it
+      takes 4n^2 bytes, so distance_matrix refuses graphs above MAX_VERTICES
+      before allocating anything;
     - all operations are pure functions of immutable inputs.
 """
 
@@ -17,12 +19,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from collections import deque
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import ParseError, PreconditionError
 
 MAX_VERTICES = 20_000
+# scratch bytes per row block of the APSP kernel, beside the n^2 matrix
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,8 @@ def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:
     if max_id < 0:
         raise ParseError("no edges found")
     n = max_id + 1
+    # distance_matrix checks the cap too; here it also guards the connectivity
+    # test below, which allocates a list per vertex id
     if n > MAX_VERTICES:
         raise PreconditionError(f"graph has {n} vertices, cap is {MAX_VERTICES}")
     g = make_graph(n, edges)
@@ -182,25 +189,82 @@ class DistanceMatrix:
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Exact BFS distances for all vertex pairs; errors on disconnected input."""
-    if g.n == 0:
+    """Exact BFS distances for all vertex pairs; errors on disconnected input.
+
+    A multi-source bitset BFS (Then et al., "The More the Merrier: Efficient
+    Multi-Source Graph Traversal", VLDB 2014) runs the n searches together,
+    one level at a time.  Row v of each (n, ceil(n/64)) uint64 bitset holds a
+    set of sources: `seen[v]` those that have reached v, `frontier[v]` those
+    that reached it at the last level.  One level is
+
+        next[v] = OR of frontier[u] over u in adj(v), minus seen[v],
+
+    and every source in next[v] lies at the new level's distance from v.  The
+    OR is a `bitwise_or.reduceat` over the CSR neighbour lists, done in blocks
+    of rows together with unpacking the new bits into `d`.  Memory: 4n^2 bytes
+    for `d`, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of scratch per
+    block.  Graphs above MAX_VERTICES are refused before anything is allocated.
+    """
+    n = g.n
+    if n == 0:
         raise PreconditionError("empty graph")
+    if n > MAX_VERTICES:
+        raise PreconditionError(f"graph has {n} vertices, cap is {MAX_VERTICES}")
+    if n == 1:
+        return DistanceMatrix(d=np.zeros((1, 1), dtype=np.int32))
     adj = g.adjacency()
-    d = np.full((g.n, g.n), -1, dtype=np.int32)
-    for src in range(g.n):
-        row = d[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            dx = row[x]
-            for y in adj[x]:
-                if row[y] < 0:
-                    row[y] = dx + 1
-                    queue.append(y)
-    if np.any(d < 0):
+    degree = [len(row) for row in adj]
+    if not all(degree):  # an isolated vertex; reduceat also needs no empty rows
+        raise PreconditionError("graph is disconnected")
+    indptr = np.fromiter(accumulate(degree, initial=0), dtype=np.int64, count=n + 1)
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(indptr[-1]))
+    words = (n + 63) // 64
+    word = np.dtype("<u8")  # little-endian, so bit s of a row unpacks to column s
+    frontier = np.zeros((n, words), dtype=word)
+    v = np.arange(n)
+    frontier[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
+    seen = frontier.copy()
+    nxt = np.empty_like(frontier)
+    d = np.zeros((n, n), dtype=np.int32)
+    blocks = _row_blocks(indptr, n, words)
+    level = 0
+    while True:
+        level += 1
+        grew = False
+        for start, stop in blocks:
+            lo, hi = indptr[start], indptr[stop]
+            block = np.bitwise_or.reduceat(frontier[indices[lo:hi]], indptr[start:stop] - lo)
+            block &= ~seen[start:stop]
+            if not block.any():
+                nxt[start:stop] = 0
+                continue
+            grew = True
+            seen[start:stop] |= block
+            nxt[start:stop] = block
+            bits = np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little")
+            np.copyto(d[start:stop], level, where=bits.view(bool))
+        if not grew:
+            break
+        frontier, nxt = nxt, frontier
+    full = np.full(words, ~np.uint64(0), dtype=word)
+    full[-1] >>= np.uint64(64 * words - n)
+    if not (seen == full).all():
         raise PreconditionError("graph is disconnected")
     return DistanceMatrix(d=d)
+
+
+def _row_blocks(indptr: np.ndarray, n: int, words: int) -> list[tuple[int, int]]:
+    """Split rows 0..n-1 into runs whose gathered bitsets and unpacked bits
+    each take at most about _BLOCK_BYTES (one row at least)."""
+    max_rows = max(1, _BLOCK_BYTES // n)
+    max_arcs = max(1, _BLOCK_BYTES // (8 * words))
+    blocks = []
+    start = 0
+    for v in range(1, n + 1):
+        if v == n or v - start == max_rows or indptr[v + 1] - indptr[start] > max_arcs:
+            blocks.append((start, v))
+            start = v
+    return blocks
 
 
 def geodesic_mask(dm: DistanceMatrix, u: int, v: int) -> np.ndarray:

@@ -67,20 +67,22 @@ def thin_triangle_value(dm: DistanceMatrix, a: int, b: int, c: int) -> int:
     return int(dist_to_union[geodesic_mask(dm, a, b)].max())
 
 
-def thin_triangle_delta(g: Graph, dm: DistanceMatrix) -> tuple[Fraction, tuple]:
+def thin_triangle_delta(
+    g: Graph, dm: DistanceMatrix, force: bool = False
+) -> tuple[Fraction, tuple]:
     """Exact thin-triangle constant with a witness ((a,b,c), x).
 
     The witness reproduces the constant via thin_triangle_value.  Trees are
     dispatched directly: geodesics are unique and triangles are tripods, so
-    the constant is 0.
+    the constant is 0.  Past EXACT_CUTOFF the scan runs only if forced.
     """
     n = dm.n
     if n <= 2 or g.is_tree:
         return Fraction(0), ((0, 0, 0), 0)
-    if n > EXACT_CUTOFF:
+    if n > EXACT_CUTOFF and not force:
         raise PreconditionError(
             f"exhaustive thin-triangle scan refuses n={n} > {EXACT_CUTOFF}; "
-            "use sampled_hyperbolicity or force via parameter"
+            "sample instead, or force the scan (graph-analyze --force)"
         )
     near = [_nearest_to_geodesics(dm, v) for v in range(n)]
     best = -1
@@ -108,19 +110,21 @@ def four_point_value(dm: DistanceMatrix, x: int, y: int, z: int, w: int) -> Frac
 
 
 def four_point_delta(
-    dm: DistanceMatrix, tree_hint: bool = False
+    dm: DistanceMatrix, tree_hint: bool = False, force: bool = False
 ) -> tuple[Fraction, tuple[int, int, int, int]]:
     """Exact Gromov four-point constant with an achieving quadruple.
 
     On trees the four-point condition is an equality, so callers may pass
-    tree_hint to skip the quadruple scan.
+    tree_hint to skip the quadruple scan.  Past EXACT_CUTOFF the scan runs
+    only if forced.
     """
     n = dm.n
     if n <= 2 or tree_hint:
         return Fraction(0), (0, 0, 0, 0)
-    if n > EXACT_CUTOFF:
+    if n > EXACT_CUTOFF and not force:
         raise PreconditionError(
-            f"exhaustive four-point scan refuses n={n} > {EXACT_CUTOFF}"
+            f"exhaustive four-point scan refuses n={n} > {EXACT_CUTOFF}; "
+            "sample instead, or force the scan (graph-analyze --force)"
         )
     d = dm.d.astype(np.int32)
     best = -1
@@ -142,9 +146,12 @@ def four_point_delta(
     return Fraction(best, 2), witness
 
 
-def hyperbolicity_report(g: Graph, dm: DistanceMatrix) -> HyperbolicityReport:
-    dt, wt = thin_triangle_delta(g, dm)
-    d4, w4 = four_point_delta(dm, tree_hint=g.is_tree)
+def hyperbolicity_report(
+    g: Graph, dm: DistanceMatrix, force: bool = False
+) -> HyperbolicityReport:
+    """Both exact constants; `force` lets the scans run past EXACT_CUTOFF."""
+    dt, wt = thin_triangle_delta(g, dm, force=force)
+    d4, w4 = four_point_delta(dm, tree_hint=g.is_tree, force=force)
     return HyperbolicityReport(
         delta_thin=dt, delta_four_point=d4, witness=_witness(wt, w4), exact=True
     )

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hypme import __version__
+from hypme import __version__, cli, hyperbolicity
 from hypme.cli import dispatch
 
 F2_SPEC = {"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": "e"}
@@ -162,6 +162,34 @@ class TestExitCodes:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    def test_generated_host_over_vertex_cap_is_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert dispatch(["graph-analyze", "--gen", "grid:150,150", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: graph has 22500 vertices, cap is")
+
+
+class TestForce:
+    """graph-analyze --force runs the exact scans past the cutoff (lowered to 10 here)."""
+
+    @pytest.fixture(autouse=True)
+    def low_cutoff(self, monkeypatch):
+        monkeypatch.setattr(hyperbolicity, "EXACT_CUTOFF", 10)
+        monkeypatch.setattr(cli, "EXACT_CUTOFF", 10)
+
+    def test_force_gives_exact_constants(self, tmp_path):
+        code, doc = run(tmp_path, "graph-analyze", "--gen", "cycle:12", "--force")
+        assert code == 0
+        rep = doc["report"]
+        assert rep["exact"] is True and rep["samples"] is None
+        assert rep["delta_thin"] == "3/1" and rep["delta_four_point"] == "3/1"
+
+    def test_without_force_samples(self, tmp_path):
+        code, doc = run(tmp_path, "graph-analyze", "--gen", "cycle:12", "--samples", "20")
+        assert code == 0
+        assert doc["report"]["exact"] is False and doc["report"]["samples"] == 20
 
 
 class TestSubcommands:

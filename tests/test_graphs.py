@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypme import graphs
 from hypme.errors import ParseError, PreconditionError
 from hypme.graphs import (
+    MAX_VERTICES,
     DistanceMatrix,
     Graph,
     Path,
@@ -17,6 +20,7 @@ from hypme.graphs import (
     geodesic_points,
     grid_graph,
     load_graph,
+    make_graph,
     random_tree,
     tree_graph,
 )
@@ -97,6 +101,80 @@ class TestDistances:
         g = Graph(n=3, edges=frozenset({(0, 1)}))
         with pytest.raises(PreconditionError):
             distance_matrix(g)
+
+
+def _host(shape: str, n: int) -> Graph:
+    if n == 1:
+        return Graph(n=1, edges=frozenset())
+    if shape == "path":
+        return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    if shape == "star":
+        return make_graph(n, [(0, i) for i in range(1, n)])
+    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _assert_matches_networkx(g: Graph) -> np.ndarray:
+    dm = distance_matrix(g)
+    assert dm.d.dtype == np.int32
+    assert np.array_equal(dm.d, np.array(nx_distances(g)))
+    return dm.d
+
+
+class TestBitsetBFS:
+    """The multi-source kernel against networkx, across its 64-bit word and row-block edges."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("shape", ["path", "star", "complete"])
+    def test_word_edges(self, shape, n):
+        d = _assert_matches_networkx(_host(shape, n))
+        assert d.max() == {"path": n - 1, "star": min(n - 1, 2), "complete": min(n - 1, 1)}[shape]
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    @pytest.mark.parametrize("shape", ["path", "star", "complete"])
+    def test_block_edges(self, monkeypatch, shape, n):
+        # 64-row blocks: n = 64 +- 1 ends one row short of a block, on it, or one past it
+        monkeypatch.setattr(graphs, "_BLOCK_BYTES", 64 * n)
+        _assert_matches_networkx(_host(shape, n))
+
+    def test_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_BLOCK_BYTES", 1)
+        _assert_matches_networkx(random_connected_graph(random.Random(9), 70, 30))
+
+    @pytest.mark.parametrize("chords", [150, 2000], ids=["rows-bind", "arcs-bind"])
+    def test_row_blocks_partition_rows_within_budget(self, monkeypatch, chords):
+        n, words, budget = 200, 4, 2000
+        g = random_connected_graph(random.Random(4), n, chords)
+        indptr = np.cumsum([0] + [len(row) for row in g.adjacency()])
+        monkeypatch.setattr(graphs, "_BLOCK_BYTES", budget)
+        blocks = graphs._row_blocks(indptr, n, words)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        for start, stop in blocks:
+            unpacked, gathered = (stop - start) * n, 8 * words * (indptr[stop] - indptr[start])
+            assert stop - start == 1 or max(unpacked, gathered) <= budget
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs_past_one_word(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(65, 300)
+        _assert_matches_networkx(random_connected_graph(rng, n, rng.randrange(0, n)))
+
+    def test_two_components_raise(self):
+        # no vertex is isolated (TestDistances covers that), and the cut crosses a word
+        g = make_graph(130, [(i, i + 1) for i in range(129) if i != 64])
+        with pytest.raises(PreconditionError, match="disconnected"):
+            distance_matrix(g)
+
+    def test_vertex_cap_refused_before_allocating(self):
+        g = cycle_graph(MAX_VERTICES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="cap is"):
+                distance_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGeodesicPoints:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypme import hyperbolicity
+from hypme.errors import PreconditionError
 from hypme.graphs import (
     cycle_graph,
     direct_image_path,
@@ -110,6 +112,26 @@ class TestWitnesses:
         assert r1 == r2
         assert not r1.exact
         assert r1.delta_thin <= exact
+
+
+class TestCutoff:
+    """The exact scans refuse n > EXACT_CUTOFF unless forced (cutoff lowered to 10)."""
+
+    def test_refusal_names_the_flag(self, monkeypatch):
+        g = cycle_graph(12)
+        dm = distance_matrix(g)
+        monkeypatch.setattr(hyperbolicity, "EXACT_CUTOFF", 10)
+        with pytest.raises(PreconditionError, match="--force"):
+            thin_triangle_delta(g, dm)
+        with pytest.raises(PreconditionError, match="--force"):
+            four_point_delta(dm)
+
+    def test_force_runs_the_scans(self, monkeypatch):
+        g = cycle_graph(12)
+        dm = distance_matrix(g)
+        expected = hyperbolicity_report(g, dm)
+        monkeypatch.setattr(hyperbolicity, "EXACT_CUTOFF", 10)
+        assert hyperbolicity_report(g, dm, force=True) == expected
 
 
 class TestGeodesicPathBound:
