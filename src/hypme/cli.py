@@ -274,7 +274,7 @@ def cmd_coupling_verify(args):
     c = _load_coupling(args)
     checks = [
         check_cocycle_identity(c, args.radius),
-        check_b_identity(c, args.radius),
+        check_b_identity(c, args.radius, max_cases=_budget(args)),
         check_actions_commute(c, max(args.radius - 1, 1), samples=200, seed=args.seed),
         check_fundamental_domains(c, args.radius),
     ]
@@ -302,7 +302,9 @@ def cmd_claim_check(args):
         r_values = [int(x) for x in args.radii.split(",")]
     except ValueError:
         raise ParseError(f"--radii {args.radii!r} is not a list of integers") from None
-    payload = claim_bound_sweep(c, args.lambda_radius, r_values, phis)
+    payload = claim_bound_sweep(
+        c, args.lambda_radius, r_values, phis, max_elements=_budget(args)
+    )
     return payload, payload["passed"]
 
 

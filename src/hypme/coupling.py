@@ -30,12 +30,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, ParseError, PreconditionError
-from .groups import MarkedGroup, ball, parse_group, sphere_levels
+from .groups import DEFAULT_BALL_BUDGET, MarkedGroup, ball, parse_group, sphere_levels
 from .integrability import IntegrabilityFunction
 from .rational import format_fraction, matrix_rank
 
 DEFAULT_COSET_BUDGET = 20_000
 DEFAULT_LENGTH_BUDGET = 500_000
+DEFAULT_CASE_BUDGET = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +193,6 @@ class Coupling:
     @property
     def index(self) -> int:
         return self.sub.index
-
-    def gamma_identity(self):
-        return (self.group.identity(), 0)
 
     def gamma_multiply(self, p, q):
         return (self.group.multiply(p[0], q[0]), (p[1] + q[1]) % self.fiber_count)
@@ -454,9 +452,21 @@ def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
     return CheckReport.of("inverse_relation", cases, bad, radius=radius)
 
 
-def check_b_identity(c: Coupling, radius: int) -> CheckReport:
-    """b_x(u)^-1 b_x(v) == beta(v^-1 u, u^-1 . x)^-1 over the lambda ball."""
+def check_b_identity(
+    c: Coupling, radius: int, max_cases: int = DEFAULT_CASE_BUDGET
+) -> CheckReport:
+    """b_x(u)^-1 b_x(v) == beta(v^-1 u, u^-1 . x)^-1 over the lambda ball.
+
+    The check runs |X_gamma| |B_lambda(radius)|^2 cases; past `max_cases` it
+    raises BudgetError before the first one.
+    """
     lengths = c.lambda_ball(radius)
+    needed = len(c.x_gamma) * len(lengths) ** 2
+    if needed > max_cases:
+        raise BudgetError(
+            f"b-identity check at radius {radius} needs {needed} cases, over the "
+            f"budget of {max_cases}; raise --budget or HYPME_BUDGET, or lower --radius"
+        )
     elems = sorted(lengths, key=c.group.to_word)
     cases = 0
     bad = 0
@@ -952,67 +962,96 @@ def claim_bound_check(
 
 
 def claim_bound_sweep(
-    c: Coupling, lambda_radius: int, R_values, phis
+    c: Coupling,
+    lambda_radius: int,
+    R_values,
+    phis,
+    max_elements: int = DEFAULT_BALL_BUDGET,
 ) -> dict:
-    """Check the measure bound for every pair u != v in the lambda ball.
+    """Check the measure bound for every pair u != v in the lambda ball B.
 
-    The two sides depend on the pair only through w = u^-1 v (the metric is
-    left-invariant), so each distinct w is evaluated once and multiplicities
-    are accumulated; pairs whose measured side is zero satisfy the bound
-    trivially and are counted without evaluating phi.
+    Both sides depend on a pair only through w = u^-1 v: the gamma-side
+    displacement is |g0 w g0^-1| for X_gamma = {g0}, and d_lambda(u, v) is
+    |w|_lambda.  Splitting a geodesic word in two shows that these w are
+    exactly B_lambda(2r) minus e for lambda radius r.  A w with displacement
+    > R has measured side 0, so it satisfies the bound without evaluating
+    phi.  So the sweep runs from the gamma side: for gamma in B_Gamma(max R)
+    it takes w = g0^-1 gamma g0, whose displacement is |gamma|, and keeps w
+    if it is in L, is not e, and has |w|_lambda <= 2r.  One Schreier BFS
+    gives B and the lambda lengths; it stops at the farthest candidate or
+    at depth 2r.
+
+    The u, v pairs are never enumerated.  `pair_checks` counts them all,
+    |B| (|B| - 1) per (R, phi), and `failures` lists the w in order of first
+    occurrence among the pairs in `to_word` order, that is, by the first u
+    with u w in B, then by u w.  Enumerating B_Gamma(max R) raises
+    BudgetError past `max_elements` elements.
     """
     g = c.group
     if len(c.x_gamma) != 1:
         raise PreconditionError("sweep assumes a singleton gamma domain")
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
-    lengths = c.lambda_ball(lambda_radius)
-    elems = sorted(lengths, key=g.to_word)
     max_R = max(R_values)
+    base = c.x_gamma[0][0]
+    base_inv = g.inverse(base)
 
-    # group pairs by w = u^-1 v
-    w_multiplicity: dict = {}
-    for u in elems:
-        uinv = g.inverse(u)
-        for v in elems:
-            if u == v:
-                continue
-            w = g.multiply(uinv, v)
-            w_multiplicity[w] = w_multiplicity.get(w, 0) + 1
+    # candidate w -> gamma-side displacement |g0 w g0^-1|
+    disp = {}
+    sym = [s for _, s in g.symmetric_generators()]
+    for depth, level in sphere_levels(g, sym, max_elements, "claim sweep ball budget"):
+        for gamma in level:
+            w = g.multiply(base_inv, g.multiply(gamma, base))
+            if not g.is_identity(w) and c.sub.contains(w):
+                disp[w] = depth
+        if depth >= max_R:
+            break
 
-    # only w with gamma-side displacement <= max R can have measured > 0
-    base, i0 = c.x_gamma[0]
-    need_lambda_length = set()
-    w_disp = {}
-    for w in w_multiplicity:
-        disp = c.gamma_length(
-            (g.multiply(base, g.multiply(w, g.inverse(base))), 0)
-        )
-        w_disp[w] = disp
-        if disp <= max_R:
-            need_lambda_length.add(w)
-    lam_len = c.lambda_lengths(need_lambda_length) if need_lambda_length else {}
+    # B = B_lambda(r), then the lambda lengths of the candidates up to 2r;
+    # like lambda_ball, a negative radius gives B = {e}
+    r = max(lambda_radius, 0)
+    elems = []
+    lam_len = {}
+    pending = set(disp)
+    for depth, level in sphere_levels(
+        g, c.sub.schreier_generators, DEFAULT_LENGTH_BUDGET, "subgroup ball budget"
+    ):
+        if depth <= r:
+            elems.extend(level)
+        found = pending.intersection(level)
+        lam_len.update(dict.fromkeys(found, depth))
+        pending -= found
+        if depth >= r and (not pending or depth >= 2 * r):
+            break
+    elems.sort(key=g.to_word)
+    position = {u: i for i, u in enumerate(elems)}
+
+    def first_pair(w):
+        for i, u in enumerate(elems):
+            j = position.get(g.multiply(u, w))
+            if j is not None:
+                return i, j
+
+    order = sorted(lam_len, key=first_pair)
 
     k_constants = {phi.describe(): _k_constant(c, phi) for phi in phis}
     failures = []
-    checked_pairs = 0
     evaluated = 0
     for phi in phis:
         kc = k_constants[phi.describe()]
+        k_low = kc[0] if isinstance(kc, tuple) else kc
         for R in R_values:
             vol = c.gamma_volume(R)
-            for w, mult in w_multiplicity.items():
-                checked_pairs += mult
-                if w_disp[w] > R:
+            for w in order:
+                if disp[w] > R:
                     continue  # measured side is 0 <= bound
                 evaluated += 1
-                d_lam = lam_len[w]
-                arg = Fraction(d_lam, R)
+                arg = Fraction(lam_len[w], R)
                 denom = phi.eval_exact(arg) if phi.is_exact() else phi.eval_bounds(arg)[1]
                 if denom == 0:
                     failures.append((g.describe(w), R, phi.describe(), "phi=0"))
                     continue
-                bound = kc * R * vol / denom if not isinstance(kc, tuple) else kc[0] * R * vol / denom
+                bound = k_low * R * vol / denom
                 if Fraction(1) > bound:
                     failures.append((g.describe(w), R, phi.describe(), str(bound)))
     return {
@@ -1020,7 +1059,7 @@ def claim_bound_sweep(
         "R_values": list(R_values),
         "phis": [phi.describe() for phi in phis],
         "ball_size": len(elems),
-        "pair_checks": checked_pairs,
+        "pair_checks": len(elems) * (len(elems) - 1) * len(R_values) * len(phis),
         "nontrivial_evaluations": evaluated,
         "K": k_constants,
         "failures": failures,

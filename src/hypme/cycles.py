@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BudgetError, PreconditionError
 from .graphs import DistanceMatrix, Graph, direct_image_path
 from .rational import ln_lower, ln_upper, log2_upper
@@ -243,6 +241,8 @@ def _greedy_tour(dm: DistanceMatrix, pts: list[int]) -> list[int]:
 def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int, extra: int = 40):
     """Deterministic corner quadruples: eccentricity extremes, far pairs with
     spread midpoints, then seeded random quadruples."""
+    import numpy as np  # only the heuristic search needs it; see graphs
+
     n = g.n
     d = dm.d
     ecc = d.max(axis=1)

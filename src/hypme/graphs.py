@@ -11,7 +11,9 @@ Conventions:
       multi-source bitset BFS that runs all n searches level by level; it
       takes 4n^2 bytes, so distance_matrix refuses graphs above MAX_VERTICES
       before allocating anything;
-    - all operations are pure functions of immutable inputs.
+    - all operations are pure functions of immutable inputs;
+    - numpy is imported by the functions that use it, not by the module,
+      so that group and coupling code that builds a Graph never loads it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ import json
 from dataclasses import dataclass, field
 from collections import deque
 from itertools import accumulate, chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_VERTICES = 20_000
 # scratch bytes per row block of the APSP kernel, beside the n^2 matrix
@@ -172,6 +176,8 @@ class DistanceMatrix:
         return int(self.d[idx])
 
     def validate(self) -> None:
+        import numpy as np
+
         d = self.d
         n = self.n
         if d.shape != (n, n):
@@ -205,6 +211,8 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     for `d`, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of scratch per
     block.  Graphs above MAX_VERTICES are refused before anything is allocated.
     """
+    import numpy as np
+
     n = g.n
     if n == 0:
         raise PreconditionError("empty graph")
@@ -278,7 +286,7 @@ def geodesic_points(dm: DistanceMatrix, u: int, v: int) -> set[int]:
     n = dm.n
     if not (0 <= u < n and 0 <= v < n):
         raise PreconditionError("vertex out of range")
-    return set(int(x) for x in np.nonzero(geodesic_mask(dm, u, v))[0])
+    return set(int(x) for x in geodesic_mask(dm, u, v).nonzero()[0])
 
 
 @dataclass(frozen=True)
@@ -308,7 +316,7 @@ def extract_geodesic(dm: DistanceMatrix, u: int, v: int) -> list[int]:
     x = u
     while x != v:
         dist = int(d[x, v])
-        nxt = np.nonzero((d[x] == 1) & (d[:, v] == dist - 1))[0]
+        nxt = ((d[x] == 1) & (d[:, v] == dist - 1)).nonzero()[0]
         x = int(nxt[0])
         out.append(x)
     return out

@@ -40,9 +40,6 @@ class EntropyValue:
     def is_zero(self) -> bool:
         return self.log_arg == 1
 
-    def to_float(self) -> float:
-        return math.log(self.log_arg)
-
     def lower(self, bits: int = 32) -> Fraction:
         return ln_lower(Fraction(self.log_arg), bits)
 

@@ -12,7 +12,8 @@ Two constants are computed over the exact distance matrix:
 Both scans use exact integer arithmetic and return Fractions.  The
 exhaustive kernels are O(n^3)/O(n^4) and refuse n > EXACT_CUTOFF unless
 forced; above that a seeded uniform sample gives a certified lower bound,
-labeled as such in the report.
+labeled as such in the report.  Like graphs, the module imports numpy
+only inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
 from .graphs import DistanceMatrix, Graph, Path, geodesic_mask
 from .rational import log2_upper
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT_CUTOFF = 600
 _CHUNK_BYTES = 1 << 26
@@ -46,6 +49,8 @@ def _witness(thin: tuple[tuple[int, int, int], int], four: tuple[int, int, int, 
 
 def _nearest_to_geodesics(dm: DistanceMatrix, v: int) -> np.ndarray:
     """Table N[w, y] = d(y, G(v, w)) for all w, y, as int16."""
+    import numpy as np
+
     d = dm.d
     n = dm.n
     big = np.int32(1 << 20)
@@ -84,6 +89,8 @@ def thin_triangle_delta(
             f"exhaustive thin-triangle scan refuses n={n} > {EXACT_CUTOFF}; "
             "sample instead, or force the scan (graph-analyze --force)"
         )
+    import numpy as np
+
     near = [_nearest_to_geodesics(dm, v) for v in range(n)]
     best = -1
     witness = ((0, 0, 1), 0)
@@ -126,7 +133,9 @@ def four_point_delta(
             f"exhaustive four-point scan refuses n={n} > {EXACT_CUTOFF}; "
             "sample instead, or force the scan (graph-analyze --force)"
         )
-    d = dm.d.astype(np.int32)
+    import numpy as np
+
+    d = dm.d
     best = -1
     witness = (0, 0, 0, 0)
     for x in range(n):
@@ -172,7 +181,7 @@ def sampled_hyperbolicity(
         v = thin_triangle_value(dm, a, b, c)
         if v > best_t:
             d_union = dm.d[:, geodesic_mask(dm, a, c) | geodesic_mask(dm, b, c)].min(axis=1)
-            idx = np.nonzero(geodesic_mask(dm, a, b))[0]
+            idx = geodesic_mask(dm, a, b).nonzero()[0]
             x = int(idx[int(d_union[idx].argmax())])
             best_t, wt = v, ((a, b, c), x)
         x0, y0, z0, w0 = (rng.randrange(n) for _ in range(4))
@@ -219,6 +228,8 @@ def verify_geodesic_path_bound(
     alpha.validate(dm)
     if alpha.vertices[0] != x1 or alpha.vertices[-1] != x2:
         raise PreconditionError("path endpoints do not match x1, x2")
+    import numpy as np
+
     path_idx = np.array(sorted(set(alpha.vertices)), dtype=np.int64)
     dist_to_path = dm.d[:, path_idx].min(axis=1)
     geo = np.nonzero(geodesic_mask(dm, x1, x2))[0]

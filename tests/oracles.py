@@ -1,15 +1,20 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive (networkx BFS, DFS enumeration,
-nested loops straight from definitions) and shares no code with the
-production kernels beyond the distance matrix inputs.
+nested loops straight from definitions).  The graph oracles share no code
+with the production kernels beyond the distance matrix inputs; the claim
+sweep oracle reuses the coupling's group arithmetic and K constants, and
+replaces only the enumeration of displacements.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import networkx as nx
 
+from hypme import coupling
+from hypme.errors import PreconditionError
 from hypme.graphs import Graph, make_graph
 
 
@@ -137,3 +142,67 @@ def grid_edge_text(w: int, h: int) -> str:
         if i + 1 < h:
             lines.append(f"{v} {v + w}")
     return "\n".join(lines)
+
+
+def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
+    """The measure-bound sweep over every pair u != v of the lambda ball.
+
+    Displacements w = u^-1 v are collected by a double loop over the ball in
+    `to_word` order, so `failures` lists them in order of first occurrence.
+    """
+    g = c.group
+    if len(c.x_gamma) != 1:
+        raise PreconditionError("sweep assumes a singleton gamma domain")
+    if not R_values or min(R_values) < 1:
+        raise PreconditionError("R values must be positive integers")
+    elems = sorted(c.lambda_ball(lambda_radius), key=g.to_word)
+    max_R = max(R_values)
+
+    w_multiplicity: dict = {}
+    for u in elems:
+        uinv = g.inverse(u)
+        for v in elems:
+            if u == v:
+                continue
+            w = g.multiply(uinv, v)
+            w_multiplicity[w] = w_multiplicity.get(w, 0) + 1
+
+    base = c.x_gamma[0][0]
+    w_disp = {}
+    for w in w_multiplicity:
+        w_disp[w] = c.gamma_length((g.multiply(base, g.multiply(w, g.inverse(base))), 0))
+    need = {w for w, disp in w_disp.items() if disp <= max_R}
+    lam_len = c.lambda_lengths(need) if need else {}
+
+    k_constants = {phi.describe(): coupling._k_constant(c, phi) for phi in phis}
+    failures = []
+    checked_pairs = 0
+    evaluated = 0
+    for phi in phis:
+        kc = k_constants[phi.describe()]
+        for R in R_values:
+            vol = c.gamma_volume(R)
+            for w, mult in w_multiplicity.items():
+                checked_pairs += mult
+                if w_disp[w] > R:
+                    continue
+                evaluated += 1
+                arg = Fraction(lam_len[w], R)
+                denom = phi.eval_exact(arg) if phi.is_exact() else phi.eval_bounds(arg)[1]
+                if denom == 0:
+                    failures.append((g.describe(w), R, phi.describe(), "phi=0"))
+                    continue
+                bound = (kc if not isinstance(kc, tuple) else kc[0]) * R * vol / denom
+                if Fraction(1) > bound:
+                    failures.append((g.describe(w), R, phi.describe(), str(bound)))
+    return {
+        "lambda_radius": lambda_radius,
+        "R_values": list(R_values),
+        "phis": [phi.describe() for phi in phis],
+        "ball_size": len(elems),
+        "pair_checks": checked_pairs,
+        "nontrivial_evaluations": evaluated,
+        "K": k_constants,
+        "failures": failures,
+        "passed": not failures,
+    }

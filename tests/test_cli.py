@@ -55,8 +55,46 @@ class TestEnvelope:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_algebra_commands_leave_numpy_unloaded(self, tmp_path):
+        # only commands that build a distance matrix need numpy
+        spec = write_spec(tmp_path, F2_SPEC)
+        out = str(tmp_path / "r.json")
+        runs = [
+            ["group-ball", "--group", "F2", "--radius", "3"],
+            ["coupling-build", "--spec", spec],
+            ["coupling-verify", "--spec", spec, "--radius", "2"],
+            ["integrability", "--spec", spec],
+            ["claim-check", "--spec", spec, "--lambda-radius", "2"],
+            ["conditions", "--group", "F2"],
+        ]
+        code = (
+            "import json, sys\n"
+            "import hypme.cli\n"
+            "seen = [('import', 0, 'numpy' in sys.modules)]\n"
+            f"for argv in {runs!r}:\n"
+            f"    exit_code = hypme.cli.dispatch(argv + ['--out', {out!r}])\n"
+            "    seen.append((argv[0], exit_code, 'numpy' in sys.modules))\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        seen = json.loads(proc.stdout)
+        assert [step[0] for step in seen] == ["import"] + [argv[0] for argv in runs]
+        assert all(exit_code == 0 and not loaded for _, exit_code, loaded in seen), seen
+
 
 class TestExitCodes:
+    def test_b_identity_over_budget_is_exit_one(self, tmp_path, capsys):
+        # radius 3 gives a 187-element lambda ball: 34,969 b-identity cases
+        spec = write_spec(tmp_path, F2_SPEC)
+        code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "3",
+                        "--budget", "1000")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "needs 34969 cases" in err and "--budget or HYPME_BUDGET" in err
+
     def test_usage_error(self, tmp_path):
         assert dispatch(["graph-analyze", "--gen", "blob:3",
                          "--out", str(tmp_path / "x.json")]) == 1

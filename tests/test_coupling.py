@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypme import coupling
 from hypme.coupling import (
     check_actions_commute,
     check_b_identity,
@@ -27,6 +28,7 @@ from hypme.errors import BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, power
 from hypme.rational import matrix_rank
+from oracles import brute_claim_sweep
 
 F2_GENS = ["aa", "b", "abA"]
 
@@ -426,3 +428,74 @@ class TestClaimBound:
         st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
         out = claim_bound_sweep(st, 2, [1, 2], [power(1)])
         assert out["passed"]
+
+
+# (group, subgroup generators, x_gamma, strengthened): the golden specs, and
+# base points off the identity, which conjugate the displacements; a base
+# point outside X_lambda is also swept after strengthen_coboundedness
+SWEEP_CASES = [
+    ("F2", F2_GENS, "e", False),
+    ("F2", F2_GENS, "ab", False),
+    ("F2", F2_GENS, "ab", True),
+    ("Z^2", ["aa", "b"], "e", False),
+    ("Z^2", ["aa", "b"], "ab", True),
+    ("C2*C3", ["b", "aba"], "e", False),
+    ("C2*C3", ["b", "aba"], "ab", True),
+    ("C3xC4", ["b"], "e", False),
+    ("C3xC4", ["b"], "a", False),
+]
+SWEEP_IDS = [f"{g}@{x}" + ("-strengthened" if st else "") for g, _, x, st in SWEEP_CASES]
+
+
+def sweep_coupling(group, gens, x_gamma, strengthened):
+    c = subgroup_coupling(parse_group(group), gens, x_gamma_word=x_gamma)
+    return strengthen_coboundedness(c, coboundedness_witness(c)) if strengthened else c
+
+
+class TestClaimSweepOracle:
+    """The gamma-side sweep against the pair double loop it replaced."""
+
+    @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_matches_pair_loop(self, case):
+        c = sweep_coupling(*case)
+        phis = [power(1), exp_power(1)]
+        for lambda_radius in (1, 2, 3):
+            for radii in ([1, 2, 3], [3, 1], [2]):
+                expected = brute_claim_sweep(c, lambda_radius, radii, phis)
+                assert claim_bound_sweep(c, lambda_radius, radii, phis) == expected, (
+                    lambda_radius, radii,
+                )
+
+    @pytest.mark.parametrize("case", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_failure_order_pinned(self, case, monkeypatch):
+        # with a tiny K every evaluation fails, so `failures` lists every
+        # displacement, in the order of first occurrence among the pairs
+        monkeypatch.setattr(coupling, "_k_constant", lambda c, phi: Fraction(1, 10**6))
+        c = sweep_coupling(*case)
+        phis = [power(1), power(2)]
+        for lambda_radius in (1, 2, 3):
+            out = claim_bound_sweep(c, lambda_radius, [3, 1, 2], phis)
+            assert out["failures"]
+            assert out == brute_claim_sweep(c, lambda_radius, [3, 1, 2], phis), lambda_radius
+
+    def test_counts_at_lambda_radius_six(self, f2_coupling):
+        # |B| = 23437, so the pair loop would make 3.3e9 checks; the sweep
+        # counts them in closed form without enumerating a pair
+        out = claim_bound_sweep(f2_coupling, 6, [1, 2, 3], [power(1), power(2)])
+        assert out["ball_size"] == 23437
+        assert out["pair_checks"] == 3_295_617_192 == 23437 * 23436 * 3 * 2
+        assert out["nontrivial_evaluations"] == 64
+        assert out["passed"]
+
+    def test_gamma_ball_budget(self, f2_coupling):
+        # B_Gamma(3) of F2 has 53 elements
+        with pytest.raises(BudgetError, match="claim sweep ball budget 50"):
+            claim_bound_sweep(f2_coupling, 2, [1, 3], [power(1)], max_elements=50)
+
+
+class TestBIdentityBudget:
+    def test_refuses_before_the_first_case(self, f2_coupling):
+        # |B_lambda(2)| = 37 in the rank-3 free subgroup: 1369 cases
+        assert check_b_identity(f2_coupling, 2, max_cases=1369).cases == 1369
+        with pytest.raises(BudgetError, match="needs 1369 cases.*--budget or HYPME_BUDGET"):
+            check_b_identity(f2_coupling, 2, max_cases=1368)
