@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import HypmeError, MathCheckError, ParseError
@@ -272,9 +271,11 @@ def cmd_coupling_build(args):
 
 def cmd_coupling_verify(args):
     c = _load_coupling(args)
+    # the b-identity check has the most cases, so it refuses an over-budget radius first
+    b_identity = check_b_identity(c, args.radius, max_cases=_budget(args))
     checks = [
-        check_cocycle_identity(c, args.radius),
-        check_b_identity(c, args.radius, max_cases=_budget(args)),
+        check_cocycle_identity(c, args.radius, max_cases=_budget(args)),
+        b_identity,
         check_actions_commute(c, max(args.radius - 1, 1), samples=200, seed=args.seed),
         check_fundamental_domains(c, args.radius),
     ]
@@ -314,15 +315,12 @@ def cmd_threshold(args):
     dm = distance_matrix(b.graph)
     hyp = hyperbolicity_report(b.graph, dm)
     est = entropy_estimate(b.growth)
-    entropy = est.declared.upper() if est.declared is not None else Fraction(
-        int(est.ratio_estimates[-1] * 2**32), 2**32
-    )
     rep = threshold_p(
         hyp.delta_thin,
-        entropy,
+        est.declared.entropy.hi,
         provenance={
             "delta_source": f"thin_triangle on ball radius {args.ball_radius} (lower bound for the group)",
-            "entropy_source": "declared" if est.declared is not None else "ratio estimate",
+            "entropy_source": "declared",
             "group": group.name,
         },
     )

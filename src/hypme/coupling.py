@@ -411,12 +411,28 @@ class CheckReport:
         return cls(name, cases, violations, violations == 0, details)
 
 
-def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
-    """alpha(g'g, x) == alpha(g', g.x) alpha(g, x) for all |g|,|g'| <= radius."""
+def _check_case_budget(check: str, radius: int, needed: int, max_cases: int) -> None:
+    if needed > max_cases:
+        raise BudgetError(
+            f"{check} check at radius {radius} needs {needed} cases, over the "
+            f"budget of {max_cases}; raise --budget or HYPME_BUDGET, or lower --radius"
+        )
+
+
+def check_cocycle_identity(
+    c: Coupling, radius: int, max_cases: int = DEFAULT_CASE_BUDGET
+) -> CheckReport:
+    """alpha(g'g, x) == alpha(g', g.x) alpha(g, x) for all |g|,|g'| <= radius.
+
+    The check runs |X_lambda| |B_gamma(radius)|^2 cases; past `max_cases` it
+    raises BudgetError before the first one.
+    """
     if radius < 1:
         return CheckReport.of("cocycle_identity", 0, 0)
-    ballg = c.gamma_ball(radius)
     points = c.x_lambda_points()
+    needed = len(points) * c.gamma_volume(radius) ** 2
+    _check_case_budget("cocycle identity", radius, needed, max_cases)
+    ballg = c.gamma_ball(radius)
     cases = 0
     bad = 0
     for x in points:
@@ -461,12 +477,7 @@ def check_b_identity(
     raises BudgetError before the first one.
     """
     lengths = c.lambda_ball(radius)
-    needed = len(c.x_gamma) * len(lengths) ** 2
-    if needed > max_cases:
-        raise BudgetError(
-            f"b-identity check at radius {radius} needs {needed} cases, over the "
-            f"budget of {max_cases}; raise --budget or HYPME_BUDGET, or lower --radius"
-        )
+    _check_case_budget("b-identity", radius, len(c.x_gamma) * len(lengths) ** 2, max_cases)
     elems = sorted(lengths, key=c.group.to_word)
     cases = 0
     bad = 0

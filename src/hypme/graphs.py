@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from collections import deque
 from itertools import accumulate, chain
@@ -75,17 +74,6 @@ class Graph:
         if self.n == 0:
             return False
         return len(_component(self.adjacency(), 0)) == self.n
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "edges": sorted([list(e) for e in self.edges])},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        obj = json.loads(text)
-        return make_graph(obj["n"], [tuple(e) for e in obj["edges"]])
 
 
 def make_graph(n: int, edges, labels=None) -> Graph:

@@ -4,8 +4,14 @@ Supported families are fixed so that every computation downstream is exact:
 free groups F<k>, free abelian Z^<d>, finite cyclic C<n>, and their free
 ("*") and direct ("x") products.  Elements carry canonical normal forms,
 word lengths have closed forms per family, and ball enumeration is a
-deterministic BFS whose counts can be cross-checked against closed-form
-growth.
+deterministic BFS.
+
+Each family states its spherical growth series sum_n |S(n)| t^n = N(t)/D(t)
+once (de la Harpe, Topics in Geometric Group Theory, ch. VI); a free product
+has 1/S = sum 1/S_i - (k-1) and a direct product S = prod S_i.  Everything
+else about growth is derived from that one closed form in `MarkedGroup`:
+sphere sizes and volumes are its power-series expansion, and `Growth` reads
+the growth class and a certified entropy bracket off the roots of D.
 
 Words serialize as strings over a..z with uppercase denoting inverses
 (A = a inverse); generator letters are assigned left to right across the
@@ -14,6 +20,7 @@ whole group expression, so at most 26 generators are supported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -22,32 +29,120 @@ from fractions import Fraction
 
 from .errors import BudgetError, ParseError, PreconditionError
 from .graphs import Graph, make_graph
-from .rational import ln_lower, ln_upper
+from .rational import FracInterval, ln_lower, ln_upper
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
 
+# ---------------------------------------------------------------------------
+# Growth series: integer polynomials as coefficient lists, lowest degree first
+
+
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_prod(polys) -> list[int]:
+    return functools.reduce(_poly_mul, polys, [1])
+
+
+def _poly_eval(p, x):
+    total = 0
+    for c in reversed(p):
+        total = total * x + c
+    return total
+
+
+def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
+    """p, p' and the negated remainders, down to a constant or a zero
+    remainder (then the last entry is gcd(p, p') and the chain still counts
+    distinct roots)."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        rem, div = list(chain[-2]), chain[-1]
+        while len(rem) >= len(div):
+            q, shift = rem[-1] / div[-1], len(rem) - len(div)
+            for i, c in enumerate(div):
+                rem[shift + i] -= q * c
+            _trim(rem)
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _sign_changes(chain, x: Fraction) -> int:
+    """By Sturm's theorem, V(a) - V(b) distinct roots of chain[0] lie in (a, b]."""
+    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 @dataclass(frozen=True)
-class EntropyValue:
-    """Exact volume entropy of a supported family: 0 or log of an integer."""
+class Growth:
+    """Growth of a marked group, read off the denominator D of its series.
 
-    log_arg: int  # entropy = ln(log_arg); log_arg == 1 means entropy 0
+    D(0) = 1 and the numerator has no positive root, so by Pringsheim's
+    theorem the radius of convergence rho is the least positive root of D.
+    `kind` is "exponential" when rho < 1, else "polynomial" of `degree` the
+    multiplicity of the root t = 1, else "bounded" (a finite group).
+    `entropy` is a certified bracket on h = -ln(rho) (0 unless exponential);
+    `rho` is the root itself when it is rational, and then 1/rho is an
+    integer and the bracket is [ln_lower(1/rho), ln_upper(1/rho)].
+    """
 
-    def __post_init__(self):
-        if self.log_arg < 1:
-            raise PreconditionError("entropy argument must be >= 1")
+    kind: str
+    degree: int
+    entropy: FracInterval
+    rho: Fraction | None
+    denominator: tuple[int, ...]
 
-    def is_zero(self) -> bool:
-        return self.log_arg == 1
-
-    def lower(self, bits: int = 32) -> Fraction:
-        return ln_lower(Fraction(self.log_arg), bits)
-
-    def upper(self, bits: int = 32) -> Fraction:
-        return ln_upper(Fraction(self.log_arg), bits)
+    @classmethod
+    def of_denominator(cls, den) -> Growth:
+        p = [Fraction(c) for c in den]
+        degree = 0
+        while len(p) > 1 and sum(p) == 0:  # divide out (t - 1)
+            p = list(itertools.accumulate(reversed(p[1:])))[::-1]
+            degree += 1
+        chain = _sturm_chain(p)
+        at_zero = _sign_changes(chain, Fraction(0))
+        if len(p) == 1 or _sign_changes(chain, Fraction(1)) == at_zero:
+            kind = "polynomial" if degree else "bounded"
+            return cls(kind, degree, FracInterval(0), None, tuple(den))
+        # bisect rho in (lo, hi] to a relative width of 2**-34; a midpoint on a
+        # multiple root zeroes the whole chain, so V = 0 < V(0) marks it too
+        lo, hi = Fraction(0), Fraction(1)
+        while hi - lo > lo / 2**34:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if _sign_changes(chain, mid) < at_zero else (mid, hi)
+        # D has integer coefficients and D(0) = 1, so a rational root is 1/q
+        rho = Fraction(1, math.ceil(1 / hi))
+        if rho > lo and _poly_eval(p, rho) == 0:
+            lo = hi = rho
+        else:
+            rho = None
+        entropy = FracInterval(ln_lower(1 / hi), ln_upper(1 / lo))
+        return cls("exponential", 0, entropy, rho, tuple(den))
 
     def describe(self) -> str:
-        return "0" if self.is_zero() else f"log({self.log_arg})"
+        if self.kind != "exponential":
+            return "0"
+        if self.rho is not None:
+            return f"log({1 / self.rho})"
+        terms = "".join(
+            f"{c:+d}" + ("t" if i else "") + (f"^{i}" if i > 1 else "")
+            for i, c in enumerate(self.denominator) if c
+        )
+        return f"-log(rho), rho the least positive root of {terms.lstrip('+')}"
 
 
 class MarkedGroup:
@@ -71,18 +166,40 @@ class MarkedGroup:
     def word_length(self, g) -> int:
         raise NotImplementedError
 
-    def sphere_size(self, n: int) -> int:
-        raise NotImplementedError
-
     def relators(self) -> list[tuple[int, ...]]:
         """Defining relators as tuples of signed 1-based generator indices."""
         raise NotImplementedError
 
-    def growth_class(self):
-        """("exponential", EntropyValue|None) | ("polynomial", degree) | ("bounded", order)."""
+    def growth_series(self) -> tuple[list[int], list[int]]:
+        """Integer coefficients of N and D, lowest degree first, with
+        sum_n |S(n)| t^n = N(t)/D(t) for the marked generators and D(0) = 1."""
         raise NotImplementedError
 
     # --- shared helpers ----------------------------------------------------
+
+    @functools.cached_property
+    def growth(self) -> Growth:
+        return Growth.of_denominator(self.growth_series()[1])
+
+    @functools.cached_property
+    def _volume_series(self) -> tuple[list[int], list[int], list[int]]:
+        """N, D(t)(1 - t) and the volumes expanded so far: sum_n Vol(n) t^n
+        = N / (D (1 - t))."""
+        num, den = self.growth_series()
+        return num, _poly_mul(den, [1, -1]), []
+
+    def volume(self, n: int) -> int:
+        num, den, vols = self._volume_series
+        while len(vols) <= n:
+            m = len(vols)
+            vols.append(
+                (num[m] if m < len(num) else 0)
+                - sum(den[i] * vols[m - i] for i in range(1, min(m, len(den) - 1) + 1))
+            )
+        return vols[n]
+
+    def sphere_size(self, n: int) -> int:
+        return self.volume(n) - (self.volume(n - 1) if n else 0)
 
     def is_identity(self, g) -> bool:
         return g == self.identity()
@@ -127,22 +244,9 @@ class MarkedGroup:
         w = self.to_word(g)
         return w if w else "e"
 
-    def volume(self, n: int) -> int:
-        return sum(self.sphere_size(k) for k in range(n + 1))
-
     def growth_table(self, radius: int) -> "GrowthTable":
-        vols = []
-        total = 0
-        for n in range(radius + 1):
-            total += self.sphere_size(n)
-            vols.append(total)
-        return GrowthTable(values=tuple(vols), group_name=self.name, closed_form=self)
-
-    def declared_entropy(self) -> EntropyValue | None:
-        cls, info = self.growth_class()
-        if cls in ("polynomial", "bounded"):
-            return EntropyValue(1)
-        return info  # may be None when no closed form is known
+        vols = tuple(self.volume(n) for n in range(radius + 1))
+        return GrowthTable(values=vols, group_name=self.name, closed_form=self)
 
     def word_problem_letters(self, g) -> tuple[int, ...]:
         """g as a sequence of signed 1-based generator indices (for coset tracing)."""
@@ -211,25 +315,11 @@ class FreeGroup(MarkedGroup):
     def to_word(self, g: str) -> str:
         return g
 
-    def sphere_size(self, n: int) -> int:
-        if n == 0:
-            return 1
-        k = self.rank
-        return 2 * k * (2 * k - 1) ** (n - 1)
-
-    def volume(self, n: int) -> int:
-        k = self.rank
-        if k == 1:
-            return 2 * n + 1
-        return 1 + k * ((2 * k - 1) ** n - 1) // (k - 1)
-
     def relators(self) -> list[tuple[int, ...]]:
         return []
 
-    def growth_class(self):
-        if self.rank == 1:
-            return ("polynomial", 1)
-        return ("exponential", EntropyValue(2 * self.rank - 1))
+    def growth_series(self):
+        return [1, 1], [1, 1 - 2 * self.rank]
 
     def abelian_generator_vectors(self):
         return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
@@ -266,15 +356,6 @@ class FreeAbelian(MarkedGroup):
             parts.append((self.letter(i) if x > 0 else self.letter(i).upper()) * abs(x))
         return "".join(parts)
 
-    def sphere_size(self, n: int) -> int:
-        if n == 0:
-            return 1
-        d = self.dim
-        return sum(
-            2**k * math.comb(d, k) * math.comb(n - 1, k - 1)
-            for k in range(1, min(d, n) + 1)
-        )
-
     def relators(self) -> list[tuple[int, ...]]:
         return [
             (i, j, -i, -j)
@@ -282,8 +363,8 @@ class FreeAbelian(MarkedGroup):
             for j in range(i + 1, self.dim + 1)
         ]
 
-    def growth_class(self):
-        return ("polynomial", self.dim)
+    def growth_series(self):
+        return _poly_prod([[1, 1]] * self.dim), _poly_prod([[1, -1]] * self.dim)
 
     def abelian_generator_vectors(self):
         return [tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)]
@@ -319,50 +400,75 @@ class Cyclic(MarkedGroup):
             return "a" * g
         return "A" * (self.order - g)
 
-    def sphere_size(self, n: int) -> int:
-        if n == 0:
-            return 1
-        if 2 * n < self.order:
-            return 2
-        if 2 * n == self.order:
-            return 1
-        return 0
-
     def relators(self) -> list[tuple[int, ...]]:
         return [(1,) * self.order]
 
-    def growth_class(self):
-        return ("bounded", self.order)
+    def growth_series(self):
+        # spheres 1, 2, 2, ..., and a single antipode 1 when the order is even
+        return [1] + [2] * ((self.order - 1) // 2) + [1] * (1 - self.order % 2), [1]
 
     def abelian_generator_vectors(self):
         return [()]
 
 
-class FreeProduct(MarkedGroup):
-    """Free product; elements are alternating syllable tuples (factor, element)."""
+class _Product(MarkedGroup):
+    """Free or direct product over the union of the factors' generators:
+    generator i of the product is generator i - offset of its factor."""
+
+    kind: str
 
     def __init__(self, factors: list[MarkedGroup]):
         if len(factors) < 2:
-            raise ParseError("free product needs at least two factors")
+            raise ParseError(f"{self.kind} product needs at least two factors")
         self.factors = factors
-        self.num_generators = sum(f.num_generators for f in factors)
-        self.name = "*".join(f.name for f in factors)
-        self._offsets = []
-        off = 0
-        for f in factors:
-            self._offsets.append(off)
-            off += f.num_generators
-        # _last_syllable[m][i] = count of length-m elements ending in factor i
-        self._last_syllable: list[list[int]] = [[0] * len(factors)]
-
-    def identity(self):
-        return ()
+        self.name = ("*" if self.kind == "free" else "x").join(f.name for f in factors)
+        sizes = [f.num_generators for f in factors]
+        self.num_generators = sum(sizes)
+        self._offsets = list(itertools.accumulate(sizes[:-1], initial=0))
 
     def _locate(self, i: int) -> tuple[int, int]:
         for fi in reversed(range(len(self.factors))):
             if i >= self._offsets[fi]:
                 return fi, i - self._offsets[fi]
         raise PreconditionError("generator index out of range")
+
+    def _shift_word(self, w: str, fi: int) -> str:
+        """A word of factor fi spelled in the product's letters."""
+        offset = self._offsets[fi]
+        out = []
+        for ch in w:
+            base = "a" if ch.islower() else "A"
+            out.append(chr(ord(base) + ord(ch.lower()) - ord("a") + offset))
+        return "".join(out)
+
+    def relators(self) -> list[tuple[int, ...]]:
+        return [
+            tuple(x + off if x > 0 else x - off for x in rel)
+            for f, off in zip(self.factors, self._offsets)
+            for rel in f.relators()
+        ]
+
+    def abelian_generator_vectors(self):
+        blocks = [f.abelian_generator_vectors() for f in self.factors]
+        ranks = [len(b[0]) if b else 0 for b in blocks]
+        total = sum(ranks)
+        out = []
+        offset = 0
+        for b, r in zip(blocks, ranks):
+            for vec in b:
+                padded = (0,) * offset + tuple(vec) + (0,) * (total - offset - r)
+                out.append(padded)
+            offset += r
+        return out
+
+
+class FreeProduct(_Product):
+    """Free product; elements are alternating syllable tuples (factor, element)."""
+
+    kind = "free"
+
+    def identity(self):
+        return ()
 
     def generator(self, i: int):
         fi, j = self._locate(i)
@@ -388,87 +494,26 @@ class FreeProduct(MarkedGroup):
         return sum(self.factors[fi].word_length(x) for fi, x in g)
 
     def to_word(self, g) -> str:
-        parts = []
-        for fi, x in g:
-            w = self.factors[fi].to_word(x)
-            parts.append(self._shift_word(w, self._offsets[fi]))
-        return "".join(parts)
+        return "".join(self._shift_word(self.factors[fi].to_word(x), fi) for fi, x in g)
 
-    @staticmethod
-    def _shift_word(w: str, offset: int) -> str:
-        out = []
-        for ch in w:
-            base = "a" if ch.islower() else "A"
-            out.append(chr(ord(base) + ord(ch.lower()) - ord("a") + offset))
-        return "".join(out)
-
-    def sphere_size(self, n: int) -> int:
-        if n == 0:
-            return 1
-        k = len(self.factors)
-        f = self._last_syllable
-        while len(f) <= n:
-            m = len(f)
-            row = []
-            for i, fac in enumerate(self.factors):
-                total = 0
-                for length in range(1, m + 1):
-                    s = fac.sphere_size(length)
-                    if s == 0:
-                        continue
-                    if length == m:
-                        total += s
-                    else:
-                        total += s * sum(f[m - length][j] for j in range(k) if j != i)
-                row.append(total)
-            f.append(row)
-        return sum(f[n])
-
-    def relators(self) -> list[tuple[int, ...]]:
-        rels = []
-        for fi, f in enumerate(self.factors):
-            off = self._offsets[fi]
-            for rel in f.relators():
-                rels.append(tuple(x + off if x > 0 else x - off for x in rel))
-        return rels
-
-    def growth_class(self):
-        orders = []
-        for f in self.factors:
-            cls, info = f.growth_class()
-            orders.append(info if cls == "bounded" else None)
-        if len(self.factors) == 2 and orders[0] == 2 and orders[1] == 2:
-            return ("polynomial", 1)  # infinite dihedral
-        return ("exponential", None)  # no closed form declared
-
-    def abelian_generator_vectors(self):
-        return _block_abelian_vectors(self.factors)
+    def growth_series(self):
+        # 1/S = sum_i D_i/N_i - (k-1), over the common denominator prod_i N_i
+        series = [f.growth_series() for f in self.factors]
+        num = _poly_prod(n for n, _ in series)
+        terms = [[(1 - len(series)) * c for c in num]]
+        for i, (_, d) in enumerate(series):
+            terms.append(_poly_prod([d] + [n for j, (n, _) in enumerate(series) if j != i]))
+        den = _trim([sum(t) for t in itertools.zip_longest(*terms, fillvalue=0)])
+        return num, den
 
 
-class DirectProduct(MarkedGroup):
+class DirectProduct(_Product):
     """Direct product with the union generating set; elements are tuples."""
 
-    def __init__(self, factors: list[MarkedGroup]):
-        if len(factors) < 2:
-            raise ParseError("direct product needs at least two factors")
-        self.factors = factors
-        self.num_generators = sum(f.num_generators for f in factors)
-        self.name = "x".join(f.name for f in factors)
-        self._offsets = []
-        off = 0
-        for f in factors:
-            self._offsets.append(off)
-            off += f.num_generators
-        self._sphere_cache: list[int] = []
+    kind = "direct"
 
     def identity(self):
         return tuple(f.identity() for f in self.factors)
-
-    def _locate(self, i: int) -> tuple[int, int]:
-        for fi in reversed(range(len(self.factors))):
-            if i >= self._offsets[fi]:
-                return fi, i - self._offsets[fi]
-        raise PreconditionError("generator index out of range")
 
     def generator(self, i: int):
         fi, j = self._locate(i)
@@ -488,33 +533,15 @@ class DirectProduct(MarkedGroup):
 
     def to_word(self, g) -> str:
         return "".join(
-            FreeProduct._shift_word(f.to_word(x), self._offsets[i])
-            for i, (f, x) in enumerate(zip(self.factors, g))
+            self._shift_word(f.to_word(x), fi) for fi, (f, x) in enumerate(zip(self.factors, g))
         )
 
     def describe(self, g) -> str:
         words = [f.to_word(x) or "e" for f, x in zip(self.factors, g)]
         return "(" + ",".join(words) + ")"
 
-    def sphere_size(self, n: int) -> int:
-        if len(self._sphere_cache) <= n:
-            # convolve factor sphere sequences up to n
-            current = [self.factors[0].sphere_size(m) for m in range(n + 1)]
-            for f in self.factors[1:]:
-                nxt = [f.sphere_size(m) for m in range(n + 1)]
-                current = [
-                    sum(current[i] * nxt[m - i] for i in range(m + 1))
-                    for m in range(n + 1)
-                ]
-            self._sphere_cache = current
-        return self._sphere_cache[n]
-
     def relators(self) -> list[tuple[int, ...]]:
-        rels = []
-        for fi, f in enumerate(self.factors):
-            off = self._offsets[fi]
-            for rel in f.relators():
-                rels.append(tuple(x + off if x > 0 else x - off for x in rel))
+        rels = super().relators()
         # cross-factor commutators
         for fi in range(len(self.factors)):
             for fj in range(fi + 1, len(self.factors)):
@@ -525,44 +552,9 @@ class DirectProduct(MarkedGroup):
                         rels.append((a, b, -a, -b))
         return rels
 
-    def growth_class(self):
-        degree = 0
-        order = 1
-        best_exp: EntropyValue | None = None
-        has_exp = False
-        unknown = False
-        for f in self.factors:
-            cls, info = f.growth_class()
-            if cls == "exponential":
-                has_exp = True
-                if info is None:
-                    unknown = True
-                elif best_exp is None or info.log_arg > best_exp.log_arg:
-                    best_exp = info
-            elif cls == "polynomial":
-                degree += info
-            else:
-                order *= info
-        if has_exp:
-            return ("exponential", None if unknown else best_exp)
-        return ("polynomial", degree) if degree else ("bounded", order)
-
-    def abelian_generator_vectors(self):
-        return _block_abelian_vectors(self.factors)
-
-
-def _block_abelian_vectors(factors) -> list[tuple[int, ...]]:
-    blocks = [f.abelian_generator_vectors() for f in factors]
-    ranks = [len(b[0]) if b else 0 for b in blocks]
-    total = sum(ranks)
-    out = []
-    offset = 0
-    for b, r in zip(blocks, ranks):
-        for vec in b:
-            padded = (0,) * offset + tuple(vec) + (0,) * (total - offset - r)
-            out.append(padded)
-        offset += r
-    return out
+    def growth_series(self):
+        series = [f.growth_series() for f in self.factors]
+        return _poly_prod(n for n, _ in series), _poly_prod(d for _, d in series)
 
 
 _ATOM_RE = re.compile(r"^(F|C)(\d+)$|^Z\^(\d+)$|^Z$")
@@ -740,15 +732,16 @@ class EntropyEstimate:
 
     `point_estimates` are log(Vol(n))/n; `ratio_estimates` are the successive
     quotients log(Vol(n)/Vol(n-1)), which converge much faster for exponential
-    growth.  `lower` is a certified rational lower bound: the rounded-down
-    declared value when the family has one, else 0 (a limsup admits no
-    positive certificate from finitely many terms).
+    growth.  `declared` is the growth the table's group derives from its
+    growth series, and `lower` is always a certified lower bound on the
+    entropy: the low end of the declared bracket, or 0 for a bare table (a
+    limsup admits no positive certificate from finitely many terms).
     """
 
     lower: Fraction
     point_estimates: tuple[float, ...]
     ratio_estimates: tuple[float, ...]
-    declared: EntropyValue | None
+    declared: Growth | None
 
 
 def entropy_estimate(table: GrowthTable) -> EntropyEstimate:
@@ -761,12 +754,9 @@ def entropy_estimate(table: GrowthTable) -> EntropyEstimate:
         math.log(table.values[n] / table.values[n - 1])
         for n in range(1, len(table.values))
     )
-    declared = (
-        table.closed_form.declared_entropy() if table.closed_form is not None else None
-    )
-    lower = declared.lower() if declared is not None else Fraction(0)
+    declared = table.closed_form.growth if table.closed_form is not None else None
     return EntropyEstimate(
-        lower=lower,
+        lower=declared.entropy.lo if declared is not None else Fraction(0),
         point_estimates=points,
         ratio_estimates=ratios,
         declared=declared,

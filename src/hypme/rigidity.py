@@ -11,8 +11,9 @@ hyperbolicity across the coupling:
 
 Numeric evaluation runs in certified rational interval arithmetic so that
 verdicts near boundaries come out "inconclusive" rather than wrong, and the
-closed families (phi power/exp_power, r = c log n or n^e, growth with a
-declared entropy) additionally get an analytic verdict.  Ratios span
+closed families (phi power/exp_power, r = c log n or n^e) additionally get
+an analytic verdict from the growth a group derives from its growth series:
+its class, polynomial degree and certified entropy bracket.  Ratios span
 hundreds of orders of magnitude, so sampled values are reported as natural
 logarithms.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .groups import EntropyValue, GrowthTable
+from .groups import Growth, GrowthTable
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, format_fraction, ln_bounds
 
@@ -168,42 +169,37 @@ class ConditionReport:
 
 
 def _analytic_condition_5(
-    phi: IntegrabilityFunction, r: Schedule, growth_class
+    phi: IntegrabilityFunction, r: Schedule, growth: Growth | None
 ) -> tuple[str, dict] | None:
-    """Closed-family limit verdicts for the vanishing ratio."""
-    kind, info = growth_class
+    """Closed-family limit verdicts for the vanishing ratio; `growth` is None
+    for a bare table, which gets only the verdict that needs no growth."""
+    if phi.family == "exp_power" and r.family == "log":
+        return "tends_to_zero", {"reason": "stretched-exponential denominator"}
+    if growth is None:
+        return None
     if phi.family == "power":
         p = phi.param
         if r.family == "log":
-            if kind in ("polynomial", "bounded"):
-                ent_lo = ent_hi = Fraction(0)
-            elif isinstance(info, EntropyValue):
-                ent_lo, ent_hi = info.lower(), info.upper()
-            else:
-                return None
-            crit_lo = 2 + r.coefficient * ent_lo
-            crit_hi = 2 + r.coefficient * ent_hi
+            crit_lo = 2 + r.coefficient * growth.entropy.lo
+            crit_hi = 2 + r.coefficient * growth.entropy.hi
             if p > crit_hi:
                 return "tends_to_zero", {"critical_exponent": str(float(crit_hi))}
             if p <= crit_lo:
                 return "fails", {"critical_exponent": str(float(crit_lo))}
             return "inconclusive", {"reason": "p within rounding of the critical exponent"}
         # r = n^e
-        if kind == "exponential":
+        if growth.kind == "exponential":
             return "fails", {"reason": "exponential growth beats any power of n"}
-        degree = info if kind == "polynomial" else 0
         e = r.exponent
         lhs = phi.param * (1 - e)
-        rhs = 2 + e + e * degree
+        rhs = 2 + e + e * growth.degree
         if lhs > rhs:
             return "tends_to_zero", {}
         return "fails", {}
     if phi.family == "exp_power":
         p = phi.param
-        if r.family == "log":
-            return "tends_to_zero", {"reason": "stretched-exponential denominator"}
         e = r.exponent
-        if kind in ("polynomial", "bounded"):
+        if growth.kind != "exponential":
             return "tends_to_zero", {}
         lhs = p * (1 - e)
         if lhs > e:
@@ -255,7 +251,8 @@ def check_condition_5(rc: RigidityConditions, growth: GrowthTable) -> ConditionR
         ):
             n0 = grid[i]
             break
-    analytic = _analytic_condition_5(rc.phi, rc.r, _growth_class_of(growth))
+    declared = growth.closed_form.growth if growth.closed_form is not None else None
+    analytic = _analytic_condition_5(rc.phi, rc.r, declared)
     if analytic is not None:
         verdict, notes = analytic
         is_analytic = True
@@ -279,12 +276,6 @@ def check_condition_5(rc: RigidityConditions, growth: GrowthTable) -> ConditionR
         samples=samples,
         notes={"phi": rc.phi.describe(), "r": rc.r.describe(), **notes},
     )
-
-
-def _growth_class_of(growth: GrowthTable):
-    if growth.closed_form is not None:
-        return growth.closed_form.growth_class()
-    return ("table", None)
 
 
 def _analytic_condition_6(rc: RigidityConditions) -> tuple[str, dict] | None:

@@ -206,3 +206,13 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
         "failures": failures,
         "passed": not failures,
     }
+
+
+def least_positive_root(den) -> float | None:
+    """Least positive real root of the polynomial sum den[i] t^i, from the
+    eigenvalues numpy.roots computes, or None when it has none."""
+    import numpy as np
+
+    roots = np.roots(list(reversed(den)))
+    positive = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0]
+    return min(positive, default=None)

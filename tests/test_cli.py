@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -94,6 +95,28 @@ class TestExitCodes:
         assert code == 1 and doc is None
         err = capsys.readouterr().err
         assert "needs 34969 cases" in err and "--budget or HYPME_BUDGET" in err
+
+    def test_coupling_verify_over_budget_is_exit_one_fast(self, tmp_path, capsys):
+        # radius 6 asks for 2 * 1457^2 = 4,245,698 cocycle cases (about a
+        # minute) and 23437^2 b-identity cases: both refuse before the first
+        spec = write_spec(tmp_path, F2_SPEC)
+        start = time.perf_counter()
+        code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "6",
+                        "--budget", "100000")
+        assert code == 1 and doc is None
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert "needs 549292969 cases" in err and "--budget or HYPME_BUDGET" in err
+
+    def test_cocycle_identity_over_budget_is_exit_one(self, tmp_path, capsys):
+        # Z^2 at radius 6: 7,225 b-identity cases fit, 2 * 85^2 = 14,450 cocycle cases do not
+        spec = write_spec(tmp_path, Z2_SPEC)
+        code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "6",
+                        "--budget", "10000")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "cocycle identity check at radius 6 needs 14450 cases" in err
+        assert "--budget or HYPME_BUDGET" in err
 
     def test_usage_error(self, tmp_path):
         assert dispatch(["graph-analyze", "--gen", "blob:3",

@@ -499,3 +499,11 @@ class TestBIdentityBudget:
         assert check_b_identity(f2_coupling, 2, max_cases=1369).cases == 1369
         with pytest.raises(BudgetError, match="needs 1369 cases.*--budget or HYPME_BUDGET"):
             check_b_identity(f2_coupling, 2, max_cases=1368)
+
+
+class TestCocycleIdentityBudget:
+    def test_refuses_before_the_first_case(self, f2_coupling):
+        # |X_lambda| = 2 and |B_gamma(3)| = 53 in F2: 2 * 53^2 = 5618 cases
+        assert check_cocycle_identity(f2_coupling, 3, max_cases=5618).cases == 5618
+        with pytest.raises(BudgetError, match="needs 5618 cases.*--budget or HYPME_BUDGET"):
+            check_cocycle_identity(f2_coupling, 3, max_cases=5617)

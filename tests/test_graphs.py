@@ -68,10 +68,6 @@ class TestLoadGraph:
         assert g.n == 25 and g.m == 40
         assert g.edges == ref.edges
 
-    def test_json_round_trip(self):
-        g = grid_graph(3, 4)
-        assert Graph.from_json(g.to_json()).edges == g.edges
-
 
 class TestDistances:
     def test_path_graph(self):

@@ -11,11 +11,15 @@ from hypme.errors import BudgetError, ParseError
 from hypme.groups import (
     Cyclic,
     DirectProduct,
+    Growth,
     ball,
     bfs_growth_table,
     entropy_estimate,
     parse_group,
 )
+from hypme.rational import exp_bounds, ln_lower, ln_upper
+
+from oracles import least_positive_root
 
 
 class TestParseGroup:
@@ -44,7 +48,7 @@ class TestParseGroup:
     def test_precedence_star_over_x(self):
         g = parse_group("C2*C2xZ")
         # (C2*C2) x Z: infinite dihedral times Z has polynomial growth
-        assert g.growth_class() == ("polynomial", 2)
+        assert (g.growth.kind, g.growth.degree) == ("polynomial", 2)
 
     def test_errors(self):
         for bad in ("", "F0", "C1", "Q3", "F2*", "Z^0"):
@@ -94,6 +98,16 @@ class TestNormalForms:
             assert g.parse_word(g.to_word(e)) == e
 
 
+# The 24 specs the growth series were first checked on against BFS: every
+# family, both products, and the degenerate cases (C2*C2 and C2*C2xZ are
+# polynomial, Z*Z is F2 in disguise, C2*C2*C2 has a rational rho).
+SERIES_SPECS = [
+    "F1", "F2", "F3", "Z", "Z^2", "Z^3", "C2", "C3", "C4", "C5", "C2*C2", "C2*C3",
+    "C3*C4", "C2*C2*C2", "F2*C3", "Z^2*C2", "C5*Z", "C3*C4xC2", "F2xZ",
+    "C2*C3xC4*C2", "Z*Z", "F2xF2", "Z^2xC3", "C2*C2xZ",
+]
+
+
 class TestBalls:
     def test_f2_growth(self):
         b = ball(parse_group("F2"), 2)
@@ -111,11 +125,13 @@ class TestBalls:
         t = bfs_growth_table(parse_group("C3"), 5)
         assert list(t.values) == [1, 3, 3, 3, 3, 3]
 
-    @pytest.mark.parametrize("spec", ["F2", "Z^2", "C2*C3", "F2xC2", "C2*C2"])
+    @pytest.mark.parametrize("spec", SERIES_SPECS + ["F2xC2"])
     def test_bfs_matches_closed_form(self, spec):
         g = parse_group(spec)
-        t = bfs_growth_table(g, 6)
+        t = bfs_growth_table(g, 6, max_elements=30_000)  # F3 has the largest ball, 23,437
         assert list(t.values) == [g.volume(n) for n in range(7)]
+        spheres = [b - a for a, b in zip(t.values, t.values[1:])]
+        assert [g.sphere_size(n) for n in range(1, 7)] == spheres
 
     @pytest.mark.parametrize("spec", ["F2", "Z^2", "C2*C3", "F2xC2"])
     def test_word_length_equals_bfs_depth(self, spec):
@@ -170,47 +186,110 @@ class TestBalls:
         assert b1.graph.edges == b2.graph.edges
 
 
+class TestGrowthSeries:
+    # products are not reduced: C2*C2 is (1+t)^2/((1+t)(1-t)), Z*Z is
+    # (1+t)^2/((1+t)(1-3t)); the numerator has no positive root, so the
+    # common factor never moves rho
+    @pytest.mark.parametrize(
+        "spec, denominator",
+        [("F3", [1, -5]), ("Z^2", [1, -2, 1]), ("C4", [1]), ("C2*C3", [1, 0, -2]),
+         ("C2*C2", [1, 0, -1]), ("Z*Z", [1, -2, -3]), ("F2xZ", [1, -4, 3])],
+    )
+    def test_closed_forms(self, spec, denominator):
+        assert parse_group(spec).growth_series()[1] == denominator
+
+    @pytest.mark.parametrize(
+        "factors", [[2], [3, 3], [2, 5], [4, 1, 1], [7, 2, 3], [3, -1, 6], [2, 2], [4, 4, 3]]
+    )
+    def test_rational_root_is_exact(self, factors):
+        # D = prod (1 - m t): the least positive root is 1/max(m), exactly;
+        # [2, 2] and [4, 4, 3] put a double root on a bisection midpoint
+        den = [1]
+        for m in factors:
+            den = [a - m * b for a, b in zip(den + [0], [0] + den)]
+        growth = Growth.of_denominator(den)
+        top = max(factors)
+        assert growth.kind == "exponential" and growth.rho == Fraction(1, top)
+        bounds = (ln_lower(Fraction(top)), ln_upper(Fraction(top)))
+        assert (growth.entropy.lo, growth.entropy.hi) == bounds
+
+    @pytest.mark.parametrize(
+        "den",
+        [[1, 0, -2], [1, -1, -1], [1, 0, 0, -3], [1, -1, -4, -4], [1, 0, -4, -1, 4, 2],
+         [1, -3, 0, 1], [1, 5, -40, 3], [1, -1, 0, 0, 0, 0, -1]],
+    )
+    def test_irrational_root_matches_numpy(self, den):
+        growth = Growth.of_denominator(den)
+        rho = least_positive_root(den)
+        assert growth.kind == "exponential" and growth.rho is None
+        assert float(growth.entropy.lo) - 1e-9 <= -math.log(rho) <= float(growth.entropy.hi) + 1e-9
+        assert growth.entropy.hi - growth.entropy.lo <= Fraction(1, 2**30)
+
+    @pytest.mark.parametrize("den", [[1, 1], [1, 0, 1], [1, 2, 3]])
+    def test_no_root_in_unit_interval_is_bounded(self, den):
+        assert least_positive_root(den) is None or least_positive_root(den) > 1
+        growth = Growth.of_denominator(den)
+        assert (growth.kind, growth.degree, growth.entropy.hi) == ("bounded", 0, 0)
+
+
 class TestEntropy:
     def test_f2_estimates(self):
         g = parse_group("F2")
         est = entropy_estimate(g.growth_table(12))
-        assert est.declared is not None and est.declared.log_arg == 3
+        assert est.declared.rho == Fraction(1, 3) and est.declared.describe() == "log(3)"
         assert abs(est.ratio_estimates[-1] - math.log(3)) < 0.02
         assert est.lower <= Fraction(109862, 100000)
         assert est.lower > Fraction(109860, 100000)
 
     def test_z2_declared_zero(self):
         est = entropy_estimate(parse_group("Z^2").growth_table(10))
-        assert est.declared.is_zero()
+        assert est.declared.kind == "polynomial" and est.declared.entropy.hi == 0
         assert est.lower == 0
         assert est.point_estimates[-1] < 0.6
 
     def test_c3_zero(self):
         est = entropy_estimate(parse_group("C3").growth_table(6))
-        assert est.declared.is_zero()
+        assert est.declared.kind == "bounded" and est.declared.entropy.hi == 0
         assert est.ratio_estimates[-1] == 0
 
-    def test_free_product_has_no_declared_value(self):
+    def test_free_product_bracket_contains_log_sqrt2(self):
+        # C2*C3 has growth series (1+t)(1+2t)/(1-2t^2), so h = ln sqrt(2)
         est = entropy_estimate(parse_group("C2*C3").growth_table(8))
+        h = est.declared.entropy
+        assert est.lower == h.lo > 0
+        assert h.hi - h.lo <= Fraction(1, 2**30)
+        # ln sqrt(2) in [lo, hi] iff 2 in [exp(2 lo), exp(2 hi)]
+        assert exp_bounds(2 * h.lo)[1] <= 2 <= exp_bounds(2 * h.hi)[0]
+
+    @pytest.mark.parametrize("spec, base", [("F2", 3), ("F3", 5), ("F2xZ", 3), ("F2xF2", 3)])
+    def test_free_factor_bounds_are_exact_logs(self, spec, base):
+        h = parse_group(spec).growth.entropy
+        assert (h.lo, h.hi) == (ln_lower(Fraction(base)), ln_upper(Fraction(base)))
+
+    def test_bare_table_has_no_declared_value(self):
+        est = entropy_estimate(bfs_growth_table(parse_group("C2*C3"), 8))
         assert est.declared is None
         assert est.lower == 0  # no positive certificate from finite data
 
     def test_lower_below_declared(self):
-        for spec in ("F2", "F3", "Z^2"):
-            g = parse_group(spec)
-            est = entropy_estimate(g.growth_table(8))
-            if est.declared is not None and not est.declared.is_zero():
-                assert est.lower <= est.declared.upper()
+        for spec in ("F2", "F3", "Z^2", "C2*C3"):
+            est = entropy_estimate(parse_group(spec).growth_table(8))
+            assert est.lower <= est.declared.entropy.hi
 
 
 class TestGrowthClasses:
     def test_families(self):
-        assert parse_group("F2").growth_class() == ("exponential", parse_group("F2").growth_class()[1])
-        assert parse_group("F2").growth_class()[1].log_arg == 3
-        assert parse_group("Z^3").growth_class() == ("polynomial", 3)
-        assert parse_group("C6").growth_class() == ("bounded", 6)
-        assert parse_group("C2*C2").growth_class() == ("polynomial", 1)
-        assert parse_group("C2*C3").growth_class() == ("exponential", None)
-        assert parse_group("Z^2xC3").growth_class() == ("polynomial", 2)
-        cls, ent = parse_group("F2xZ^2").growth_class()
-        assert cls == "exponential" and ent.log_arg == 3
+        kinds = {
+            "F2": ("exponential", 0, "log(3)"),
+            "Z^3": ("polynomial", 3, "0"),
+            "C6": ("bounded", 0, "0"),
+            "C2*C2": ("polynomial", 1, "0"),
+            "Z^2xC3": ("polynomial", 2, "0"),
+            "F2xZ^2": ("exponential", 0, "log(3)"),
+            "C2*C2*C2": ("exponential", 0, "log(2)"),
+            "C2*C3": ("exponential", 0, "-log(rho), rho the least positive root of 1-2t^2"),
+        }
+        for spec, (kind, degree, entropy) in kinds.items():
+            g = parse_group(spec).growth
+            assert (g.kind, g.degree, g.describe()) == (kind, degree, entropy), spec
+        assert parse_group("C6").volume(9) == 6

@@ -134,6 +134,25 @@ class TestCondition5:
         assert check_condition_5(good, gt).verdict == "tends_to_zero"
         assert check_condition_5(bad, gt).verdict == "fails"
 
+    def test_free_products_get_analytic_verdicts(self):
+        # C2*C3 has h = ln sqrt(2), so with r = 108 log n the critical exponent
+        # is 2 + 54 ln 2 = 39.43...; Z*Z and C2*C2*C2 have h = log 3 and log 2
+        r = Schedule("log", coefficient=Fraction(108))
+        for spec, critical in (("C2*C3", 2 + 54 * math.log(2)), ("Z*Z", 2 + 108 * math.log(3)),
+                               ("C2*C2*C2", 2 + 108 * math.log(2))):
+            gt = parse_group(spec).growth_table(2)
+            above = check_condition_5(make_rc(power(math.ceil(critical)), power(1), r), gt)
+            below = check_condition_5(make_rc(power(math.floor(critical)), power(1), r), gt)
+            assert (above.verdict, below.verdict) == ("tends_to_zero", "fails"), spec
+            assert above.analytic and below.analytic
+            assert abs(float(above.notes["critical_exponent"]) - critical) < 1e-6
+
+    def test_bare_table_gets_no_growth_verdict(self):
+        # a table without a group says nothing about its degree, so no analytic verdict
+        table_only = GrowthTable(values=(1, 5, 13, 25, 41), group_name="Z^2")
+        rc = make_rc(power(9), power(1), Schedule("pow", exponent=Fraction(1, 2)), n_max=9)
+        assert not check_condition_5(rc, table_only).analytic
+
     def test_coverage_error_names_radius(self):
         table_only = GrowthTable(values=(1, 5, 17), group_name="F2")
         rc = make_rc(power(200), power(1), corollary_schedules("lp", delta=Fraction(1)))
