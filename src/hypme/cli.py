@@ -36,6 +36,7 @@ from .hyperbolicity import (
 from .cycles import check_obstruction, find_fat_cycle, CycleEmbedding, verify_embedding
 from .groups import ball, bfs_growth_table, entropy_estimate, parse_group
 from .coupling import (
+    DEFAULT_COSET_BUDGET,
     check_actions_commute,
     check_b_identity,
     check_cocycle_identity,
@@ -239,8 +240,10 @@ def cmd_group_ball(args):
 
 
 def _load_coupling(args):
+    # coset enumeration slows steeply with its table size: an infinite index
+    # that slips past the rank check would take minutes at the general budget
     with open(args.spec) as fh:
-        return coupling_from_spec(fh.read(), max_cosets=_budget(args))
+        return coupling_from_spec(fh.read(), max_cosets=min(_budget(args), DEFAULT_COSET_BUDGET))
 
 
 def _coupling_view(c) -> dict:

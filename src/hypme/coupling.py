@@ -32,7 +32,8 @@ from fractions import Fraction
 from .errors import BudgetError, ParseError, PreconditionError
 from .groups import DEFAULT_BALL_BUDGET, MarkedGroup, ball, parse_group, sphere_levels
 from .integrability import IntegrabilityFunction
-from .rational import format_fraction, matrix_rank
+from .rational import FracInterval, lower, matrix_rank, upper
+from .reports import encode
 
 DEFAULT_COSET_BUDGET = 20_000
 DEFAULT_LENGTH_BUDGET = 500_000
@@ -100,7 +101,8 @@ def _build_coset_table(group: MarkedGroup, words, max_cosets: int):
         table = coset_enumeration_r(fp, subgroup, max_cosets=max_cosets)
     except ValueError as exc:
         raise BudgetError(
-            f"coset enumeration exceeded budget {max_cosets}: index may be infinite"
+            f"coset enumeration stopped at {max_cosets} cosets, the least of "
+            f"--budget or HYPME_BUDGET and {DEFAULT_COSET_BUDGET}: the index may be infinite"
         ) from exc
     table.compress()
     table.standardize()
@@ -563,17 +565,16 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
 
     # lambda side: round-trip projection and injectivity over a lambda ball
     lam_lengths = c.lambda_ball(radius)
+    x_lambda = c.x_lambda_points()
     seen_l = {}
     for lam in lam_lengths:
-        for x in c.x_lambda_points():
+        for x in x_lambda:
             cases += 1
             pt = c.lambda_act(lam, x)
             if pt in seen_l:
                 bad += 1
             seen_l[pt] = (lam, x)
-    c_lambda = max(
-        g.word_length(p[0]) for p in c.x_lambda_points()
-    )
+    c_lambda = max(g.word_length(p[0]) for p in x_lambda)
     for w in base_ball:
         for i in range(c.fiber_count):
             cases += 1
@@ -631,16 +632,7 @@ def projection_and_similarity(
     else:
         raise PreconditionError("side must be 'lambda' or 'gamma'")
 
-    exact = phi.is_exact()
-    if exact:
-        integral = sum(
-            (phi.eval_exact(Fraction(d)) * c.mu_scale for d in dists), Fraction(0)
-        )
-        integral_repr = format_fraction(integral)
-    else:
-        lo = sum((phi.eval_bounds(Fraction(d))[0] for d in dists), Fraction(0))
-        hi = sum((phi.eval_bounds(Fraction(d))[1] for d in dists), Fraction(0))
-        integral_repr = [format_fraction(lo * c.mu_scale), format_fraction(hi * c.mu_scale)]
+    integral = sum((phi.value(Fraction(d)) for d in dists), Fraction(0)) * c.mu_scale
     correction_words = sorted({g.describe(lam) for lam in corrections})
     return {
         "side": side,
@@ -649,8 +641,8 @@ def projection_and_similarity(
         "linf_equivalent": True,  # correction set is finite by construction
         "displacements": dists,
         "phi": phi.describe(),
-        "integral": integral_repr,
-        "exact": exact,
+        "integral": encode(integral),
+        "exact": phi.exact,
     }
 
 
@@ -662,8 +654,8 @@ def projection_and_similarity(
 class IntegrabilityReport:
     phi: str
     psi: str
-    k_constant: Fraction | tuple[Fraction, Fraction] = field(metadata={"key": "K"})
-    l_constant: Fraction | tuple[Fraction, Fraction] = field(metadata={"key": "L"})
+    k_constant: Fraction | FracInterval = field(metadata={"key": "K"})
+    l_constant: Fraction | FracInterval = field(metadata={"key": "L"})
     beta_sup: int = field(metadata={"key": "beta_ess_sup"})
     alpha_max_length: int
     exact: bool
@@ -698,25 +690,13 @@ def integrability_report(
         beta_lengths[t] = [c.gamma_length(c.beta(t, x)) for x in c.x_gamma]
     beta_sup = max((d for ds in beta_lengths.values() for d in ds), default=0)
 
-    exact = phi.is_exact() and psi.is_exact()
+    def integral(fn, dist_lists):
+        # the largest integral by its upper end; the first one on a tie
+        sums = [sum((fn.value(Fraction(d)) for d in dists), Fraction(0)) for dists in dist_lists]
+        return max(sums, key=upper, default=Fraction(0)) * c.mu_scale
 
-    def integral(fn, dist_lists, weight):
-        best = None
-        for dists in dist_lists:
-            if fn.is_exact():
-                val = sum((fn.eval_exact(Fraction(d)) * weight for d in dists), Fraction(0))
-            else:
-                val = (
-                    sum((fn.eval_bounds(Fraction(d))[0] * weight for d in dists), Fraction(0)),
-                    sum((fn.eval_bounds(Fraction(d))[1] * weight for d in dists), Fraction(0)),
-                )
-            key = val if not isinstance(val, tuple) else val[1]
-            if best is None or key > (best if not isinstance(best, tuple) else best[1]):
-                best = val
-        return best if best is not None else Fraction(0)
-
-    K = integral(phi, [[lengths[v] for v in alpha_values[s]] for s in gamma_gens], c.mu_scale)
-    L = integral(psi, [beta_lengths[t] for t in lambda_gens], c.mu_scale)
+    K = integral(phi, [[lengths[v] for v in alpha_values[s]] for s in gamma_gens])
+    L = integral(psi, [beta_lengths[t] for t in lambda_gens])
     return IntegrabilityReport(
         phi=phi.describe(),
         psi=psi.describe(),
@@ -724,7 +704,7 @@ def integrability_report(
         l_constant=L,
         beta_sup=beta_sup,
         alpha_max_length=alpha_max,
-        exact=exact,
+        exact=phi.exact and psi.exact,
     )
 
 
@@ -875,8 +855,8 @@ class ClaimBoundReport:
     R: int
     d_lambda: int
     measured: Fraction
-    bound: Fraction | tuple[Fraction, Fraction]
-    k_constant: Fraction | tuple[Fraction, Fraction]
+    bound: Fraction | FracInterval
+    k_constant: Fraction | FracInterval
     identity_cases: int
     identity_violations: int
     degenerate: bool
@@ -950,20 +930,11 @@ def claim_bound_check(
     if k_constant is None:
         k_constant = _k_constant(c, phi)
     vol = c.gamma_volume(R)
-    arg = Fraction(d_lambda, R)
-    if phi.is_exact():
-        denom = phi.eval_exact(arg)
-        if denom == 0:
-            raise PreconditionError("phi vanishes at d/R; bound undefined")
-        bound = k_constant * R * vol / denom
-        passed = measured <= bound and identity_bad == 0
-    else:
-        lo, hi = phi.eval_bounds(arg)
-        if lo <= 0:
-            raise PreconditionError("phi lower bound vanishes at d/R")
-        k_lo, k_hi = (k_constant, k_constant) if not isinstance(k_constant, tuple) else k_constant
-        bound = (k_lo * R * vol / hi, k_hi * R * vol / lo)
-        passed = measured <= bound[0] and identity_bad == 0
+    denom = phi.value(Fraction(d_lambda, R))
+    if lower(denom) <= 0:
+        raise PreconditionError("phi vanishes at d/R; bound undefined")
+    bound = k_constant * R * vol / denom
+    passed = measured <= lower(bound) and identity_bad == 0
     return ClaimBoundReport(
         u=g.describe(u), v=g.describe(v), R=R, d_lambda=d_lambda,
         measured=measured, bound=bound, k_constant=k_constant,
@@ -1050,15 +1021,14 @@ def claim_bound_sweep(
     evaluated = 0
     for phi in phis:
         kc = k_constants[phi.describe()]
-        k_low = kc[0] if isinstance(kc, tuple) else kc
+        k_low = lower(kc)
         for R in R_values:
             vol = c.gamma_volume(R)
             for w in order:
                 if disp[w] > R:
                     continue  # measured side is 0 <= bound
                 evaluated += 1
-                arg = Fraction(lam_len[w], R)
-                denom = phi.eval_exact(arg) if phi.is_exact() else phi.eval_bounds(arg)[1]
+                denom = upper(phi.value(Fraction(lam_len[w], R)))
                 if denom == 0:
                     failures.append((g.describe(w), R, phi.describe(), "phi=0"))
                     continue

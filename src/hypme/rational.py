@@ -1,23 +1,29 @@
 """Exact rationals and certified transcendental bounds.
 
 All quantities that enter a verdict are either exact ``Fraction`` values or
-directed (upper/lower) rational roundings of transcendental functions,
-computed with mpmath interval arithmetic at a fixed dyadic precision.
-Directed rounding keeps every "consistent" verdict conservative: an upper
-rounding can only enlarge a bound, never shrink it.
+certified rational brackets of transcendental functions.  Every bracket comes
+from one function, `outward`: it evaluates an mpmath interval expression at a
+working precision of at least MIN_PRECISION_BITS bits, converts the endpoints
+of the result to Fractions exactly (never through a 53-bit float or mpf), and
+rounds them outward to multiples of 2**-32.  So a bracket contains the true
+value, and a verdict read from one end stays conservative: an upper end can
+only enlarge a bound, never shrink it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-import mpmath
 from mpmath import iv
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from .errors import ParseError
 
-# Dyadic precision of rounded logarithms: results are multiples of 2**-32.
+# Dyadic precision of certified brackets: their ends are multiples of 2**-32.
 LOG_PRECISION_BITS = 32
+# Least working precision of an interval evaluation, in bits.
+MIN_PRECISION_BITS = 128
 
 
 def format_fraction(x: Fraction | int) -> str:
@@ -60,37 +66,58 @@ def matrix_rank(rows) -> int:
     return rank
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def exact_log2(x: Fraction) -> Fraction | None:
     """Exact log2(x) when x is a (possibly negative) power of two, else None."""
     if x <= 0:
         raise ValueError("log2 requires a positive argument")
     p, q = x.numerator, x.denominator
-    if _is_power_of_two(p) and _is_power_of_two(q):
+    if p & (p - 1) == 0 and q & (q - 1) == 0:  # both powers of two
         return Fraction(p.bit_length() - q.bit_length())
     return None
 
 
-def _iv_context_bits(*values: Fraction) -> int:
-    bits = 0
-    for v in values:
-        bits = max(bits, v.numerator.bit_length(), v.denominator.bit_length())
-    return bits + LOG_PRECISION_BITS + 64
+def exact_root(x: Fraction, n: int) -> Fraction | None:
+    """The rational n-th root of x >= 0 when there is one, else None."""
+    if x == 0:
+        return x
+    roots = []
+    for k in (x.numerator, x.denominator):
+        r = 1 << -(-k.bit_length() // n)  # at least the root; Newton descends to it
+        while (s := ((n - 1) * r + k // r ** (n - 1)) // n) < r:
+            r = s
+        if r**n != k:
+            return None
+        roots.append(r)
+    return Fraction(*roots)
 
 
-def _iv_fraction(x: Fraction):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+def outward(fn, *args, extra_bits: int = 0, bits: int = LOG_PRECISION_BITS) -> "FracInterval":
+    """Certified bracket of fn(*args), rounded outward to multiples of 2**-bits.
 
-
-def _round_up(value_upper, bits: int) -> Fraction:
-    return Fraction(int(mpmath.ceil(mpmath.mpf(value_upper) * 2**bits)), 2**bits)
-
-
-def _round_down(value_lower, bits: int) -> Fraction:
-    return Fraction(int(mpmath.floor(mpmath.mpf(value_lower) * 2**bits)), 2**bits)
+    Each argument, a Fraction or a FracInterval, enters mpmath's interval
+    context as the narrowest interval of the working precision that contains
+    it, and `fn` maps those intervals to an mpmath interval.  The working
+    precision is MIN_PRECISION_BITS, or more for long arguments, plus
+    `extra_bits`.  The result's endpoints are converted to Fractions exactly.
+    """
+    xs = [_as_interval(a) for a in args]
+    size = max((k.bit_length() for x in xs for e in x for k in e.as_integer_ratio()), default=0)
+    prec = max(MIN_PRECISION_BITS, size + bits + 64) + extra_bits
+    old = iv.prec
+    iv.prec = prec
+    try:
+        value = fn(*(
+            iv.make_mpf((
+                from_rational(*x.lo.as_integer_ratio(), prec, round_floor),
+                from_rational(*x.hi.as_integer_ratio(), prec, round_ceiling),
+            ))
+            for x in xs
+        ))
+        lo, hi = (Fraction(*to_rational(end)) for end in value._mpi_)
+    finally:
+        iv.prec = old
+    scale = 2**bits
+    return FracInterval(Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale))
 
 
 def log2_upper(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
@@ -101,58 +128,29 @@ def log2_upper(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
     exact = exact_log2(x)
     if exact is not None:
         return exact
-    old = iv.prec
-    iv.prec = _iv_context_bits(x)
-    try:
-        val = iv.log(_iv_fraction(x)) / iv.log(2)
-        return _round_up(val.b, bits)
-    finally:
-        iv.prec = old
+    return outward(lambda y: iv.log(y) / iv.log(2), x, bits=bits).hi
 
 
-def ln_upper(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
-    """Rational upper bound on ln(x)."""
+def ln_bounds(x: Fraction, bits: int = LOG_PRECISION_BITS) -> tuple[Fraction, Fraction]:
+    """Certified rational bounds on ln(x), exact for x = 1."""
     if x <= 0:
         raise ValueError("ln requires a positive argument")
-    if x == 1:
-        return Fraction(0)
-    old = iv.prec
-    iv.prec = _iv_context_bits(x)
-    try:
-        return _round_up(iv.log(_iv_fraction(x)).b, bits)
-    finally:
-        iv.prec = old
+    return tuple(outward(iv.log, x, bits=bits))
 
 
 def ln_lower(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
     """Rational lower bound on ln(x)."""
-    if x <= 0:
-        raise ValueError("ln requires a positive argument")
-    if x == 1:
-        return Fraction(0)
-    old = iv.prec
-    iv.prec = _iv_context_bits(x)
-    try:
-        return _round_down(iv.log(_iv_fraction(x)).a, bits)
-    finally:
-        iv.prec = old
+    return ln_bounds(x, bits)[0]
 
 
-def ln_bounds(x: Fraction, bits: int = LOG_PRECISION_BITS) -> tuple[Fraction, Fraction]:
-    return ln_lower(x, bits), ln_upper(x, bits)
+def ln_upper(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
+    """Rational upper bound on ln(x)."""
+    return ln_bounds(x, bits)[1]
 
 
 def exp_bounds(x: Fraction, bits: int = LOG_PRECISION_BITS) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds on exp(x)."""
-    if x == 0:
-        return Fraction(1), Fraction(1)
-    old = iv.prec
-    iv.prec = _iv_context_bits(x) + max(0, int(abs(x)) * 2)
-    try:
-        val = iv.exp(_iv_fraction(x))
-        return _round_down(val.a, bits), _round_up(val.b, bits)
-    finally:
-        iv.prec = old
+    """Certified rational bounds on exp(x), exact for x = 0."""
+    return tuple(FracInterval(x).exp(bits))
 
 
 class FracInterval:
@@ -171,6 +169,14 @@ class FracInterval:
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
+
+    def __iter__(self):
+        return iter((self.lo, self.hi))
+
+    def __eq__(self, other):
+        if not isinstance(other, (FracInterval, Fraction, int)):
+            return NotImplemented
+        return tuple(self) == tuple(_as_interval(other))
 
     def __add__(self, other):
         other = _as_interval(other)
@@ -206,13 +212,17 @@ class FracInterval:
         ]
         return FracInterval(min(quotients), max(quotients))
 
+    def __rtruediv__(self, other):
+        return _as_interval(other) / self
+
     def ln(self, bits: int = LOG_PRECISION_BITS) -> "FracInterval":
         if self.lo <= 0:
             raise ValueError("ln requires a positive interval")
-        return FracInterval(ln_lower(self.lo, bits), ln_upper(self.hi, bits))
+        return outward(iv.log, self, bits=bits)
 
     def exp(self, bits: int = LOG_PRECISION_BITS) -> "FracInterval":
-        return FracInterval(exp_bounds(self.lo, bits)[0], exp_bounds(self.hi, bits)[1])
+        # exp(x) has about 1.44 |x| integer bits; 2 |x| more keep the grid tight
+        return outward(iv.exp, self, extra_bits=2 * int(max(-self.lo, self.hi, 0)), bits=bits)
 
     def pow_rational(self, e: Fraction) -> "FracInterval":
         """x^e for positive x; exact for integer e, else via exp(e ln x)."""
@@ -244,3 +254,13 @@ def _as_interval(x) -> FracInterval:
     if isinstance(x, FracInterval):
         return x
     return FracInterval(Fraction(x))
+
+
+def lower(x: Fraction | FracInterval) -> Fraction:
+    """The lower end of a bracket; an exact value is its own lower end."""
+    return x.lo if isinstance(x, FracInterval) else x
+
+
+def upper(x: Fraction | FracInterval) -> Fraction:
+    """The upper end of a bracket; an exact value is its own upper end."""
+    return x.hi if isinstance(x, FracInterval) else x

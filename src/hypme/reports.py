@@ -7,7 +7,8 @@ timestamps or machine identifiers are recorded.
 
 Payloads hold raw values; `encode` turns them into JSON data by one rule:
 
-  - a Fraction becomes the exact "p/q" string;
+  - a Fraction becomes the exact "p/q" string, and a FracInterval the list
+    [lo, hi] of two such strings, even when lo == hi;
   - a dataclass becomes a dict of its fields, where field metadata `key`
     renames a field and `inline` merges a dict field into its parent;
   - tuples and lists become lists, dicts stay dicts, both encoded item by item;
@@ -22,13 +23,15 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .rational import format_fraction
+from .rational import FracInterval, format_fraction
 
 
 def encode(obj):
     """JSON data for a payload, by the rule in the module docstring."""
     if isinstance(obj, Fraction):
         return format_fraction(obj)
+    if isinstance(obj, FracInterval):
+        return [format_fraction(obj.lo), format_fraction(obj.hi)]
     if dataclasses.is_dataclass(obj):
         out = {}
         for f in dataclasses.fields(obj):

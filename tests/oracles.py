@@ -16,6 +16,7 @@ import networkx as nx
 from hypme import coupling
 from hypme.errors import PreconditionError
 from hypme.graphs import Graph, make_graph
+from hypme.rational import lower, upper
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -187,12 +188,11 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
                 if w_disp[w] > R:
                     continue
                 evaluated += 1
-                arg = Fraction(lam_len[w], R)
-                denom = phi.eval_exact(arg) if phi.is_exact() else phi.eval_bounds(arg)[1]
+                denom = upper(phi.value(Fraction(lam_len[w], R)))
                 if denom == 0:
                     failures.append((g.describe(w), R, phi.describe(), "phi=0"))
                     continue
-                bound = (kc if not isinstance(kc, tuple) else kc[0]) * R * vol / denom
+                bound = lower(kc) * R * vol / denom
                 if Fraction(1) > bound:
                     failures.append((g.describe(w), R, phi.describe(), str(bound)))
     return {

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
+import mpmath
 import pytest
 
-from hypme import __version__, cli, hyperbolicity
+from hypme import __version__, cli, coupling, hyperbolicity
 from hypme.cli import dispatch
 
 F2_SPEC = {"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": "e"}
@@ -117,6 +119,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cocycle identity check at radius 6 needs 14450 cases" in err
         assert "--budget or HYPME_BUDGET" in err
+
+    def test_coset_enumeration_capped_below_general_budget(self, tmp_path, monkeypatch):
+        # the general budget (10M by default) would let sympy define millions
+        # of cosets for an infinite index that passes the rank check
+        seen = []
+        build = coupling._build_coset_table
+
+        def spy(group, words, max_cosets):
+            seen.append(max_cosets)
+            return build(group, words, max_cosets)
+
+        monkeypatch.setattr(coupling, "_build_coset_table", spy)
+        monkeypatch.delenv("HYPME_BUDGET", raising=False)
+        spec = write_spec(tmp_path, F2_SPEC)
+        assert run(tmp_path, "coupling-build", "--spec", spec)[0] == 0
+        assert run(tmp_path, "coupling-build", "--spec", spec, "--budget", "500")[0] == 0
+        assert seen == [coupling.DEFAULT_COSET_BUDGET, 500]
+
+    def test_infinite_index_names_the_coset_cap(self, tmp_path, capsys):
+        # <a> in C2*C3 has infinite index, yet the abelianization has rank 0
+        spec = write_spec(tmp_path, {"group": "C2*C3", "subgroup_generators": ["a"]})
+        code, doc = run(tmp_path, "coupling-build", "--spec", spec, "--budget", "300")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "300 cosets" in err and "--budget or HYPME_BUDGET" in err
 
     def test_usage_error(self, tmp_path):
         assert dispatch(["graph-analyze", "--gen", "blob:3",
@@ -309,6 +336,18 @@ class TestSubcommands:
                         "--phi", "power:1", "--psi", "power:1")
         assert code == 0
         assert doc["report"]["exact"] is True
+
+    def test_integrability_bracket_contains_true_value(self, tmp_path):
+        # psi(t) = exp(8 t) on the golden F2 spec: L = psi(3) = e**24, whose
+        # bracket once had both ends on one value below e**24
+        spec = os.path.join(os.path.dirname(__file__), "golden", "inputs", "f2.json")
+        code, doc = run(tmp_path, "integrability", "--spec", spec, "--psi", "exp_power:1@8")
+        assert code == 0 and doc["report"]["exact"] is False
+        lo, hi = (Fraction(x) for x in doc["report"]["L"])
+        assert lo < hi
+        with mpmath.workprec(2000):
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= mpmath.exp(24)
+            assert mpmath.exp(24) <= mpmath.mpf(hi.numerator) / hi.denominator
 
     def test_claim_check(self, tmp_path):
         spec = write_spec(tmp_path, Z2_SPEC)

@@ -9,34 +9,33 @@ from hypme.integrability import (
     parse_function,
     poly_plus,
     power,
-    table_function,
 )
-from hypme.rational import FracInterval
+from hypme.rational import FracInterval, lower, upper
 
 
 def test_power_exact():
     phi = power(2)
-    assert phi.eval_exact(Fraction(3)) == 9
-    assert phi.eval_exact(Fraction(3, 2)) == Fraction(9, 4)
-    assert phi.is_exact()
+    assert phi.value(Fraction(3)) == 9
+    assert phi.value(Fraction(3, 2)) == Fraction(9, 4)
+    assert phi.exact
 
 
 def test_scale_mechanism():
     phi = power(2, scale=Fraction(1, 2))
-    assert phi.eval_exact(Fraction(4)) == 4  # (4/2)^2
+    assert phi.value(Fraction(4)) == 4  # (4/2)^2
 
 
 def test_exp_power_bounds_bracket_true_value():
     phi = exp_power(1)
-    lo, hi = phi.eval_bounds(Fraction(3))
+    lo, hi = phi.value(Fraction(3))
     assert float(lo) <= math.exp(3) <= float(hi)
     assert float(hi) - float(lo) < 1e-6
-    assert not phi.is_exact()
+    assert not phi.exact
 
 
 def test_poly_plus_numeric():
     psi = poly_plus(1)  # t^2
-    lo, hi = psi.eval_bounds(Fraction(3))
+    lo, hi = psi.value(Fraction(3))
     assert lo <= 9 <= hi and hi - lo < 1e-6
     psi = poly_plus(2)  # t^(3/2)
     ln = psi.ln_interval(FracInterval(4))
@@ -64,29 +63,8 @@ def test_inverse_property_on_samples(fn):
         t = fn.inverse_interval(y)
         # the true inverse lies in t, so phi(t.hi) >= y >= phi(t.lo); the certified
         # bounds must allow that
-        assert fn.eval_bounds(t.hi)[1] >= y
-        assert fn.eval_bounds(t.lo)[0] <= y
-
-
-def test_table_function():
-    tab = table_function([(0, 0), (1, 1), (2, 4), (3, 9)])
-    assert tab.eval_exact(Fraction(5, 2)) == 4
-    assert tab.eval_exact(Fraction(3)) == 9
-    t = tab.inverse_interval(Fraction(4))
-    assert t.lo == t.hi == 2
-    # generalized inverse satisfies psi(psi^-1(y)) >= y on sample values
-    for _, v in tab.table:
-        if v > 0:
-            assert tab.eval_exact(tab.inverse_interval(v).lo) >= v
-    with pytest.raises(PreconditionError):
-        tab.inverse_interval(Fraction(10))
-    with pytest.raises(PreconditionError):
-        tab.ln_interval(FracInterval(1))
-
-
-def test_table_monotonicity_enforced():
-    with pytest.raises(PreconditionError):
-        table_function([(0, 5), (1, 1)])
+        assert upper(fn.value(t.hi)) >= y
+        assert lower(fn.value(t.lo)) <= y
 
 
 def test_parse_function():
