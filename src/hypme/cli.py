@@ -4,7 +4,8 @@ Subcommands: graph-analyze, find-cycles, check-obstruction, group-ball,
 coupling-build, coupling-verify, integrability, claim-check, threshold,
 conditions.  Every run writes one JSON report embedding the tool version,
 the configuration echo, the seed, and the budget, so identical invocations
-produce byte-identical files.
+produce byte-identical files.  One `Budget`, from --budget or HYPME_BUDGET,
+bounds the work of every kernel a run calls.
 
 Exit codes: 0 success; 1 usage, parse, precondition, or budget errors;
 2 when a mathematical assertion fails (the theorem-contradiction signal),
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import HypmeError, MathCheckError, ParseError
+from .errors import Budget, HypmeError, MathCheckError, ParseError
 from .graphs import (
     Graph,
     cycle_graph,
@@ -36,7 +37,6 @@ from .hyperbolicity import (
 from .cycles import check_obstruction, find_fat_cycle, CycleEmbedding, verify_embedding
 from .groups import ball, bfs_growth_table, entropy_estimate, parse_group
 from .coupling import (
-    DEFAULT_COSET_BUDGET,
     check_actions_commute,
     check_b_identity,
     check_cocycle_identity,
@@ -58,19 +58,15 @@ from .rigidity import (
     threshold_p,
 )
 
-DEFAULT_BUDGET = 10_000_000
 
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
+def _budget(args) -> Budget:
     env = os.environ.get("HYPME_BUDGET")
-    if env:
+    if args.budget is None and env:
         try:
-            return int(env)
+            return Budget(int(env))
         except ValueError:
             raise ParseError(f"HYPME_BUDGET={env!r} is not an integer") from None
-    return DEFAULT_BUDGET
+    return Budget() if args.budget is None else Budget(args.budget)
 
 
 # generator kind -> (constructor, number of integer parameters)
@@ -115,10 +111,11 @@ def _add_host_args(p):
 def _add_common(p):
     p.add_argument("--out", required=True, help="output report path (JSON)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="node budget (or HYPME_BUDGET)")
+    p.add_argument("--budget", type=int, default=None, help="work budget in group elements, "
+                   "identity-check cases and cycle-search candidate vertices (or HYPME_BUDGET)")
 
 
-def cmd_graph_analyze(args):
+def cmd_graph_analyze(args, budget):
     g = _load_host(args)
     dm = distance_matrix(g)
     if g.n <= EXACT_CUTOFF or g.is_tree or args.force:
@@ -134,7 +131,7 @@ def cmd_graph_analyze(args):
     return payload, True
 
 
-def cmd_find_cycles(args):
+def cmd_find_cycles(args, budget):
     g = _load_host(args)
     dm = distance_matrix(g)
     res = find_fat_cycle(
@@ -143,7 +140,7 @@ def cmd_find_cycles(args):
         min_a=parse_fraction(args.min_a),
         min_n=args.min_n,
         mode=args.mode,
-        budget=_budget(args),
+        budget=budget,
         seed=args.seed,
     )
     return res, True
@@ -175,7 +172,7 @@ def _read_embedding(path: str) -> CycleEmbedding:
     return CycleEmbedding(n=len(images), images=tuple(images), a=a, b=b)
 
 
-def cmd_check_obstruction(args):
+def cmd_check_obstruction(args, budget):
     emb = _read_embedding(args.embedding)
     if args.delta is not None:
         delta = parse_fraction(args.delta)
@@ -205,10 +202,10 @@ def _entropy_view(est) -> dict:
     }
 
 
-def cmd_group_ball(args):
+def cmd_group_ball(args, budget):
     group = parse_group(args.group)
     if args.counts_only:
-        table = bfs_growth_table(group, args.radius, max_elements=_budget(args))
+        table = bfs_growth_table(group, args.radius, budget=budget)
         payload = {
             "group": group.name,
             "radius": args.radius,
@@ -220,7 +217,7 @@ def cmd_group_ball(args):
         }
         csv_source = table
     else:
-        b = ball(group, args.radius, max_elements=_budget(args))
+        b = ball(group, args.radius, budget=budget)
         payload = {
             "radius": b.radius,
             "group": group.name,
@@ -239,11 +236,9 @@ def cmd_group_ball(args):
     return payload, True
 
 
-def _load_coupling(args):
-    # coset enumeration slows steeply with its table size: an infinite index
-    # that slips past the rank check would take minutes at the general budget
+def _load_coupling(args, budget):
     with open(args.spec) as fh:
-        return coupling_from_spec(fh.read(), max_cosets=min(_budget(args), DEFAULT_COSET_BUDGET))
+        return coupling_from_spec(fh.read(), budget)
 
 
 def _coupling_view(c) -> dict:
@@ -263,8 +258,8 @@ def _coupling_view(c) -> dict:
     }
 
 
-def cmd_coupling_build(args):
-    c = _load_coupling(args)
+def cmd_coupling_build(args, budget):
+    c = _load_coupling(args, budget)
     payload = _coupling_view(c)
     payload["coboundedness_witness"] = [
         c.group.describe(f) for f in coboundedness_witness(c)
@@ -272,18 +267,18 @@ def cmd_coupling_build(args):
     return payload, True
 
 
-def cmd_coupling_verify(args):
-    c = _load_coupling(args)
+def cmd_coupling_verify(args, budget):
+    c = _load_coupling(args, budget)
     # the b-identity check has the most cases, so it refuses an over-budget radius first
-    b_identity = check_b_identity(c, args.radius, max_cases=_budget(args))
+    b_identity = check_b_identity(c, args.radius, budget)
     checks = [
-        check_cocycle_identity(c, args.radius, max_cases=_budget(args)),
+        check_cocycle_identity(c, args.radius, budget),
         b_identity,
-        check_actions_commute(c, max(args.radius - 1, 1), samples=200, seed=args.seed),
-        check_fundamental_domains(c, args.radius),
+        check_actions_commute(c, max(args.radius - 1, 1), samples=200, seed=args.seed, budget=budget),
+        check_fundamental_domains(c, args.radius, budget),
     ]
     if c.x_gamma_in_x_lambda():
-        checks.append(check_inverse_relation(c, args.radius))
+        checks.append(check_inverse_relation(c, args.radius, budget))
     payload = {
         "coupling": _coupling_view(c),
         "radius": args.radius,
@@ -293,28 +288,26 @@ def cmd_coupling_verify(args):
     return payload, ok
 
 
-def cmd_integrability(args):
-    c = _load_coupling(args)
-    rep = integrability_report(c, parse_function(args.phi), parse_function(args.psi))
+def cmd_integrability(args, budget):
+    c = _load_coupling(args, budget)
+    rep = integrability_report(c, parse_function(args.phi), parse_function(args.psi), budget)
     return rep, True
 
 
-def cmd_claim_check(args):
-    c = _load_coupling(args)
+def cmd_claim_check(args, budget):
+    c = _load_coupling(args, budget)
     phis = [parse_function(s) for s in args.phi.split(",")]
     try:
         r_values = [int(x) for x in args.radii.split(",")]
     except ValueError:
         raise ParseError(f"--radii {args.radii!r} is not a list of integers") from None
-    payload = claim_bound_sweep(
-        c, args.lambda_radius, r_values, phis, max_elements=_budget(args)
-    )
+    payload = claim_bound_sweep(c, args.lambda_radius, r_values, phis, budget)
     return payload, payload["passed"]
 
 
-def cmd_threshold(args):
+def cmd_threshold(args, budget):
     group = parse_group(args.group)
-    b = ball(group, args.ball_radius, max_elements=_budget(args))
+    b = ball(group, args.ball_radius, budget=budget)
     dm = distance_matrix(b.graph)
     hyp = hyperbolicity_report(b.graph, dm)
     est = entropy_estimate(b.growth)
@@ -330,7 +323,7 @@ def cmd_threshold(args):
     return {**vars(rep), "entropy_estimate": _entropy_view(est)}, True
 
 
-def cmd_conditions(args):
+def cmd_conditions(args, budget):
     group = parse_group(args.group)
     if args.r.startswith("log:"):
         schedule = Schedule("log", coefficient=parse_fraction(args.r[4:]))
@@ -459,8 +452,9 @@ def dispatch(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     config = _config_echo(args)
     try:
-        config["budget_effective"] = _budget(args) if hasattr(args, "budget") else None
-        payload, math_ok = args.func(args)
+        budget = _budget(args)
+        config["budget_effective"] = budget.limit
+        payload, math_ok = args.func(args, budget)
     except MathCheckError as exc:
         write_report(args.out, config, {"error": str(exc), "kind": "math"})
         return 2

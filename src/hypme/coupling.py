@@ -29,15 +29,15 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetError, ParseError, PreconditionError
-from .groups import DEFAULT_BALL_BUDGET, MarkedGroup, ball, parse_group, sphere_levels
+from .errors import Budget, BudgetError, ParseError, PreconditionError
+from .groups import MarkedGroup, ball, parse_group, sphere_levels
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, lower, matrix_rank, upper
 from .reports import encode
 
+# sympy's coset cap: enumeration slows steeply with the table size, and an infinite
+# index that slips past the rank check would take minutes at the general budget
 DEFAULT_COSET_BUDGET = 20_000
-DEFAULT_LENGTH_BUDGET = 500_000
-DEFAULT_CASE_BUDGET = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ class SubgroupData:
         return self.transversal[self.left_index(g)]
 
 
-def _build_coset_table(group: MarkedGroup, words, max_cosets: int):
+def _build_coset_table(group: MarkedGroup, words, budget: Budget):
     # sympy takes about half a second to import, so only coset enumeration pays it
     from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
     from sympy.combinatorics.free_groups import free_group
@@ -97,11 +97,12 @@ def _build_coset_table(group: MarkedGroup, words, max_cosets: int):
     relators = [to_sympy(rel) for rel in group.relators()]
     subgroup = [to_sympy(group.word_problem_letters(g)) for g in words]
     fp = FpGroup(fgroup, relators)
+    cap = min(budget.limit - budget.spent, DEFAULT_COSET_BUDGET)
     try:
-        table = coset_enumeration_r(fp, subgroup, max_cosets=max_cosets)
+        table = coset_enumeration_r(fp, subgroup, max_cosets=cap)
     except ValueError as exc:
         raise BudgetError(
-            f"coset enumeration stopped at {max_cosets} cosets, the least of "
+            f"coset enumeration stopped at {cap} cosets, the least of what is left of "
             f"--budget or HYPME_BUDGET and {DEFAULT_COSET_BUDGET}: the index may be infinite"
         ) from exc
     table.compress()
@@ -112,7 +113,7 @@ def _build_coset_table(group: MarkedGroup, words, max_cosets: int):
 def subgroup_data(
     group: MarkedGroup,
     subgroup_gen_words: list[str],
-    max_cosets: int = DEFAULT_COSET_BUDGET,
+    budget: Budget | None = None,
 ) -> SubgroupData:
     """Coset-enumerate the subgroup: transversal plus Schreier generators.
 
@@ -127,7 +128,7 @@ def subgroup_data(
             raise PreconditionError(
                 f"subgroup has infinite index: abelianized image has rank {sub_rank} < {rank}"
             )
-    table = _build_coset_table(group, gens, max_cosets)
+    table = _build_coset_table(group, gens, budget or Budget())
     index = len(table)
 
     # temporary data object for tracing while we build the transversal
@@ -218,8 +219,8 @@ class Coupling:
             return 1
         return self.group.volume(radius) + (m - 1) * self.group.volume(radius - 1)
 
-    def gamma_ball(self, radius: int):
-        base = ball(self.group, radius).elements
+    def gamma_ball(self, radius: int, budget: Budget | None = None):
+        base = ball(self.group, radius, budget=budget).elements
         out = [(g, 0) for g in base]
         if self.fiber_count > 1:
             inner = [g for g in base if self.group.word_length(g) <= radius - 1]
@@ -322,9 +323,7 @@ class Coupling:
 
     # --- subgroup metric -----------------------------------------------------------
 
-    def lambda_lengths(
-        self, targets, max_elements: int = DEFAULT_LENGTH_BUDGET
-    ) -> dict:
+    def lambda_lengths(self, targets, budget: Budget | None = None) -> dict:
         """Word lengths over the Schreier generators, by BFS until resolved."""
         pending = set(targets)
         for t in pending:
@@ -333,9 +332,7 @@ class Coupling:
                     f"length target {self.group.describe(t)} is not in the subgroup"
                 )
         out = {}
-        for depth, level in sphere_levels(
-            self.group, self.sub.schreier_generators, max_elements, "subgroup length budget"
-        ):
+        for depth, level in sphere_levels(self.group, self.sub.schreier_generators, budget):
             if not level:
                 raise PreconditionError(
                     "targets unreachable over Schreier generators (not in subgroup?)"
@@ -347,12 +344,10 @@ class Coupling:
                 break
         return out
 
-    def lambda_ball(self, radius: int, max_elements: int = DEFAULT_LENGTH_BUDGET):
+    def lambda_ball(self, radius: int, budget: Budget | None = None):
         """All subgroup elements of Schreier-length <= radius, with lengths."""
         lengths = {}
-        for depth, level in sphere_levels(
-            self.group, self.sub.schreier_generators, max_elements, "subgroup ball budget"
-        ):
+        for depth, level in sphere_levels(self.group, self.sub.schreier_generators, budget):
             lengths.update(dict.fromkeys(level, depth))
             if depth >= radius:
                 break
@@ -363,7 +358,7 @@ def subgroup_coupling(
     group: MarkedGroup,
     subgroup_gen_words: list[str],
     x_gamma_word: str = "e",
-    max_cosets: int = DEFAULT_COSET_BUDGET,
+    budget: Budget | None = None,
 ) -> Coupling:
     """The coupling of a group with a finite-index subgroup.
 
@@ -371,7 +366,7 @@ def subgroup_coupling(
     translations; fundamental domains are {x_gamma} and a BFS-minimal
     Schreier transversal.
     """
-    sub = subgroup_data(group, subgroup_gen_words, max_cosets=max_cosets)
+    sub = subgroup_data(group, subgroup_gen_words, budget)
     g0 = group.parse_word(x_gamma_word)
     return Coupling(
         group=group,
@@ -381,7 +376,7 @@ def subgroup_coupling(
     )
 
 
-def coupling_from_spec(spec: dict | str, max_cosets: int = DEFAULT_COSET_BUDGET) -> Coupling:
+def coupling_from_spec(spec: dict | str, budget: Budget | None = None) -> Coupling:
     """Build from the JSON spec {"group", "subgroup_generators", "x_gamma"}."""
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -392,7 +387,7 @@ def coupling_from_spec(spec: dict | str, max_cosets: int = DEFAULT_COSET_BUDGET)
         group,
         list(spec["subgroup_generators"]),
         x_gamma_word=spec.get("x_gamma", "e"),
-        max_cosets=max_cosets,
+        budget=budget,
     )
 
 
@@ -413,28 +408,18 @@ class CheckReport:
         return cls(name, cases, violations, violations == 0, details)
 
 
-def _check_case_budget(check: str, radius: int, needed: int, max_cases: int) -> None:
-    if needed > max_cases:
-        raise BudgetError(
-            f"{check} check at radius {radius} needs {needed} cases, over the "
-            f"budget of {max_cases}; raise --budget or HYPME_BUDGET, or lower --radius"
-        )
-
-
-def check_cocycle_identity(
-    c: Coupling, radius: int, max_cases: int = DEFAULT_CASE_BUDGET
-) -> CheckReport:
+def check_cocycle_identity(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
     """alpha(g'g, x) == alpha(g', g.x) alpha(g, x) for all |g|,|g'| <= radius.
 
-    The check runs |X_lambda| |B_gamma(radius)|^2 cases; past `max_cases` it
-    raises BudgetError before the first one.
+    The check runs |X_lambda| |B_gamma(radius)|^2 cases, charged to `budget`
+    after the gamma ball and before the first case.
     """
     if radius < 1:
         return CheckReport.of("cocycle_identity", 0, 0)
+    budget = budget or Budget()
     points = c.x_lambda_points()
-    needed = len(points) * c.gamma_volume(radius) ** 2
-    _check_case_budget("cocycle identity", radius, needed, max_cases)
-    ballg = c.gamma_ball(radius)
+    ballg = c.gamma_ball(radius, budget)
+    budget.charge("cases", len(points) * len(ballg) ** 2, by=f"cocycle identity check at radius {radius}")
     cases = 0
     bad = 0
     for x in points:
@@ -452,14 +437,14 @@ def check_cocycle_identity(
     return CheckReport.of("cocycle_identity", cases, bad, radius=radius)
 
 
-def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
+def check_inverse_relation(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
     """alpha(beta(lam, x), x) == lam for |lam|_{S_lambda} <= radius, x in X_gamma."""
     if not c.x_gamma_in_x_lambda():
         raise PreconditionError(
             "inverse relation requires X_gamma inside X_lambda; "
             "run strengthen_coboundedness first"
         )
-    lengths = c.lambda_ball(radius)
+    lengths = c.lambda_ball(radius, budget)
     cases = 0
     bad = 0
     for x in c.x_gamma:
@@ -470,16 +455,15 @@ def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
     return CheckReport.of("inverse_relation", cases, bad, radius=radius)
 
 
-def check_b_identity(
-    c: Coupling, radius: int, max_cases: int = DEFAULT_CASE_BUDGET
-) -> CheckReport:
+def check_b_identity(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
     """b_x(u)^-1 b_x(v) == beta(v^-1 u, u^-1 . x)^-1 over the lambda ball.
 
-    The check runs |X_gamma| |B_lambda(radius)|^2 cases; past `max_cases` it
-    raises BudgetError before the first one.
+    The check runs |X_gamma| |B_lambda(radius)|^2 cases, charged to `budget`
+    after the lambda ball and before the first case.
     """
-    lengths = c.lambda_ball(radius)
-    _check_case_budget("b-identity", radius, len(c.x_gamma) * len(lengths) ** 2, max_cases)
+    budget = budget or Budget()
+    lengths = c.lambda_ball(radius, budget)
+    budget.charge("cases", len(c.x_gamma) * len(lengths) ** 2, by=f"b-identity check at radius {radius}")
     elems = sorted(lengths, key=c.group.to_word)
     cases = 0
     bad = 0
@@ -498,13 +482,16 @@ def check_b_identity(
     return CheckReport.of("b_identity", cases, bad, radius=radius)
 
 
-def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> CheckReport:
+def check_actions_commute(
+    c: Coupling, radius: int, samples: int, seed: int, budget: Budget | None = None
+) -> CheckReport:
     """(gamma * w) lambda^-1 == gamma * (w lambda^-1) on sampled triples."""
     import random
 
     rng = random.Random(seed)
-    ballg = c.gamma_ball(radius)
-    lams = sorted(c.lambda_ball(radius), key=c.group.to_word)
+    budget = budget or Budget()
+    ballg = c.gamma_ball(radius, budget)
+    lams = sorted(c.lambda_ball(radius, budget), key=c.group.to_word)
     points = [(p[0], i) for p in ballg for i in range(c.fiber_count)]
     cases = 0
     bad = 0
@@ -520,7 +507,7 @@ def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> 
     return CheckReport.of("actions_commute", cases, bad, radius=radius)
 
 
-def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
+def check_fundamental_domains(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
     """Ball-truncated fundamental-domain axioms for both actions.
 
     Injectivity: (group element, domain point) pairs hit distinct points.
@@ -532,8 +519,9 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
     g = c.group
     bad = 0
     cases = 0
+    budget = budget or Budget()
 
-    base_ball = ball(g, radius).elements
+    base_ball = ball(g, radius, budget=budget).elements
     # transversal: each sampled element lies in exactly one t L
     for w in base_ball:
         cases += 1
@@ -548,7 +536,7 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
     if c.fiber_count > 1:
         c_gamma += 1
     seen = {}
-    for p in c.gamma_ball(radius):
+    for p in c.gamma_ball(radius, budget):
         for x in c.x_gamma:
             cases += 1
             pt = c.gamma_act(p, x)
@@ -564,7 +552,7 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
                 bad += 1
 
     # lambda side: round-trip projection and injectivity over a lambda ball
-    lam_lengths = c.lambda_ball(radius)
+    lam_lengths = c.lambda_ball(radius, budget)
     x_lambda = c.x_lambda_points()
     seen_l = {}
     for lam in lam_lengths:
@@ -593,7 +581,8 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
 
 
 def projection_and_similarity(
-    c: Coupling, side: str, X1: list[str], X2: list[str], phi: IntegrabilityFunction
+    c: Coupling, side: str, X1: list[str], X2: list[str], phi: IntegrabilityFunction,
+    budget: Budget | None = None,
 ) -> dict:
     """Materialize pi_{X1,X2} and integrate phi of the displacement.
 
@@ -621,7 +610,7 @@ def projection_and_similarity(
             lam = g.multiply(g.inverse(x2), x)  # pi(x) = x lam^-1
             corrections.append(lam)
             pairs.append((x, x2))
-        lengths = c.lambda_lengths(set(corrections))
+        lengths = c.lambda_lengths(set(corrections), budget)
         dists = [lengths[lam] for lam in corrections]
     elif side == "gamma":
         if len(elems1) != 1 or len(elems2) != 1:
@@ -662,7 +651,7 @@ class IntegrabilityReport:
 
 
 def integrability_report(
-    c: Coupling, phi: IntegrabilityFunction, psi: IntegrabilityFunction
+    c: Coupling, phi: IntegrabilityFunction, psi: IntegrabilityFunction, budget: Budget | None = None
 ) -> IntegrabilityReport:
     """K = max_s integral of phi(|alpha(s,.)|) over X_lambda, and
     L = max_t integral of psi(|beta(t,.)|) over X_gamma, as exact finite sums.
@@ -681,7 +670,7 @@ def integrability_report(
         vals = [c.alpha(s, x) for x in points]
         alpha_values[s] = vals
         targets.update(vals)
-    lengths = c.lambda_lengths(targets)
+    lengths = c.lambda_lengths(targets, budget)
     alpha_max = max((lengths[v] for vals in alpha_values.values() for v in vals), default=0)
 
     lambda_gens = list(c.sub.schreier_generators)
@@ -795,7 +784,7 @@ def check_step_bound(c: Coupling) -> CheckReport:
     return CheckReport.of("step_bound", cases, bad)
 
 
-def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
+def check_growth_comparison(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
     """Vol_{S_gamma-tilde}(r) <= |K| * Vol_{S_gamma}(r), with the left side
     enumerated by BFS on the product group."""
     from .groups import Cyclic, DirectProduct, bfs_growth_table
@@ -816,7 +805,7 @@ def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
         gens.append((g.inverse(base), 0))
     for k in range(1, m):
         gens.append((g.identity(), k))
-    table = bfs_growth_table(prod, radius, gens=gens)
+    table = bfs_growth_table(prod, radius, gens=gens, budget=budget)
     for r in range(radius + 1):
         cases += 1
         lhs = table.values[r]
@@ -829,12 +818,15 @@ def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
     return CheckReport.of("growth_comparison", cases, bad, radius=radius)
 
 
-def validate_strengthened(c: Coupling, radius: int = 3, growth_radius: int = 6) -> dict:
+def validate_strengthened(
+    c: Coupling, radius: int = 3, growth_radius: int = 6, budget: Budget | None = None
+) -> dict:
     """All postcondition checks of the product construction, as one report."""
+    budget = budget or Budget()
     reports = [
-        check_fundamental_domains(c, radius),
+        check_fundamental_domains(c, radius, budget),
         check_step_bound(c),
-        check_growth_comparison(c, growth_radius),
+        check_growth_comparison(c, growth_radius, budget),
     ]
     inclusion = c.x_gamma_in_x_lambda()
     return {
@@ -863,9 +855,8 @@ class ClaimBoundReport:
     passed: bool
 
 
-def _k_constant(c: Coupling, phi: IntegrabilityFunction):
-    rep = integrability_report(c, phi, phi)
-    return rep.k_constant
+def _k_constant(c: Coupling, phi: IntegrabilityFunction, budget: Budget | None = None):
+    return integrability_report(c, phi, phi, budget).k_constant
 
 
 def claim_bound_check(
@@ -876,6 +867,7 @@ def claim_bound_check(
     phi: IntegrabilityFunction,
     k_constant=None,
     d_lambda: int | None = None,
+    budget: Budget | None = None,
 ) -> ClaimBoundReport:
     """mu({x : d(b_x(u), b_x(v)) <= R}) <= K R Vol(R) / phi(d_lambda(u,v)/R).
 
@@ -925,10 +917,11 @@ def claim_bound_check(
             degenerate=True, passed=identity_bad == 0,
         )
 
+    budget = budget or Budget()
     if d_lambda is None:
-        d_lambda = c.lambda_lengths({w})[w]
+        d_lambda = c.lambda_lengths({w}, budget)[w]
     if k_constant is None:
-        k_constant = _k_constant(c, phi)
+        k_constant = _k_constant(c, phi, budget)
     vol = c.gamma_volume(R)
     denom = phi.value(Fraction(d_lambda, R))
     if lower(denom) <= 0:
@@ -948,7 +941,7 @@ def claim_bound_sweep(
     lambda_radius: int,
     R_values,
     phis,
-    max_elements: int = DEFAULT_BALL_BUDGET,
+    budget: Budget | None = None,
 ) -> dict:
     """Check the measure bound for every pair u != v in the lambda ball B.
 
@@ -966,8 +959,8 @@ def claim_bound_sweep(
     The u, v pairs are never enumerated.  `pair_checks` counts them all,
     |B| (|B| - 1) per (R, phi), and `failures` lists the w in order of first
     occurrence among the pairs in `to_word` order, that is, by the first u
-    with u w in B, then by u w.  Enumerating B_Gamma(max R) raises
-    BudgetError past `max_elements` elements.
+    with u w in B, then by u w.  Both BFSs and the K constants charge their
+    group elements to `budget`.
     """
     g = c.group
     if len(c.x_gamma) != 1:
@@ -975,13 +968,14 @@ def claim_bound_sweep(
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
     max_R = max(R_values)
+    budget = budget or Budget()
     base = c.x_gamma[0][0]
     base_inv = g.inverse(base)
 
     # candidate w -> gamma-side displacement |g0 w g0^-1|
     disp = {}
     sym = [s for _, s in g.symmetric_generators()]
-    for depth, level in sphere_levels(g, sym, max_elements, "claim sweep ball budget"):
+    for depth, level in sphere_levels(g, sym, budget):
         for gamma in level:
             w = g.multiply(base_inv, g.multiply(gamma, base))
             if not g.is_identity(w) and c.sub.contains(w):
@@ -995,9 +989,7 @@ def claim_bound_sweep(
     elems = []
     lam_len = {}
     pending = set(disp)
-    for depth, level in sphere_levels(
-        g, c.sub.schreier_generators, DEFAULT_LENGTH_BUDGET, "subgroup ball budget"
-    ):
+    for depth, level in sphere_levels(g, c.sub.schreier_generators, budget):
         if depth <= r:
             elems.extend(level)
         found = pending.intersection(level)
@@ -1016,7 +1008,7 @@ def claim_bound_sweep(
 
     order = sorted(lam_len, key=first_pair)
 
-    k_constants = {phi.describe(): _k_constant(c, phi) for phi in phis}
+    k_constants = {phi.describe(): _k_constant(c, phi, budget) for phi in phis}
     failures = []
     evaluated = 0
     for phi in phis:

@@ -15,11 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, PreconditionError
+from .errors import Budget, BudgetError, PreconditionError
 from .graphs import DistanceMatrix, Graph, direct_image_path
 from .rational import ln_lower, ln_upper, log2_upper
 
-DEFAULT_SEARCH_BUDGET = 10_000_000
 EXHAUSTIVE_VERTEX_LIMIT = 40
 
 
@@ -153,8 +152,8 @@ def check_obstruction(e: CycleEmbedding, delta: Fraction) -> ObstructionReport:
 
 
 class _CycleSearch:
-    """Depth-first search over simple cycles; `spent` counts the candidate
-    extensions made so far, the quantity that `budget` limits.
+    """Depth-first search over simple cycles; each candidate extension is
+    charged to `budget` as one candidate vertex.
 
     With a fatness target (dm, min_a, min_n) it drops every path prefix
     that no cycle of length >= min_n with a >= min_a can contain (see
@@ -164,14 +163,13 @@ class _CycleSearch:
     def __init__(
         self,
         g: Graph,
-        budget: int,
+        budget: Budget,
         dm: DistanceMatrix | None = None,
         min_a: Fraction = Fraction(0),
         min_n: int = 3,
     ):
         self.g = g
         self.budget = budget
-        self.spent = 0
         self.d = dm.d if dm is not None and min_a > 0 else None
         # need[k]: least host distance a pair at path separation k may have,
         # i.e. ceil(min_a*k), for 1 <= k <= floor(min_n/2)
@@ -195,23 +193,21 @@ class _CycleSearch:
             while stack:
                 x, path, onpath = stack.pop()
                 for y in adj[x]:
-                    if self.spent == self.budget:
-                        raise BudgetError(f"cycle enumeration exceeded budget {self.budget}")
-                    self.spent += 1
+                    self.budget.charge("candidate vertices", by="the cycle search")
                     if y == root and len(path) >= 3 and path[1] < path[-1]:
                         yield list(path)
                     elif y > root and y not in onpath and self._admissible(path, y):
                         stack.append((y, path + [y], onpath | {y}))
 
 
-def enumerate_simple_cycles(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET):
+def enumerate_simple_cycles(g: Graph, budget: Budget | None = None):
     """Yield every simple cycle exactly once, as a canonical vertex list.
 
     Canonical form: starts at the cycle's smallest vertex, and the second
-    vertex is smaller than the last.  Raises BudgetError after `budget`
-    candidate extensions.
+    vertex is smaller than the last.  Each candidate extension is charged to
+    `budget`.
     """
-    yield from _CycleSearch(g, budget)
+    yield from _CycleSearch(g, budget or Budget())
 
 
 @dataclass(frozen=True)
@@ -280,23 +276,19 @@ def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int, extra: int = 
             yield rng.sample(range(n), 4)
 
 
-def _improve_locally(
-    g: Graph, dm: DistanceMatrix, images: list[int], budget: int
-) -> tuple[list[int], int]:
-    """Vertex swaps that keep consecutive images adjacent and raise a."""
+def _improve_locally(g: Graph, dm: DistanceMatrix, images: list[int], budget: Budget) -> list[int]:
+    """Vertex swaps that keep consecutive images adjacent and raise a; each
+    swap trial is charged to `budget` as one candidate vertex."""
     adj = g.adjacency()
-    spent = 0
     current = verify_embedding(dm, images)
     improved = True
-    while improved and spent < budget:
+    while improved:
         improved = False
         for i in range(len(images)):
             prev_v = images[(i - 1) % len(images)]
             next_v = images[(i + 1) % len(images)]
             for y in adj[images[i]]:
-                spent += 1
-                if spent >= budget:
-                    return images, spent
+                budget.charge("candidate vertices", by="the cycle heuristic")
                 if dm[prev_v, y] != 1 or dm[next_v, y] != 1:
                     continue
                 trial = images[:i] + [y] + images[i + 1 :]
@@ -306,7 +298,23 @@ def _improve_locally(
                     break
             if improved:
                 break
-    return images, spent
+    return images
+
+
+def _heuristic_embeddings(g: Graph, dm: DistanceMatrix, min_n: int, seed: int, budget: Budget):
+    """Closed walks through the corner candidates, then the best of them
+    (largest a) improved by local swaps."""
+    best: CycleEmbedding | None = None
+    for corners in _heuristic_candidates(g, dm, seed):
+        images = _closed_walk_images(dm, corners)
+        budget.charge("candidate vertices", 1 if images is None else len(images), by="the cycle heuristic")
+        if images is not None and len(images) >= max(min_n, 3):
+            emb = verify_embedding(dm, images)
+            yield emb
+            if best is None or emb.a > best.a:
+                best = emb
+    if best is not None and best.a > 0:
+        yield verify_embedding(dm, _improve_locally(g, dm, list(best.images), budget))
 
 
 def find_fat_cycle(
@@ -315,15 +323,15 @@ def find_fat_cycle(
     min_a: Fraction,
     min_n: int,
     mode: str = "auto",
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: Budget | None = None,
     seed: int = 0,
 ) -> FatCycleResult:
     """Search for a verified cycle embedding with n >= min_n and a >= min_a.
 
     Graph cycles are 1-Lipschitz, so found witnesses have b = 1.  Exhaustive
     enumeration (small hosts, or mode="exhaustive") can prove absence;
-    the heuristic reports "not_found" when its candidates are spent and
-    "budget_exhausted" when the node budget trips.
+    the heuristic reports "not_found" when its candidates are spent.  Either
+    reports "budget_exhausted" when `budget` refuses a charge.
 
     The exhaustive search prunes path prefixes.  Two vertices p_i, p_j of a
     prefix at path separation k = j - i <= floor(min_n/2) sit at cycle
@@ -333,8 +341,8 @@ def find_fat_cycle(
     comparison, d_host >= ceil(min_a*k), and it removes only subtrees that
     hold no witness, so "proven_absent" remains a proof.  The DFS order is
     kept, so the first witness returned is the one the unpruned search
-    would reach first.  nodes_used counts candidate extensions, the
-    quantity that `budget` limits, in all three exhaustive outcomes.
+    would reach first.  nodes_used is what the search charged to `budget`:
+    candidate vertices of DFS extensions, closed-walk images or swap trials.
     """
     if min_n < 3:
         raise PreconditionError("min_n must be >= 3")
@@ -349,37 +357,16 @@ def find_fat_cycle(
             images = [u, v] * (n // 2)
             return FatCycleResult(verify_embedding(dm, images), "found", 0)
     exhaustive = mode == "exhaustive" or (mode == "auto" and g.n <= EXHAUSTIVE_VERTEX_LIMIT)
+    budget = budget or Budget()
+    start = budget.spent
     if exhaustive:
-        search = _CycleSearch(g, budget, dm, min_a, min_n)
-        try:
-            for cyc in search:
-                if len(cyc) < min_n:
-                    continue
-                emb = verify_embedding(dm, cyc)
-                if emb.a >= min_a:
-                    return FatCycleResult(emb, "found", search.spent)
-        except BudgetError:
-            return FatCycleResult(None, "budget_exhausted", search.spent)
-        return FatCycleResult(None, "proven_absent", search.spent)
-    spent = 0
-    best: CycleEmbedding | None = None
-    for corners in _heuristic_candidates(g, dm, seed):
-        if spent >= budget:
-            return FatCycleResult(None, "budget_exhausted", spent)
-        images = _closed_walk_images(dm, corners)
-        spent += 1 if images is None else len(images)
-        if images is None or len(images) < max(min_n, 3):
-            continue
-        emb = verify_embedding(dm, images)
-        if emb.a >= min_a and emb.n >= min_n:
-            return FatCycleResult(emb, "found", spent)
-        if best is None or emb.a > best.a:
-            best = emb
-    if best is not None and best.a > 0 and spent < budget:
-        images, extra = _improve_locally(g, dm, list(best.images), budget - spent)
-        spent += extra
-        emb = verify_embedding(dm, images)
-        if emb.a >= min_a and emb.n >= min_n:
-            return FatCycleResult(emb, "found", spent)
-    outcome = "budget_exhausted" if spent >= budget else "not_found"
-    return FatCycleResult(None, outcome, spent)
+        cycles = (cyc for cyc in _CycleSearch(g, budget, dm, min_a, min_n) if len(cyc) >= min_n)
+        embeddings = (verify_embedding(dm, cyc) for cyc in cycles)
+    else:
+        embeddings = _heuristic_embeddings(g, dm, min_n, seed, budget)
+    try:
+        emb = next((e for e in embeddings if e.a >= min_a), None)
+        outcome = "found" if emb else "proven_absent" if exhaustive else "not_found"
+    except BudgetError:
+        emb, outcome = None, "budget_exhausted"
+    return FatCycleResult(emb, outcome, budget.spent - start)

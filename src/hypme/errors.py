@@ -1,9 +1,13 @@
-"""Exception taxonomy shared across the toolkit.
+"""Exception taxonomy shared across the toolkit, and the work budget.
 
 The CLI maps these onto exit codes: parse/precondition/budget failures are
 ordinary errors (exit 1), while MathCheckError marks a violated mathematical
-invariant (exit 2) so CI can tell broken math from broken IO.
+invariant (exit 2) so CI can tell broken math from broken IO.  One `Budget`
+bounds the work of a run, counted in group elements (per BFS level),
+identity-check cases and candidate vertices of the fat-cycle search.
 """
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class HypmeError(Exception):
@@ -24,6 +28,23 @@ class PreconditionError(HypmeError):
 
 class BudgetError(HypmeError):
     pass
+
+
+class Budget:
+    """The work a run may do: `limit` units, of which `spent` are used."""
+
+    def __init__(self, limit: int = DEFAULT_BUDGET):
+        self.limit = limit
+        self.spent = 0
+
+    def charge(self, what: str, amount: int = 1, *, by: str) -> None:
+        """Spend `amount` units of `what` for `by`; past the limit, raise BudgetError."""
+        if self.spent + amount > self.limit:
+            raise BudgetError(
+                f"{by} needs {amount} {what}, over the budget of {self.limit} with "
+                f"{self.spent} already spent; raise --budget or HYPME_BUDGET"
+            )
+        self.spent += amount
 
 
 class MathCheckError(HypmeError):

@@ -27,11 +27,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, ParseError, PreconditionError
+from .errors import Budget, ParseError, PreconditionError
 from .graphs import Graph, make_graph
 from .rational import FracInterval, ln_lower, ln_upper
-
-DEFAULT_BALL_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -636,20 +634,21 @@ class CayleyBall:
     group: MarkedGroup
 
 
-def sphere_levels(group: MarkedGroup, gens, max_elements: int, what: str):
+def sphere_levels(group: MarkedGroup, gens, budget: Budget | None = None):
     """Yield (depth, level) for depth 0, 1, 2, ...: the elements of word
     length exactly `depth` over `gens`, sorted by `group.to_word`.
 
     `gens` must be symmetric (closed under inverses), so every neighbour of
     a level-d element lies in level d-1, d or d+1 and two levels suffice to
     tell new elements from old.  Past the end of a finite group the levels
-    are empty.  Once more than `max_elements` elements have been found,
-    raises BudgetError naming `what` and the radius.  Stop iterating at the
-    last level needed: the next one is computed only when asked for.
+    are empty.  Each level is charged to `budget` as group elements before
+    it is yielded.  Stop iterating at the last level needed: the next one is
+    computed only when asked for.
     """
+    budget = budget or Budget()
+    budget.charge("group elements at radius 0", 1, by="a group BFS")
     prev: set = set()
     curr = {group.identity()}
-    total = 1
     yield 0, [group.identity()]
     for depth in itertools.count(1):
         nxt = set()
@@ -658,12 +657,8 @@ def sphere_levels(group: MarkedGroup, gens, max_elements: int, what: str):
                 h = group.multiply(g, s)
                 if h not in prev and h not in curr:
                     nxt.add(h)
-        total += len(nxt)
-        if total > max_elements:
-            raise BudgetError(
-                f"{what} {max_elements} exceeded at radius {depth} "
-                f"(radius {depth - 1} completed)"
-            )
+        what = f"group elements at radius {depth} (radius {depth - 1} completed)"
+        budget.charge(what, len(nxt), by="a group BFS")
         prev, curr = curr, nxt
         yield depth, sorted(nxt, key=group.to_word)
 
@@ -672,14 +667,14 @@ def bfs_growth_table(
     group: MarkedGroup,
     radius: int,
     gens=None,
-    max_elements: int = DEFAULT_BALL_BUDGET,
+    budget: Budget | None = None,
 ) -> GrowthTable:
     """Growth table from BFS counting only (memory stays at two levels)."""
     if gens is None:
         gens = [g for _, g in group.symmetric_generators()]
     vols = []
     total = 0
-    for depth, level in sphere_levels(group, gens, max_elements, "ball budget"):
+    for depth, level in sphere_levels(group, gens, budget):
         total += len(level)
         vols.append(total)
         if depth >= radius:
@@ -691,7 +686,7 @@ def ball(
     group: MarkedGroup,
     radius: int,
     gens=None,
-    max_elements: int = DEFAULT_BALL_BUDGET,
+    budget: Budget | None = None,
 ) -> CayleyBall:
     """Exact Cayley ball B(e, radius): elements, word lengths, ball graph, growth."""
     if radius < 0:
@@ -701,7 +696,7 @@ def ball(
     elements = []
     lengths = []
     vols = []
-    for depth, level in sphere_levels(group, gens, max_elements, "ball budget"):
+    for depth, level in sphere_levels(group, gens, budget):
         elements.extend(level)
         lengths.extend([depth] * len(level))
         vols.append(len(elements))

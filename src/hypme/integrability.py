@@ -70,7 +70,8 @@ class IntegrabilityFunction:
         if self.exact:
             return x
         if self.family == "exp_power":
-            return outward(lambda y, p: iv.exp(y**p), x, e)
+            # exp(x^e) has about 1.44 x^e integer bits; 2 x^e more keep the grid tight
+            return outward(lambda y, p: iv.exp(y**p), x, e, extra_bits=2 * int(x ** float(e)))
         return outward(lambda y, p: y**p, x, e)
 
     # --- interval API -----------------------------------------------------------

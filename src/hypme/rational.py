@@ -225,7 +225,8 @@ class FracInterval:
         return outward(iv.exp, self, extra_bits=2 * int(max(-self.lo, self.hi, 0)), bits=bits)
 
     def pow_rational(self, e: Fraction) -> "FracInterval":
-        """x^e for positive x; exact for integer e, else via exp(e ln x)."""
+        """x^e for positive x; exact for integer e and for a point x whose
+        power is rational, else one outward-rounded step."""
         e = Fraction(e)
         if e == 0:
             return FracInterval(1)
@@ -236,7 +237,9 @@ class FracInterval:
             return FracInterval(1) / self.pow_rational(-e)
         if self.lo <= 0:
             raise ValueError("fractional powers need a positive interval")
-        return (self.ln() * e).exp()
+        if self.lo == self.hi and (root := exact_root(self.lo, e.denominator)) is not None:
+            return FracInterval(root**e.numerator)
+        return outward(lambda x, p: x**p, self, e)
 
     def definitely_less(self, other) -> bool:
         other = _as_interval(other)

@@ -14,6 +14,7 @@ import pytest
 
 from hypme.integrability import exp_power, poly_plus, power
 from hypme.rational import FracInterval, exp_bounds, ln_bounds, log2_upper, lower, upper
+from hypme.rigidity import Schedule
 
 REF_BITS = 2000
 
@@ -119,6 +120,23 @@ def test_exp_power_at_24():
     lo, hi = exp_power(1, 8).value(Fraction(3))
     assert lo < hi
     assert brackets(lo, hi, lambda: mpmath.exp(24))
+
+
+def test_exp_power_extra_bits_for_large_values():
+    # exp(100) is about 2**144: at a fixed 128 bits the bracket was 2**49 grid steps wide
+    lo, hi = exp_power(2).value(Fraction(10))
+    assert hi - lo == Fraction(1, 2**32)
+    assert brackets(lo, hi, lambda: mpmath.exp(100))
+
+
+def test_pow_rational_in_one_step():
+    # r(4) = 4**(1/2) is exactly 2, so condition (5) takes Vol(2) there
+    assert Schedule("pow", exponent=Fraction(1, 2)).value(4) == FracInterval(2)
+    # 10**(5/2) is irrational: one outward step is one grid step wide, where
+    # rounding ln x and then exp(e ln x) to the grid gave 792 steps
+    p = FracInterval(10).pow_rational(Fraction(5, 2))
+    assert p.hi - p.lo == Fraction(1, 2**32)
+    assert brackets_power(p.lo, p.hi, Fraction(10), Fraction(5, 2))
 
 
 def test_exact_algebraic_values_stay_on_the_grid():

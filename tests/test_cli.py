@@ -123,19 +123,30 @@ class TestExitCodes:
     def test_coset_enumeration_capped_below_general_budget(self, tmp_path, monkeypatch):
         # the general budget (10M by default) would let sympy define millions
         # of cosets for an infinite index that passes the rank check
+        from sympy.combinatorics import fp_groups
+
         seen = []
-        build = coupling._build_coset_table
+        enumerate_cosets = fp_groups.coset_enumeration_r
 
-        def spy(group, words, max_cosets):
+        def spy(fp, subgroup, max_cosets, **kwargs):
             seen.append(max_cosets)
-            return build(group, words, max_cosets)
+            return enumerate_cosets(fp, subgroup, max_cosets=max_cosets, **kwargs)
 
-        monkeypatch.setattr(coupling, "_build_coset_table", spy)
+        monkeypatch.setattr(fp_groups, "coset_enumeration_r", spy)
         monkeypatch.delenv("HYPME_BUDGET", raising=False)
         spec = write_spec(tmp_path, F2_SPEC)
         assert run(tmp_path, "coupling-build", "--spec", spec)[0] == 0
         assert run(tmp_path, "coupling-build", "--spec", spec, "--budget", "500")[0] == 0
         assert seen == [coupling.DEFAULT_COSET_BUDGET, 500]
+
+    def test_claim_check_schreier_ball_under_budget(self, tmp_path, capsys):
+        # the sweep's Schreier BFS reaches 937 elements at lambda radius 4
+        spec = write_spec(tmp_path, F2_SPEC)
+        code, doc = run(tmp_path, "claim-check", "--spec", spec, "--lambda-radius", "4",
+                        "--budget", "500")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "group elements at radius 4" in err and "--budget or HYPME_BUDGET" in err
 
     def test_infinite_index_names_the_coset_cap(self, tmp_path, capsys):
         # <a> in C2*C3 has infinite index, yet the abelianization has rank 0

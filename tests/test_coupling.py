@@ -24,7 +24,7 @@ from hypme.coupling import (
     subgroup_coupling,
     validate_strengthened,
 )
-from hypme.errors import BudgetError, PreconditionError
+from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, power
 from hypme.rational import matrix_rank
@@ -111,7 +111,7 @@ class TestSubgroupCoupling:
         # <a, bab^-1> in C2*C3 has infinite index but full abelian rank (0)
         g = parse_group("C2*C3")
         with pytest.raises(BudgetError):
-            subgroup_coupling(g, ["a"], max_cosets=300)
+            subgroup_coupling(g, ["a"], budget=Budget(300))
 
     def test_from_spec_json(self):
         spec = json.dumps(
@@ -220,11 +220,11 @@ class TestLambdaMetric:
     def test_budget_names_radius(self, f2, f2_coupling):
         # the rank-3 free subgroup has 7 elements within radius 1 and 37 within 2
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
-            f2_coupling.lambda_ball(4, max_elements=20)
+            f2_coupling.lambda_ball(4, Budget(20))
         aaaaaa = f2.parse_word("aaaaaa")  # (aa)^3: Schreier length 3
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
-            f2_coupling.lambda_lengths({aaaaaa}, max_elements=20)
-        assert f2_coupling.lambda_lengths({aaaaaa}, max_elements=187)[aaaaaa] == 3
+            f2_coupling.lambda_lengths({aaaaaa}, Budget(20))
+        assert f2_coupling.lambda_lengths({aaaaaa}, Budget(187))[aaaaaa] == 3
 
 
 class TestProjections:
@@ -470,7 +470,7 @@ class TestClaimSweepOracle:
     def test_failure_order_pinned(self, case, monkeypatch):
         # with a tiny K every evaluation fails, so `failures` lists every
         # displacement, in the order of first occurrence among the pairs
-        monkeypatch.setattr(coupling, "_k_constant", lambda c, phi: Fraction(1, 10**6))
+        monkeypatch.setattr(coupling, "_k_constant", lambda c, phi, budget=None: Fraction(1, 10**6))
         c = sweep_coupling(*case)
         phis = [power(1), power(2)]
         for lambda_radius in (1, 2, 3):
@@ -489,21 +489,23 @@ class TestClaimSweepOracle:
 
     def test_gamma_ball_budget(self, f2_coupling):
         # B_Gamma(3) of F2 has 53 elements
-        with pytest.raises(BudgetError, match="claim sweep ball budget 50"):
-            claim_bound_sweep(f2_coupling, 2, [1, 3], [power(1)], max_elements=50)
+        with pytest.raises(BudgetError, match=r"radius 3 \(radius 2 completed\), over the budget of 50"):
+            claim_bound_sweep(f2_coupling, 2, [1, 3], [power(1)], Budget(50))
 
 
 class TestBIdentityBudget:
     def test_refuses_before_the_first_case(self, f2_coupling):
-        # |B_lambda(2)| = 37 in the rank-3 free subgroup: 1369 cases
-        assert check_b_identity(f2_coupling, 2, max_cases=1369).cases == 1369
+        # |B_lambda(2)| = 37 in the rank-3 free subgroup: 1369 cases, charged
+        # after the 37 group elements of the ball
+        assert check_b_identity(f2_coupling, 2, Budget(37 + 1369)).cases == 1369
         with pytest.raises(BudgetError, match="needs 1369 cases.*--budget or HYPME_BUDGET"):
-            check_b_identity(f2_coupling, 2, max_cases=1368)
+            check_b_identity(f2_coupling, 2, Budget(37 + 1368))
 
 
 class TestCocycleIdentityBudget:
     def test_refuses_before_the_first_case(self, f2_coupling):
-        # |X_lambda| = 2 and |B_gamma(3)| = 53 in F2: 2 * 53^2 = 5618 cases
-        assert check_cocycle_identity(f2_coupling, 3, max_cases=5618).cases == 5618
+        # |X_lambda| = 2 and |B_gamma(3)| = 53 in F2: 2 * 53^2 = 5618 cases,
+        # charged after the 53 group elements of the ball
+        assert check_cocycle_identity(f2_coupling, 3, Budget(53 + 5618)).cases == 5618
         with pytest.raises(BudgetError, match="needs 5618 cases.*--budget or HYPME_BUDGET"):
-            check_cocycle_identity(f2_coupling, 3, max_cases=5617)
+            check_cocycle_identity(f2_coupling, 3, Budget(53 + 5617))

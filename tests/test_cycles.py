@@ -12,7 +12,7 @@ from hypme.cycles import (
     obstruction_bound,
     verify_embedding,
 )
-from hypme.errors import BudgetError, PreconditionError
+from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.graphs import (
     cycle_graph,
     distance_matrix,
@@ -179,7 +179,7 @@ class TestEnumerateCycles:
     def test_budget_error(self):
         g = make_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
         with pytest.raises(BudgetError):
-            list(enumerate_simple_cycles(g, budget=10))
+            list(enumerate_simple_cycles(g, budget=Budget(10)))
 
 
 class TestFindFatCycle:
@@ -285,9 +285,9 @@ class TestPrunedExhaustiveSearch:
         g = grid_graph(6, 6)
         dm = distance_matrix(g)
         found = find_fat_cycle(g, dm, Fraction(1, 2), 20)
-        exact = find_fat_cycle(g, dm, Fraction(1, 2), 20, budget=found.nodes_used)
+        exact = find_fat_cycle(g, dm, Fraction(1, 2), 20, budget=Budget(found.nodes_used))
         assert exact == found
-        short = find_fat_cycle(g, dm, Fraction(1, 2), 20, budget=found.nodes_used - 1)
+        short = find_fat_cycle(g, dm, Fraction(1, 2), 20, budget=Budget(found.nodes_used - 1))
         assert short.outcome == "budget_exhausted"
         assert short.nodes_used == found.nodes_used - 1
 
@@ -296,11 +296,24 @@ class TestPrunedExhaustiveSearch:
         absent = find_fat_cycle(h, dh, Fraction(1, 3), h.n + 1, mode="exhaustive")
         assert absent.outcome == "proven_absent" and absent.nodes_used > 0
         exact = find_fat_cycle(h, dh, Fraction(1, 3), h.n + 1, mode="exhaustive",
-                               budget=absent.nodes_used)
+                               budget=Budget(absent.nodes_used))
         assert exact == absent
         short = find_fat_cycle(h, dh, Fraction(1, 3), h.n + 1, mode="exhaustive",
-                               budget=absent.nodes_used - 1)
+                               budget=Budget(absent.nodes_used - 1))
         assert (short.outcome, short.nodes_used) == ("budget_exhausted", absent.nodes_used - 1)
+
+    def test_heuristic_stays_within_the_budget(self):
+        # grid 9x9 (n = 81) takes the heuristic path; its first closed walk
+        # has 32 vertices, so every smaller limit must refuse that walk
+        g = grid_graph(9, 9)
+        dm = distance_matrix(g)
+        found = find_fat_cycle(g, dm, Fraction(1, 2), 32)
+        assert found.outcome == "found"
+        for limit in range(1, found.nodes_used):
+            short = find_fat_cycle(g, dm, Fraction(1, 2), 32, budget=Budget(limit))
+            assert short.outcome == "budget_exhausted", limit
+            assert short.nodes_used <= limit
+        assert find_fat_cycle(g, dm, Fraction(1, 2), 32, budget=Budget(found.nodes_used)) == found
 
 
 class TestSoundnessSweepSmall:

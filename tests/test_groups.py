@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypme.errors import BudgetError, ParseError
+from hypme.errors import Budget, BudgetError, ParseError
 from hypme.groups import (
     Cyclic,
     DirectProduct,
@@ -128,7 +128,7 @@ class TestBalls:
     @pytest.mark.parametrize("spec", SERIES_SPECS + ["F2xC2"])
     def test_bfs_matches_closed_form(self, spec):
         g = parse_group(spec)
-        t = bfs_growth_table(g, 6, max_elements=30_000)  # F3 has the largest ball, 23,437
+        t = bfs_growth_table(g, 6, budget=Budget(30_000))  # F3 has the largest ball, 23,437
         assert list(t.values) == [g.volume(n) for n in range(7)]
         spheres = [b - a for a, b in zip(t.values, t.values[1:])]
         assert [g.sphere_size(n) for n in range(1, 7)] == spheres
@@ -160,7 +160,7 @@ class TestBalls:
 
     def test_budget_names_radius(self):
         with pytest.raises(BudgetError, match="radius 3"):
-            bfs_growth_table(parse_group("F2"), 8, max_elements=40)
+            bfs_growth_table(parse_group("F2"), 8, budget=Budget(40))
 
     @pytest.mark.parametrize("spec, radius", [("F2", 5), ("Z^2", 6), ("C2*C3", 7), ("C3xC4", 8)])
     def test_growth_table_matches_ball(self, spec, radius):
