@@ -33,6 +33,7 @@ from .hyperbolicity import (
     EXACT_CUTOFF,
     hyperbolicity_report,
     sampled_hyperbolicity,
+    thin_triangle_delta,
 )
 from .cycles import check_obstruction, find_fat_cycle, CycleEmbedding, verify_embedding
 from .groups import ball, bfs_growth_table, entropy_estimate, parse_group
@@ -182,8 +183,7 @@ def cmd_check_obstruction(args, budget):
         if not all(0 <= v < host.n for v in emb.images):
             raise ParseError(f"embedding image vertex out of range for a host with {host.n} vertices")
         dm = distance_matrix(host)
-        rep = hyperbolicity_report(host, dm)
-        delta = rep.delta_thin + 2
+        delta = thin_triangle_delta(host, dm)[0] + 2
         delta_source = "thin_triangle_plus_slack_2"
         emb = verify_embedding(dm, list(emb.images))  # re-verify against the host
     report = check_obstruction(emb, delta)
@@ -309,10 +309,9 @@ def cmd_threshold(args, budget):
     group = parse_group(args.group)
     b = ball(group, args.ball_radius, budget=budget)
     dm = distance_matrix(b.graph)
-    hyp = hyperbolicity_report(b.graph, dm)
     est = entropy_estimate(b.growth)
     rep = threshold_p(
-        hyp.delta_thin,
+        thin_triangle_delta(b.graph, dm)[0],
         est.declared.entropy.hi,
         provenance={
             "delta_source": f"thin_triangle on ball radius {args.ball_radius} (lower bound for the group)",

@@ -198,6 +198,7 @@ class Coupling:
         return self.sub.index
 
     def gamma_multiply(self, p, q):
+        """The product of gamma points; with q a point (g, i), the gamma action."""
         return (self.group.multiply(p[0], q[0]), (p[1] + q[1]) % self.fiber_count)
 
     def gamma_inverse(self, p):
@@ -229,10 +230,6 @@ class Coupling:
         return out
 
     # --- actions -------------------------------------------------------------
-
-    def gamma_act(self, p, point):
-        g, i = point
-        return (self.group.multiply(p[0], g), (p[1] + i) % self.fiber_count)
 
     def lambda_act(self, lam, point):
         g, i = point
@@ -272,32 +269,18 @@ class Coupling:
     # --- cocycles ---------------------------------------------------------------
 
     def alpha(self, p, point):
-        """The unique subgroup element returning p * point to X_lambda."""
-        if not isinstance(p, tuple) or len(p) != 2 or not isinstance(p[1], int):
-            p = (p, 0)
+        """The unique subgroup element returning the gamma point p times point
+        to X_lambda."""
         if not self.in_x_lambda(point):
             raise PreconditionError("alpha requires a point of X_lambda")
-        g, i = point
-        target = self.group.multiply(p[0], g)
-        j = (p[1] + i) % self.fiber_count
-        t = self.sub.rep(target)
-        return self.group.multiply(
-            self.fibers[j], self.group.multiply(self.group.inverse(t), target)
-        )
+        moved = self.gamma_multiply(p, point)
+        return self.group.multiply(self.group.inverse(self.x_lambda_rep(moved)[0]), moved[0])
 
     def induced_gamma(self, p, point):
-        """gamma . x: the shadow of the gamma action on X_lambda."""
-        if not isinstance(p, tuple) or len(p) != 2 or not isinstance(p[1], int):
-            p = (p, 0)
+        """gamma . x for a gamma point p: the shadow of the gamma action on X_lambda."""
         if not self.in_x_lambda(point):
             raise PreconditionError("induced action requires a point of X_lambda")
-        g, i = point
-        target = self.group.multiply(p[0], g)
-        j = (p[1] + i) % self.fiber_count
-        return (
-            self.group.multiply(self.sub.rep(target), self.group.inverse(self.fibers[j])),
-            j,
-        )
+        return self.x_lambda_rep(self.gamma_multiply(p, point))
 
     def beta(self, lam, point):
         """The unique gamma-side element returning lambda * point to X_gamma."""
@@ -500,8 +483,8 @@ def check_actions_commute(
         lam = rng.choice(lams)
         w = rng.choice(points)
         cases += 1
-        one = c.lambda_act(lam, c.gamma_act(p, w))
-        two = c.gamma_act(p, c.lambda_act(lam, w))
+        one = c.lambda_act(lam, c.gamma_multiply(p, w))
+        two = c.gamma_multiply(p, c.lambda_act(lam, w))
         if one != two:
             bad += 1
     return CheckReport.of("actions_commute", cases, bad, radius=radius)
@@ -539,7 +522,7 @@ def check_fundamental_domains(c: Coupling, radius: int, budget: Budget | None = 
     for p in c.gamma_ball(radius, budget):
         for x in c.x_gamma:
             cases += 1
-            pt = c.gamma_act(p, x)
+            pt = c.gamma_multiply(p, x)
             if pt in seen:
                 bad += 1
             seen[pt] = (p, x)
@@ -716,8 +699,7 @@ def coboundedness_witness(c: Coupling):
 def required_translate(c: Coupling, point):
     """The unique f with point in f * X_lambda."""
     g = c.group
-    x, i = point
-    return g.multiply(g.inverse(x), g.multiply(c.sub.rep(x), g.inverse(c.fibers[i])))
+    return g.multiply(g.inverse(point[0]), c.x_lambda_rep(point)[0])
 
 
 def strengthen_coboundedness(c: Coupling, F) -> Coupling:

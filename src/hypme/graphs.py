@@ -6,7 +6,7 @@ geodesic point sets are computed from the distance matrix alone, and paths
 are explicit vertex sequences.
 
 Conventions:
-    - vertices are dense integers 0..n-1 (labels are kept only for reports);
+    - vertices are dense integers 0..n-1;
     - the distance matrix is a full int32 numpy array, built by a
       multi-source bitset BFS that runs all n searches level by level; it
       takes 4n^2 bytes, so distance_matrix refuses graphs above MAX_VERTICES
@@ -39,7 +39,6 @@ class Graph:
 
     n: int
     edges: frozenset[tuple[int, int]]  # each pair sorted (u < v)
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -49,8 +48,6 @@ class Graph:
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={self.n}")
             if u > v:
                 raise PreconditionError("edges must be stored as sorted pairs")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise PreconditionError("label count must equal vertex count")
 
     @property
     def m(self) -> int:
@@ -76,9 +73,9 @@ class Graph:
         return len(_component(self.adjacency(), 0)) == self.n
 
 
-def make_graph(n: int, edges, labels=None) -> Graph:
+def make_graph(n: int, edges) -> Graph:
     canon = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    return Graph(n=n, edges=canon, labels=tuple(labels) if labels else None)
+    return Graph(n=n, edges=canon)
 
 
 def _component(adj: list[list[int]], start: int) -> set[int]:

@@ -9,11 +9,20 @@ Two constants are computed over the exact distance matrix:
   - the four-point constant: max over quadruples of (L1-L2)/2 where
     L1 >= L2 >= L3 are the three pair-sum distances; an exact half-integer.
 
-Both scans use exact integer arithmetic and return Fractions.  The
-exhaustive kernels are O(n^3)/O(n^4) and refuse n > EXACT_CUTOFF unless
-forced; above that a seeded uniform sample gives a certified lower bound,
-labeled as such in the report.  Like graphs, the module imports numpy
-only inside the functions that use it.
+The thin-triangle scan reads, for each vertex v, the table
+N_v[w, y] = d(y, G(v, w)).  G(v, w) is w together with G(v, u) for every
+neighbour u of w one step closer to v, so N_v starts as the distance matrix
+and, taking w in order of nondecreasing d(v, w),
+
+    N_v[w] = min(N_v[w], min over those u of N_v[u]),
+
+which costs O(m*n) per table and O(m*n^2) for all n of them, kept in
+2n^3 bytes.  The (a, b) scan over those tables and the four-point scan are
+O(n^4) at worst.  Both scans use exact integer arithmetic and return
+Fractions, and both refuse n > EXACT_CUTOFF unless forced; above that a
+seeded uniform sample gives a certified lower bound, labeled as such in
+the report.  Like graphs, the module imports numpy only inside the
+functions that use it.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 EXACT_CUTOFF = 600
-_CHUNK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -47,20 +55,17 @@ def _witness(thin: tuple[tuple[int, int, int], int], four: tuple[int, int, int, 
     return {"thin_triple": thin[0], "thin_vertex": thin[1], "four_point": four}
 
 
-def _nearest_to_geodesics(dm: DistanceMatrix, v: int) -> np.ndarray:
-    """Table N[w, y] = d(y, G(v, w)) for all w, y, as int16."""
+def _nearest_to_geodesics(dm: DistanceMatrix, v: int, nbrs: list[np.ndarray]) -> np.ndarray:
+    """Table N[w, y] = d(y, G(v, w)) for all w, y, as int16, by the geodesic
+    recurrence of the module docstring; nbrs[w] is the neighbour array of w."""
     import numpy as np
 
-    d = dm.d
-    n = dm.n
-    big = np.int32(1 << 20)
-    out = np.empty((n, n), dtype=np.int16)
-    rows_per_chunk = max(1, _CHUNK_BYTES // (4 * n * n))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(n, start + rows_per_chunk)
-        mask = d[v][None, :] + d[start:stop, :] == d[v, start:stop][:, None]
-        masked = np.where(mask[:, None, :], d[None, :, :], big)
-        out[start:stop] = masked.min(axis=2).astype(np.int16)
+    dv = dm.d[v]
+    out = dm.d.astype(np.int16)
+    # w = v comes first and has no predecessor; every later w has one
+    for w in np.argsort(dv, kind="stable")[1:]:
+        pred = nbrs[w][dv[nbrs[w]] == dv[w] - 1]
+        np.minimum(out[w], out[pred].min(axis=0), out=out[w])
     return out
 
 
@@ -91,7 +96,8 @@ def thin_triangle_delta(
         )
     import numpy as np
 
-    near = [_nearest_to_geodesics(dm, v) for v in range(n)]
+    nbrs = [np.array(row, dtype=np.intp) for row in g.adjacency()]
+    near = [_nearest_to_geodesics(dm, v, nbrs) for v in range(n)]
     best = -1
     witness = ((0, 0, 1), 0)
     for a in range(n):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from mpmath import iv
 
 from .errors import ParseError, PreconditionError
-from .rational import FracInterval, exact_root, format_fraction, outward, parse_fraction
+from .rational import FracInterval, exact_root, exp_extra_bits, format_fraction, outward, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class IntegrabilityFunction:
         if self.exact:
             return x
         if self.family == "exp_power":
-            # exp(x^e) has about 1.44 x^e integer bits; 2 x^e more keep the grid tight
-            return outward(lambda y, p: iv.exp(y**p), x, e, extra_bits=2 * int(x ** float(e)))
+            return outward(lambda y, p: iv.exp(y**p), x, e, extra_bits=exp_extra_bits(x ** float(e)))
         return outward(lambda y, p: y**p, x, e)
 
     # --- interval API -----------------------------------------------------------

@@ -91,8 +91,9 @@ def exact_root(x: Fraction, n: int) -> Fraction | None:
     return Fraction(*roots)
 
 
-def outward(fn, *args, extra_bits: int = 0, bits: int = LOG_PRECISION_BITS) -> "FracInterval":
-    """Certified bracket of fn(*args), rounded outward to multiples of 2**-bits.
+def outward(fn, *args, extra_bits: int = 0) -> "FracInterval":
+    """Certified bracket of fn(*args), rounded outward to multiples of
+    2**-LOG_PRECISION_BITS.
 
     Each argument, a Fraction or a FracInterval, enters mpmath's interval
     context as the narrowest interval of the working precision that contains
@@ -102,7 +103,7 @@ def outward(fn, *args, extra_bits: int = 0, bits: int = LOG_PRECISION_BITS) -> "
     """
     xs = [_as_interval(a) for a in args]
     size = max((k.bit_length() for x in xs for e in x for k in e.as_integer_ratio()), default=0)
-    prec = max(MIN_PRECISION_BITS, size + bits + 64) + extra_bits
+    prec = max(MIN_PRECISION_BITS, size + LOG_PRECISION_BITS + 64) + extra_bits
     old = iv.prec
     iv.prec = prec
     try:
@@ -116,41 +117,47 @@ def outward(fn, *args, extra_bits: int = 0, bits: int = LOG_PRECISION_BITS) -> "
         lo, hi = (Fraction(*to_rational(end)) for end in value._mpi_)
     finally:
         iv.prec = old
-    scale = 2**bits
+    scale = 2**LOG_PRECISION_BITS
     return FracInterval(Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale))
 
 
-def log2_upper(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
+def exp_extra_bits(v) -> int:
+    """Working bits, beyond outward's, that keep a bracket of exp(x) for
+    |x| <= v grid-tight: exp(v) has about v*log2(e) integer bits."""
+    return max(0, math.ceil(v * math.log2(math.e)))
+
+
+def log2_upper(x: Fraction) -> Fraction:
     """Rational upper bound on log2(x), exact for powers of two.
 
-    Non-exact results are rounded up to a multiple of 2**-bits.
+    Non-exact results are rounded up to a multiple of 2**-LOG_PRECISION_BITS.
     """
     exact = exact_log2(x)
     if exact is not None:
         return exact
-    return outward(lambda y: iv.log(y) / iv.log(2), x, bits=bits).hi
+    return outward(lambda y: iv.log(y) / iv.log(2), x).hi
 
 
-def ln_bounds(x: Fraction, bits: int = LOG_PRECISION_BITS) -> tuple[Fraction, Fraction]:
+def ln_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on ln(x), exact for x = 1."""
     if x <= 0:
         raise ValueError("ln requires a positive argument")
-    return tuple(outward(iv.log, x, bits=bits))
+    return tuple(outward(iv.log, x))
 
 
-def ln_lower(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
+def ln_lower(x: Fraction) -> Fraction:
     """Rational lower bound on ln(x)."""
-    return ln_bounds(x, bits)[0]
+    return ln_bounds(x)[0]
 
 
-def ln_upper(x: Fraction, bits: int = LOG_PRECISION_BITS) -> Fraction:
+def ln_upper(x: Fraction) -> Fraction:
     """Rational upper bound on ln(x)."""
-    return ln_bounds(x, bits)[1]
+    return ln_bounds(x)[1]
 
 
-def exp_bounds(x: Fraction, bits: int = LOG_PRECISION_BITS) -> tuple[Fraction, Fraction]:
+def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on exp(x), exact for x = 0."""
-    return tuple(FracInterval(x).exp(bits))
+    return tuple(FracInterval(x).exp())
 
 
 class FracInterval:
@@ -215,14 +222,13 @@ class FracInterval:
     def __rtruediv__(self, other):
         return _as_interval(other) / self
 
-    def ln(self, bits: int = LOG_PRECISION_BITS) -> "FracInterval":
+    def ln(self) -> "FracInterval":
         if self.lo <= 0:
             raise ValueError("ln requires a positive interval")
-        return outward(iv.log, self, bits=bits)
+        return outward(iv.log, self)
 
-    def exp(self, bits: int = LOG_PRECISION_BITS) -> "FracInterval":
-        # exp(x) has about 1.44 |x| integer bits; 2 |x| more keep the grid tight
-        return outward(iv.exp, self, extra_bits=2 * int(max(-self.lo, self.hi, 0)), bits=bits)
+    def exp(self) -> "FracInterval":
+        return outward(iv.exp, self, extra_bits=exp_extra_bits(max(-self.lo, self.hi)))
 
     def pow_rational(self, e: Fraction) -> "FracInterval":
         """x^e for positive x; exact for integer e and for a point x whose

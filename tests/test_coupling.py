@@ -129,16 +129,28 @@ class TestCocycles:
     def test_alpha_examples(self, f2, f2_coupling):
         c = f2_coupling
         e, a = f2.identity(), f2.parse_word("a")
-        assert c.alpha(a, (e, 0)) == e
-        assert c.alpha(a, (a, 0)) == f2.parse_word("aa")
-        assert c.alpha(e, (a, 0)) == e
+        assert c.alpha((a, 0), (e, 0)) == e
+        assert c.alpha((a, 0), (a, 0)) == f2.parse_word("aa")
+        assert c.alpha((e, 0), (a, 0)) == e
 
     def test_alpha_of_generators_are_schreier_generators(self, f2, f2_coupling):
         c = f2_coupling
         for _, s in f2.symmetric_generators():
             for x in c.x_lambda_points():
-                val = c.alpha(s, x)
+                val = c.alpha((s, 0), x)
                 assert f2.is_identity(val) or val in c.sub.schreier_generators
+
+    def test_alpha_returns_the_induced_point_on_z2(self, z2_coupling):
+        # Z^2 elements are pairs of ints, so a bare element would look like a
+        # gamma point; alpha and induced_gamma take gamma points (g, 0) only
+        c = z2_coupling
+        for _, s in c.group.symmetric_generators():
+            for x in c.x_lambda_points():
+                lam = c.alpha((s, 0), x)
+                assert c.sub.contains(lam)
+                moved = c.gamma_multiply((s, 0), x)
+                assert c.lambda_act(lam, moved) == c.induced_gamma((s, 0), x)
+                assert c.in_x_lambda(c.induced_gamma((s, 0), x))
 
     def test_beta_is_conjugation_by_base_point(self, f2):
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="a")
@@ -151,9 +163,9 @@ class TestCocycles:
     def test_cocycle_domain_errors(self, f2, f2_coupling):
         c = f2_coupling
         a = f2.parse_word("a")
-        assert c.alpha(a, (a, 0)) == f2.parse_word("aa")
+        assert c.alpha((a, 0), (a, 0)) == f2.parse_word("aa")
         with pytest.raises(PreconditionError):
-            c.alpha(a, (f2.parse_word("aa"), 0))  # aa not in T
+            c.alpha((a, 0), (f2.parse_word("aa"), 0))  # aa not in T
         with pytest.raises(PreconditionError):
             c.beta(a, c.x_gamma[0])  # a is not in the subgroup
 
@@ -275,12 +287,12 @@ class TestIntegrability:
         best = Fraction(0)
         ref_lengths = independent_word_lengths(
             f2, list(f2_coupling.sub.schreier_generators),
-            [f2_coupling.alpha(s, x) for _, s in f2.symmetric_generators()
+            [f2_coupling.alpha((s, 0), x) for _, s in f2.symmetric_generators()
              for x in f2_coupling.x_lambda_points()],
         )
         for _, s in f2.symmetric_generators():
             total = sum(
-                Fraction(ref_lengths[f2_coupling.alpha(s, x)])
+                Fraction(ref_lengths[f2_coupling.alpha((s, 0), x)])
                 for x in f2_coupling.x_lambda_points()
             )
             best = max(best, total)
@@ -307,7 +319,7 @@ class TestIntegrability:
         c = f2_coupling
         extra = f2.parse_word("aabb")
         bigger = list(c.sub.schreier_generators) + [extra, f2.inverse(extra)]
-        targets = [c.alpha(s, x) for _, s in f2.symmetric_generators() for x in c.x_lambda_points()]
+        targets = [c.alpha((s, 0), x) for _, s in f2.symmetric_generators() for x in c.x_lambda_points()]
         ref = independent_word_lengths(f2, bigger, targets)
         total = sum(ref[t] for t in targets)
         assert total < float("inf")

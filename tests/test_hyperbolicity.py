@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypme import hyperbolicity
@@ -23,7 +24,13 @@ from hypme.hyperbolicity import (
     verify_geodesic_path_bound,
 )
 
-from oracles import brute_four_point_numerator, brute_thin_delta, nx_distances, random_connected_graph
+from oracles import (
+    all_geodesic_vertices,
+    brute_four_point_numerator,
+    brute_thin_delta,
+    nx_distances,
+    random_connected_graph,
+)
 
 
 class TestTreeCase:
@@ -73,17 +80,40 @@ class TestSmallCycles:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+def dense_graph(rng: random.Random):
+    """A tree plus up to about n^2/4 chords: most vertices then have several
+    neighbours one step closer to a given vertex."""
+    n = rng.randrange(6, 22)
+    return random_connected_graph(rng, n, rng.randrange(n, n * n // 4 + 1))
+
+
 class TestKernelsMatchOracles:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_graphs(self, seed):
         rng = random.Random(seed)
-        g = random_connected_graph(rng, rng.randrange(4, 22), rng.randrange(0, 5))
+        sparse = random_connected_graph(rng, rng.randrange(4, 22), rng.randrange(0, 5))
+        for g in (sparse, dense_graph(rng)):
+            dm = distance_matrix(g)
+            dist = nx_distances(g)
+            dt, ((a, b, c), x) = thin_triangle_delta(g, dm)
+            d4, w4 = four_point_delta(dm)
+            assert dt == brute_thin_delta(g, dist)
+            assert thin_triangle_value(dm, a, b, c) == dt
+            assert 2 * d4 == brute_four_point_numerator(dist, g.n)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tables_match_geodesic_sets(self, seed):
+        # N_v[w, y] = d(y, G(v, w)), with G(v, w) enumerated path by path
+        rng = random.Random(200 + seed)
+        g = grid_graph(4, 5) if seed == 0 else dense_graph(rng)
         dm = distance_matrix(g)
         dist = nx_distances(g)
-        dt, wt = thin_triangle_delta(g, dm)
-        d4, w4 = four_point_delta(dm)
-        assert dt == brute_thin_delta(g, dist)
-        assert 2 * d4 == brute_four_point_numerator(dist, g.n)
+        nbrs = [np.array(row, dtype=np.intp) for row in g.adjacency()]
+        for v in range(g.n):
+            table = hyperbolicity._nearest_to_geodesics(dm, v, nbrs)
+            for w in range(g.n):
+                geo = all_geodesic_vertices(g, dist, v, w)
+                assert table[w].tolist() == [min(dist[x][y] for x in geo) for y in range(g.n)], (v, w)
 
     def test_grid_vs_oracle(self):
         g = grid_graph(5, 5)

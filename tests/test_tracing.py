@@ -1,0 +1,60 @@
+"""The benchmark's tracer still fits the functions it wraps.
+
+perfbench/tracing.py wraps hypme functions by module and name and reads
+their results and bound arguments (`g`, `dm`, `tree_hint`, `samples`, ...)
+to count work.  A renamed function or argument breaks the traced benchmark;
+this test runs one small job per counted kernel under the tracer, so such a
+rename fails here first.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hypme import cli
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+F2_SPEC = {"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": "e"}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_counted_kernel_records_its_counts(tracing, tmp_path):
+    spec = tmp_path / "f2.json"
+    spec.write_text(json.dumps(F2_SPEC))
+    jobs = [
+        ("graph-analyze", "--gen", "grid:3,3"),  # distance matrix, both exact scans
+        ("graph-analyze", "--gen", "grid:25,25", "--samples", "5"),  # n > EXACT_CUTOFF
+        ("find-cycles", "--gen", "grid:4,4", "--min-a", "1/2", "--min-n", "8"),
+        ("group-ball", "--group", "F2", "--radius", "2"),
+        ("claim-check", "--spec", str(spec), "--lambda-radius", "2", "--radii", "1"),
+        ("coupling-verify", "--spec", str(spec), "--radius", "1"),
+    ]
+    tracer = tracing.Tracer()
+    originals = {(mod, fn): getattr(sys.modules[f"hypme.{mod}"], fn) for mod, fn, _, _ in tracing.TRACED}
+    undo = tracing.install(tracer, cli)
+    try:
+        for i, argv in enumerate(jobs):
+            tracer.job = argv[0]
+            assert cli.dispatch([*argv, "--out", str(tmp_path / f"{i}.json")]) == 0, argv
+    finally:
+        tracing.uninstall(undo)
+    for (mod, fn), original in originals.items():
+        assert getattr(sys.modules[f"hypme.{mod}"], fn) is original
+    counted = {f"{mod}.{fn}" for mod, fn, _, counts in tracing.TRACED if counts is not None}
+    spans = [s for s in tracer.spans if s.name in counted]
+    assert {s.name for s in spans} == counted
+    assert all(s.counts for s in spans), [s.name for s in spans if not s.counts]
