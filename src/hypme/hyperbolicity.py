@@ -9,24 +9,65 @@ Two constants are computed over the exact distance matrix:
   - the four-point constant: max over quadruples of (L1-L2)/2 where
     L1 >= L2 >= L3 are the three pair-sum distances; an exact half-integer.
 
-The thin-triangle scan reads, for each vertex v, the table
+Both exact scans are organised in rows: a row is a vertex pair a < b and
+holds every triple (a, b, c), or every quadruple (a, b, z, w).  They visit
+the rows in one order, by nonincreasing d(a, b) with ties in lexicographic
+order (a stable argsort of the upper triangle by -d), and stop once no
+unvisited row can beat the best value found, by these bounds:
+
+  - thin-triangle: every row (a, b) scores at most floor(d(a,b)/2).  Each x
+    in G(a,b) has d(x,a) + d(x,b) = d(a,b), so one of the two is at most
+    floor(d(a,b)/2); and a lies in G(a,c), b in G(b,c).
+  - four-point: if d(x,y) + d(z,w) is the largest pair sum L1, then
+    L1 - L2 <= min(d(x,y), d(z,w)).  The other two sums add up to
+    d(x,z) + d(z,y) + d(y,w) + d(w,x) >= 2 d(x,y) by the triangle
+    inequality, so the larger one, L2, is at least d(x,y), and likewise at
+    least d(z,w).  This is the pruning of Cohen, Coudert and Lancin (ACM
+    JEA 2015); Borassi, Coudert, Crescenzi and Marino (ESA 2015) refine the
+    visit order.
+
+The witnesses are those of a scan over every row in lexicographic order that
+keeps the first strict improvement: the first row reaching the maximum, then
+its first c and first x in G(a,b), or its first (z, w) in row-major order.
+They are recovered as follows:
+
+  - thin-triangle: the pass visits rows while floor(d/2) > best, so it ends
+    with the maximum; then the rows with floor(d/2) >= best are rescanned
+    in lexicographic order, reusing the values of visited rows, up to the
+    first row that reaches the maximum.
+  - four-point: the pass visits rows while d >= best, and row (x, y)
+    scores the quadruples (x, y, z, w) over the rows (z, w) visited so far,
+    taking d(x,y) + d(z,w) as the largest sum (a score below the true value
+    where it is not).  Every quadruple that attains the maximum M has both
+    pairs of its largest sum at distance >= M, so both rows are visited and
+    the later one collects it.  The value is symmetric in the four points,
+    so the first row reaching M is the least pair of two smallest members
+    over all collected quadruples (row (0, 1) when M = 0, since every row
+    reaches 0); that one row is recomputed in full for its first (z, w).
+    No lexicographic rescan is needed.
+
+The thin-triangle row (a, b) reads the tables N_a and N_b, where
 N_v[w, y] = d(y, G(v, w)).  G(v, w) is w together with G(v, u) for every
 neighbour u of w one step closer to v, so N_v starts as the distance matrix
 and, taking w in order of nondecreasing d(v, w),
 
     N_v[w] = min(N_v[w], min over those u of N_v[u]),
 
-which costs O(m*n) per table and O(m*n^2) for all n of them, kept in
-2n^3 bytes.  The (a, b) scan over those tables and the four-point scan are
-O(n^4) at worst.  Both scans use exact integer arithmetic and return
-Fractions, and both refuse n > EXACT_CUTOFF unless forced; above that a
-seeded uniform sample gives a certified lower bound, labeled as such in
-the report.  Like graphs, the module imports numpy only inside the
-functions that use it.
+which costs O(m*n) per table.  Tables are built only for the endpoints of
+visited rows and kept, least recently used first out, under
+TABLE_CACHE_BYTES; a table pushed out is rebuilt if a later row needs it.
+
+Both scans are O(n^4) at worst: where a constant is 0 on a graph that is
+not a tree (a complete graph, a tree of cliques), the bounds stop little or
+nothing.  They use exact integer arithmetic and return Fractions, and both
+refuse n > EXACT_CUTOFF unless forced; above that a seeded uniform sample
+gives a certified lower bound, labeled as such in the report.  Like graphs, the module imports numpy
+only inside the functions that use it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +81,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 EXACT_CUTOFF = 600
+# bytes of thin-triangle tables N_v (2n^2 each) kept between rows
+TABLE_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -53,6 +96,24 @@ class HyperbolicityReport:
 
 def _witness(thin: tuple[tuple[int, int, int], int], four: tuple[int, int, int, int]) -> dict:
     return {"thin_triple": thin[0], "thin_vertex": thin[1], "four_point": four}
+
+
+def _refuse_past_cutoff(n: int, scan: str, force: bool) -> None:
+    if n > EXACT_CUTOFF and not force:
+        raise PreconditionError(
+            f"exhaustive {scan} scan refuses n={n} > {EXACT_CUTOFF}; "
+            "sample instead, or force the scan (graph-analyze --force)"
+        )
+
+
+def _pairs_by_distance(dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a < b by nonincreasing d(a, b), ties in lexicographic
+    order, as arrays of the a and of the b: the row order of both exact scans."""
+    import numpy as np
+
+    a, b = np.triu_indices(dm.n, 1)
+    order = np.argsort(-dm.d[a, b], kind="stable")
+    return a[order], b[order]
 
 
 def _nearest_to_geodesics(dm: DistanceMatrix, v: int, nbrs: list[np.ndarray]) -> np.ndarray:
@@ -69,12 +130,21 @@ def _nearest_to_geodesics(dm: DistanceMatrix, v: int, nbrs: list[np.ndarray]) ->
     return out
 
 
+def _thin_triangle_point(dm: DistanceMatrix, a: int, b: int, c: int) -> tuple[int, int]:
+    """thin_triangle_value of one ordered triple, with the first x in G(a,b)
+    that attains it."""
+    import numpy as np
+
+    union = geodesic_mask(dm, a, c) | geodesic_mask(dm, b, c)
+    idx = geodesic_mask(dm, a, b).nonzero()[0]
+    dist_to_union = dm.d[np.ix_(idx, union)].min(axis=1)
+    k = int(dist_to_union.argmax())
+    return int(dist_to_union[k]), int(idx[k])
+
+
 def thin_triangle_value(dm: DistanceMatrix, a: int, b: int, c: int) -> int:
     """max over x in G(a,b) of d(x, G(a,c) u G(b,c)) for one ordered triple."""
-    d = dm.d
-    union = geodesic_mask(dm, a, c) | geodesic_mask(dm, b, c)
-    dist_to_union = d[:, union].min(axis=1)
-    return int(dist_to_union[geodesic_mask(dm, a, b)].max())
+    return _thin_triangle_point(dm, a, b, c)[0]
 
 
 def thin_triangle_delta(
@@ -89,30 +159,37 @@ def thin_triangle_delta(
     n = dm.n
     if n <= 2 or g.is_tree:
         return Fraction(0), ((0, 0, 0), 0)
-    if n > EXACT_CUTOFF and not force:
-        raise PreconditionError(
-            f"exhaustive thin-triangle scan refuses n={n} > {EXACT_CUTOFF}; "
-            "sample instead, or force the scan (graph-analyze --force)"
-        )
+    _refuse_past_cutoff(n, "thin-triangle", force)
     import numpy as np
 
+    d = dm.d
     nbrs = [np.array(row, dtype=np.intp) for row in g.adjacency()]
-    near = [_nearest_to_geodesics(dm, v, nbrs) for v in range(n)]
+    table = functools.lru_cache(maxsize=max(1, TABLE_CACHE_BYTES // (2 * n * n)))(
+        lambda v: _nearest_to_geodesics(dm, v, nbrs)
+    )
+
+    def row(a: int, b: int) -> tuple[int, tuple]:
+        idx = np.nonzero(geodesic_mask(dm, a, b))[0]
+        vals = np.minimum(table(a)[:, idx], table(b)[:, idx])
+        per_c = vals.max(axis=1)
+        c = int(per_c.argmax())
+        return int(per_c[c]), ((a, b, c), int(idx[int(vals[c].argmax())]))
+
     best = -1
-    witness = ((0, 0, 1), 0)
-    for a in range(n):
-        na = near[a]
-        for b in range(a + 1, n):
-            mask = geodesic_mask(dm, a, b)
-            idx = np.nonzero(mask)[0]
-            vals = np.minimum(na[:, idx], near[b][:, idx])
-            per_c = vals.max(axis=1)
-            c = int(per_c.argmax())
-            if per_c[c] > best:
-                best = int(per_c[c])
-                x = int(idx[int(vals[c].argmax())])
-                witness = ((a, b, c), x)
-    return Fraction(best), witness
+    visited = {}
+    a_s, b_s = _pairs_by_distance(dm)
+    for a, b in zip(a_s.tolist(), b_s.tolist()):
+        if d[a, b] // 2 <= best:
+            break
+        visited[a, b] = row(a, b)
+        best = max(best, visited[a, b][0])
+    # rescan in lexicographic order the rows whose bound reaches the maximum
+    a_s, b_s = np.nonzero(np.triu(d // 2 >= best, 1))
+    for a, b in zip(a_s.tolist(), b_s.tolist()):
+        value, witness = visited.get((a, b)) or row(a, b)
+        if value == best:
+            return Fraction(best), witness
+    raise AssertionError("no row reaches the maximum of the pass")
 
 
 def four_point_value(dm: DistanceMatrix, x: int, y: int, z: int, w: int) -> Fraction:
@@ -120,6 +197,19 @@ def four_point_value(dm: DistanceMatrix, x: int, y: int, z: int, w: int) -> Frac
     d = dm.d
     sums = sorted([int(d[x, y] + d[z, w]), int(d[x, z] + d[y, w]), int(d[x, w] + d[y, z])])
     return Fraction(sums[2] - sums[1], 2)
+
+
+def _four_point_row(d: np.ndarray, x: int, y: int) -> np.ndarray:
+    """L1 - L2 of the quadruple (x, y, z, w), for every z and w."""
+    import numpy as np
+
+    s1 = int(d[x, y]) + d
+    s2 = d[x][:, None] + d[y][None, :]
+    s3 = d[y][:, None] + d[x][None, :]
+    mx = np.maximum(np.maximum(s1, s2), s3)
+    mn = np.minimum(np.minimum(s1, s2), s3)
+    med = s1 + s2 + s3 - mx - mn
+    return mx - med
 
 
 def four_point_delta(
@@ -134,31 +224,36 @@ def four_point_delta(
     n = dm.n
     if n <= 2 or tree_hint:
         return Fraction(0), (0, 0, 0, 0)
-    if n > EXACT_CUTOFF and not force:
-        raise PreconditionError(
-            f"exhaustive four-point scan refuses n={n} > {EXACT_CUTOFF}; "
-            "sample instead, or force the scan (graph-analyze --force)"
-        )
+    _refuse_past_cutoff(n, "four-point", force)
     import numpy as np
 
     d = dm.d
+    zs, ws = _pairs_by_distance(dm)
+    dzw = d[zs, ws]
     best = -1
-    witness = (0, 0, 0, 0)
-    for x in range(n):
-        for y in range(x + 1, n):
-            s1 = int(d[x, y]) + d
-            s2 = d[x][:, None] + d[y][None, :]
-            s3 = d[y][:, None] + d[x][None, :]
-            mx = np.maximum(np.maximum(s1, s2), s3)
-            mn = np.minimum(np.minimum(s1, s2), s3)
-            med = s1 + s2 + s3 - mx - mn
-            diff = mx - med
-            val = int(diff.max())
-            if val > best:
-                best = val
-                z, w = np.unravel_index(int(diff.argmax()), diff.shape)
-                witness = (x, y, int(z), int(w))
-    return Fraction(best, 2), witness
+    first = (0, 1)  # least two smallest members of a quadruple attaining best
+    for i, (x, y) in enumerate(zip(zs.tolist(), ws.tolist())):
+        if dzw[i] < best:
+            break
+        # Quadruples (x, y, z, w) over the rows (z, w) visited so far.  lead is
+        # L1 - L2 where d(x,y) + d(z,w) is the largest sum, and negative where
+        # it is not; the quadruple then shows up in the row of its largest sum.
+        z, w = zs[: i + 1], ws[: i + 1]
+        lead = (d[x, y] + dzw[: i + 1]) - np.maximum(d[x, z] + d[y, w], d[x, w] + d[y, z])
+        top = int(lead.max())  # at least 0, from (z, w) = (x, y)
+        if top < best or top == 0:
+            best = max(best, top)
+            continue
+        hit = np.nonzero(lead == top)[0]
+        corners = np.full_like(hit, x), np.full_like(hit, y), z[hit], w[hit]
+        members = np.sort(np.stack(corners, axis=1))
+        k = int(np.argmin(members[:, 0] * n + members[:, 1]))
+        least = (int(members[k, 0]), int(members[k, 1]))
+        first = least if top > best else min(first, least)
+        best = top
+    diff = _four_point_row(d, *first)
+    z, w = np.unravel_index(int(diff.argmax()), diff.shape)
+    return Fraction(best, 2), (*first, int(z), int(w))
 
 
 def hyperbolicity_report(
@@ -184,11 +279,8 @@ def sampled_hyperbolicity(
     wq = (0, 0, 0, 0)
     for _ in range(samples):
         a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        v = thin_triangle_value(dm, a, b, c)
+        v, x = _thin_triangle_point(dm, a, b, c)
         if v > best_t:
-            d_union = dm.d[:, geodesic_mask(dm, a, c) | geodesic_mask(dm, b, c)].min(axis=1)
-            idx = geodesic_mask(dm, a, b).nonzero()[0]
-            x = int(idx[int(d_union[idx].argmax())])
             best_t, wt = v, ((a, b, c), x)
         x0, y0, z0, w0 = (rng.randrange(n) for _ in range(4))
         q = four_point_value(dm, x0, y0, z0, w0)

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive (networkx BFS, DFS enumeration,
 nested loops straight from definitions).  The graph oracles share no code
-with the production kernels beyond the distance matrix inputs; the claim
-sweep oracle reuses the coupling's group arithmetic and K constants, and
-replaces only the enumeration of displacements.
+with the production kernels beyond the distance matrix inputs, except the
+two full-scan references, which fix the canonical witnesses: they visit
+every row in lexicographic order and read the thin-triangle tables of
+`hyperbolicity._nearest_to_geodesics`.  The claim sweep oracle reuses the
+coupling's group arithmetic and K constants, and replaces only the
+enumeration of displacements.
 """
 
 import itertools
@@ -15,7 +18,8 @@ import networkx as nx
 
 from hypme import coupling
 from hypme.errors import PreconditionError
-from hypme.graphs import Graph, make_graph
+from hypme.graphs import DistanceMatrix, Graph, geodesic_mask, make_graph
+from hypme.hyperbolicity import _nearest_to_geodesics
 from hypme.rational import lower, upper
 
 
@@ -97,6 +101,63 @@ def brute_four_point_numerator(dist, n: int) -> int:
                     if hi - med > best:
                         best = hi - med
     return best
+
+
+def full_scan_thin_delta(g: Graph, dm: DistanceMatrix) -> tuple[Fraction, tuple]:
+    """Thin-triangle constant and canonical witness ((a,b,c), x) by a scan of
+    every pair a < b in lexicographic order: the first pair that reaches the
+    maximum (strict >), then the first c, then the first x."""
+    import numpy as np
+
+    n = dm.n
+    if n <= 2 or g.is_tree:
+        return Fraction(0), ((0, 0, 0), 0)
+    nbrs = [np.array(row, dtype=np.intp) for row in g.adjacency()]
+    near = [_nearest_to_geodesics(dm, v, nbrs) for v in range(n)]
+    best = -1
+    witness = ((0, 0, 1), 0)
+    for a in range(n):
+        na = near[a]
+        for b in range(a + 1, n):
+            mask = geodesic_mask(dm, a, b)
+            idx = np.nonzero(mask)[0]
+            vals = np.minimum(na[:, idx], near[b][:, idx])
+            per_c = vals.max(axis=1)
+            c = int(per_c.argmax())
+            if per_c[c] > best:
+                best = int(per_c[c])
+                x = int(idx[int(vals[c].argmax())])
+                witness = ((a, b, c), x)
+    return Fraction(best), witness
+
+
+def full_scan_four_point_delta(dm: DistanceMatrix) -> tuple[Fraction, tuple]:
+    """Four-point constant and canonical quadruple (x, y, z, w) by a scan of
+    every pair x < y in lexicographic order: the first pair that reaches the
+    maximum (strict >), then the first (z, w) in row-major order."""
+    import numpy as np
+
+    n = dm.n
+    if n <= 2:
+        return Fraction(0), (0, 0, 0, 0)
+    d = dm.d
+    best = -1
+    witness = (0, 0, 0, 0)
+    for x in range(n):
+        for y in range(x + 1, n):
+            s1 = int(d[x, y]) + d
+            s2 = d[x][:, None] + d[y][None, :]
+            s3 = d[y][:, None] + d[x][None, :]
+            mx = np.maximum(np.maximum(s1, s2), s3)
+            mn = np.minimum(np.minimum(s1, s2), s3)
+            med = s1 + s2 + s3 - mx - mn
+            diff = mx - med
+            val = int(diff.max())
+            if val > best:
+                best = val
+                z, w = np.unravel_index(int(diff.argmax()), diff.shape)
+                witness = (x, y, int(z), int(w))
+    return Fraction(best, 2), witness
 
 
 def nx_simple_cycles(g: Graph):

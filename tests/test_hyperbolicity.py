@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +13,9 @@ from hypme.graphs import (
     cycle_graph,
     direct_image_path,
     distance_matrix,
+    geodesic_mask,
     grid_graph,
+    load_graph,
     random_tree,
     tree_graph,
 )
@@ -28,6 +33,8 @@ from oracles import (
     all_geodesic_vertices,
     brute_four_point_numerator,
     brute_thin_delta,
+    full_scan_four_point_delta,
+    full_scan_thin_delta,
     nx_distances,
     random_connected_graph,
 )
@@ -100,6 +107,8 @@ class TestKernelsMatchOracles:
             assert dt == brute_thin_delta(g, dist)
             assert thin_triangle_value(dm, a, b, c) == dt
             assert 2 * d4 == brute_four_point_numerator(dist, g.n)
+            assert (dt, ((a, b, c), x)) == full_scan_thin_delta(g, dm)
+            assert (d4, w4) == full_scan_four_point_delta(dm)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tables_match_geodesic_sets(self, seed):
@@ -122,6 +131,81 @@ class TestKernelsMatchOracles:
         assert dt == brute_thin_delta(g, nx_distances(g))
 
 
+def sparse_graph(n: int, seed: int):
+    """A random tree on n vertices plus n/2 chords, seeded."""
+    return random_connected_graph(random.Random(seed), n, n // 2)
+
+
+def complete_graph_text(n: int) -> str:
+    return "\n".join(f"{u} {v}" for u, v in itertools.combinations(range(n), 2))
+
+
+class TestWitnessOrder:
+    """The pruned scans return the value and the witness of the full scan over
+    every pair in lexicographic order (tests/oracles.py)."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [grid_graph(3, 3), grid_graph(4, 7), grid_graph(9, 9), cycle_graph(5), cycle_graph(8),
+         cycle_graph(13), cycle_graph(100), sparse_graph(60, 1), sparse_graph(100, 2),
+         sparse_graph(130, 3), sparse_graph(170, 4)],
+        ids=["grid3x3", "grid4x7", "grid9x9", "cycle5", "cycle8", "cycle13", "cycle100",
+             "sparse60", "sparse100", "sparse130", "sparse170"],
+    )
+    def test_same_value_and_witness_as_full_scan(self, g):
+        dm = distance_matrix(g)
+        assert thin_triangle_delta(g, dm) == full_scan_thin_delta(g, dm)
+        assert four_point_delta(dm) == full_scan_four_point_delta(dm)
+
+    @pytest.mark.parametrize("text", ["0 1\n1 2\n0 2", complete_graph_text(4), complete_graph_text(5)],
+                             ids=["cycle3", "K4", "K5"])
+    def test_zero_delta_on_graphs_that_are_not_trees(self, text):
+        # every row reaches 0, so both witnesses come from the first row (0, 1)
+        g = load_graph(text)
+        dm = distance_matrix(g)
+        assert not g.is_tree
+        assert thin_triangle_delta(g, dm) == full_scan_thin_delta(g, dm) == (0, ((0, 1, 0), 0))
+        assert four_point_delta(dm) == full_scan_four_point_delta(dm) == (0, (0, 1, 0, 0))
+
+
+class TestForcedScanMemory:
+    def test_grid_30x30_forced(self):
+        # n = 900: all n tables would take 2n^3 = 1.46 GB; only the endpoints
+        # of the one visited row are built
+        g = grid_graph(30, 30)
+        dm = distance_matrix(g)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rep = hyperbolicity_report(g, dm, force=True)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 30
+        assert peak < 200 * 2**20
+        assert rep.delta_thin == rep.delta_four_point == 29
+        w = rep.witness
+        assert thin_triangle_value(dm, *w["thin_triple"]) == rep.delta_thin
+        assert four_point_value(dm, *w["four_point"]) == rep.delta_four_point
+
+    def test_one_cached_table_gives_the_same_result(self, monkeypatch):
+        g = sparse_graph(120, 5)
+        dm = distance_matrix(g)
+        expected = thin_triangle_delta(g, dm)
+        built = []
+        build = hyperbolicity._nearest_to_geodesics
+
+        def counted(dm, v, nbrs):
+            built.append(v)
+            return build(dm, v, nbrs)
+
+        monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", counted)
+        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", 2 * g.n * g.n)
+        assert thin_triangle_delta(g, dm) == expected
+        assert len(built) > len(set(built)) > 2  # tables were pushed out and rebuilt
+
+
 class TestWitnesses:
     @pytest.mark.parametrize("seed", range(5))
     def test_witnesses_reproduce_constants(self, seed):
@@ -142,6 +226,16 @@ class TestWitnesses:
         assert r1 == r2
         assert not r1.exact
         assert r1.delta_thin <= exact
+
+    def test_sampled_thin_witness_attains_the_value(self):
+        g = grid_graph(8, 5)
+        dm = distance_matrix(g)
+        rep = sampled_hyperbolicity(g, dm, samples=200, seed=3)
+        (a, b, c), x = rep.witness["thin_triple"], rep.witness["thin_vertex"]
+        union = geodesic_mask(dm, a, c) | geodesic_mask(dm, b, c)
+        assert thin_triangle_value(dm, a, b, c) == rep.delta_thin > 0
+        assert geodesic_mask(dm, a, b)[x]
+        assert dm.d[x, union].min() == rep.delta_thin
 
 
 class TestCutoff:
