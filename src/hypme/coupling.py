@@ -21,16 +21,25 @@ Cocycles are computed by coset lookup:
 where rep(g) is the transversal representative of the left coset g L.
 Both are exact group elements; every integral in scope is a finite sum
 over the finite fundamental domains.
+
+Each coupling owns the run's `Budget` and two cached balls: B_gamma over
+S_gamma and B_lambda over the Schreier generators.  Each is one
+`groups.sphere_levels` BFS, run on only as far as a check asks, so every
+element is charged to the Budget once.  A smaller ball is a prefix of a
+larger one, because each level is sorted by `to_word`; so every check reads
+the same elements in the same order, whatever radius was read first.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import Budget, BudgetError, ParseError, PreconditionError
-from .groups import MarkedGroup, ball, parse_group, sphere_levels
+from .groups import MarkedGroup, parse_group, sphere_levels
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, lower, matrix_rank, upper
 from .reports import encode
@@ -179,6 +188,29 @@ def subgroup_data(
 # the coupling
 
 
+class Spheres:
+    """The levels of one word-metric BFS, computed only as far as asked for."""
+
+    def __init__(self, group: MarkedGroup, gens, budget: Budget):
+        self._bfs = sphere_levels(group, gens, budget)
+        self._levels: list[list] = []
+
+    def __getitem__(self, depth: int) -> list:
+        """The elements of length exactly `depth`, sorted by `to_word`."""
+        while len(self._levels) <= depth:
+            level = next(self._bfs, None)  # None: the BFS ended at a BudgetError
+            if level is None:
+                raise BudgetError(f"a group BFS stopped over budget before radius {depth}")
+            self._levels.append(level[1])
+        return self._levels[depth]
+
+    def ball(self, radius: int) -> list:
+        """The elements of length <= radius, level by level."""
+        if radius < 0:
+            raise PreconditionError("radius must be >= 0")
+        return [g for depth in range(radius + 1) for g in self[depth]]
+
+
 @dataclass(frozen=True)
 class Coupling:
     group: MarkedGroup
@@ -186,6 +218,17 @@ class Coupling:
     fibers: tuple  # elements f_i of the subgroup; plain coupling: (e,)
     x_gamma: tuple  # points (g, fiber_index); singleton by construction
     mu_scale: Fraction = Fraction(1)
+    budget: Budget = field(default_factory=Budget, compare=False, repr=False)
+
+    @cached_property
+    def gamma_spheres(self) -> Spheres:
+        """B_gamma over S_gamma, the base-group part of the gamma side."""
+        return Spheres(self.group, [s for _, s in self.group.symmetric_generators()], self.budget)
+
+    @cached_property
+    def lambda_spheres(self) -> Spheres:
+        """B_lambda over the Schreier generators."""
+        return Spheres(self.group, self.sub.schreier_generators, self.budget)
 
     # --- basic structure ---------------------------------------------------
 
@@ -208,6 +251,13 @@ class Coupling:
         """Word length over S_gamma plus the fiber group (all of K \\ {e})."""
         return self.group.word_length(p[0]) + (1 if p[1] % self.fiber_count else 0)
 
+    def gamma_generators(self) -> list:
+        """S_gamma in fiber 0, then the nontrivial fiber moves (all of K \\ {e})."""
+        e = self.group.identity()
+        return [(s, 0) for _, s in self.group.symmetric_generators()] + [
+            (e, k) for k in range(1, self.fiber_count)
+        ]
+
     def gamma_distance(self, p, q) -> int:
         return self.gamma_length(self.gamma_multiply(self.gamma_inverse(p), q))
 
@@ -220,13 +270,13 @@ class Coupling:
             return 1
         return self.group.volume(radius) + (m - 1) * self.group.volume(radius - 1)
 
-    def gamma_ball(self, radius: int, budget: Budget | None = None):
-        base = ball(self.group, radius, budget=budget).elements
+    def gamma_ball(self, radius: int):
+        """The gamma points within `radius` of (e, 0); a fiber move costs one letter."""
+        base = self.gamma_spheres.ball(radius)
         out = [(g, 0) for g in base]
-        if self.fiber_count > 1:
-            inner = [g for g in base if self.group.word_length(g) <= radius - 1]
-            for k in range(1, self.fiber_count):
-                out.extend((g, k) for g in inner)
+        inner = base[: len(base) - len(self.gamma_spheres[radius])]
+        for k in range(1, self.fiber_count):
+            out.extend((g, k) for g in inner)
         return out
 
     # --- actions -------------------------------------------------------------
@@ -306,8 +356,8 @@ class Coupling:
 
     # --- subgroup metric -----------------------------------------------------------
 
-    def lambda_lengths(self, targets, budget: Budget | None = None) -> dict:
-        """Word lengths over the Schreier generators, by BFS until resolved."""
+    def lambda_lengths(self, targets) -> dict:
+        """Word lengths over the Schreier generators, read from B_lambda until resolved."""
         pending = set(targets)
         for t in pending:
             if not self.sub.contains(t):
@@ -315,7 +365,8 @@ class Coupling:
                     f"length target {self.group.describe(t)} is not in the subgroup"
                 )
         out = {}
-        for depth, level in sphere_levels(self.group, self.sub.schreier_generators, budget):
+        for depth in itertools.count():
+            level = self.lambda_spheres[depth]
             if not level:
                 raise PreconditionError(
                     "targets unreachable over Schreier generators (not in subgroup?)"
@@ -326,15 +377,6 @@ class Coupling:
             if not pending:
                 break
         return out
-
-    def lambda_ball(self, radius: int, budget: Budget | None = None):
-        """All subgroup elements of Schreier-length <= radius, with lengths."""
-        lengths = {}
-        for depth, level in sphere_levels(self.group, self.sub.schreier_generators, budget):
-            lengths.update(dict.fromkeys(level, depth))
-            if depth >= radius:
-                break
-        return lengths
 
 
 def subgroup_coupling(
@@ -349,6 +391,7 @@ def subgroup_coupling(
     translations; fundamental domains are {x_gamma} and a BFS-minimal
     Schreier transversal.
     """
+    budget = budget or Budget()
     sub = subgroup_data(group, subgroup_gen_words, budget)
     g0 = group.parse_word(x_gamma_word)
     return Coupling(
@@ -356,6 +399,7 @@ def subgroup_coupling(
         sub=sub,
         fibers=(group.identity(),),
         x_gamma=((g0, 0),),
+        budget=budget,
     )
 
 
@@ -391,19 +435,18 @@ class CheckReport:
         return cls(name, cases, violations, violations == 0, details)
 
 
-def check_cocycle_identity(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
+def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
     """alpha(g'g, x) == alpha(g', g.x) alpha(g, x) for all |g|,|g'| <= radius.
 
-    The check runs |X_lambda| |B_gamma(radius)|^2 cases, charged to `budget`
+    The check runs |X_lambda| |B_gamma(radius)|^2 cases, charged to `c.budget`
     after the gamma ball and before the first case.
     """
     if radius < 1:
         return CheckReport.of("cocycle_identity", 0, 0)
-    budget = budget or Budget()
     points = c.x_lambda_points()
-    ballg = c.gamma_ball(radius, budget)
-    budget.charge("cases", len(points) * len(ballg) ** 2, by=f"cocycle identity check at radius {radius}")
-    cases = 0
+    ballg = c.gamma_ball(radius)
+    cases = len(points) * len(ballg) ** 2
+    c.budget.charge("cases", cases, by=f"cocycle identity check at radius {radius}")
     bad = 0
     for x in points:
         alpha_x = {p: c.alpha(p, x) for p in ballg}
@@ -412,7 +455,6 @@ def check_cocycle_identity(c: Coupling, radius: int, budget: Budget | None = Non
             ax = alpha_x[p]
             mx = moved[p]
             for q in ballg:
-                cases += 1
                 left = c.alpha(c.gamma_multiply(q, p), x)
                 right = c.group.multiply(c.alpha(q, mx), ax)
                 if left != right:
@@ -420,35 +462,32 @@ def check_cocycle_identity(c: Coupling, radius: int, budget: Budget | None = Non
     return CheckReport.of("cocycle_identity", cases, bad, radius=radius)
 
 
-def check_inverse_relation(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
+def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
     """alpha(beta(lam, x), x) == lam for |lam|_{S_lambda} <= radius, x in X_gamma."""
     if not c.x_gamma_in_x_lambda():
         raise PreconditionError(
             "inverse relation requires X_gamma inside X_lambda; "
             "run strengthen_coboundedness first"
         )
-    lengths = c.lambda_ball(radius, budget)
     cases = 0
     bad = 0
     for x in c.x_gamma:
-        for lam in lengths:
+        for lam in c.lambda_spheres.ball(radius):
             cases += 1
             if c.alpha(c.beta(lam, x), x) != lam:
                 bad += 1
     return CheckReport.of("inverse_relation", cases, bad, radius=radius)
 
 
-def check_b_identity(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
+def check_b_identity(c: Coupling, radius: int) -> CheckReport:
     """b_x(u)^-1 b_x(v) == beta(v^-1 u, u^-1 . x)^-1 over the lambda ball.
 
-    The check runs |X_gamma| |B_lambda(radius)|^2 cases, charged to `budget`
+    The check runs |X_gamma| |B_lambda(radius)|^2 cases, charged to `c.budget`
     after the lambda ball and before the first case.
     """
-    budget = budget or Budget()
-    lengths = c.lambda_ball(radius, budget)
-    budget.charge("cases", len(c.x_gamma) * len(lengths) ** 2, by=f"b-identity check at radius {radius}")
-    elems = sorted(lengths, key=c.group.to_word)
-    cases = 0
+    elems = sorted(c.lambda_spheres.ball(radius), key=c.group.to_word)
+    cases = len(c.x_gamma) * len(elems) ** 2
+    c.budget.charge("cases", cases, by=f"b-identity check at radius {radius}")
     bad = 0
     inv = c.group.inverse
     for x in c.x_gamma:
@@ -457,7 +496,6 @@ def check_b_identity(c: Coupling, radius: int, budget: Budget | None = None) -> 
             bu_inv = c.gamma_inverse(b_of[u])
             ux = c.induced_lambda(inv(u), x)
             for v in elems:
-                cases += 1
                 left = c.gamma_multiply(bu_inv, b_of[v])
                 right = c.gamma_inverse(c.beta(c.group.multiply(inv(v), u), ux))
                 if left != right:
@@ -465,16 +503,13 @@ def check_b_identity(c: Coupling, radius: int, budget: Budget | None = None) -> 
     return CheckReport.of("b_identity", cases, bad, radius=radius)
 
 
-def check_actions_commute(
-    c: Coupling, radius: int, samples: int, seed: int, budget: Budget | None = None
-) -> CheckReport:
+def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> CheckReport:
     """(gamma * w) lambda^-1 == gamma * (w lambda^-1) on sampled triples."""
     import random
 
     rng = random.Random(seed)
-    budget = budget or Budget()
-    ballg = c.gamma_ball(radius, budget)
-    lams = sorted(c.lambda_ball(radius, budget), key=c.group.to_word)
+    ballg = c.gamma_ball(radius)
+    lams = sorted(c.lambda_spheres.ball(radius), key=c.group.to_word)
     points = [(p[0], i) for p in ballg for i in range(c.fiber_count)]
     cases = 0
     bad = 0
@@ -490,7 +525,7 @@ def check_actions_commute(
     return CheckReport.of("actions_commute", cases, bad, radius=radius)
 
 
-def check_fundamental_domains(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
+def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
     """Ball-truncated fundamental-domain axioms for both actions.
 
     Injectivity: (group element, domain point) pairs hit distinct points.
@@ -502,9 +537,8 @@ def check_fundamental_domains(c: Coupling, radius: int, budget: Budget | None = 
     g = c.group
     bad = 0
     cases = 0
-    budget = budget or Budget()
 
-    base_ball = ball(g, radius, budget=budget).elements
+    base_ball = c.gamma_spheres.ball(radius)
     # transversal: each sampled element lies in exactly one t L
     for w in base_ball:
         cases += 1
@@ -519,7 +553,7 @@ def check_fundamental_domains(c: Coupling, radius: int, budget: Budget | None = 
     if c.fiber_count > 1:
         c_gamma += 1
     seen = {}
-    for p in c.gamma_ball(radius, budget):
+    for p in c.gamma_ball(radius):
         for x in c.x_gamma:
             cases += 1
             pt = c.gamma_multiply(p, x)
@@ -535,10 +569,9 @@ def check_fundamental_domains(c: Coupling, radius: int, budget: Budget | None = 
                 bad += 1
 
     # lambda side: round-trip projection and injectivity over a lambda ball
-    lam_lengths = c.lambda_ball(radius, budget)
     x_lambda = c.x_lambda_points()
     seen_l = {}
-    for lam in lam_lengths:
+    for lam in c.lambda_spheres.ball(radius):
         for x in x_lambda:
             cases += 1
             pt = c.lambda_act(lam, x)
@@ -564,8 +597,7 @@ def check_fundamental_domains(c: Coupling, radius: int, budget: Budget | None = 
 
 
 def projection_and_similarity(
-    c: Coupling, side: str, X1: list[str], X2: list[str], phi: IntegrabilityFunction,
-    budget: Budget | None = None,
+    c: Coupling, side: str, X1: list[str], X2: list[str], phi: IntegrabilityFunction
 ) -> dict:
     """Materialize pi_{X1,X2} and integrate phi of the displacement.
 
@@ -593,7 +625,7 @@ def projection_and_similarity(
             lam = g.multiply(g.inverse(x2), x)  # pi(x) = x lam^-1
             corrections.append(lam)
             pairs.append((x, x2))
-        lengths = c.lambda_lengths(set(corrections), budget)
+        lengths = c.lambda_lengths(set(corrections))
         dists = [lengths[lam] for lam in corrections]
     elif side == "gamma":
         if len(elems1) != 1 or len(elems2) != 1:
@@ -634,7 +666,7 @@ class IntegrabilityReport:
 
 
 def integrability_report(
-    c: Coupling, phi: IntegrabilityFunction, psi: IntegrabilityFunction, budget: Budget | None = None
+    c: Coupling, phi: IntegrabilityFunction, psi: IntegrabilityFunction
 ) -> IntegrabilityReport:
     """K = max_s integral of phi(|alpha(s,.)|) over X_lambda, and
     L = max_t integral of psi(|beta(t,.)|) over X_gamma, as exact finite sums.
@@ -642,10 +674,7 @@ def integrability_report(
     Also reports the essential sup of |beta(t,.)| (the L-infinity constant;
     finite here because the domain is finite).
     """
-    g = c.group
-    gamma_gens = [((e, 0)) for _, e in g.symmetric_generators()]
-    for k in range(1, c.fiber_count):
-        gamma_gens.append((g.identity(), k))
+    gamma_gens = c.gamma_generators()
     points = c.x_lambda_points()
     alpha_values = {}
     targets = set()
@@ -653,7 +682,7 @@ def integrability_report(
         vals = [c.alpha(s, x) for x in points]
         alpha_values[s] = vals
         targets.update(vals)
-    lengths = c.lambda_lengths(targets, budget)
+    lengths = c.lambda_lengths(targets)
     alpha_max = max((lengths[v] for vals in alpha_values.values() for v in vals), default=0)
 
     lambda_gens = list(c.sub.schreier_generators)
@@ -746,6 +775,7 @@ def strengthen_coboundedness(c: Coupling, F) -> Coupling:
         fibers=tuple(new_fibers),
         x_gamma=tuple(new_x_gamma),
         mu_scale=c.mu_scale,
+        budget=c.budget,
     )
     if not out.x_gamma_in_x_lambda():
         raise PreconditionError("strengthening failed to achieve the inclusion")
@@ -766,30 +796,19 @@ def check_step_bound(c: Coupling) -> CheckReport:
     return CheckReport.of("step_bound", cases, bad)
 
 
-def check_growth_comparison(c: Coupling, radius: int, budget: Budget | None = None) -> CheckReport:
+def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
     """Vol_{S_gamma-tilde}(r) <= |K| * Vol_{S_gamma}(r), with the left side
     enumerated by BFS on the product group."""
     from .groups import Cyclic, DirectProduct, bfs_growth_table
 
     g = c.group
     m = c.fiber_count
-    bad = 0
-    cases = 0
     if m == 1:
-        for r in range(radius + 1):
-            cases += 1
-        return CheckReport.of("growth_comparison", cases, 0, radius=radius)
+        return CheckReport.of("growth_comparison", radius + 1, 0, radius=radius)
     prod = DirectProduct([g, Cyclic(m)])
-    gens = []
-    for i in range(g.num_generators):
-        base = g.generator(i)
-        gens.append((base, 0))
-        gens.append((g.inverse(base), 0))
-    for k in range(1, m):
-        gens.append((g.identity(), k))
-    table = bfs_growth_table(prod, radius, gens=gens, budget=budget)
+    table = bfs_growth_table(prod, radius, gens=c.gamma_generators(), budget=c.budget)
+    bad = 0
     for r in range(radius + 1):
-        cases += 1
         lhs = table.values[r]
         rhs = m * g.volume(r)
         if lhs > rhs:
@@ -797,18 +816,15 @@ def check_growth_comparison(c: Coupling, radius: int, budget: Budget | None = No
         expected = c.gamma_volume(r)
         if lhs != expected:
             bad += 1
-    return CheckReport.of("growth_comparison", cases, bad, radius=radius)
+    return CheckReport.of("growth_comparison", radius + 1, bad, radius=radius)
 
 
-def validate_strengthened(
-    c: Coupling, radius: int = 3, growth_radius: int = 6, budget: Budget | None = None
-) -> dict:
+def validate_strengthened(c: Coupling, radius: int = 3, growth_radius: int = 6) -> dict:
     """All postcondition checks of the product construction, as one report."""
-    budget = budget or Budget()
     reports = [
-        check_fundamental_domains(c, radius, budget),
+        check_fundamental_domains(c, radius),
         check_step_bound(c),
-        check_growth_comparison(c, growth_radius, budget),
+        check_growth_comparison(c, growth_radius),
     ]
     inclusion = c.x_gamma_in_x_lambda()
     return {
@@ -837,8 +853,8 @@ class ClaimBoundReport:
     passed: bool
 
 
-def _k_constant(c: Coupling, phi: IntegrabilityFunction, budget: Budget | None = None):
-    return integrability_report(c, phi, phi, budget).k_constant
+def _k_constant(c: Coupling, phi: IntegrabilityFunction):
+    return integrability_report(c, phi, phi).k_constant
 
 
 def claim_bound_check(
@@ -849,7 +865,6 @@ def claim_bound_check(
     phi: IntegrabilityFunction,
     k_constant=None,
     d_lambda: int | None = None,
-    budget: Budget | None = None,
 ) -> ClaimBoundReport:
     """mu({x : d(b_x(u), b_x(v)) <= R}) <= K R Vol(R) / phi(d_lambda(u,v)/R).
 
@@ -892,39 +907,25 @@ def claim_bound_check(
             measured += weight
 
     if degenerate:
-        return ClaimBoundReport(
-            u=g.describe(u), v=g.describe(v), R=R, d_lambda=0,
-            measured=measured, bound=Fraction(0), k_constant=Fraction(0),
-            identity_cases=identity_cases, identity_violations=identity_bad,
-            degenerate=True, passed=identity_bad == 0,
-        )
-
-    budget = budget or Budget()
-    if d_lambda is None:
-        d_lambda = c.lambda_lengths({w}, budget)[w]
-    if k_constant is None:
-        k_constant = _k_constant(c, phi, budget)
-    vol = c.gamma_volume(R)
-    denom = phi.value(Fraction(d_lambda, R))
-    if lower(denom) <= 0:
-        raise PreconditionError("phi vanishes at d/R; bound undefined")
-    bound = k_constant * R * vol / denom
-    passed = measured <= lower(bound) and identity_bad == 0
+        d_lambda, k_constant, bound = 0, Fraction(0), Fraction(0)
+    else:
+        if d_lambda is None:
+            d_lambda = c.lambda_lengths({w})[w]
+        if k_constant is None:
+            k_constant = _k_constant(c, phi)
+        denom = phi.value(Fraction(d_lambda, R))
+        if lower(denom) <= 0:
+            raise PreconditionError("phi vanishes at d/R; bound undefined")
+        bound = k_constant * R * c.gamma_volume(R) / denom
     return ClaimBoundReport(
         u=g.describe(u), v=g.describe(v), R=R, d_lambda=d_lambda,
         measured=measured, bound=bound, k_constant=k_constant,
         identity_cases=identity_cases, identity_violations=identity_bad,
-        degenerate=False, passed=passed,
+        degenerate=degenerate, passed=identity_bad == 0 and (degenerate or measured <= lower(bound)),
     )
 
 
-def claim_bound_sweep(
-    c: Coupling,
-    lambda_radius: int,
-    R_values,
-    phis,
-    budget: Budget | None = None,
-) -> dict:
+def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
     """Check the measure bound for every pair u != v in the lambda ball B.
 
     Both sides depend on a pair only through w = u^-1 v: the gamma-side
@@ -934,52 +935,44 @@ def claim_bound_sweep(
     > R has measured side 0, so it satisfies the bound without evaluating
     phi.  So the sweep runs from the gamma side: for gamma in B_Gamma(max R)
     it takes w = g0^-1 gamma g0, whose displacement is |gamma|, and keeps w
-    if it is in L, is not e, and has |w|_lambda <= 2r.  One Schreier BFS
-    gives B and the lambda lengths; it stops at the farthest candidate or
-    at depth 2r.
+    if it is in L, is not e, and has |w|_lambda <= 2r.  The coupling's
+    B_lambda gives B and the lambda lengths; it is read to the farthest
+    candidate or to depth 2r.
 
     The u, v pairs are never enumerated.  `pair_checks` counts them all,
     |B| (|B| - 1) per (R, phi), and `failures` lists the w in order of first
     occurrence among the pairs in `to_word` order, that is, by the first u
-    with u w in B, then by u w.  Both BFSs and the K constants charge their
-    group elements to `budget`.
+    with u w in B, then by u w.  The two balls charge their group elements
+    to `c.budget`.
     """
     g = c.group
     if len(c.x_gamma) != 1:
         raise PreconditionError("sweep assumes a singleton gamma domain")
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
-    max_R = max(R_values)
-    budget = budget or Budget()
     base = c.x_gamma[0][0]
     base_inv = g.inverse(base)
 
     # candidate w -> gamma-side displacement |g0 w g0^-1|
     disp = {}
-    sym = [s for _, s in g.symmetric_generators()]
-    for depth, level in sphere_levels(g, sym, budget):
-        for gamma in level:
+    for depth in range(max(R_values) + 1):
+        for gamma in c.gamma_spheres[depth]:
             w = g.multiply(base_inv, g.multiply(gamma, base))
             if not g.is_identity(w) and c.sub.contains(w):
                 disp[w] = depth
-        if depth >= max_R:
-            break
 
     # B = B_lambda(r), then the lambda lengths of the candidates up to 2r;
-    # like lambda_ball, a negative radius gives B = {e}
+    # a negative radius gives B = {e}
     r = max(lambda_radius, 0)
-    elems = []
+    elems = sorted(c.lambda_spheres.ball(r), key=g.to_word)
     lam_len = {}
     pending = set(disp)
-    for depth, level in sphere_levels(g, c.sub.schreier_generators, budget):
-        if depth <= r:
-            elems.extend(level)
-        found = pending.intersection(level)
+    for depth in range(2 * r + 1):
+        if not pending:
+            break
+        found = pending.intersection(c.lambda_spheres[depth])
         lam_len.update(dict.fromkeys(found, depth))
         pending -= found
-        if depth >= r and (not pending or depth >= 2 * r):
-            break
-    elems.sort(key=g.to_word)
     position = {u: i for i, u in enumerate(elems)}
 
     def first_pair(w):
@@ -990,7 +983,7 @@ def claim_bound_sweep(
 
     order = sorted(lam_len, key=first_pair)
 
-    k_constants = {phi.describe(): _k_constant(c, phi, budget) for phi in phis}
+    k_constants = {phi.describe(): _k_constant(c, phi) for phi in phis}
     failures = []
     evaluated = 0
     for phi in phis:

@@ -3,8 +3,10 @@
 The CLI maps these onto exit codes: parse/precondition/budget failures are
 ordinary errors (exit 1), while MathCheckError marks a violated mathematical
 invariant (exit 2) so CI can tell broken math from broken IO.  One `Budget`
-bounds the work of a run, counted in group elements (per BFS level),
-identity-check cases and candidate vertices of the fat-cycle search.
+bounds the work of a run, counted in group elements (charged per BFS level,
+so each element a BFS reaches is charged once; a coupling runs one BFS per
+side and every check reads it), identity-check cases and candidate vertices
+of the fat-cycle search.
 """
 
 DEFAULT_BUDGET = 10_000_000

@@ -6,12 +6,13 @@ with the production kernels beyond the distance matrix inputs, except the
 two full-scan references, which fix the canonical witnesses: they visit
 every row in lexicographic order and read the thin-triangle tables of
 `hyperbolicity._nearest_to_geodesics`.  The claim sweep oracle reuses the
-coupling's group arithmetic and K constants, and replaces only the
-enumeration of displacements.
+coupling's group arithmetic and K constants; it enumerates displacements
+from the pairs, and takes the lambda ball and lengths from its own BFS.
 """
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import networkx as nx
@@ -206,6 +207,27 @@ def grid_edge_text(w: int, h: int) -> str:
     return "\n".join(lines)
 
 
+def independent_word_lengths(group, gens, targets=None, max_radius=12) -> dict:
+    """Word lengths over `gens` by a deque BFS that shares no code with `sphere_levels`: every element
+    within `max_radius`, or, given `targets`, until all of them are reached."""
+    sym = set(gens) | {group.inverse(s) for s in gens}
+    lengths = {group.identity(): 0}
+    queue = deque([group.identity()])
+    pending = None if targets is None else set(targets) - {group.identity()}
+    while queue and (pending is None or pending):
+        g = queue.popleft()
+        if lengths[g] >= max_radius:
+            break
+        for s in sym:
+            h = group.multiply(g, s)
+            if h not in lengths:
+                lengths[h] = lengths[g] + 1
+                queue.append(h)
+                if pending is not None:
+                    pending.discard(h)
+    return lengths
+
+
 def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
     """The measure-bound sweep over every pair u != v of the lambda ball.
 
@@ -217,7 +239,8 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
         raise PreconditionError("sweep assumes a singleton gamma domain")
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
-    elems = sorted(c.lambda_ball(lambda_radius), key=g.to_word)
+    gens = c.sub.schreier_generators
+    elems = sorted(independent_word_lengths(g, gens, max_radius=lambda_radius), key=g.to_word)
     max_R = max(R_values)
 
     w_multiplicity: dict = {}
@@ -234,7 +257,7 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
     for w in w_multiplicity:
         w_disp[w] = c.gamma_length((g.multiply(base, g.multiply(w, g.inverse(base))), 0))
     need = {w for w, disp in w_disp.items() if disp <= max_R}
-    lam_len = c.lambda_lengths(need) if need else {}
+    lam_len = independent_word_lengths(g, gens, need, max_radius=2 * lambda_radius)
 
     k_constants = {phi.describe(): coupling._k_constant(c, phi) for phi in phis}
     failures = []

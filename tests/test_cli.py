@@ -120,6 +120,24 @@ class TestExitCodes:
         assert "cocycle identity check at radius 6 needs 14450 cases" in err
         assert "--budget or HYPME_BUDGET" in err
 
+    def test_coupling_verify_charges_each_ball_once(self, tmp_path, capsys):
+        # F2 at radius 3: B_lambda(3) has 187 elements and 187^2 = 34,969
+        # b-identity cases; B_gamma(3) has 53 and 2 * 53^2 = 5,618 cocycle
+        # cases; the other checks read the same two balls and charge nothing
+        spec = write_spec(tmp_path, F2_SPEC)
+        assert run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "3",
+                   "--budget", str(187 + 34969 + 53 + 5618))[0] == 0
+        code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "3",
+                        "--budget", str(187 + 34969 + 53 + 5618 - 1))
+        assert code == 1
+        assert "cocycle identity check at radius 3 needs 5618 cases" in capsys.readouterr().err
+
+    def test_coupling_verify_negative_radius_is_exit_one(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, F2_SPEC)
+        code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "-1")
+        assert code == 1 and doc is None
+        assert "radius must be >= 0" in capsys.readouterr().err
+
     def test_coset_enumeration_capped_below_general_budget(self, tmp_path, monkeypatch):
         # the general budget (10M by default) would let sympy define millions
         # of cosets for an infinite index that passes the rank check

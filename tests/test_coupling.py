@@ -1,6 +1,5 @@
 import json
 import random
-from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -28,7 +27,7 @@ from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, power
 from hypme.rational import matrix_rank
-from oracles import brute_claim_sweep
+from oracles import brute_claim_sweep, independent_word_lengths
 
 F2_GENS = ["aa", "b", "abA"]
 
@@ -48,23 +47,9 @@ def z2_coupling():
     return subgroup_coupling(parse_group("Z^2"), ["aa", "b"])
 
 
-def independent_word_lengths(group, gens, targets, max_radius=12):
-    """BFS over `gens` written from scratch, for cross-checking lengths."""
-    sym = set(gens) | {group.inverse(s) for s in gens}
-    lengths = {group.identity(): 0}
-    queue = deque([group.identity()])
-    pending = set(targets) - {group.identity()}
-    while queue and pending:
-        g = queue.popleft()
-        if lengths[g] >= max_radius:
-            break
-        for s in sym:
-            h = group.multiply(g, s)
-            if h not in lengths:
-                lengths[h] = lengths[g] + 1
-                queue.append(h)
-                pending.discard(h)
-    return lengths
+def f2_coupling_with(limit):
+    """A fresh F2 coupling whose Budget has `limit` units, none spent."""
+    return subgroup_coupling(parse_group("F2"), F2_GENS, budget=Budget(limit))
 
 
 class TestSubgroupCoupling:
@@ -211,12 +196,7 @@ class TestLambdaMetric:
 
     def test_ball_sizes_free_rank_three(self, f2_coupling):
         # the index-2 subgroup of F2 is free of rank 3: |B(r)| = 1 + 3((5^r)-1)/2
-        lengths = f2_coupling.lambda_ball(3)
-        by_depth = {}
-        for _, d in lengths.items():
-            by_depth[d] = by_depth.get(d, 0) + 1
-        assert by_depth[0] == 1 and by_depth[1] == 6
-        assert by_depth[2] == 30 and by_depth[3] == 150
+        assert [len(f2_coupling.lambda_spheres[d]) for d in range(4)] == [1, 6, 30, 150]
 
     def test_non_subgroup_target_errors(self, f2, f2_coupling):
         with pytest.raises(PreconditionError):
@@ -226,17 +206,66 @@ class TestLambdaMetric:
     def test_lengths_agree_with_ball_depths(self, group, gens):
         # the subgroup <b> of C3xC4 has order 4, so its ball stops growing
         c = subgroup_coupling(parse_group(group), gens)
-        depths = c.lambda_ball(3)
-        assert c.lambda_lengths(set(depths)) == depths
+        g = c.group
+        ref = independent_word_lengths(g, c.sub.schreier_generators, max_radius=3)
+        assert sorted(c.lambda_spheres.ball(3), key=g.to_word) == sorted(ref, key=g.to_word)
+        assert c.lambda_lengths(set(ref)) == ref
 
-    def test_budget_names_radius(self, f2, f2_coupling):
+    def test_budget_names_radius(self, f2):
         # the rank-3 free subgroup has 7 elements within radius 1 and 37 within 2
+        c = f2_coupling_with(20)
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
-            f2_coupling.lambda_ball(4, Budget(20))
+            c.lambda_spheres.ball(4)
+        # the levels read stay; the BFS does not run on past its BudgetError
+        assert len(c.lambda_spheres.ball(1)) == 7
+        with pytest.raises(BudgetError, match="stopped over budget before radius 2"):
+            c.lambda_spheres.ball(2)
         aaaaaa = f2.parse_word("aaaaaa")  # (aa)^3: Schreier length 3
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
-            f2_coupling.lambda_lengths({aaaaaa}, Budget(20))
-        assert f2_coupling.lambda_lengths({aaaaaa}, Budget(187))[aaaaaa] == 3
+            f2_coupling_with(20).lambda_lengths({aaaaaa})
+        assert f2_coupling_with(187).lambda_lengths({aaaaaa})[aaaaaa] == 3
+
+
+class TestSharedBalls:
+    """Each coupling runs one BFS per side; every check reads its two balls."""
+
+    def test_smaller_reads_charge_nothing(self, f2):
+        c = f2_coupling_with(10_000)
+        ball3 = c.lambda_spheres.ball(3)
+        spent = c.budget.spent
+        assert spent == 187 == len(ball3)
+        assert c.lambda_spheres.ball(2) == ball3[:37]
+        inside = {f2.parse_word(w) for w in ("aa", "bb", "aab", "Abab")}
+        assert set(c.lambda_lengths(inside)) == inside
+        assert check_inverse_relation(c, 3).cases == 187
+        assert c.budget.spent == spent
+
+    def test_gamma_ball_is_a_prefix(self, f2):
+        c = f2_coupling_with(10_000)
+        ball3 = c.gamma_ball(3)
+        assert c.budget.spent == 53 == len(ball3)
+        assert c.gamma_ball(1) == ball3[:5]
+        assert c.budget.spent == 53
+
+    def test_read_past_a_finite_subgroup(self):
+        # <b> in C3xC4 has order 4: its levels end, and reading on charges 0
+        c = subgroup_coupling(parse_group("C3xC4"), ["b"], budget=Budget(100))
+        whole = c.lambda_spheres.ball(3)
+        spent = c.budget.spent
+        assert len(whole) == 4
+        assert c.lambda_spheres.ball(10) == whole
+        assert c.budget.spent == spent
+
+    def test_negative_radius_refused(self, f2_coupling):
+        with pytest.raises(PreconditionError, match="radius must be >= 0"):
+            f2_coupling.lambda_spheres.ball(-1)
+        with pytest.raises(PreconditionError, match="radius must be >= 0"):
+            check_fundamental_domains(f2_coupling, -1)
+
+    def test_strengthening_keeps_the_budget(self, f2):
+        c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b", budget=Budget(10_000))
+        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
+        assert st.budget is c.budget
 
 
 class TestProjections:
@@ -482,7 +511,7 @@ class TestClaimSweepOracle:
     def test_failure_order_pinned(self, case, monkeypatch):
         # with a tiny K every evaluation fails, so `failures` lists every
         # displacement, in the order of first occurrence among the pairs
-        monkeypatch.setattr(coupling, "_k_constant", lambda c, phi, budget=None: Fraction(1, 10**6))
+        monkeypatch.setattr(coupling, "_k_constant", lambda c, phi: Fraction(1, 10**6))
         c = sweep_coupling(*case)
         phis = [power(1), power(2)]
         for lambda_radius in (1, 2, 3):
@@ -499,25 +528,25 @@ class TestClaimSweepOracle:
         assert out["nontrivial_evaluations"] == 64
         assert out["passed"]
 
-    def test_gamma_ball_budget(self, f2_coupling):
+    def test_gamma_ball_budget(self):
         # B_Gamma(3) of F2 has 53 elements
         with pytest.raises(BudgetError, match=r"radius 3 \(radius 2 completed\), over the budget of 50"):
-            claim_bound_sweep(f2_coupling, 2, [1, 3], [power(1)], Budget(50))
+            claim_bound_sweep(f2_coupling_with(50), 2, [1, 3], [power(1)])
 
 
 class TestBIdentityBudget:
-    def test_refuses_before_the_first_case(self, f2_coupling):
+    def test_refuses_before_the_first_case(self):
         # |B_lambda(2)| = 37 in the rank-3 free subgroup: 1369 cases, charged
         # after the 37 group elements of the ball
-        assert check_b_identity(f2_coupling, 2, Budget(37 + 1369)).cases == 1369
+        assert check_b_identity(f2_coupling_with(37 + 1369), 2).cases == 1369
         with pytest.raises(BudgetError, match="needs 1369 cases.*--budget or HYPME_BUDGET"):
-            check_b_identity(f2_coupling, 2, Budget(37 + 1368))
+            check_b_identity(f2_coupling_with(37 + 1368), 2)
 
 
 class TestCocycleIdentityBudget:
-    def test_refuses_before_the_first_case(self, f2_coupling):
+    def test_refuses_before_the_first_case(self):
         # |X_lambda| = 2 and |B_gamma(3)| = 53 in F2: 2 * 53^2 = 5618 cases,
         # charged after the 53 group elements of the ball
-        assert check_cocycle_identity(f2_coupling, 3, Budget(53 + 5618)).cases == 5618
+        assert check_cocycle_identity(f2_coupling_with(53 + 5618), 3).cases == 5618
         with pytest.raises(BudgetError, match="needs 5618 cases.*--budget or HYPME_BUDGET"):
-            check_cocycle_identity(f2_coupling, 3, Budget(53 + 5617))
+            check_cocycle_identity(f2_coupling_with(53 + 5617), 3)
