@@ -22,6 +22,15 @@ where rep(g) is the transversal representative of the left coset g L.
 Both are exact group elements; every integral in scope is a finite sum
 over the finite fundamental domains.
 
+The subgroup's cosets come from HLT Todd-Coxeter enumeration (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 5.1): scan-and-fill the
+subgroup words at coset 0, then each relator at every live coset in turn, then
+define the coset's missing entries; coincidences are merged into the smaller
+number.  The table is then standardised: scanning cosets 0, 1, ... and, in
+each, the columns g1, g1^-1, g2, g2^-1, ..., every coset is renumbered in order
+of first appearance.  A standardised table is unique for its subgroup, so the
+transversal and the Schreier generators do not depend on the enumeration order.
+
 Each coupling owns the run's `Budget` and two cached balls: B_gamma over
 S_gamma and B_lambda over the Schreier generators.  Each is one
 `groups.sphere_levels` BFS, run on only as far as a check asks, so every
@@ -44,8 +53,9 @@ from .integrability import IntegrabilityFunction
 from .rational import FracInterval, lower, matrix_rank, upper
 from .reports import encode
 
-# sympy's coset cap: enumeration slows steeply with the table size, and an infinite
-# index that slips past the rank check would take minutes at the general budget
+# the coset cap bounds the table's memory when an infinite index slips past the
+# rank check: <a> in C2*C3 reaches 20,000 cosets in 25-50 ms (2-core x86_64
+# host), where the general budget (10M by default) would let it grow to millions
 DEFAULT_COSET_BUDGET = 20_000
 
 
@@ -87,36 +97,100 @@ class SubgroupData:
         return self.transversal[self.left_index(g)]
 
 
-def _build_coset_table(group: MarkedGroup, words, budget: Budget):
-    # sympy takes about half a second to import, so only coset enumeration pays it
-    from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
-    from sympy.combinatorics.free_groups import free_group
+def _build_coset_table(group: MarkedGroup, words, cap: int):
+    """The standardised right-coset table of the subgroup generated by `words`.
 
-    names = ", ".join(group.letter(i) for i in range(group.num_generators))
-    objs = free_group(names)
-    fgroup, sym_gens = objs[0], list(objs[1:])
+    HLT Todd-Coxeter with coincidence processing (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 5.1).  Column 2k is generator
+    k + 1 and column 2k + 1 its inverse.  Past `cap` cosets defined, dead ones
+    included, it raises BudgetError.
+    """
+    table: list[list] = []
+    p: list[int] = []  # p[c] == c for a live coset, else one it coincided with
 
-    def to_sympy(letters):
-        w = fgroup.identity
-        for letter in letters:
-            gen = sym_gens[abs(letter) - 1]
-            w = w * (gen if letter > 0 else gen**-1)
-        return w
+    def new() -> int:
+        if len(table) >= cap:
+            raise BudgetError(
+                f"coset enumeration stopped at {cap} cosets, the least of what is left of "
+                f"--budget or HYPME_BUDGET and {DEFAULT_COSET_BUDGET}: the index may be infinite"
+            )
+        table.append([None] * (2 * group.num_generators))
+        p.append(len(p))
+        return p[-1]
 
-    relators = [to_sympy(rel) for rel in group.relators()]
-    subgroup = [to_sympy(group.word_problem_letters(g)) for g in words]
-    fp = FpGroup(fgroup, relators)
-    cap = min(budget.limit - budget.spent, DEFAULT_COSET_BUDGET)
-    try:
-        table = coset_enumeration_r(fp, subgroup, max_cosets=cap)
-    except ValueError as exc:
-        raise BudgetError(
-            f"coset enumeration stopped at {cap} cosets, the least of what is left of "
-            f"--budget or HYPME_BUDGET and {DEFAULT_COSET_BUDGET}: the index may be infinite"
-        ) from exc
-    table.compress()
-    table.standardize()
-    return tuple(tuple(row) for row in table.table)
+    def rep(c: int) -> int:
+        root = c
+        while p[root] != root:
+            root = p[root]
+        while p[c] != root:
+            p[c], c = root, p[c]
+        return root
+
+    def coincidence(a: int, b: int) -> None:
+        queue = []
+
+        def merge(x: int, y: int) -> None:
+            x, y = rep(x), rep(y)
+            if x != y:
+                p[max(x, y)] = min(x, y)
+                queue.append(max(x, y))
+
+        merge(a, b)
+        for dead in queue:  # FIFO; merge appends while the loop runs
+            for x, d in enumerate(table[dead]):
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                mu, nu = rep(dead), rep(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x], table[nu][x ^ 1] = nu, mu
+
+    def define(c: int, x: int) -> None:
+        d = new()
+        table[c][x], table[d][x ^ 1] = d, c
+
+    def scan_and_fill(c: int, word: list[int]) -> None:
+        f, b, i, j = c, c, 0, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f, i = table[f][word[i]], i + 1
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b, j = table[b][word[j] ^ 1], j - 1
+            if j < i:  # the scan closed: f and b are the same coset
+                coincidence(f, b)
+                return
+            if j == i:  # one gap: a deduction
+                table[f][word[i]], table[b][word[i] ^ 1] = b, f
+                return
+            define(f, word[i])
+
+    def columns(letters) -> list[int]:
+        return [2 * abs(x) - 2 + (x < 0) for x in letters]
+
+    new()
+    for g in words:
+        scan_and_fill(0, columns(group.word_problem_letters(g)))
+    relators = [columns(rel) for rel in group.relators()]
+    for c, row in enumerate(table):  # also visits the cosets defined on the way
+        for rel in relators:
+            if p[c] == c:
+                scan_and_fill(c, rel)
+        if p[c] == c:
+            for x in range(len(row)):
+                if row[x] is None:
+                    define(c, x)
+
+    order, number = [0], {0: 0}  # standardise: number cosets by first appearance
+    for c in order:
+        for d in table[c]:
+            if d not in number:
+                number[d] = len(order)
+                order.append(d)
+    return tuple(tuple(number[d] for d in table[c]) for c in order)
 
 
 def subgroup_data(
@@ -137,7 +211,10 @@ def subgroup_data(
             raise PreconditionError(
                 f"subgroup has infinite index: abelianized image has rank {sub_rank} < {rank}"
             )
-    table = _build_coset_table(group, gens, budget or Budget())
+    budget = budget or Budget()
+    table = _build_coset_table(
+        group, gens, min(budget.limit - budget.spent, DEFAULT_COSET_BUDGET)
+    )
     index = len(table)
 
     # temporary data object for tracing while we build the transversal

@@ -8,6 +8,7 @@ every row in lexicographic order and read the thin-triangle tables of
 `hyperbolicity._nearest_to_geodesics`.  The claim sweep oracle reuses the
 coupling's group arithmetic and K constants; it enumerates displacements
 from the pairs, and takes the lambda ball and lengths from its own BFS.
+The coset table oracle is sympy's own HLT enumeration.
 """
 
 import itertools
@@ -290,6 +291,34 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
         "failures": failures,
         "passed": not failures,
     }
+
+
+def sympy_coset_table(group, words, cap: int):
+    """The coset table of the subgroup generated by `words`, from sympy's
+    `coset_enumeration_r` with `max_cosets=cap`, then `compress()` and
+    `standardize()`; None when sympy stops at the cap."""
+    from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
+    from sympy.combinatorics.free_groups import free_group
+
+    names = ", ".join(group.letter(i) for i in range(group.num_generators))
+    fgroup, *gens = free_group(names)
+
+    def to_sympy(letters):
+        w = fgroup.identity
+        for letter in letters:
+            gen = gens[abs(letter) - 1]
+            w = w * (gen if letter > 0 else gen**-1)
+        return w
+
+    fp = FpGroup(fgroup, [to_sympy(rel) for rel in group.relators()])
+    subgroup = [to_sympy(group.word_problem_letters(g)) for g in words]
+    try:
+        table = coset_enumeration_r(fp, subgroup, max_cosets=cap)
+    except ValueError:
+        return None
+    table.compress()
+    table.standardize()
+    return tuple(tuple(row) for row in table.table)
 
 
 def least_positive_root(den) -> float | None:

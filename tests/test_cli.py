@@ -28,6 +28,28 @@ def write_spec(tmp_path, spec, name="spec.json"):
     return str(p)
 
 
+def assert_commands_leave_unloaded(tmp_path, module, runs):
+    """Import hypme.cli and dispatch each of `runs` in one fresh interpreter;
+    each must exit 0 and leave `module` out of sys.modules."""
+    out = str(tmp_path / "r.json")
+    code = (
+        "import json, sys\n"
+        "import hypme.cli\n"
+        f"seen = [('import', 0, {module!r} in sys.modules)]\n"
+        f"for argv in {runs!r}:\n"
+        f"    exit_code = hypme.cli.dispatch(argv + ['--out', {out!r}])\n"
+        f"    seen.append((argv[0], exit_code, {module!r} in sys.modules))\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 1 + len(runs)
+    assert all(exit_code == 0 and not loaded for _, exit_code, loaded in seen), seen
+
+
 class TestEnvelope:
     def test_version_config_seed_budget_recorded(self, tmp_path):
         code, doc = run(tmp_path, "graph-analyze", "--gen", "tree:3,6", "--seed", "5")
@@ -53,39 +75,27 @@ class TestEnvelope:
         assert code == 0
         assert doc["config"]["budget_effective"] == 123456
 
-    def test_cli_import_leaves_sympy_unloaded(self):
-        code = "import sys, hypme.cli; sys.exit('sympy' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    def test_cli_import_leaves_sympy_unloaded(self, tmp_path):
+        # sympy is a test oracle only: no subcommand, coset enumeration included, loads it
+        spec = write_spec(tmp_path, F2_SPEC)
+        assert_commands_leave_unloaded(tmp_path, "sympy", [
+            ["coupling-build", "--spec", spec],
+            ["coupling-verify", "--spec", spec, "--radius", "2"],
+            ["integrability", "--spec", spec],
+            ["claim-check", "--spec", spec, "--lambda-radius", "2"],
+        ])
 
     def test_algebra_commands_leave_numpy_unloaded(self, tmp_path):
         # only commands that build a distance matrix need numpy
         spec = write_spec(tmp_path, F2_SPEC)
-        out = str(tmp_path / "r.json")
-        runs = [
+        assert_commands_leave_unloaded(tmp_path, "numpy", [
             ["group-ball", "--group", "F2", "--radius", "3"],
             ["coupling-build", "--spec", spec],
             ["coupling-verify", "--spec", spec, "--radius", "2"],
             ["integrability", "--spec", spec],
             ["claim-check", "--spec", spec, "--lambda-radius", "2"],
             ["conditions", "--group", "F2"],
-        ]
-        code = (
-            "import json, sys\n"
-            "import hypme.cli\n"
-            "seen = [('import', 0, 'numpy' in sys.modules)]\n"
-            f"for argv in {runs!r}:\n"
-            f"    exit_code = hypme.cli.dispatch(argv + ['--out', {out!r}])\n"
-            "    seen.append((argv[0], exit_code, 'numpy' in sys.modules))\n"
-            "print(json.dumps(seen))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        seen = json.loads(proc.stdout)
-        assert len(seen) == 1 + len(runs)
-        assert all(exit_code == 0 and not loaded for _, exit_code, loaded in seen), seen
+        ])
 
 
 class TestExitCodes:
@@ -139,18 +149,16 @@ class TestExitCodes:
         assert "radius must be >= 0" in capsys.readouterr().err
 
     def test_coset_enumeration_capped_below_general_budget(self, tmp_path, monkeypatch):
-        # the general budget (10M by default) would let sympy define millions
-        # of cosets for an infinite index that passes the rank check
-        from sympy.combinatorics import fp_groups
-
+        # the general budget (10M by default) would let the enumerator define
+        # millions of cosets for an infinite index that passes the rank check
         seen = []
-        enumerate_cosets = fp_groups.coset_enumeration_r
+        enumerate_cosets = coupling._build_coset_table
 
-        def spy(fp, subgroup, max_cosets, **kwargs):
-            seen.append(max_cosets)
-            return enumerate_cosets(fp, subgroup, max_cosets=max_cosets, **kwargs)
+        def spy(group, words, cap):
+            seen.append(cap)
+            return enumerate_cosets(group, words, cap)
 
-        monkeypatch.setattr(fp_groups, "coset_enumeration_r", spy)
+        monkeypatch.setattr(coupling, "_build_coset_table", spy)
         monkeypatch.delenv("HYPME_BUDGET", raising=False)
         spec = write_spec(tmp_path, F2_SPEC)
         assert run(tmp_path, "coupling-build", "--spec", spec)[0] == 0
@@ -173,6 +181,14 @@ class TestExitCodes:
         assert code == 1 and doc is None
         err = capsys.readouterr().err
         assert "300 cosets" in err and "--budget or HYPME_BUDGET" in err
+
+    def test_zero_budget_refuses_coset_enumeration(self, tmp_path, capsys):
+        # a cap of 0 cosets admits not even the subgroup's own coset
+        spec = write_spec(tmp_path, F2_SPEC)
+        code, doc = run(tmp_path, "coupling-build", "--spec", spec, "--budget", "0")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "stopped at 0 cosets" in err and "--budget or HYPME_BUDGET" in err
 
     def test_usage_error(self, tmp_path):
         assert dispatch(["graph-analyze", "--gen", "blob:3",

@@ -27,7 +27,7 @@ from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, power
 from hypme.rational import matrix_rank
-from oracles import brute_claim_sweep, independent_word_lengths
+from oracles import brute_claim_sweep, independent_word_lengths, sympy_coset_table
 
 F2_GENS = ["aa", "b", "abA"]
 
@@ -108,6 +108,43 @@ class TestSubgroupCoupling:
     def test_actions_commute(self, f2_coupling):
         rep = check_actions_commute(f2_coupling, 3, samples=150, seed=0)
         assert rep.passed
+
+
+class TestCosetEnumeration:
+    GROUPS = ["F2", "F3", "Z^2", "Z^3", "C6", "C3xC4", "C4xC6xC2", "C2*C3", "C2*C2*C2",
+              "C5*Z", "F2xZ", "Z^2*C2", "C3*C4xC2"]
+
+    def test_tables_match_sympy(self):
+        # random subgroups, no rank check first: infinite-index ones hit the cap
+        rng = random.Random(13)
+        cap = 50
+        finished = refused = 0
+        for name in self.GROUPS:
+            g = parse_group(name)
+            letters = [g.letter(i) for i in range(g.num_generators)]
+            letters += [x.upper() for x in letters]
+            for _ in range(4):
+                words = [
+                    g.parse_word("".join(rng.choice(letters) for _ in range(rng.randint(0, 6))))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                expected = sympy_coset_table(g, words, cap)
+                try:
+                    table = coupling._build_coset_table(g, words, cap)
+                except BudgetError:
+                    table = None
+                assert table == expected, (name, [g.to_word(w) for w in words])
+                finished += table is not None
+                refused += table is None
+        assert finished >= 15 and refused >= 5, (finished, refused)
+
+    def test_cap_counts_the_subgroup_coset(self):
+        # F2 over <aa, b, abA> has index 2: a cap of 2 cosets admits it, 1 does not
+        f2 = parse_group("F2")
+        gens = [f2.parse_word(w) for w in F2_GENS]
+        assert len(coupling._build_coset_table(f2, gens, 2)) == 2
+        with pytest.raises(BudgetError, match="stopped at 1 cosets"):
+            coupling._build_coset_table(f2, gens, 1)
 
 
 class TestCocycles:
