@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .errors import Budget, HypmeError, MathCheckError, ParseError
@@ -113,8 +114,9 @@ def _add_common(p):
     p.add_argument("--out", required=True, help="output report path (JSON)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="work budget in group elements "
-                   "(each element a BFS reaches is charged once), identity-check cases and "
-                   "cycle-search candidate vertices (or HYPME_BUDGET)")
+                   "(each element a BFS reaches is charged once), cosets defined by coset "
+                   "enumeration, identity-check cases and cycle-search candidate vertices "
+                   "(or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
@@ -192,33 +194,14 @@ def cmd_check_obstruction(args, budget):
     return payload, report.verdict == "consistent"
 
 
-def _entropy_view(est) -> dict:
-    declared = est.declared is not None
-    return {
-        "lower": est.lower,
-        "point_estimates": est.point_estimates,
-        "ratio_estimates": est.ratio_estimates,
-        "declared": est.declared.describe() if declared else None,
-        "declared_exact": declared,
-    }
-
-
 def cmd_group_ball(args, budget):
     group = parse_group(args.group)
     if args.counts_only:
-        table = bfs_growth_table(group, args.radius, budget=budget)
-        payload = {
-            "group": group.name,
-            "radius": args.radius,
-            "growth": table.values,
-            "entropy": (
-                _entropy_view(entropy_estimate(group.growth_table(args.radius)))
-                if args.radius >= 2 else None
-            ),
-        }
-        csv_source = table
+        growth = bfs_growth_table(group, args.radius, budget=budget)
+        payload = {"group": group.name, "radius": args.radius, "entropy": None}
     else:
         b = ball(group, args.radius, budget=budget)
+        growth = b.growth
         payload = {
             "radius": b.radius,
             "group": group.name,
@@ -226,14 +209,13 @@ def cmd_group_ball(args, budget):
             "edges": sorted(b.graph.edges),
             "word_lengths": b.word_lengths,
             "labels": [group.describe(g) for g in b.elements],
-            "growth": b.growth.values,
         }
-        if args.radius >= 2:
-            payload["entropy"] = _entropy_view(entropy_estimate(b.growth))
-        csv_source = b.growth
+    payload["growth"] = growth
+    if args.radius >= 2:
+        payload["entropy"] = entropy_estimate(group, args.radius)
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(csv_source.to_csv())
+            fh.write("n,vol\n" + "".join(f"{n},{v}\n" for n, v in enumerate(growth)))
     return payload, True
 
 
@@ -252,7 +234,7 @@ def _coupling_view(c) -> dict:
         "schreier_generators": [g.describe(s) for s in c.sub.schreier_generators],
         "fibers": [g.describe(f) for f in c.fibers],
         "x_gamma": [[g.describe(p[0]), p[1]] for p in c.x_gamma],
-        "mu_scale": c.mu_scale,
+        "mu_scale": Fraction(1),  # mu is counting measure
         "mu_x_gamma": c.mu_x_gamma(),
         "mu_x_lambda": c.mu_x_lambda(),
         "x_gamma_in_x_lambda": c.x_gamma_in_x_lambda(),
@@ -310,17 +292,17 @@ def cmd_threshold(args, budget):
     group = parse_group(args.group)
     b = ball(group, args.ball_radius, budget=budget)
     dm = distance_matrix(b.graph)
-    est = entropy_estimate(b.growth)
+    est = entropy_estimate(group, args.ball_radius)
     rep = threshold_p(
         thin_triangle_delta(b.graph, dm)[0],
-        est.declared.entropy.hi,
+        group.growth.entropy.hi,
         provenance={
             "delta_source": f"thin_triangle on ball radius {args.ball_radius} (lower bound for the group)",
             "entropy_source": "declared",
             "group": group.name,
         },
     )
-    return {**vars(rep), "entropy_estimate": _entropy_view(est)}, True
+    return {**vars(rep), "entropy_estimate": est}, True
 
 
 def cmd_conditions(args, budget):
@@ -346,7 +328,7 @@ def cmd_conditions(args, budget):
     if unknown:
         raise ParseError(f"--check takes conditions 5, 6 and 7, not {', '.join(unknown)!r}")
     if "5" in wanted:
-        reports.append(check_condition_5(rc, group.growth_table(2)))
+        reports.append(check_condition_5(rc, group))
     if "6" in wanted:
         reports.append(check_condition_6_7(rc, "thm41"))
     if "7" in wanted:

@@ -102,8 +102,9 @@ def _build_coset_table(group: MarkedGroup, words, cap: int):
 
     HLT Todd-Coxeter with coincidence processing (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 5.1).  Column 2k is generator
-    k + 1 and column 2k + 1 its inverse.  Past `cap` cosets defined, dead ones
-    included, it raises BudgetError.
+    k + 1 and column 2k + 1 its inverse.  Returns the table and the number of
+    cosets defined, dead ones included; past `cap` of them it raises
+    BudgetError.
     """
     table: list[list] = []
     p: list[int] = []  # p[c] == c for a live coset, else one it coincided with
@@ -190,7 +191,7 @@ def _build_coset_table(group: MarkedGroup, words, cap: int):
             if d not in number:
                 number[d] = len(order)
                 order.append(d)
-    return tuple(tuple(number[d] for d in table[c]) for c in order)
+    return tuple(tuple(number[d] for d in table[c]) for c in order), len(table)
 
 
 def subgroup_data(
@@ -212,9 +213,10 @@ def subgroup_data(
                 f"subgroup has infinite index: abelianized image has rank {sub_rank} < {rank}"
             )
     budget = budget or Budget()
-    table = _build_coset_table(
+    table, defined = _build_coset_table(
         group, gens, min(budget.limit - budget.spent, DEFAULT_COSET_BUDGET)
     )
+    budget.charge("cosets", defined, by="coset enumeration")  # within the cap, so never over
     index = len(table)
 
     # temporary data object for tracing while we build the transversal
@@ -294,7 +296,6 @@ class Coupling:
     sub: SubgroupData
     fibers: tuple  # elements f_i of the subgroup; plain coupling: (e,)
     x_gamma: tuple  # points (g, fiber_index); singleton by construction
-    mu_scale: Fraction = Fraction(1)
     budget: Budget = field(default_factory=Budget, compare=False, repr=False)
 
     @cached_property
@@ -388,10 +389,10 @@ class Coupling:
         return all(self.in_x_lambda(p) for p in self.x_gamma)
 
     def mu_x_gamma(self) -> Fraction:
-        return self.mu_scale * len(self.x_gamma)
+        return Fraction(len(self.x_gamma))
 
     def mu_x_lambda(self) -> Fraction:
-        return self.mu_scale * self.index * self.fiber_count
+        return Fraction(self.index * self.fiber_count)
 
     # --- cocycles ---------------------------------------------------------------
 
@@ -713,7 +714,7 @@ def projection_and_similarity(
     else:
         raise PreconditionError("side must be 'lambda' or 'gamma'")
 
-    integral = sum((phi.value(Fraction(d)) for d in dists), Fraction(0)) * c.mu_scale
+    integral = sum((phi.value(Fraction(d)) for d in dists), Fraction(0))
     correction_words = sorted({g.describe(lam) for lam in corrections})
     return {
         "side": side,
@@ -771,7 +772,7 @@ def integrability_report(
     def integral(fn, dist_lists):
         # the largest integral by its upper end; the first one on a tie
         sums = [sum((fn.value(Fraction(d)) for d in dists), Fraction(0)) for dists in dist_lists]
-        return max(sums, key=upper, default=Fraction(0)) * c.mu_scale
+        return max(sums, key=upper, default=Fraction(0))
 
     K = integral(phi, [[lengths[v] for v in alpha_values[s]] for s in gamma_gens])
     L = integral(psi, [beta_lengths[t] for t in lambda_gens])
@@ -851,7 +852,6 @@ def strengthen_coboundedness(c: Coupling, F) -> Coupling:
         sub=c.sub,
         fibers=tuple(new_fibers),
         x_gamma=tuple(new_x_gamma),
-        mu_scale=c.mu_scale,
         budget=c.budget,
     )
     if not out.x_gamma_in_x_lambda():
@@ -883,10 +883,10 @@ def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
     if m == 1:
         return CheckReport.of("growth_comparison", radius + 1, 0, radius=radius)
     prod = DirectProduct([g, Cyclic(m)])
-    table = bfs_growth_table(prod, radius, gens=c.gamma_generators(), budget=c.budget)
+    vols = bfs_growth_table(prod, radius, gens=c.gamma_generators(), budget=c.budget)
     bad = 0
     for r in range(radius + 1):
-        lhs = table.values[r]
+        lhs = vols[r]
         rhs = m * g.volume(r)
         if lhs > rhs:
             bad += 1
@@ -1038,13 +1038,11 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
             if not g.is_identity(w) and c.sub.contains(w):
                 disp[w] = depth
 
-    # B = B_lambda(r), then the lambda lengths of the candidates up to 2r;
-    # a negative radius gives B = {e}
-    r = max(lambda_radius, 0)
-    elems = sorted(c.lambda_spheres.ball(r), key=g.to_word)
+    # B = B_lambda(r), then the lambda lengths of the candidates up to 2r
+    elems = sorted(c.lambda_spheres.ball(lambda_radius), key=g.to_word)
     lam_len = {}
     pending = set(disp)
-    for depth in range(2 * r + 1):
+    for depth in range(2 * lambda_radius + 1):
         if not pending:
             break
         found = pending.intersection(c.lambda_spheres[depth])

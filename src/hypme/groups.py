@@ -11,7 +11,9 @@ once (de la Harpe, Topics in Geometric Group Theory, ch. VI); a free product
 has 1/S = sum 1/S_i - (k-1) and a direct product S = prod S_i.  Everything
 else about growth is derived from that one closed form in `MarkedGroup`:
 sphere sizes and volumes are its power-series expansion, and `Growth` reads
-the growth class and a certified entropy bracket off the roots of D.
+the growth class and a certified entropy bracket off the roots of D.  The
+group is the only source of growth data; a BFS counts volumes as a plain
+tuple, for the `group-ball` report and for checks against the series.
 
 Words serialize as strings over a..z with uppercase denoting inverses
 (A = a inverse); generator letters are assigned left to right across the
@@ -241,10 +243,6 @@ class MarkedGroup:
     def describe(self, g) -> str:
         w = self.to_word(g)
         return w if w else "e"
-
-    def growth_table(self, radius: int) -> "GrowthTable":
-        vols = tuple(self.volume(n) for n in range(radius + 1))
-        return GrowthTable(values=vols, group_name=self.name, closed_form=self)
 
     def word_problem_letters(self, g) -> tuple[int, ...]:
         """g as a sequence of signed 1-based generator indices (for coset tracing)."""
@@ -596,42 +594,12 @@ def parse_group(spec: str) -> MarkedGroup:
 
 
 @dataclass(frozen=True)
-class GrowthTable:
-    """Vol_S(0..R) as exact integers, optionally backed by a closed form."""
-
-    values: tuple[int, ...]
-    group_name: str
-    closed_form: MarkedGroup | None = None
-
-    @property
-    def radius(self) -> int:
-        return len(self.values) - 1
-
-    def volume(self, n: int) -> int:
-        if n <= self.radius:
-            return self.values[n]
-        if self.closed_form is not None:
-            return self.closed_form.volume(n)
-        raise PreconditionError(
-            f"growth table covers radius {self.radius}, but radius {n} is required"
-        )
-
-    def covers(self, n: int) -> bool:
-        return n <= self.radius or self.closed_form is not None
-
-    def to_csv(self) -> str:
-        lines = ["n,vol"] + [f"{n},{v}" for n, v in enumerate(self.values)]
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
 class CayleyBall:
     radius: int
     graph: Graph
     elements: tuple
     word_lengths: tuple[int, ...]
-    growth: GrowthTable
-    group: MarkedGroup
+    growth: tuple[int, ...]  # Vol(0..radius), counted by the BFS
 
 
 def sphere_levels(group: MarkedGroup, gens, budget: Budget | None = None):
@@ -668,8 +636,11 @@ def bfs_growth_table(
     radius: int,
     gens=None,
     budget: Budget | None = None,
-) -> GrowthTable:
-    """Growth table from BFS counting only (memory stays at two levels)."""
+) -> tuple[int, ...]:
+    """Vol(0..radius) over `gens` counted by BFS alone (memory stays at two
+    levels); the group's own volumes come from its series, `group.volume`."""
+    if radius < 0:
+        raise PreconditionError("radius must be >= 0")
     if gens is None:
         gens = [g for _, g in group.symmetric_generators()]
     vols = []
@@ -679,7 +650,7 @@ def bfs_growth_table(
         vols.append(total)
         if depth >= radius:
             break
-    return GrowthTable(values=tuple(vols), group_name=group.name)
+    return tuple(vols)
 
 
 def ball(
@@ -716,43 +687,36 @@ def ball(
         graph=graph,
         elements=tuple(elements),
         word_lengths=tuple(lengths),
-        growth=GrowthTable(values=tuple(vols), group_name=group.name, closed_form=group),
-        group=group,
+        growth=tuple(vols),
     )
 
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """Entropy data from a growth table.
+    """The entropy block of a report, read off a group's growth series.
 
-    `point_estimates` are log(Vol(n))/n; `ratio_estimates` are the successive
-    quotients log(Vol(n)/Vol(n-1)), which converge much faster for exponential
-    growth.  `declared` is the growth the table's group derives from its
-    growth series, and `lower` is always a certified lower bound on the
-    entropy: the low end of the declared bracket, or 0 for a bare table (a
-    limsup admits no positive certificate from finitely many terms).
+    `point_estimates` are log(Vol(n))/n and `ratio_estimates` the successive
+    quotients log(Vol(n)/Vol(n-1)), which converge much faster for
+    exponential growth; both are uncertified floats.  `declared` describes
+    the entropy the group derives from its series, and `lower`, the low end
+    of that certified bracket, is a certified lower bound on the entropy.
     """
 
     lower: Fraction
     point_estimates: tuple[float, ...]
     ratio_estimates: tuple[float, ...]
-    declared: Growth | None
+    declared: str
+    declared_exact: bool
 
 
-def entropy_estimate(table: GrowthTable) -> EntropyEstimate:
-    if len(table.values) < 3:
+def entropy_estimate(group: MarkedGroup, radius: int) -> EntropyEstimate:
+    if radius < 2:
         raise PreconditionError("growth table must cover radius >= 2")
-    points = tuple(
-        math.log(table.values[n]) / n for n in range(1, len(table.values))
-    )
-    ratios = tuple(
-        math.log(table.values[n] / table.values[n - 1])
-        for n in range(1, len(table.values))
-    )
-    declared = table.closed_form.growth if table.closed_form is not None else None
+    vols = [group.volume(n) for n in range(radius + 1)]
     return EntropyEstimate(
-        lower=declared.entropy.lo if declared is not None else Fraction(0),
-        point_estimates=points,
-        ratio_estimates=ratios,
-        declared=declared,
+        lower=group.growth.entropy.lo,
+        point_estimates=tuple(math.log(vols[n]) / n for n in range(1, radius + 1)),
+        ratio_estimates=tuple(math.log(vols[n] / vols[n - 1]) for n in range(1, radius + 1)),
+        declared=group.growth.describe(),
+        declared_exact=True,  # the declared value is the series' own
     )

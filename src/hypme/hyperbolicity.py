@@ -271,6 +271,8 @@ def sampled_hyperbolicity(
     g: Graph, dm: DistanceMatrix, samples: int, seed: int
 ) -> HyperbolicityReport:
     """Seeded uniform sampling of triples/quadruples: a lower bound on both deltas."""
+    if samples < 1:
+        raise PreconditionError(f"samples must be >= 1, got {samples}")
     n = dm.n
     rng = random.Random(seed)
     best_t = -1

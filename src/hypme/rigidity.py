@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .groups import Growth, GrowthTable
+from .groups import Growth, MarkedGroup
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, format_fraction, ln_bounds
 
@@ -169,14 +169,11 @@ class ConditionReport:
 
 
 def _analytic_condition_5(
-    phi: IntegrabilityFunction, r: Schedule, growth: Growth | None
+    phi: IntegrabilityFunction, r: Schedule, growth: Growth
 ) -> tuple[str, dict] | None:
-    """Closed-family limit verdicts for the vanishing ratio; `growth` is None
-    for a bare table, which gets only the verdict that needs no growth."""
+    """Closed-family limit verdicts for the vanishing ratio."""
     if phi.family == "exp_power" and r.family == "log":
         return "tends_to_zero", {"reason": "stretched-exponential denominator"}
-    if growth is None:
-        return None
     if phi.family == "power":
         p = phi.param
         if r.family == "log":
@@ -210,21 +207,15 @@ def _analytic_condition_5(
     return None
 
 
-def check_condition_5(rc: RigidityConditions, growth: GrowthTable) -> ConditionReport:
+def check_condition_5(rc: RigidityConditions, group: MarkedGroup) -> ConditionReport:
     """The vanishing condition: n^2 r(n) Vol(r(n)) / phi(n/r(n)) -> 0.
 
-    Sampled log-ratios are certified intervals; N0 is the first sampled n
-    from which the ratio strictly decreases through n_max.  Vol at the
-    non-integer r(n) is taken at the (conservative) ceiling.
+    Vol and the growth behind the analytic verdict come from the group's
+    growth series.  Sampled log-ratios are certified intervals; N0 is the
+    first sampled n from which the ratio strictly decreases through n_max.
+    Vol at the non-integer r(n) is taken at the (conservative) ceiling.
     """
     grid = _sample_grid(rc.n_min, rc.n_max)
-    r_top = rc.r.value(rc.n_max)
-    radius_top = math.ceil(r_top.hi)
-    if not growth.covers(radius_top):
-        raise PreconditionError(
-            f"growth table covers radius {growth.radius}, "
-            f"but the schedule needs radius {radius_top} at n={rc.n_max}"
-        )
     log_ratios: list[FracInterval] = []
     samples = []
     schedule_exceeds_n = []
@@ -233,7 +224,7 @@ def check_condition_5(rc: RigidityConditions, growth: GrowthTable) -> ConditionR
         radius = math.ceil(rn.hi)
         if rn.lo > n:
             schedule_exceeds_n.append(n)
-        vol = growth.volume(radius)
+        vol = group.volume(radius)
         ln_num = (
             FracInterval(Fraction(n)).ln() * 2
             + rn.ln()
@@ -251,19 +242,15 @@ def check_condition_5(rc: RigidityConditions, growth: GrowthTable) -> ConditionR
         ):
             n0 = grid[i]
             break
-    declared = growth.closed_form.growth if growth.closed_form is not None else None
-    analytic = _analytic_condition_5(rc.phi, rc.r, declared)
+    analytic = _analytic_condition_5(rc.phi, rc.r, group.growth)
     if analytic is not None:
         verdict, notes = analytic
         is_analytic = True
     else:
-        is_analytic = False
+        verdict, is_analytic = "inconclusive", False
         notes = {"reason": "no closed-form family; empirical tail only"}
         if n0 is not None and log_ratios[-1].definitely_less(log_ratios[0]):
-            verdict = "inconclusive"
             notes["empirical"] = "decreasing tail observed"
-        else:
-            verdict = "inconclusive"
     if schedule_exceeds_n:
         notes = dict(notes)
         notes["r_exceeds_n_at"] = schedule_exceeds_n[:5]

@@ -131,14 +131,15 @@ class TestExitCodes:
         assert "--budget or HYPME_BUDGET" in err
 
     def test_coupling_verify_charges_each_ball_once(self, tmp_path, capsys):
-        # F2 at radius 3: B_lambda(3) has 187 elements and 187^2 = 34,969
-        # b-identity cases; B_gamma(3) has 53 and 2 * 53^2 = 5,618 cocycle
-        # cases; the other checks read the same two balls and charge nothing
+        # F2 at radius 3: coset enumeration defines the 2 cosets of the index-2
+        # subgroup; B_lambda(3) has 187 elements and 187^2 = 34,969 b-identity
+        # cases; B_gamma(3) has 53 and 2 * 53^2 = 5,618 cocycle cases; the
+        # other checks read the same two balls and charge nothing
         spec = write_spec(tmp_path, F2_SPEC)
         assert run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "3",
-                   "--budget", str(187 + 34969 + 53 + 5618))[0] == 0
+                   "--budget", str(2 + 187 + 34969 + 53 + 5618))[0] == 0
         code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "3",
-                        "--budget", str(187 + 34969 + 53 + 5618 - 1))
+                        "--budget", str(2 + 187 + 34969 + 53 + 5618 - 1))
         assert code == 1
         assert "cocycle identity check at radius 3 needs 5618 cases" in capsys.readouterr().err
 
@@ -147,6 +148,15 @@ class TestExitCodes:
         code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "-1")
         assert code == 1 and doc is None
         assert "radius must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius, message", [
+        ("1", "growth table must cover radius >= 2"),
+        ("-1", "radius must be >= 0"),
+    ])
+    def test_threshold_small_ball_radius_is_exit_one(self, tmp_path, capsys, radius, message):
+        code, doc = run(tmp_path, "threshold", "--group", "F2", "--ball-radius", radius)
+        assert code == 1 and doc is None
+        assert message in capsys.readouterr().err
 
     def test_coset_enumeration_capped_below_general_budget(self, tmp_path, monkeypatch):
         # the general budget (10M by default) would let the enumerator define
@@ -280,9 +290,13 @@ class TestExitCodes:
         ["claim-check", "--spec", "SPEC", "--radii", "0"],
         ["claim-check", "--spec", "SPEC", "--radii", "-1"],
         ["conditions", "--group", "F2", "--check", "9"],
+        ["group-ball", "--group", "F2", "--counts-only", "--radius", "-1"],
+        ["claim-check", "--spec", "SPEC", "--lambda-radius", "-2"],
+        ["graph-analyze", "--gen", "grid:25,25", "--samples", "-3"],
     ], ids=["min-a-word", "min-a-zero-denominator", "schedule", "phi-param",
             "gen-params", "gen-arity", "delta", "radii-word", "env-budget",
-            "radii-zero", "radii-negative", "unknown-condition"])
+            "radii-zero", "radii-negative", "unknown-condition", "counts-radius-negative",
+            "lambda-radius-negative", "samples-negative"])
     def test_bad_flag_value_is_exit_one(self, tmp_path, capsys, monkeypatch, argv):
         argv = list(argv)
         while "=" in argv[0]:  # leading NAME=value items set the environment

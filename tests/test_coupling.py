@@ -48,7 +48,8 @@ def z2_coupling():
 
 
 def f2_coupling_with(limit):
-    """A fresh F2 coupling whose Budget has `limit` units, none spent."""
+    """A fresh F2 coupling whose Budget has `limit` units, of which coset
+    enumeration has spent 2, one per coset of the index-2 subgroup."""
     return subgroup_coupling(parse_group("F2"), F2_GENS, budget=Budget(limit))
 
 
@@ -105,6 +106,12 @@ class TestSubgroupCoupling:
         c = coupling_from_spec(spec)
         assert c.index == 2
 
+    def test_from_spec_charges_its_cosets(self):
+        # enumeration defines the index-2 subgroup's 2 cosets and no BFS runs yet
+        b = Budget()
+        coupling_from_spec({"group": "F2", "subgroup_generators": F2_GENS, "x_gamma": "e"}, b)
+        assert b.spent == 2
+
     def test_actions_commute(self, f2_coupling):
         rep = check_actions_commute(f2_coupling, 3, samples=150, seed=0)
         assert rep.passed
@@ -130,7 +137,8 @@ class TestCosetEnumeration:
                 ]
                 expected = sympy_coset_table(g, words, cap)
                 try:
-                    table = coupling._build_coset_table(g, words, cap)
+                    table, defined = coupling._build_coset_table(g, words, cap)
+                    assert len(table) <= defined <= cap
                 except BudgetError:
                     table = None
                 assert table == expected, (name, [g.to_word(w) for w in words])
@@ -142,7 +150,7 @@ class TestCosetEnumeration:
         # F2 over <aa, b, abA> has index 2: a cap of 2 cosets admits it, 1 does not
         f2 = parse_group("F2")
         gens = [f2.parse_word(w) for w in F2_GENS]
-        assert len(coupling._build_coset_table(f2, gens, 2)) == 2
+        assert coupling._build_coset_table(f2, gens, 2)[1] == 2
         with pytest.raises(BudgetError, match="stopped at 1 cosets"):
             coupling._build_coset_table(f2, gens, 1)
 
@@ -260,7 +268,7 @@ class TestLambdaMetric:
         aaaaaa = f2.parse_word("aaaaaa")  # (aa)^3: Schreier length 3
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
             f2_coupling_with(20).lambda_lengths({aaaaaa})
-        assert f2_coupling_with(187).lambda_lengths({aaaaaa})[aaaaaa] == 3
+        assert f2_coupling_with(2 + 187).lambda_lengths({aaaaaa})[aaaaaa] == 3
 
 
 class TestSharedBalls:
@@ -270,7 +278,7 @@ class TestSharedBalls:
         c = f2_coupling_with(10_000)
         ball3 = c.lambda_spheres.ball(3)
         spent = c.budget.spent
-        assert spent == 187 == len(ball3)
+        assert spent == 2 + 187 == 2 + len(ball3)  # the 2 cosets, then the ball
         assert c.lambda_spheres.ball(2) == ball3[:37]
         inside = {f2.parse_word(w) for w in ("aa", "bb", "aab", "Abab")}
         assert set(c.lambda_lengths(inside)) == inside
@@ -280,9 +288,9 @@ class TestSharedBalls:
     def test_gamma_ball_is_a_prefix(self, f2):
         c = f2_coupling_with(10_000)
         ball3 = c.gamma_ball(3)
-        assert c.budget.spent == 53 == len(ball3)
+        assert c.budget.spent == 2 + 53 == 2 + len(ball3)  # the 2 cosets, then the ball
         assert c.gamma_ball(1) == ball3[:5]
-        assert c.budget.spent == 53
+        assert c.budget.spent == 2 + 53
 
     def test_read_past_a_finite_subgroup(self):
         # <b> in C3xC4 has order 4: its levels end, and reading on charges 0
@@ -574,16 +582,16 @@ class TestClaimSweepOracle:
 class TestBIdentityBudget:
     def test_refuses_before_the_first_case(self):
         # |B_lambda(2)| = 37 in the rank-3 free subgroup: 1369 cases, charged
-        # after the 37 group elements of the ball
-        assert check_b_identity(f2_coupling_with(37 + 1369), 2).cases == 1369
+        # after the 2 cosets and the 37 group elements of the ball
+        assert check_b_identity(f2_coupling_with(2 + 37 + 1369), 2).cases == 1369
         with pytest.raises(BudgetError, match="needs 1369 cases.*--budget or HYPME_BUDGET"):
-            check_b_identity(f2_coupling_with(37 + 1368), 2)
+            check_b_identity(f2_coupling_with(2 + 37 + 1368), 2)
 
 
 class TestCocycleIdentityBudget:
     def test_refuses_before_the_first_case(self):
         # |X_lambda| = 2 and |B_gamma(3)| = 53 in F2: 2 * 53^2 = 5618 cases,
-        # charged after the 53 group elements of the ball
-        assert check_cocycle_identity(f2_coupling_with(53 + 5618), 3).cases == 5618
+        # charged after the 2 cosets and the 53 group elements of the ball
+        assert check_cocycle_identity(f2_coupling_with(2 + 53 + 5618), 3).cases == 5618
         with pytest.raises(BudgetError, match="needs 5618 cases.*--budget or HYPME_BUDGET"):
-            check_cocycle_identity(f2_coupling_with(53 + 5617), 3)
+            check_cocycle_identity(f2_coupling_with(2 + 53 + 5617), 3)

@@ -111,26 +111,26 @@ SERIES_SPECS = [
 class TestBalls:
     def test_f2_growth(self):
         b = ball(parse_group("F2"), 2)
-        assert list(b.growth.values) == [1, 5, 17]
+        assert list(b.growth) == [1, 5, 17]
         g = parse_group("F2")
         assert all(g.volume(n) == 2 * 3**n - 1 for n in range(8))
 
     def test_z2_growth(self):
         b = ball(parse_group("Z^2"), 3)
-        assert list(b.growth.values) == [1, 5, 13, 25]
+        assert list(b.growth) == [1, 5, 13, 25]
         g = parse_group("Z^2")
         assert all(g.volume(n) == 2 * n * n + 2 * n + 1 for n in range(8))
 
     def test_c3_saturates(self):
         t = bfs_growth_table(parse_group("C3"), 5)
-        assert list(t.values) == [1, 3, 3, 3, 3, 3]
+        assert list(t) == [1, 3, 3, 3, 3, 3]
 
     @pytest.mark.parametrize("spec", SERIES_SPECS + ["F2xC2"])
     def test_bfs_matches_closed_form(self, spec):
         g = parse_group(spec)
         t = bfs_growth_table(g, 6, budget=Budget(30_000))  # F3 has the largest ball, 23,437
-        assert list(t.values) == [g.volume(n) for n in range(7)]
-        spheres = [b - a for a, b in zip(t.values, t.values[1:])]
+        assert list(t) == [g.volume(n) for n in range(7)]
+        spheres = [b - a for a, b in zip(t, t[1:])]
         assert [g.sphere_size(n) for n in range(1, 7)] == spheres
 
     @pytest.mark.parametrize("spec", ["F2", "Z^2", "C2*C3", "F2xC2"])
@@ -166,7 +166,7 @@ class TestBalls:
     def test_growth_table_matches_ball(self, spec, radius):
         # C3xC4 has diameter 3, so its levels run out before the radius
         g = parse_group(spec)
-        assert bfs_growth_table(g, radius).values == ball(g, radius).growth.values
+        assert bfs_growth_table(g, radius) == ball(g, radius).growth
 
     def test_growth_table_matches_ball_on_fibered_product(self):
         # the generating set check_growth_comparison uses for 4 fibers:
@@ -176,8 +176,8 @@ class TestBalls:
         gens = [(s, 0) for _, s in f2.symmetric_generators()]
         gens += [(f2.identity(), k) for k in (1, 2, 3)]
         table = bfs_growth_table(prod, 4, gens=gens)
-        assert table.values == ball(prod, 4, gens=gens).growth.values
-        assert list(table.values) == [1] + [f2.volume(r) + 3 * f2.volume(r - 1) for r in range(1, 5)]
+        assert table == ball(prod, 4, gens=gens).growth
+        assert list(table) == [1] + [f2.volume(r) + 3 * f2.volume(r - 1) for r in range(1, 5)]
 
     def test_ball_deterministic(self):
         b1 = ball(parse_group("C2*C3"), 5)
@@ -235,27 +235,31 @@ class TestGrowthSeries:
 class TestEntropy:
     def test_f2_estimates(self):
         g = parse_group("F2")
-        est = entropy_estimate(g.growth_table(12))
-        assert est.declared.rho == Fraction(1, 3) and est.declared.describe() == "log(3)"
+        est = entropy_estimate(g, 12)
+        assert g.growth.rho == Fraction(1, 3) and est.declared == "log(3)"
+        assert est.declared_exact
         assert abs(est.ratio_estimates[-1] - math.log(3)) < 0.02
         assert est.lower <= Fraction(109862, 100000)
         assert est.lower > Fraction(109860, 100000)
 
     def test_z2_declared_zero(self):
-        est = entropy_estimate(parse_group("Z^2").growth_table(10))
-        assert est.declared.kind == "polynomial" and est.declared.entropy.hi == 0
-        assert est.lower == 0
+        g = parse_group("Z^2")
+        est = entropy_estimate(g, 10)
+        assert g.growth.kind == "polynomial" and g.growth.entropy.hi == 0
+        assert est.declared == "0" and est.lower == 0
         assert est.point_estimates[-1] < 0.6
 
     def test_c3_zero(self):
-        est = entropy_estimate(parse_group("C3").growth_table(6))
-        assert est.declared.kind == "bounded" and est.declared.entropy.hi == 0
+        g = parse_group("C3")
+        est = entropy_estimate(g, 6)
+        assert g.growth.kind == "bounded" and est.declared == "0" and est.lower == 0
         assert est.ratio_estimates[-1] == 0
 
     def test_free_product_bracket_contains_log_sqrt2(self):
         # C2*C3 has growth series (1+t)(1+2t)/(1-2t^2), so h = ln sqrt(2)
-        est = entropy_estimate(parse_group("C2*C3").growth_table(8))
-        h = est.declared.entropy
+        g = parse_group("C2*C3")
+        est = entropy_estimate(g, 8)
+        h = g.growth.entropy
         assert est.lower == h.lo > 0
         assert h.hi - h.lo <= Fraction(1, 2**30)
         # ln sqrt(2) in [lo, hi] iff 2 in [exp(2 lo), exp(2 hi)]
@@ -266,15 +270,11 @@ class TestEntropy:
         h = parse_group(spec).growth.entropy
         assert (h.lo, h.hi) == (ln_lower(Fraction(base)), ln_upper(Fraction(base)))
 
-    def test_bare_table_has_no_declared_value(self):
-        est = entropy_estimate(bfs_growth_table(parse_group("C2*C3"), 8))
-        assert est.declared is None
-        assert est.lower == 0  # no positive certificate from finite data
-
     def test_lower_below_declared(self):
         for spec in ("F2", "F3", "Z^2", "C2*C3"):
-            est = entropy_estimate(parse_group(spec).growth_table(8))
-            assert est.lower <= est.declared.entropy.hi
+            g = parse_group(spec)
+            est = entropy_estimate(g, 8)
+            assert est.lower <= g.growth.entropy.hi
 
 
 class TestGrowthClasses:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypme.errors import PreconditionError
-from hypme.groups import GrowthTable, parse_group
+from hypme.groups import parse_group
 from hypme.integrability import exp_power, poly_plus, power
 from hypme.rational import FracInterval
 from hypme.reports import encode
@@ -80,59 +80,59 @@ def make_rc(phi, psi, r, delta=Fraction(1), L=Fraction(1), n_max=10**6):
 
 class TestCondition5:
     def test_good_exponent_tends_to_zero(self):
-        gt = parse_group("F2").growth_table(2)
+        group = parse_group("F2")
         p = 108 * LOG3 + 5
         rc = make_rc(power(p), power(1), corollary_schedules("lp", delta=Fraction(1)))
-        rep = check_condition_5(rc, gt)
+        rep = check_condition_5(rc, group)
         assert rep.verdict == "tends_to_zero" and rep.analytic
         assert rep.samples[-1]["n"] == 10**6
 
     def test_small_exponent_fails(self):
-        gt = parse_group("F2").growth_table(2)
+        group = parse_group("F2")
         rc = make_rc(power(2), power(1), corollary_schedules("lp", delta=Fraction(1)))
-        rep = check_condition_5(rc, gt)
+        rep = check_condition_5(rc, group)
         assert rep.verdict == "fails" and rep.analytic
         # numeric confirmation: the log-ratio grows through the window
         assert rep.samples[-1]["log_ratio"] > rep.samples[0]["log_ratio"]
 
     def test_decreasing_tail_with_margin(self):
         # with a comfortably supercritical exponent the window tail decreases
-        gt = parse_group("F2").growth_table(2)
+        group = parse_group("F2")
         p = 108 * (LOG3 + Fraction(1, 2)) + 2
         rc = make_rc(power(p), power(1), corollary_schedules("lp", delta=Fraction(1)))
-        rep = check_condition_5(rc, gt)
+        rep = check_condition_5(rc, group)
         assert rep.verdict == "tends_to_zero"
         assert rep.n0 is not None
         by_n = {s["n"]: s["log_ratio"] for s in rep.samples}
         assert by_n[10**6] < by_n[10**3]
 
     def test_exponential_growth_beats_power_two(self):
-        gt = parse_group("F2").growth_table(2)
+        group = parse_group("F2")
         rc = make_rc(power(2), power(1), Schedule("log", coefficient=Fraction(1)))
-        rep = check_condition_5(rc, gt)
+        rep = check_condition_5(rc, group)
         assert rep.verdict == "fails"
         assert rep.samples[-1]["log_ratio"] > rep.samples[0]["log_ratio"]
 
     def test_bounded_growth_tends_to_zero(self):
-        gt = parse_group("C3").growth_table(2)
+        group = parse_group("C3")
         rc = make_rc(power(3), power(1), Schedule("log", coefficient=Fraction(1)))
-        rep = check_condition_5(rc, gt)
+        rep = check_condition_5(rc, group)
         assert rep.verdict == "tends_to_zero"
         assert rep.n0 is not None
 
     def test_polynomial_growth_threshold_at_two(self):
-        gt = parse_group("Z^2").growth_table(2)
+        group = parse_group("Z^2")
         r = Schedule("log", coefficient=Fraction(3))
-        assert check_condition_5(make_rc(power(3), power(1), r), gt).verdict == "tends_to_zero"
-        assert check_condition_5(make_rc(power(2), power(1), r), gt).verdict == "fails"
+        assert check_condition_5(make_rc(power(3), power(1), r), group).verdict == "tends_to_zero"
+        assert check_condition_5(make_rc(power(2), power(1), r), group).verdict == "fails"
 
     def test_exp_power_with_power_schedule(self):
-        gt = parse_group("F2").growth_table(2)
+        group = parse_group("F2")
         r = corollary_schedules("exp", eta=Fraction(2))  # n^(2/3)
         good = make_rc(exp_power(3), power(1), r)
         bad = make_rc(exp_power(1), power(1), r)
-        assert check_condition_5(good, gt).verdict == "tends_to_zero"
-        assert check_condition_5(bad, gt).verdict == "fails"
+        assert check_condition_5(good, group).verdict == "tends_to_zero"
+        assert check_condition_5(bad, group).verdict == "fails"
 
     def test_free_products_get_analytic_verdicts(self):
         # C2*C3 has h = ln sqrt(2), so with r = 108 log n the critical exponent
@@ -140,29 +140,17 @@ class TestCondition5:
         r = Schedule("log", coefficient=Fraction(108))
         for spec, critical in (("C2*C3", 2 + 54 * math.log(2)), ("Z*Z", 2 + 108 * math.log(3)),
                                ("C2*C2*C2", 2 + 108 * math.log(2))):
-            gt = parse_group(spec).growth_table(2)
-            above = check_condition_5(make_rc(power(math.ceil(critical)), power(1), r), gt)
-            below = check_condition_5(make_rc(power(math.floor(critical)), power(1), r), gt)
+            group = parse_group(spec)
+            above = check_condition_5(make_rc(power(math.ceil(critical)), power(1), r), group)
+            below = check_condition_5(make_rc(power(math.floor(critical)), power(1), r), group)
             assert (above.verdict, below.verdict) == ("tends_to_zero", "fails"), spec
             assert above.analytic and below.analytic
             assert abs(float(above.notes["critical_exponent"]) - critical) < 1e-6
 
-    def test_bare_table_gets_no_growth_verdict(self):
-        # a table without a group says nothing about its degree, so no analytic verdict
-        table_only = GrowthTable(values=(1, 5, 13, 25, 41), group_name="Z^2")
-        rc = make_rc(power(9), power(1), Schedule("pow", exponent=Fraction(1, 2)), n_max=9)
-        assert not check_condition_5(rc, table_only).analytic
-
-    def test_coverage_error_names_radius(self):
-        table_only = GrowthTable(values=(1, 5, 17), group_name="F2")
-        rc = make_rc(power(200), power(1), corollary_schedules("lp", delta=Fraction(1)))
-        with pytest.raises(PreconditionError, match="radius"):
-            check_condition_5(rc, table_only)
-
     def test_r_exceeding_n_is_flagged(self):
-        gt = parse_group("F2").growth_table(2)
+        group = parse_group("F2")
         rc = make_rc(power(200), power(1), Schedule("log", coefficient=Fraction(108)))
-        rep = check_condition_5(rc, gt)
+        rep = check_condition_5(rc, group)
         assert "r_exceeds_n_at" in encode(rep)
 
 
