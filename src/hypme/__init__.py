@@ -1,7 +1,7 @@
 """hypme: exact-arithmetic toolkit for hyperbolicity obstructions and
 discrete measure-equivalence couplings.
 
-Subpackages by concern:
+Modules by concern:
 
   graphs         exact finite-graph metrics, geodesic point sets, generators
   hyperbolicity  thin-triangle and four-point constants, path-distance bounds
@@ -11,6 +11,15 @@ Subpackages by concern:
   coupling       subgroup couplings, cocycles, coboundedness, measure bounds
   rigidity       thresholds and the vanishing/schedule condition checkers
   cli            the command-line front door
+  rational       exact rationals and certified brackets
+  reports        the deterministic JSON report writer
+  errors         the error classes and the work Budget
+
+Importing `hypme` runs none of them.  Importing `hypme.cli` runs `errors`
+and registers each other module above in sys.modules and on this package
+without running it; a module runs when one of its attributes is first read,
+so each CLI run executes only the modules its subcommand calls.  mpmath is imported by `rational.outward` on
+its first call, and by nothing else.
 """
 
 __version__ = "0.1.0"

@@ -7,6 +7,13 @@ the configuration echo, the seed, and the budget, so identical invocations
 produce byte-identical files.  One `Budget`, from --budget or HYPME_BUDGET,
 bounds the work of every kernel a run calls.
 
+Importing this module runs none of the kernel modules: each is registered
+lazily (`_lazy`) and runs on first attribute access, so a subcommand pays
+only for the modules it calls, and mpmath loads with the first certified
+bracket (`rational.outward`).  Commands therefore call kernels through their
+module, as `graphs.distance_matrix(...)`, never through names bound at
+import time.
+
 Exit codes: 0 success; 1 usage, parse, precondition, or budget errors;
 2 when a mathematical assertion fails (the theorem-contradiction signal),
 so CI can tell broken math from broken IO.
@@ -15,6 +22,7 @@ so CI can tell broken math from broken IO.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -22,43 +30,31 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import Budget, HypmeError, MathCheckError, ParseError
-from .graphs import (
-    Graph,
-    cycle_graph,
-    distance_matrix,
-    grid_graph,
-    load_graph,
-    tree_graph,
-)
-from .hyperbolicity import (
-    EXACT_CUTOFF,
-    hyperbolicity_report,
-    sampled_hyperbolicity,
-    thin_triangle_delta,
-)
-from .cycles import check_obstruction, find_fat_cycle, CycleEmbedding, verify_embedding
-from .groups import ball, bfs_growth_table, entropy_estimate, parse_group
-from .coupling import (
-    check_actions_commute,
-    check_b_identity,
-    check_cocycle_identity,
-    check_fundamental_domains,
-    check_inverse_relation,
-    claim_bound_sweep,
-    coboundedness_witness,
-    coupling_from_spec,
-    integrability_report,
-)
-from .integrability import parse_function
-from .rational import parse_fraction
-from .reports import write_report
-from .rigidity import (
-    RigidityConditions,
-    Schedule,
-    check_condition_5,
-    check_condition_6_7,
-    threshold_p,
-)
+
+
+def _lazy(name: str):
+    """The module hypme.<name>, registered in sys.modules and bound on the
+    package, but executed only when one of its attributes is first read."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+coupling = _lazy("coupling")
+cycles = _lazy("cycles")
+graphs = _lazy("graphs")
+groups = _lazy("groups")
+hyperbolicity = _lazy("hyperbolicity")
+integrability = _lazy("integrability")
+rational = _lazy("rational")
+reports = _lazy("reports")
+rigidity = _lazy("rigidity")
 
 
 def _budget(args) -> Budget:
@@ -71,11 +67,11 @@ def _budget(args) -> Budget:
     return Budget() if args.budget is None else Budget(args.budget)
 
 
-# generator kind -> (constructor, number of integer parameters)
-_GENERATORS = {"tree": (tree_graph, 2), "grid": (grid_graph, 2), "cycle": (cycle_graph, 1)}
+# generator kind -> (constructor in graphs, number of integer parameters)
+_GENERATORS = {"tree": ("tree_graph", 2), "grid": ("grid_graph", 2), "cycle": ("cycle_graph", 1)}
 
 
-def _load_host(args) -> Graph:
+def _load_host(args) -> graphs.Graph:
     if getattr(args, "gen", None):
         kind, _, rest = args.gen.partition(":")
         if kind not in _GENERATORS:
@@ -87,10 +83,10 @@ def _load_host(args) -> Graph:
             params = []
         if len(params) != arity:
             raise ParseError(f"generator spec {args.gen!r} needs {arity} integer parameter(s)")
-        return make(*params)
+        return getattr(graphs, make)(*params)
     if getattr(args, "edges", None):
         with open(args.edges) as fh:
-            return load_graph(fh.read(), largest_component=args.largest_component)
+            return graphs.load_graph(fh.read(), largest_component=args.largest_component)
     raise HypmeError("provide --gen or --edges")
 
 
@@ -121,11 +117,11 @@ def _add_common(p):
 
 def cmd_graph_analyze(args, budget):
     g = _load_host(args)
-    dm = distance_matrix(g)
-    if g.n <= EXACT_CUTOFF or g.is_tree or args.force:
-        rep = hyperbolicity_report(g, dm, force=args.force)
+    dm = graphs.distance_matrix(g)
+    if g.n <= hyperbolicity.EXACT_CUTOFF or g.is_tree or args.force:
+        rep = hyperbolicity.hyperbolicity_report(g, dm, force=args.force)
     else:
-        rep = sampled_hyperbolicity(g, dm, samples=args.samples, seed=args.seed)
+        rep = hyperbolicity.sampled_hyperbolicity(g, dm, samples=args.samples, seed=args.seed)
     payload = {
         "n": g.n,
         "m": g.m,
@@ -137,11 +133,11 @@ def cmd_graph_analyze(args, budget):
 
 def cmd_find_cycles(args, budget):
     g = _load_host(args)
-    dm = distance_matrix(g)
-    res = find_fat_cycle(
+    dm = graphs.distance_matrix(g)
+    res = cycles.find_fat_cycle(
         g,
         dm,
-        min_a=parse_fraction(args.min_a),
+        min_a=rational.parse_fraction(args.min_a),
         min_n=args.min_n,
         mode=args.mode,
         budget=budget,
@@ -150,7 +146,7 @@ def cmd_find_cycles(args, budget):
     return res, True
 
 
-def _read_embedding(path: str) -> CycleEmbedding:
+def _read_embedding(path: str) -> cycles.CycleEmbedding:
     """The embedding object that find-cycles reports, checked for shape."""
     with open(path) as fh:
         try:
@@ -170,37 +166,37 @@ def _read_embedding(path: str) -> CycleEmbedding:
     if len(images) < 3:
         raise ParseError(f"embedding has {len(images)} images, a cycle needs at least 3")
     try:
-        a, b = parse_fraction(str(obj["a"])), parse_fraction(str(obj["b"]))
+        a, b = rational.parse_fraction(str(obj["a"])), rational.parse_fraction(str(obj["b"]))
     except ParseError:
         raise ParseError(f"embedding constants a={obj['a']!r}, b={obj['b']!r} are not fractions") from None
-    return CycleEmbedding(n=len(images), images=tuple(images), a=a, b=b)
+    return cycles.CycleEmbedding(n=len(images), images=tuple(images), a=a, b=b)
 
 
 def cmd_check_obstruction(args, budget):
     emb = _read_embedding(args.embedding)
     if args.delta is not None:
-        delta = parse_fraction(args.delta)
+        delta = rational.parse_fraction(args.delta)
         delta_source = "supplied"
     else:
         host = _load_host(args)
         if not all(0 <= v < host.n for v in emb.images):
             raise ParseError(f"embedding image vertex out of range for a host with {host.n} vertices")
-        dm = distance_matrix(host)
-        delta = thin_triangle_delta(host, dm)[0] + 2
+        dm = graphs.distance_matrix(host)
+        delta = hyperbolicity.thin_triangle_delta(host, dm)[0] + 2
         delta_source = "thin_triangle_plus_slack_2"
-        emb = verify_embedding(dm, list(emb.images))  # re-verify against the host
-    report = check_obstruction(emb, delta)
+        emb = cycles.verify_embedding(dm, list(emb.images))  # re-verify against the host
+    report = cycles.check_obstruction(emb, delta)
     payload = {"delta_source": delta_source, **vars(report)}
     return payload, report.verdict == "consistent"
 
 
 def cmd_group_ball(args, budget):
-    group = parse_group(args.group)
+    group = groups.parse_group(args.group)
     if args.counts_only:
-        growth = bfs_growth_table(group, args.radius, budget=budget)
+        growth = groups.bfs_growth_table(group, args.radius, budget=budget)
         payload = {"group": group.name, "radius": args.radius, "entropy": None}
     else:
-        b = ball(group, args.radius, budget=budget)
+        b = groups.ball(group, args.radius, budget=budget)
         growth = b.growth
         payload = {
             "radius": b.radius,
@@ -212,7 +208,7 @@ def cmd_group_ball(args, budget):
         }
     payload["growth"] = growth
     if args.radius >= 2:
-        payload["entropy"] = entropy_estimate(group, args.radius)
+        payload["entropy"] = groups.entropy_estimate(group, args.radius)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("n,vol\n" + "".join(f"{n},{v}\n" for n, v in enumerate(growth)))
@@ -221,7 +217,7 @@ def cmd_group_ball(args, budget):
 
 def _load_coupling(args, budget):
     with open(args.spec) as fh:
-        return coupling_from_spec(fh.read(), budget)
+        return coupling.coupling_from_spec(fh.read(), budget)
 
 
 def _coupling_view(c) -> dict:
@@ -245,7 +241,7 @@ def cmd_coupling_build(args, budget):
     c = _load_coupling(args, budget)
     payload = _coupling_view(c)
     payload["coboundedness_witness"] = [
-        c.group.describe(f) for f in coboundedness_witness(c)
+        c.group.describe(f) for f in coupling.coboundedness_witness(c)
     ]
     return payload, True
 
@@ -253,15 +249,15 @@ def cmd_coupling_build(args, budget):
 def cmd_coupling_verify(args, budget):
     c = _load_coupling(args, budget)
     # the b-identity check has the most cases, so it refuses an over-budget radius first
-    b_identity = check_b_identity(c, args.radius)
+    b_identity = coupling.check_b_identity(c, args.radius)
     checks = [
-        check_cocycle_identity(c, args.radius),
+        coupling.check_cocycle_identity(c, args.radius),
         b_identity,
-        check_actions_commute(c, max(args.radius - 1, 1), samples=200, seed=args.seed),
-        check_fundamental_domains(c, args.radius),
+        coupling.check_actions_commute(c, max(args.radius - 1, 1), samples=200, seed=args.seed),
+        coupling.check_fundamental_domains(c, args.radius),
     ]
     if c.x_gamma_in_x_lambda():
-        checks.append(check_inverse_relation(c, args.radius))
+        checks.append(coupling.check_inverse_relation(c, args.radius))
     payload = {
         "coupling": _coupling_view(c),
         "radius": args.radius,
@@ -273,28 +269,29 @@ def cmd_coupling_verify(args, budget):
 
 def cmd_integrability(args, budget):
     c = _load_coupling(args, budget)
-    rep = integrability_report(c, parse_function(args.phi), parse_function(args.psi))
+    parse_function = integrability.parse_function
+    rep = coupling.integrability_report(c, parse_function(args.phi), parse_function(args.psi))
     return rep, True
 
 
 def cmd_claim_check(args, budget):
     c = _load_coupling(args, budget)
-    phis = [parse_function(s) for s in args.phi.split(",")]
+    phis = [integrability.parse_function(s) for s in args.phi.split(",")]
     try:
         r_values = [int(x) for x in args.radii.split(",")]
     except ValueError:
         raise ParseError(f"--radii {args.radii!r} is not a list of integers") from None
-    payload = claim_bound_sweep(c, args.lambda_radius, r_values, phis)
+    payload = coupling.claim_bound_sweep(c, args.lambda_radius, r_values, phis)
     return payload, payload["passed"]
 
 
 def cmd_threshold(args, budget):
-    group = parse_group(args.group)
-    b = ball(group, args.ball_radius, budget=budget)
-    dm = distance_matrix(b.graph)
-    est = entropy_estimate(group, args.ball_radius)
-    rep = threshold_p(
-        thin_triangle_delta(b.graph, dm)[0],
+    group = groups.parse_group(args.group)
+    b = groups.ball(group, args.ball_radius, budget=budget)
+    dm = graphs.distance_matrix(b.graph)
+    est = groups.entropy_estimate(group, args.ball_radius)
+    rep = rigidity.threshold_p(
+        hyperbolicity.thin_triangle_delta(b.graph, dm)[0],
         group.growth.entropy.hi,
         provenance={
             "delta_source": f"thin_triangle on ball radius {args.ball_radius} (lower bound for the group)",
@@ -306,36 +303,37 @@ def cmd_threshold(args, budget):
 
 
 def cmd_conditions(args, budget):
-    group = parse_group(args.group)
+    group = groups.parse_group(args.group)
+    parse_fraction = rational.parse_fraction
     if args.r.startswith("log:"):
-        schedule = Schedule("log", coefficient=parse_fraction(args.r[4:]))
+        schedule = rigidity.Schedule("log", coefficient=parse_fraction(args.r[4:]))
     elif args.r.startswith("pow:"):
-        schedule = Schedule("pow", exponent=parse_fraction(args.r[4:]))
+        schedule = rigidity.Schedule("pow", exponent=parse_fraction(args.r[4:]))
     else:
         raise HypmeError("schedule spec must be log:<c> or pow:<e>")
-    rc = RigidityConditions(
+    rc = rigidity.RigidityConditions(
         delta=parse_fraction(args.delta),
         L=parse_fraction(args.L),
-        phi=parse_function(args.phi),
-        psi=parse_function(args.psi),
+        phi=integrability.parse_function(args.phi),
+        psi=integrability.parse_function(args.psi),
         r=schedule,
         n_min=args.n_min,
         n_max=args.n_max,
     )
-    reports = []
+    checks = []
     wanted = args.check.split(",")
     unknown = sorted(set(wanted) - {"5", "6", "7"})
     if unknown:
         raise ParseError(f"--check takes conditions 5, 6 and 7, not {', '.join(unknown)!r}")
     if "5" in wanted:
-        reports.append(check_condition_5(rc, group))
+        checks.append(rigidity.check_condition_5(rc, group))
     if "6" in wanted:
-        reports.append(check_condition_6_7(rc, "thm41"))
+        checks.append(rigidity.check_condition_6_7(rc, "thm41"))
     if "7" in wanted:
-        reports.append(check_condition_6_7(rc, "thm42"))
+        checks.append(rigidity.check_condition_6_7(rc, "thm42"))
     payload = {
         "group": group.name,
-        "conditions": reports,
+        "conditions": checks,
     }
     return payload, True
 
@@ -438,7 +436,7 @@ def dispatch(argv=None) -> int:
         config["budget_effective"] = budget.limit
         payload, math_ok = args.func(args, budget)
     except MathCheckError as exc:
-        write_report(args.out, config, {"error": str(exc), "kind": "math"})
+        reports.write_report(args.out, config, {"error": str(exc), "kind": "math"})
         return 2
     except HypmeError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -446,7 +444,7 @@ def dispatch(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 1
-    write_report(args.out, config, payload)
+    reports.write_report(args.out, config, payload)
     return 0 if math_ok else 2
 
 

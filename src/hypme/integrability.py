@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
 from .errors import ParseError, PreconditionError
 from .rational import FracInterval, exact_root, exp_extra_bits, format_fraction, outward, parse_fraction
 
@@ -70,8 +68,8 @@ class IntegrabilityFunction:
         if self.exact:
             return x
         if self.family == "exp_power":
-            return outward(lambda y, p: iv.exp(y**p), x, e, extra_bits=exp_extra_bits(x ** float(e)))
-        return outward(lambda y, p: y**p, x, e)
+            return outward(lambda iv, y, p: iv.exp(y**p), x, e, extra_bits=exp_extra_bits(x ** float(e)))
+        return outward(lambda iv, y, p: y**p, x, e)
 
     # --- interval API -----------------------------------------------------------
 

@@ -8,15 +8,16 @@ of the result to Fractions exactly (never through a 53-bit float or mpf), and
 rounds them outward to multiples of 2**-32.  So a bracket contains the true
 value, and a verdict read from one end stays conservative: an upper end can
 only enlarge a bound, never shrink it.
+
+`outward` is the only code in hypme that imports mpmath, and it does so on
+its first call, so a run that needs no certified bracket never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-
-from mpmath import iv
-from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from .errors import ParseError
 
@@ -91,30 +92,41 @@ def exact_root(x: Fraction, n: int) -> Fraction | None:
     return Fraction(*roots)
 
 
+@functools.cache
+def _mpmath():
+    """mpmath's interval context and its exact converters, imported once."""
+    from mpmath import iv, libmp
+
+    return iv, libmp
+
+
 def outward(fn, *args, extra_bits: int = 0) -> "FracInterval":
-    """Certified bracket of fn(*args), rounded outward to multiples of
+    """Certified bracket of fn(iv, *args), rounded outward to multiples of
     2**-LOG_PRECISION_BITS.
 
-    Each argument, a Fraction or a FracInterval, enters mpmath's interval
-    context as the narrowest interval of the working precision that contains
-    it, and `fn` maps those intervals to an mpmath interval.  The working
-    precision is MIN_PRECISION_BITS, or more for long arguments, plus
-    `extra_bits`.  The result's endpoints are converted to Fractions exactly.
+    `iv` is mpmath's interval context, for example
+    `outward(lambda iv, y: iv.log(y), x)`.  Each argument, a Fraction or a
+    FracInterval, enters it as the narrowest interval of the working
+    precision that contains it, and `fn` maps those intervals to an mpmath
+    interval.  The working precision is MIN_PRECISION_BITS, or more for long
+    arguments, plus `extra_bits`.  The result's endpoints are converted to
+    Fractions exactly.
     """
+    iv, libmp = _mpmath()
     xs = [_as_interval(a) for a in args]
     size = max((k.bit_length() for x in xs for e in x for k in e.as_integer_ratio()), default=0)
     prec = max(MIN_PRECISION_BITS, size + LOG_PRECISION_BITS + 64) + extra_bits
     old = iv.prec
     iv.prec = prec
     try:
-        value = fn(*(
+        value = fn(iv, *(
             iv.make_mpf((
-                from_rational(*x.lo.as_integer_ratio(), prec, round_floor),
-                from_rational(*x.hi.as_integer_ratio(), prec, round_ceiling),
+                libmp.from_rational(*x.lo.as_integer_ratio(), prec, libmp.round_floor),
+                libmp.from_rational(*x.hi.as_integer_ratio(), prec, libmp.round_ceiling),
             ))
             for x in xs
         ))
-        lo, hi = (Fraction(*to_rational(end)) for end in value._mpi_)
+        lo, hi = (Fraction(*libmp.to_rational(end)) for end in value._mpi_)
     finally:
         iv.prec = old
     scale = 2**LOG_PRECISION_BITS
@@ -135,14 +147,14 @@ def log2_upper(x: Fraction) -> Fraction:
     exact = exact_log2(x)
     if exact is not None:
         return exact
-    return outward(lambda y: iv.log(y) / iv.log(2), x).hi
+    return outward(lambda iv, y: iv.log(y) / iv.log(2), x).hi
 
 
 def ln_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bounds on ln(x), exact for x = 1."""
     if x <= 0:
         raise ValueError("ln requires a positive argument")
-    return tuple(outward(iv.log, x))
+    return tuple(outward(lambda iv, y: iv.log(y), x))
 
 
 def ln_lower(x: Fraction) -> Fraction:
@@ -225,10 +237,10 @@ class FracInterval:
     def ln(self) -> "FracInterval":
         if self.lo <= 0:
             raise ValueError("ln requires a positive interval")
-        return outward(iv.log, self)
+        return outward(lambda iv, x: iv.log(x), self)
 
     def exp(self) -> "FracInterval":
-        return outward(iv.exp, self, extra_bits=exp_extra_bits(max(-self.lo, self.hi)))
+        return outward(lambda iv, x: iv.exp(x), self, extra_bits=exp_extra_bits(max(-self.lo, self.hi)))
 
     def pow_rational(self, e: Fraction) -> "FracInterval":
         """x^e for positive x; exact for integer e and for a point x whose
@@ -245,7 +257,7 @@ class FracInterval:
             raise ValueError("fractional powers need a positive interval")
         if self.lo == self.hi and (root := exact_root(self.lo, e.denominator)) is not None:
             return FracInterval(root**e.numerator)
-        return outward(lambda x, p: x**p, self, e)
+        return outward(lambda iv, x, p: x**p, self, e)
 
     def definitely_less(self, other) -> bool:
         other = _as_interval(other)

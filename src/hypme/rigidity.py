@@ -20,6 +20,7 @@ logarithms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,11 @@ from .groups import Growth, MarkedGroup
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, format_fraction, ln_bounds
 
-LOG2_LN = FracInterval(*ln_bounds(Fraction(2)))
+
+@functools.cache
+def ln2() -> FracInterval:
+    """Certified bracket of ln 2, computed on first use."""
+    return FracInterval(*ln_bounds(Fraction(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +304,7 @@ def check_condition_6_7(rc: RigidityConditions, mode: str) -> ConditionReport:
         lhs = rc.r.value(n) / 18
         ln_n = FracInterval(Fraction(n)).ln()
         if mode == "thm41":
-            rhs = (ln_n / LOG2_LN) * (4 * (rc.delta + 1)) + (
+            rhs = (ln_n / ln2()) * (4 * (rc.delta + 1)) + (
                 rc.psi.inverse_interval(3 * rc.L * n) * 3
             )
         else:

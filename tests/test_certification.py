@@ -14,7 +14,7 @@ import pytest
 
 from hypme.integrability import exp_power, poly_plus, power
 from hypme.rational import FracInterval, exp_bounds, ln_bounds, log2_upper, lower, upper
-from hypme.rigidity import Schedule
+from hypme.rigidity import Schedule, ln2
 
 REF_BITS = 2000
 
@@ -51,6 +51,15 @@ def test_ln_bounds():
     for x in NAMED_LN + sample_rationals(rng, 200) + [Fraction(1)]:
         lo, hi = ln_bounds(x)
         assert brackets(lo, hi, lambda: mpmath.log(mpq(x))), x
+
+
+def test_ln2_is_pinned():
+    # the schedule check divides by this bracket; computed on first use, it
+    # must keep the value it had as an import-time constant
+    grid = Fraction(1, 2**32)
+    assert tuple(ln2()) == (2977044471 * grid, 2977044472 * grid)
+    assert brackets(*ln2(), lambda: mpmath.log(2))
+    assert ln2() is ln2()
 
 
 def test_log2_upper():

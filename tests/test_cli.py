@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hypme import __version__, cli, coupling, hyperbolicity
+from hypme import __version__, coupling, hyperbolicity
 from hypme.cli import dispatch
 
 F2_SPEC = {"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": "e"}
@@ -96,6 +96,39 @@ class TestEnvelope:
             ["claim-check", "--spec", spec, "--lambda-radius", "2"],
             ["conditions", "--group", "F2"],
         ])
+
+    def test_commands_without_brackets_leave_mpmath_unloaded(self, tmp_path):
+        # rational.outward imports mpmath on its first call; these runs take no
+        # certified bracket (group-ball at radius 1 has no entropy block)
+        spec = write_spec(tmp_path, F2_SPEC)
+        assert_commands_leave_unloaded(tmp_path, "mpmath", [
+            ["graph-analyze", "--gen", "grid:9,9"],
+            ["graph-analyze", "--gen", "grid:25,25", "--samples", "5"],
+            ["find-cycles", "--gen", "grid:6,6", "--min-a", "1/2", "--min-n", "20"],
+            ["group-ball", "--group", "F2", "--radius", "1", "--counts-only"],
+            ["coupling-build", "--spec", spec],
+            ["coupling-verify", "--spec", spec],
+            ["claim-check", "--spec", spec],
+        ])
+
+    def test_modules_run_on_first_use(self, tmp_path):
+        # type() reads the class without touching the module; any attribute
+        # access would execute it
+        unused = ["cycles", "groups", "coupling", "rigidity", "integrability"]
+        out = str(tmp_path / "r.json")
+        code = (
+            "import json, sys, types\n"
+            "import hypme.cli\n"
+            f"exit_code = hypme.cli.dispatch(['graph-analyze', '--gen', 'grid:9,9', '--out', {out!r}])\n"
+            f"unrun = [m for m in {unused!r} if type(sys.modules[f'hypme.{{m}}']) is not types.ModuleType]\n"
+            "import hypme.graphs\n"
+            "print(json.dumps([exit_code, unrun, hypme.graphs is sys.modules['hypme.graphs']]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(proc.stdout) == [0, unused, True]
 
 
 class TestExitCodes:
@@ -324,7 +357,6 @@ class TestForce:
     @pytest.fixture(autouse=True)
     def low_cutoff(self, monkeypatch):
         monkeypatch.setattr(hyperbolicity, "EXACT_CUTOFF", 10)
-        monkeypatch.setattr(cli, "EXACT_CUTOFF", 10)
 
     def test_force_gives_exact_constants(self, tmp_path):
         code, doc = run(tmp_path, "graph-analyze", "--gen", "cycle:12", "--force")
