@@ -111,8 +111,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="work budget in group elements "
                    "(each element a BFS reaches is charged once), cosets defined by coset "
-                   "enumeration, identity-check cases and cycle-search candidate vertices "
-                   "(or HYPME_BUDGET)")
+                   "enumeration, identity-check cases, cycle-search candidate vertices and "
+                   "64-bit words of the volumes condition (5) expands (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
@@ -288,10 +288,9 @@ def cmd_claim_check(args, budget):
 def cmd_threshold(args, budget):
     group = groups.parse_group(args.group)
     b = groups.ball(group, args.ball_radius, budget=budget)
-    dm = graphs.distance_matrix(b.graph)
     est = groups.entropy_estimate(group, args.ball_radius)
     rep = rigidity.threshold_p(
-        hyperbolicity.thin_triangle_delta(b.graph, dm)[0],
+        hyperbolicity.thin_triangle_delta(b.graph)[0],
         group.growth.entropy.hi,
         provenance={
             "delta_source": f"thin_triangle on ball radius {args.ball_radius} (lower bound for the group)",
@@ -326,7 +325,7 @@ def cmd_conditions(args, budget):
     if unknown:
         raise ParseError(f"--check takes conditions 5, 6 and 7, not {', '.join(unknown)!r}")
     if "5" in wanted:
-        checks.append(rigidity.check_condition_5(rc, group))
+        checks.append(rigidity.check_condition_5(rc, group, budget))
     if "6" in wanted:
         checks.append(rigidity.check_condition_6_7(rc, "thm41"))
     if "7" in wanted:

@@ -30,6 +30,8 @@ number.  The table is then standardised: scanning cosets 0, 1, ... and, in
 each, the columns g1, g1^-1, g2, g2^-1, ..., every coset is renumbered in order
 of first appearance.  A standardised table is unique for its subgroup, so the
 transversal and the Schreier generators do not depend on the enumeration order.
+A trace walks the letters of `to_word(g)` through the table by letter: each
+SubgroupData caches, per letter, its column as one tuple over the cosets.
 
 Each coupling owns the run's `Budget` and two cached balls: B_gamma over
 S_gamma and B_lambda over the Schreier generators.  Each is one
@@ -77,12 +79,20 @@ class SubgroupData:
     def index(self) -> int:
         return len(self.table)
 
+    @cached_property
+    def _columns(self) -> dict[str, tuple[int, ...]]:
+        """Each letter's table column, as one tuple over the cosets."""
+        return {
+            ch: tuple(row[col] for row in self.table)
+            for ch, col in self.group.letter_columns.items()
+        }
+
     def trace(self, start: int, g) -> int:
         """Apply g to a right coset index (right-multiplication action)."""
         c = start
-        for letter in self.group.word_problem_letters(g):
-            col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-            c = self.table[c][col]
+        columns = self._columns
+        for ch in self.group.to_word(g):
+            c = columns[ch][c]
         return c
 
     def contains(self, g) -> bool:
@@ -169,13 +179,10 @@ def _build_coset_table(group: MarkedGroup, words, cap: int):
                 return
             define(f, word[i])
 
-    def columns(letters) -> list[int]:
-        return [2 * abs(x) - 2 + (x < 0) for x in letters]
-
     new()
     for g in words:
-        scan_and_fill(0, columns(group.word_problem_letters(g)))
-    relators = [columns(rel) for rel in group.relators()]
+        scan_and_fill(0, [group.letter_columns[ch] for ch in group.to_word(g)])
+    relators = [[2 * abs(x) - 2 + (x < 0) for x in rel] for rel in group.relators()]
     for c, row in enumerate(table):  # also visits the cosets defined on the way
         for rel in relators:
             if p[c] == c:

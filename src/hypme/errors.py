@@ -6,8 +6,9 @@ invariant (exit 2) so CI can tell broken math from broken IO.  One `Budget`
 bounds the work of a run, counted in group elements (charged per BFS level,
 so each element a BFS reaches is charged once; a coupling runs one BFS per
 side and every check reads it), cosets defined by coset enumeration (dead
-ones included), identity-check cases and candidate vertices of the
-fat-cycle search.
+ones included), identity-check cases, candidate vertices of the
+fat-cycle search and the 64-bit words of the growth volumes condition (5)
+expands.
 """
 
 DEFAULT_BUDGET = 10_000_000

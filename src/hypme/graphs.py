@@ -12,8 +12,11 @@ Conventions:
       takes 4n^2 bytes, so distance_matrix refuses graphs above MAX_VERTICES
       before allocating anything;
     - all operations are pure functions of immutable inputs;
-    - numpy is imported by the functions that use it, not by the module,
-      so that group and coupling code that builds a Graph never loads it.
+    - numpy is imported by the functions that build or read a distance
+      matrix, not by the module, so a run that builds a Graph and no matrix
+      never loads it: group-ball, the coupling commands, conditions, and
+      threshold on a tree ball (a free product of F_k, Z and C2 atoms),
+      whose thin-triangle constant is read off the Graph alone.
 """
 
 from __future__ import annotations

@@ -188,14 +188,19 @@ class MarkedGroup:
         num, den = self.growth_series()
         return num, _poly_mul(den, [1, -1]), []
 
-    def volume(self, n: int) -> int:
+    def volume(self, n: int, budget: Budget | None = None, by: str = "volume expansion") -> int:
+        """Vol(n) from the growth series.  Every volume up to n is expanded
+        and cached; with a budget, each one expanded is charged its size in
+        64-bit words, so a run caps the memory its cache may take."""
         num, den, vols = self._volume_series
         while len(vols) <= n:
             m = len(vols)
-            vols.append(
-                (num[m] if m < len(num) else 0)
-                - sum(den[i] * vols[m - i] for i in range(1, min(m, len(den) - 1) + 1))
+            vol = (num[m] if m < len(num) else 0) - sum(
+                den[i] * vols[m - i] for i in range(1, min(m, len(den) - 1) + 1)
             )
+            if budget is not None:
+                budget.charge("volume words", vol.bit_length() // 64 + 1, by=by)
+            vols.append(vol)
         return vols[n]
 
     def sphere_size(self, n: int) -> int:
@@ -244,14 +249,14 @@ class MarkedGroup:
         w = self.to_word(g)
         return w if w else "e"
 
-    def word_problem_letters(self, g) -> tuple[int, ...]:
-        """g as a sequence of signed 1-based generator indices (for coset tracing)."""
-        word = self.to_word(g)
-        out = []
-        for ch in word:
-            idx = ord(ch.lower()) - ord("a") + 1
-            out.append(idx if ch.islower() else -idx)
-        return tuple(out)
+    @functools.cached_property
+    def letter_columns(self) -> dict[str, int]:
+        """The coset-table column of each letter of `to_word`: letter(k) is
+        column 2k and its upper case column 2k + 1."""
+        out = {}
+        for k in range(self.num_generators):
+            out[self.letter(k)], out[self.letter(k).upper()] = 2 * k, 2 * k + 1
+        return out
 
     def abelian_generator_vectors(self) -> list[tuple[int, ...]]:
         """Image of each generator in the free part of the abelianization.
@@ -270,10 +275,10 @@ class MarkedGroup:
         if not vecs or not vecs[0]:
             return ()
         total = [0] * len(vecs[0])
-        for letter in self.word_problem_letters(g):
-            vec = vecs[abs(letter) - 1]
-            sign = 1 if letter > 0 else -1
-            for i, x in enumerate(vec):
+        for ch in self.to_word(g):
+            col = self.letter_columns[ch]
+            sign = -1 if col & 1 else 1
+            for i, x in enumerate(vecs[col >> 1]):
                 total[i] += sign * x
         return tuple(total)
 

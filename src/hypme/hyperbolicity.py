@@ -61,8 +61,10 @@ Both scans are O(n^4) at worst: where a constant is 0 on a graph that is
 not a tree (a complete graph, a tree of cliques), the bounds stop little or
 nothing.  They use exact integer arithmetic and return Fractions, and both
 refuse n > EXACT_CUTOFF unless forced; above that a seeded uniform sample
-gives a certified lower bound, labeled as such in the report.  Like graphs, the module imports numpy
-only inside the functions that use it.
+gives a certified lower bound, labeled as such in the report.  Like graphs,
+the module imports numpy only inside the functions that use it, and
+thin_triangle_delta answers a tree before it reads or builds a distance
+matrix, so a tree costs no numpy import.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
-from .graphs import DistanceMatrix, Graph, Path, geodesic_mask
+from .graphs import DistanceMatrix, Graph, Path, distance_matrix, geodesic_mask
 from .rational import log2_upper
 
 if TYPE_CHECKING:
@@ -148,18 +150,22 @@ def thin_triangle_value(dm: DistanceMatrix, a: int, b: int, c: int) -> int:
 
 
 def thin_triangle_delta(
-    g: Graph, dm: DistanceMatrix, force: bool = False
+    g: Graph, dm: DistanceMatrix | None = None, force: bool = False
 ) -> tuple[Fraction, tuple]:
     """Exact thin-triangle constant with a witness ((a,b,c), x).
 
     The witness reproduces the constant via thin_triangle_value.  Trees are
-    dispatched directly: geodesics are unique and triangles are tripods, so
-    the constant is 0.  Past EXACT_CUTOFF the scan runs only if forced.
+    dispatched from g alone, before any distance matrix is read or built:
+    geodesics are unique and triangles are tripods, so the constant is 0.
+    Past EXACT_CUTOFF the scan runs only if forced.  Without dm, the scan
+    builds the distance matrix of g itself.
     """
-    n = dm.n
+    n = g.n
     if n <= 2 or g.is_tree:
         return Fraction(0), ((0, 0, 0), 0)
     _refuse_past_cutoff(n, "thin-triangle", force)
+    if dm is None:
+        dm = distance_matrix(g)
     import numpy as np
 
     d = dm.d

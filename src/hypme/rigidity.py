@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import Budget, PreconditionError
 from .groups import Growth, MarkedGroup
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, format_fraction, ln_bounds
@@ -212,20 +212,27 @@ def _analytic_condition_5(
     return None
 
 
-def check_condition_5(rc: RigidityConditions, group: MarkedGroup) -> ConditionReport:
+def check_condition_5(
+    rc: RigidityConditions, group: MarkedGroup, budget: Budget | None = None
+) -> ConditionReport:
     """The vanishing condition: n^2 r(n) Vol(r(n)) / phi(n/r(n)) -> 0.
 
     Vol and the growth behind the analytic verdict come from the group's
     growth series.  Sampled log-ratios are certified intervals; N0 is the
     first sampled n from which the ratio strictly decreases through n_max.
     Vol at the non-integer r(n) is taken at the (conservative) ceiling.
+    Every volume up to the largest such radius is expanded, and charged to
+    `budget` in 64-bit words, before the first sample.
     """
     grid = _sample_grid(rc.n_min, rc.n_max)
+    schedule = [(n, rc.r.value(n)) for n in grid]
+    top = max(math.ceil(rn.hi) for _, rn in schedule)
+    by = f"condition (5): Vol up to radius {top}, for --n-max {rc.n_max},"
+    group.volume(top, budget or Budget(), by=by)
     log_ratios: list[FracInterval] = []
     samples = []
     schedule_exceeds_n = []
-    for n in grid:
-        rn = rc.r.value(n)
+    for n, rn in schedule:
         radius = math.ceil(rn.hi)
         if rn.lo > n:
             schedule_exceeds_n.append(n)

@@ -293,6 +293,25 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
     }
 
 
+def signed_letters(group, g) -> tuple[int, ...]:
+    """g as signed 1-based generator indices: k + 1 for the letter
+    group.letter(k), -(k + 1) for its upper case."""
+    out = []
+    for ch in group.to_word(g):
+        idx = ord(ch.lower()) - ord("a") + 1
+        out.append(idx if ch.islower() else -idx)
+    return tuple(out)
+
+
+def signed_trace(sub, start: int, g) -> int:
+    """The coset that g moves `start` to, walked through sub.table by signed
+    letters: generator k + 1 reads column 2k, its inverse column 2k + 1."""
+    c = start
+    for letter in signed_letters(sub.group, g):
+        c = sub.table[c][2 * (abs(letter) - 1) + (0 if letter > 0 else 1)]
+    return c
+
+
 def sympy_coset_table(group, words, cap: int):
     """The coset table of the subgroup generated by `words`, from sympy's
     `coset_enumeration_r` with `max_cosets=cap`, then `compress()` and
@@ -311,7 +330,7 @@ def sympy_coset_table(group, words, cap: int):
         return w
 
     fp = FpGroup(fgroup, [to_sympy(rel) for rel in group.relators()])
-    subgroup = [to_sympy(group.word_problem_letters(g)) for g in words]
+    subgroup = [to_sympy(signed_letters(group, g)) for g in words]
     try:
         table = coset_enumeration_r(fp, subgroup, max_cosets=cap)
     except ValueError:

@@ -86,7 +86,8 @@ class TestEnvelope:
         ])
 
     def test_algebra_commands_leave_numpy_unloaded(self, tmp_path):
-        # only commands that build a distance matrix need numpy
+        # only commands that build a distance matrix need numpy; threshold on a
+        # tree ball (F2, Z) reads its thin-triangle constant off the graph alone
         spec = write_spec(tmp_path, F2_SPEC)
         assert_commands_leave_unloaded(tmp_path, "numpy", [
             ["group-ball", "--group", "F2", "--radius", "3"],
@@ -95,6 +96,8 @@ class TestEnvelope:
             ["integrability", "--spec", spec],
             ["claim-check", "--spec", spec, "--lambda-radius", "2"],
             ["conditions", "--group", "F2"],
+            ["threshold", "--group", "F2"],
+            ["threshold", "--group", "Z"],
         ])
 
     def test_commands_without_brackets_leave_mpmath_unloaded(self, tmp_path):
@@ -152,6 +155,18 @@ class TestExitCodes:
         assert time.perf_counter() - start < 10
         err = capsys.readouterr().err
         assert "needs 549292969 cases" in err and "--budget or HYPME_BUDGET" in err
+
+    def test_condition_5_volumes_over_budget_is_exit_one_fast(self, tmp_path, capsys):
+        # a linear schedule reads Vol up to radius n_max = 10^6, about 10^10
+        # 64-bit words of cached volumes (some 100 GB); 5,000 words stop it early
+        start = time.perf_counter()
+        code, doc = run(tmp_path, "conditions", "--group", "F2", "--check", "5", "--r", "pow:1",
+                        "--budget", "5000")
+        assert code == 1 and doc is None
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert "Vol up to radius 1000000, for --n-max 1000000" in err
+        assert "volume words, over the budget of 5000" in err and "--budget or HYPME_BUDGET" in err
 
     def test_cocycle_identity_over_budget_is_exit_one(self, tmp_path, capsys):
         # Z^2 at radius 6: 7,225 b-identity cases fit, 2 * 85^2 = 14,450 cocycle cases do not

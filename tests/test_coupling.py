@@ -27,7 +27,7 @@ from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, power
 from hypme.rational import matrix_rank
-from oracles import brute_claim_sweep, independent_word_lengths, sympy_coset_table
+from oracles import brute_claim_sweep, independent_word_lengths, signed_trace, sympy_coset_table
 
 F2_GENS = ["aa", "b", "abA"]
 
@@ -153,6 +153,49 @@ class TestCosetEnumeration:
         assert coupling._build_coset_table(f2, gens, 2)[1] == 2
         with pytest.raises(BudgetError, match="stopped at 1 cosets"):
             coupling._build_coset_table(f2, gens, 1)
+
+
+def random_words(g, rng, count: int, longest: int) -> list:
+    letters = [g.letter(i) for i in range(g.num_generators)]
+    letters += [x.upper() for x in letters]
+    return [
+        g.parse_word("".join(rng.choice(letters) for _ in range(rng.randint(0, longest))))
+        for _ in range(count)
+    ]
+
+
+class TestTraceByLetter:
+    """SubgroupData.trace reads columns by letter; the oracle walks signed indices."""
+
+    GOLDEN_SPECS = [("F2", F2_GENS), ("Z^2", ["aa", "b"]), ("C2*C3", ["b", "aba"]), ("C3xC4", ["b"])]
+
+    @staticmethod
+    def assert_traces_match(sub, rng):
+        for g in random_words(sub.group, rng, 30, 12):
+            assert sub.trace(0, g) == signed_trace(sub, 0, g)
+            for c in range(sub.index):
+                assert sub.trace(c, g) == signed_trace(sub, c, g), (sub.group.to_word(g), c)
+
+    @pytest.mark.parametrize("seed, spec", enumerate(GOLDEN_SPECS))
+    def test_golden_specs(self, seed, spec):
+        name, gens = spec
+        sub = coupling.subgroup_data(parse_group(name), gens)
+        self.assert_traces_match(sub, random.Random(seed))
+
+    def test_random_subgroups(self):
+        rng = random.Random(29)
+        traced = []
+        for name in TestCosetEnumeration.GROUPS:
+            g = parse_group(name)
+            for _ in range(6):
+                gens = [g.to_word(w) for w in random_words(g, rng, rng.randint(1, 3), 6)]
+                try:
+                    sub = coupling.subgroup_data(g, gens, Budget(100))
+                except (BudgetError, PreconditionError):  # infinite or large index
+                    continue
+                self.assert_traces_match(sub, rng)
+                traced.append(sub.index)
+        assert len(traced) >= 20 and max(traced) >= 12, traced
 
 
 class TestCocycles:

@@ -48,6 +48,15 @@ class TestTreeCase:
         rep = hyperbolicity_report(g, dm)
         assert rep.delta_thin == 0 and rep.delta_four_point == 0
 
+    def test_trees_read_no_distance_matrix(self):
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"the tree dispatch read dm.{name}")
+
+        for g in (tree_graph(2, 3), random_tree(20, random.Random(5))):
+            assert thin_triangle_delta(g, Unreadable()) == (0, ((0, 0, 0), 0))
+            assert thin_triangle_delta(g) == (0, ((0, 0, 0), 0))
+
     def test_random_trees_zero_via_oracle(self):
         rng = random.Random(3)
         for _ in range(5):
@@ -156,6 +165,10 @@ class TestWitnessOrder:
         dm = distance_matrix(g)
         assert thin_triangle_delta(g, dm) == full_scan_thin_delta(g, dm)
         assert four_point_delta(dm) == full_scan_four_point_delta(dm)
+
+    @pytest.mark.parametrize("g", [grid_graph(4, 7), cycle_graph(13)], ids=["grid4x7", "cycle13"])
+    def test_scan_builds_its_own_matrix(self, g):
+        assert thin_triangle_delta(g) == thin_triangle_delta(g, distance_matrix(g))
 
     @pytest.mark.parametrize("text", ["0 1\n1 2\n0 2", complete_graph_text(4), complete_graph_text(5)],
                              ids=["cycle3", "K4", "K5"])

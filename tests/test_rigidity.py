@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypme.errors import PreconditionError
+from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, poly_plus, power
 from hypme.rational import FracInterval
@@ -152,6 +152,18 @@ class TestCondition5:
         rc = make_rc(power(200), power(1), Schedule("log", coefficient=Fraction(108)))
         rep = check_condition_5(rc, group)
         assert "r_exceeds_n_at" in encode(rep)
+
+    def test_volumes_charged_in_words(self):
+        # n^(1/2) up to n_max 10^4 reads Vol up to radius 100; F2's Vol(n) =
+        # 2 * 3^n - 1 has 1 + floor(bits / 64) words, 183 over radii 0..100
+        rc = make_rc(power(3), power(1), Schedule("pow", exponent=Fraction(1, 2)), n_max=10**4)
+        words = sum((2 * 3**n - 1).bit_length() // 64 + 1 for n in range(101))
+        assert words == 183
+        budget = Budget(words)
+        check_condition_5(rc, parse_group("F2"), budget)
+        assert budget.spent == words
+        with pytest.raises(BudgetError, match=r"Vol up to radius 100, for --n-max 10000"):
+            check_condition_5(rc, parse_group("F2"), Budget(words - 1))
 
 
 class TestCondition67:
