@@ -44,12 +44,15 @@ CASES = {
     "coupling-build-c3xc4": (["coupling-build", "--spec", "c3c4.json"], 0),
     "coupling-verify": (["coupling-verify", "--spec", "f2.json", "--radius", "2"], 0),
     "coupling-verify-c3xc4": (["coupling-verify", "--spec", "c3c4.json", "--radius", "3"], 0),
+    # base point x_gamma = b: pins beta's conjugation by g0
+    "coupling-verify-f2b": (["coupling-verify", "--spec", "f2b.json", "--radius", "3"], 0),
     "integrability": (["integrability", "--spec", "f2.json", "--phi", "power:2", "--psi", "exp_power:1"], 0),
     "integrability-z2": (["integrability", "--spec", "z2.json"], 0),
     "claim-check": (["claim-check", "--spec", "z2.json", "--lambda-radius", "2"], 0),
     "claim-check-f2": (
         ["claim-check", "--spec", "f2.json", "--lambda-radius", "2", "--phi", "power:1,exp_power:1"], 0,
     ),
+    "claim-check-f2b": (["claim-check", "--spec", "f2b.json", "--lambda-radius", "3"], 0),
     "threshold": (["threshold", "--group", "F2", "--ball-radius", "3"], 0),
     "threshold-c2c3": (["threshold", "--group", "C2*C3", "--ball-radius", "4"], 0),
     "conditions": (["conditions", "--group", "F2"], 0),
