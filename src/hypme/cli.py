@@ -229,9 +229,9 @@ def _coupling_view(c) -> dict:
         "transversal": [g.describe(t) for t in c.sub.transversal],
         "schreier_generators": [g.describe(s) for s in c.sub.schreier_generators],
         "fibers": [g.describe(f) for f in c.fibers],
-        "x_gamma": [[g.describe(p[0]), p[1]] for p in c.x_gamma],
+        "x_gamma": [[g.describe(c.x0[0]), c.x0[1]]],
         "mu_scale": Fraction(1),  # mu is counting measure
-        "mu_x_gamma": c.mu_x_gamma(),
+        "mu_x_gamma": Fraction(1),  # X_gamma is the one point x0
         "mu_x_lambda": c.mu_x_lambda(),
         "x_gamma_in_x_lambda": c.x_gamma_in_x_lambda(),
     }

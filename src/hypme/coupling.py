@@ -6,6 +6,9 @@ index subgroup L (the "lambda side", with Schreier generators) acts on the
 right by lambda * w = w lambda^-1, and the two actions commute.  The gamma
 fundamental domain is a singleton {g0}; the lambda fundamental domain is a
 left-coset transversal T, so mu(X_gamma) = 1 and mu(X_lambda) = [G : L].
+X_gamma is exactly one point in every coupling, the fibered ones below
+included: the gamma side acts simply transitively on the whole space, so the
+space is a single gamma orbit.  A coupling stores that point x0 = (g0, i0).
 
 To support the coboundedness-strengthening construction, every coupling is
 stored in fibered form: the space is G x {0..m-1}, the gamma side is
@@ -16,7 +19,7 @@ f_i of L.  A plain subgroup coupling is the m = 1 case with f_0 = e.
 Cocycles are computed by coset lookup:
 
     alpha((gamma,k), (x,i)) = f_j * rep(gamma x)^-1 * (gamma x),  j = k+i mod m
-    beta(lambda, (g0,i0))   = (g0 lambda g0^-1, 0)
+    beta(lambda)            = (g0 lambda g0^-1, 0)
 
 where rep(g) is the transversal representative of the left coset g L.
 Both are exact group elements; every integral in scope is a finite sum
@@ -29,7 +32,8 @@ define the coset's missing entries; coincidences are merged into the smaller
 number.  The table is then standardised: scanning cosets 0, 1, ... and, in
 each, the columns g1, g1^-1, g2, g2^-1, ..., every coset is renumbered in order
 of first appearance.  A standardised table is unique for its subgroup, so the
-transversal and the Schreier generators do not depend on the enumeration order.
+transversal and the Schreier generators do not depend on the enumeration order;
+both are read off the table's columns, without tracing a word.
 A trace walks the letters of `to_word(g)` through the table by letter: each
 SubgroupData caches, per letter, its column as one tuple over the cosets.
 
@@ -209,7 +213,12 @@ def subgroup_data(
     """Coset-enumerate the subgroup: transversal plus Schreier generators.
 
     An abelianization rank check rejects provably infinite-index inputs
-    before enumeration is attempted.
+    before enumeration is attempted.  The transversal is a BFS over left
+    cosets, growing by left multiplication, that reads the table directly:
+    left_index(s t) = trace(0, t^-1 s^-1) = table[left_index(t)][column of s^-1].
+    Every coset of the standardised table is reachable from coset 0, so the
+    BFS reaches them all.  The same identity gives each Schreier generator
+    rep(s t)^-1 s t from one table entry.
     """
     gens = [group.parse_word(w) for w in subgroup_gen_words]
     rank = group.abelian_free_rank()
@@ -224,40 +233,26 @@ def subgroup_data(
         group, gens, min(budget.limit - budget.spent, DEFAULT_COSET_BUDGET)
     )
     budget.charge("cosets", defined, by="coset enumeration")  # within the cap, so never over
-    index = len(table)
 
-    # temporary data object for tracing while we build the transversal
-    probe = SubgroupData(
-        group=group,
-        generator_words=tuple(subgroup_gen_words),
-        table=table,
-        transversal=(),
-        schreier_generators=(),
-    )
-    sym = [g for _, g in group.symmetric_generators()]
-    reps: dict[int, object] = {probe.left_index(group.identity()): group.identity()}
-    frontier = [group.identity()]
-    while frontier and len(reps) < index:
+    # each generator s with the column of s^-1
+    sym = [(s, group.letter_columns[label.swapcase()]) for label, s in group.symmetric_generators()]
+    reps = {0: group.identity()}  # left index -> representative
+    frontier = [0]
+    while frontier and len(reps) < len(table):
         nxt = []
-        for t in frontier:
-            for s in sym:
-                u = group.multiply(s, t)  # left cosets grow by left multiplication
-                idx = probe.left_index(u)
-                if idx not in reps:
-                    reps[idx] = u
-                    nxt.append(u)
+        for i in frontier:
+            for s, col in sym:
+                j = table[i][col]
+                if j not in reps:
+                    reps[j] = group.multiply(s, reps[i])
+                    nxt.append(j)
         frontier = nxt
-    if len(reps) != index:
-        raise PreconditionError("coset table is not transitive; inconsistent input")
-    transversal = tuple(reps[i] for i in range(index))
-    if not group.is_identity(transversal[0]):
-        raise PreconditionError("transversal must start at the identity coset")
+    transversal = tuple(reps[i] for i in range(len(table)))
 
     schreier = {}
-    for t in transversal:
-        for s in sym:
-            st = group.multiply(s, t)
-            lam = group.multiply(group.inverse(reps[probe.left_index(st)]), st)
+    for i, t in enumerate(transversal):
+        for s, col in sym:
+            lam = group.multiply(group.inverse(reps[table[i][col]]), group.multiply(s, t))
             if not group.is_identity(lam):
                 schreier.setdefault(lam, None)
     ordered = sorted(schreier, key=lambda g: (group.word_length(g), group.to_word(g)))
@@ -299,10 +294,16 @@ class Spheres:
 
 @dataclass(frozen=True)
 class Coupling:
+    """A fibered subgroup coupling with its one gamma-domain point x0.
+
+    The gamma side G x Z/m acts simply transitively on G x {0..m-1}, so
+    X_gamma is exactly one point, x0 = (g0, i0), and mu(X_gamma) = 1.
+    """
+
     group: MarkedGroup
     sub: SubgroupData
     fibers: tuple  # elements f_i of the subgroup; plain coupling: (e,)
-    x_gamma: tuple  # points (g, fiber_index); singleton by construction
+    x0: tuple  # the point (g0, fiber index) that is all of X_gamma
     budget: Budget = field(default_factory=Budget, compare=False, repr=False)
 
     @cached_property
@@ -389,14 +390,8 @@ class Coupling:
     def in_x_lambda(self, point) -> bool:
         return point == self.x_lambda_rep(point)
 
-    def in_x_gamma(self, point) -> bool:
-        return point in self.x_gamma
-
     def x_gamma_in_x_lambda(self) -> bool:
-        return all(self.in_x_lambda(p) for p in self.x_gamma)
-
-    def mu_x_gamma(self) -> Fraction:
-        return Fraction(len(self.x_gamma))
+        return self.in_x_lambda(self.x0)
 
     def mu_x_lambda(self) -> Fraction:
         return Fraction(self.index * self.fiber_count)
@@ -417,32 +412,26 @@ class Coupling:
             raise PreconditionError("induced action requires a point of X_lambda")
         return self.x_lambda_rep(self.gamma_multiply(p, point))
 
-    def beta(self, lam, point):
-        """The unique gamma-side element returning lambda * point to X_gamma."""
+    def beta(self, lam):
+        """The unique gamma-side element returning lambda * x0 to x0:
+        (g0 lambda g0^-1, 0)."""
         if not self.sub.contains(lam):
             raise PreconditionError("beta requires a subgroup element")
-        if not self.in_x_gamma(point):
-            raise PreconditionError("beta requires a point of X_gamma")
-        g, i = point
-        base, i0 = self.x_gamma[0]
-        moved = self.group.multiply(g, self.group.inverse(lam))
-        gamma = self.group.multiply(base, self.group.inverse(moved))
-        k = (i0 - i) % self.fiber_count
-        return (gamma, k)
+        g0 = self.x0[0]
+        return (self.group.multiply(g0, self.group.multiply(lam, self.group.inverse(g0))), 0)
 
-    def induced_lambda(self, lam, point):
-        if not self.in_x_gamma(point):
-            raise PreconditionError("induced action requires a point of X_gamma")
-        return self.x_gamma[0]  # X_gamma is a singleton
-
-    def b_map(self, lam, point):
-        """b_x(lambda) = beta(lambda^-1, x)^-1."""
-        return self.gamma_inverse(self.beta(self.group.inverse(lam), point))
+    def b_map(self, lam):
+        """b(lambda) = beta(lambda^-1)^-1."""
+        return self.gamma_inverse(self.beta(self.group.inverse(lam)))
 
     # --- subgroup metric -----------------------------------------------------------
 
-    def lambda_lengths(self, targets) -> dict:
-        """Word lengths over the Schreier generators, read from B_lambda until resolved."""
+    def lambda_lengths(self, targets, within: int | None = None) -> dict:
+        """Word lengths over the Schreier generators, read from B_lambda until resolved.
+
+        With `within`, B_lambda is read to depth `within` at most, and the
+        targets longer than that are left out of the result.
+        """
         pending = set(targets)
         for t in pending:
             if not self.sub.contains(t):
@@ -450,7 +439,9 @@ class Coupling:
                     f"length target {self.group.describe(t)} is not in the subgroup"
                 )
         out = {}
-        for depth in itertools.count():
+        for depth in itertools.count() if within is None else range(within + 1):
+            if not pending:
+                break
             level = self.lambda_spheres[depth]
             if not level:
                 raise PreconditionError(
@@ -459,8 +450,6 @@ class Coupling:
             found = pending.intersection(level)
             out.update(dict.fromkeys(found, depth))
             pending -= found
-            if not pending:
-                break
         return out
 
 
@@ -473,8 +462,8 @@ def subgroup_coupling(
     """The coupling of a group with a finite-index subgroup.
 
     The group acts on itself by left translations, the subgroup by right
-    translations; fundamental domains are {x_gamma} and a BFS-minimal
-    Schreier transversal.
+    translations; fundamental domains are the point (x_gamma, 0) and a
+    BFS-minimal Schreier transversal.
     """
     budget = budget or Budget()
     sub = subgroup_data(group, subgroup_gen_words, budget)
@@ -483,24 +472,33 @@ def subgroup_coupling(
         group=group,
         sub=sub,
         fibers=(group.identity(),),
-        x_gamma=((g0, 0),),
+        x0=(g0, 0),
         budget=budget,
     )
 
 
 def coupling_from_spec(spec: dict | str, budget: Budget | None = None) -> Coupling:
-    """Build from the JSON spec {"group", "subgroup_generators", "x_gamma"}."""
+    """Build from the JSON spec {"group", "subgroup_generators", "x_gamma"}.
+
+    A spec of the wrong shape raises ParseError naming the key at fault.
+    """
     if isinstance(spec, str):
-        spec = json.loads(spec)
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"coupling spec is not JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ParseError(f"coupling spec must be a JSON object, got {type(spec).__name__}")
     if "group" not in spec or "subgroup_generators" not in spec:
         raise ParseError("coupling spec needs 'group' and 'subgroup_generators'")
-    group = parse_group(spec["group"])
-    return subgroup_coupling(
-        group,
-        list(spec["subgroup_generators"]),
-        x_gamma_word=spec.get("x_gamma", "e"),
-        budget=budget,
-    )
+    words, x_gamma = spec["subgroup_generators"], spec.get("x_gamma", "e")
+    if not isinstance(spec["group"], str):
+        raise ParseError("coupling spec 'group' must be a group name string")
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ParseError("coupling spec 'subgroup_generators' must be a list of word strings")
+    if not isinstance(x_gamma, str):
+        raise ParseError("coupling spec 'x_gamma' must be a word string")
+    return subgroup_coupling(parse_group(spec["group"]), words, x_gamma_word=x_gamma, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +546,7 @@ def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
 
 
 def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
-    """alpha(beta(lam, x), x) == lam for |lam|_{S_lambda} <= radius, x in X_gamma."""
+    """alpha(beta(lam), x0) == lam for |lam|_{S_lambda} <= radius."""
     if not c.x_gamma_in_x_lambda():
         raise PreconditionError(
             "inverse relation requires X_gamma inside X_lambda; "
@@ -556,35 +554,33 @@ def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
         )
     cases = 0
     bad = 0
-    for x in c.x_gamma:
-        for lam in c.lambda_spheres.ball(radius):
-            cases += 1
-            if c.alpha(c.beta(lam, x), x) != lam:
-                bad += 1
+    for lam in c.lambda_spheres.ball(radius):
+        cases += 1
+        if c.alpha(c.beta(lam), c.x0) != lam:
+            bad += 1
     return CheckReport.of("inverse_relation", cases, bad, radius=radius)
 
 
 def check_b_identity(c: Coupling, radius: int) -> CheckReport:
-    """b_x(u)^-1 b_x(v) == beta(v^-1 u, u^-1 . x)^-1 over the lambda ball.
+    """b(u)^-1 b(v) == beta(v^-1 u)^-1 over the lambda ball.
 
-    The check runs |X_gamma| |B_lambda(radius)|^2 cases, charged to `c.budget`
-    after the lambda ball and before the first case.
+    The general identity evaluates beta at u^-1 . x0, which is x0 again, as
+    X_gamma is one point.  The check runs |B_lambda(radius)|^2 cases, charged
+    to `c.budget` after the lambda ball and before the first case.
     """
     elems = sorted(c.lambda_spheres.ball(radius), key=c.group.to_word)
-    cases = len(c.x_gamma) * len(elems) ** 2
+    cases = len(elems) ** 2
     c.budget.charge("cases", cases, by=f"b-identity check at radius {radius}")
     bad = 0
     inv = c.group.inverse
-    for x in c.x_gamma:
-        b_of = {u: c.b_map(u, x) for u in elems}
-        for u in elems:
-            bu_inv = c.gamma_inverse(b_of[u])
-            ux = c.induced_lambda(inv(u), x)
-            for v in elems:
-                left = c.gamma_multiply(bu_inv, b_of[v])
-                right = c.gamma_inverse(c.beta(c.group.multiply(inv(v), u), ux))
-                if left != right:
-                    bad += 1
+    b_of = {u: c.b_map(u) for u in elems}
+    for u in elems:
+        bu_inv = c.gamma_inverse(b_of[u])
+        for v in elems:
+            left = c.gamma_multiply(bu_inv, b_of[v])
+            right = c.gamma_inverse(c.beta(c.group.multiply(inv(v), u)))
+            if left != right:
+                bad += 1
     return CheckReport.of("b_identity", cases, bad, radius=radius)
 
 
@@ -634,17 +630,14 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
             bad += 1
 
     # gamma side: injectivity and coverage (fiber moves cost one letter)
-    c_gamma = max(g.word_length(p[0]) for p in c.x_gamma)
-    if c.fiber_count > 1:
-        c_gamma += 1
-    seen = {}
+    c_gamma = g.word_length(c.x0[0]) + (1 if c.fiber_count > 1 else 0)
+    seen = set()
     for p in c.gamma_ball(radius):
-        for x in c.x_gamma:
-            cases += 1
-            pt = c.gamma_multiply(p, x)
-            if pt in seen:
-                bad += 1
-            seen[pt] = (p, x)
+        cases += 1
+        pt = c.gamma_multiply(p, c.x0)
+        if pt in seen:
+            bad += 1
+        seen.add(pt)
     for w in base_ball:
         if g.word_length(w) > radius - c_gamma:
             continue
@@ -754,9 +747,10 @@ def integrability_report(
     c: Coupling, phi: IntegrabilityFunction, psi: IntegrabilityFunction
 ) -> IntegrabilityReport:
     """K = max_s integral of phi(|alpha(s,.)|) over X_lambda, and
-    L = max_t integral of psi(|beta(t,.)|) over X_gamma, as exact finite sums.
+    L = max_t integral of psi(|beta(t)|) over X_gamma, as exact finite sums;
+    the second has the one term of the point x0.
 
-    Also reports the essential sup of |beta(t,.)| (the L-infinity constant;
+    Also reports the essential sup of |beta(t)| (the L-infinity constant;
     finite here because the domain is finite).
     """
     gamma_gens = c.gamma_generators()
@@ -770,11 +764,8 @@ def integrability_report(
     lengths = c.lambda_lengths(targets)
     alpha_max = max((lengths[v] for vals in alpha_values.values() for v in vals), default=0)
 
-    lambda_gens = list(c.sub.schreier_generators)
-    beta_lengths = {}
-    for t in lambda_gens:
-        beta_lengths[t] = [c.gamma_length(c.beta(t, x)) for x in c.x_gamma]
-    beta_sup = max((d for ds in beta_lengths.values() for d in ds), default=0)
+    beta_lengths = [c.gamma_length(c.beta(t)) for t in c.sub.schreier_generators]
+    beta_sup = max(beta_lengths, default=0)
 
     def integral(fn, dist_lists):
         # the largest integral by its upper end; the first one on a tie
@@ -782,7 +773,7 @@ def integrability_report(
         return max(sums, key=upper, default=Fraction(0))
 
     K = integral(phi, [[lengths[v] for v in alpha_values[s]] for s in gamma_gens])
-    L = integral(psi, [beta_lengths[t] for t in lambda_gens])
+    L = integral(psi, [[d] for d in beta_lengths])
     return IntegrabilityReport(
         phi=phi.describe(),
         psi=psi.describe(),
@@ -798,16 +789,13 @@ def integrability_report(
 # coboundedness
 
 
-def coboundedness_witness(c: Coupling):
+def coboundedness_witness(c: Coupling) -> list:
     """The minimal finite F in the subgroup with X_gamma inside F * X_lambda.
 
-    Each gamma-domain point determines a unique translate, so the minimal
-    witness is exactly the set of those translates (sorted by word length,
-    then lexicographically).
+    The point x0 determines a unique translate, so the minimal witness is
+    that one element.
     """
-    g = c.group
-    out = dict.fromkeys(required_translate(c, point) for point in c.x_gamma)
-    return sorted(out, key=lambda e: (g.word_length(e), g.to_word(e)))
+    return [required_translate(c, c.x0)]
 
 
 def required_translate(c: Coupling, point):
@@ -844,21 +832,17 @@ def strengthen_coboundedness(c: Coupling, F) -> Coupling:
         for fi in c.fibers:
             new_fibers.append(g.multiply(f, fi))
 
-    new_x_gamma = []
-    for point in c.x_gamma:
-        f_hat = required_translate(c, point)
-        if f_hat not in positions:
-            raise PreconditionError(
-                f"F is not a coboundedness witness: point needs translate "
-                f"{g.describe(f_hat)}"
-            )
-        x, i = point
-        new_x_gamma.append((x, positions[f_hat] * m_old + i))
+    f_hat = required_translate(c, c.x0)
+    if f_hat not in positions:
+        raise PreconditionError(
+            f"F is not a coboundedness witness: point needs translate {g.describe(f_hat)}"
+        )
+    x, i = c.x0
     out = Coupling(
         group=g,
         sub=c.sub,
         fibers=tuple(new_fibers),
-        x_gamma=tuple(new_x_gamma),
+        x0=(x, positions[f_hat] * m_old + i),
         budget=c.budget,
     )
     if not out.x_gamma_in_x_lambda():
@@ -867,16 +851,15 @@ def strengthen_coboundedness(c: Coupling, F) -> Coupling:
 
 
 def check_step_bound(c: Coupling) -> CheckReport:
-    """d((x,f), (x,f')) <= 1 for gamma-domain base points across fibers."""
+    """d((g0,i), (g0,j)) <= 1 for the gamma-domain base point across fibers."""
+    g0 = c.x0[0]
     cases = 0
     bad = 0
-    for x, _ in c.x_gamma:
-        for i in range(c.fiber_count):
-            for j in range(c.fiber_count):
-                cases += 1
-                dist = c.gamma_distance((x, i), (x, j))
-                if dist > 1:
-                    bad += 1
+    for i in range(c.fiber_count):
+        for j in range(c.fiber_count):
+            cases += 1
+            if c.gamma_distance((g0, i), (g0, j)) > 1:
+                bad += 1
     return CheckReport.of("step_bound", cases, bad)
 
 
@@ -954,8 +937,9 @@ def claim_bound_check(
 
     Exact on both sides for exactly evaluable phi; u == v is degenerate
     (phi(0) may vanish) and is reported as skipped rather than asserted.
-    The displacement identity b_x(u)^-1 b_x(v) == beta(v^-1 u, u^-1 . x)^-1
-    is re-verified on every gamma-domain point along the way.
+    X_gamma is the one point x0 of measure 1, so the measured side is 0 or 1.
+    The displacement identity b(u)^-1 b(v) == beta(v^-1 u)^-1 is re-verified
+    at x0 along the way.
     """
     g = c.group
     if not c.x_gamma_in_x_lambda():
@@ -968,27 +952,12 @@ def claim_bound_check(
     for w in (u, v):
         if not c.sub.contains(w):
             raise PreconditionError("u and v must be subgroup elements")
-    # measure scaled so mu(X_gamma) = 1: exact rational reweighting
-    weight = Fraction(1, len(c.x_gamma))
-
     w = g.multiply(g.inverse(u), v)
     degenerate = g.is_identity(w)
 
-    identity_cases = 0
-    identity_bad = 0
-    measured = Fraction(0)
-    winv = g.multiply(g.inverse(v), u)
-    for x in c.x_gamma:
-        bu = c.b_map(u, x)
-        bv = c.b_map(v, x)
-        diff = c.gamma_multiply(c.gamma_inverse(bu), bv)
-        identity_cases += 1
-        ux = c.induced_lambda(g.inverse(u), x)
-        rhs = c.gamma_inverse(c.beta(winv, ux))
-        if diff != rhs:
-            identity_bad += 1
-        if c.gamma_length(diff) <= R:
-            measured += weight
+    diff = c.gamma_multiply(c.gamma_inverse(c.b_map(u)), c.b_map(v))
+    identity_bad = int(diff != c.gamma_inverse(c.beta(g.inverse(w))))
+    measured = Fraction(int(c.gamma_length(diff) <= R))
 
     if degenerate:
         d_lambda, k_constant, bound = 0, Fraction(0), Fraction(0)
@@ -1004,7 +973,7 @@ def claim_bound_check(
     return ClaimBoundReport(
         u=g.describe(u), v=g.describe(v), R=R, d_lambda=d_lambda,
         measured=measured, bound=bound, k_constant=k_constant,
-        identity_cases=identity_cases, identity_violations=identity_bad,
+        identity_cases=1, identity_violations=identity_bad,
         degenerate=degenerate, passed=identity_bad == 0 and (degenerate or measured <= lower(bound)),
     )
 
@@ -1013,7 +982,7 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
     """Check the measure bound for every pair u != v in the lambda ball B.
 
     Both sides depend on a pair only through w = u^-1 v: the gamma-side
-    displacement is |g0 w g0^-1| for X_gamma = {g0}, and d_lambda(u, v) is
+    displacement is |g0 w g0^-1| for X_gamma = {x0}, and d_lambda(u, v) is
     |w|_lambda.  Splitting a geodesic word in two shows that these w are
     exactly B_lambda(2r) minus e for lambda radius r.  A w with displacement
     > R has measured side 0, so it satisfies the bound without evaluating
@@ -1030,11 +999,9 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
     to `c.budget`.
     """
     g = c.group
-    if len(c.x_gamma) != 1:
-        raise PreconditionError("sweep assumes a singleton gamma domain")
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
-    base = c.x_gamma[0][0]
+    base = c.x0[0]
     base_inv = g.inverse(base)
 
     # candidate w -> gamma-side displacement |g0 w g0^-1|
@@ -1047,14 +1014,7 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
 
     # B = B_lambda(r), then the lambda lengths of the candidates up to 2r
     elems = sorted(c.lambda_spheres.ball(lambda_radius), key=g.to_word)
-    lam_len = {}
-    pending = set(disp)
-    for depth in range(2 * lambda_radius + 1):
-        if not pending:
-            break
-        found = pending.intersection(c.lambda_spheres[depth])
-        lam_len.update(dict.fromkeys(found, depth))
-        pending -= found
+    lam_len = c.lambda_lengths(disp, within=2 * lambda_radius)
     position = {u: i for i, u in enumerate(elems)}
 
     def first_pair(w):

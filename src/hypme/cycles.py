@@ -11,6 +11,7 @@ certifies non-hyperbolicity at that delta.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,9 +76,7 @@ def obstruction_bound(delta: Fraction, b: Fraction, n: int) -> Fraction:
     return (4 * delta * log2_upper(b * n) + 4 + 2 * b) / n
 
 
-_N0_CACHE: dict[Fraction, int] = {}
-
-
+@functools.cache
 def asymptotic_onset(b: Fraction) -> int:
     """Smallest even n >= 4 with 4*log2(b*n) + 4 + 2*b <= 6*ln(n).
 
@@ -88,8 +87,6 @@ def asymptotic_onset(b: Fraction) -> int:
     """
     if b < 1:
         raise PreconditionError("b must be >= 1")
-    if b in _N0_CACHE:
-        return _N0_CACHE[b]
 
     def holds(n: int) -> bool:
         lhs = 4 * log2_upper(b * n) + 4 + 2 * b
@@ -107,7 +104,6 @@ def asymptotic_onset(b: Fraction) -> int:
             hi = mid
         else:
             lo = mid
-    _N0_CACHE[b] = hi
     return hi
 
 

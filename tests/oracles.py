@@ -8,7 +8,9 @@ every row in lexicographic order and read the thin-triangle tables of
 `hyperbolicity._nearest_to_geodesics`.  The claim sweep oracle reuses the
 coupling's group arithmetic and K constants; it enumerates displacements
 from the pairs, and takes the lambda ball and lengths from its own BFS.
-The coset table oracle is sympy's own HLT enumeration.
+The coset table oracle is sympy's own HLT enumeration.  The transversal
+oracle grows left cosets by multiplying group elements and traces each
+candidate through the table, where `subgroup_data` reads table entries only.
 """
 
 import itertools
@@ -236,8 +238,6 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
     `to_word` order, so `failures` lists them in order of first occurrence.
     """
     g = c.group
-    if len(c.x_gamma) != 1:
-        raise PreconditionError("sweep assumes a singleton gamma domain")
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
     gens = c.sub.schreier_generators
@@ -253,7 +253,7 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
             w = g.multiply(uinv, v)
             w_multiplicity[w] = w_multiplicity.get(w, 0) + 1
 
-    base = c.x_gamma[0][0]
+    base = c.x0[0]
     w_disp = {}
     for w in w_multiplicity:
         w_disp[w] = c.gamma_length((g.multiply(base, g.multiply(w, g.inverse(base))), 0))
@@ -310,6 +310,35 @@ def signed_trace(sub, start: int, g) -> int:
     for letter in signed_letters(sub.group, g):
         c = sub.table[c][2 * (abs(letter) - 1) + (0 if letter > 0 else 1)]
     return c
+
+
+def traced_transversal(sub) -> tuple[tuple, tuple]:
+    """The transversal and Schreier generators of `sub`, by a BFS that
+    multiplies on the left and runs `left_index` (a full trace) per candidate."""
+    group = sub.group
+    sym = [s for _, s in group.symmetric_generators()]
+    reps = {sub.left_index(group.identity()): group.identity()}
+    frontier = [group.identity()]
+    while frontier and len(reps) < sub.index:
+        nxt = []
+        for t in frontier:
+            for s in sym:
+                u = group.multiply(s, t)
+                idx = sub.left_index(u)
+                if idx not in reps:
+                    reps[idx] = u
+                    nxt.append(u)
+        frontier = nxt
+    transversal = tuple(reps[i] for i in range(len(reps)))
+    schreier = {}
+    for t in transversal:
+        for s in sym:
+            st = group.multiply(s, t)
+            lam = group.multiply(group.inverse(reps[sub.left_index(st)]), st)
+            if not group.is_identity(lam):
+                schreier.setdefault(lam, None)
+    ordered = sorted(schreier, key=lambda g: (group.word_length(g), group.to_word(g)))
+    return transversal, tuple(ordered)
 
 
 def sympy_coset_table(group, words, cap: int):

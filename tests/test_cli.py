@@ -316,6 +316,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: embedding") and problem in err
 
+    @pytest.mark.parametrize("content, problem", [
+        ("5", "must be a JSON object, got int"),
+        ("not json", "is not JSON"),
+        ('{"group": 7, "subgroup_generators": ["aa", "b", "abA"]}', "'group' must be"),
+        ('{"group": "F2", "subgroup_generators": 5}', "'subgroup_generators' must be"),
+        ('{"group": "F2", "subgroup_generators": "aab"}', "'subgroup_generators' must be"),
+        ('{"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": 3}', "'x_gamma' must be"),
+    ], ids=["number", "not-json", "group-number", "words-number", "words-string", "x-gamma-number"])
+    def test_malformed_spec_is_parse_error(self, tmp_path, capsys, content, problem):
+        spec = tmp_path / "spec.json"
+        spec.write_text(content)
+        out = tmp_path / "build.json"
+        code = dispatch(["coupling-build", "--spec", str(spec), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: coupling spec") and problem in err
+
     def test_image_outside_host_is_parse_error(self, tmp_path, capsys):
         emb = tmp_path / "emb.json"
         emb.write_text('{"n": 4, "images": [0, 1, 7, 36], "a": "1/1", "b": "1/1"}')

@@ -27,7 +27,13 @@ from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, power
 from hypme.rational import matrix_rank
-from oracles import brute_claim_sweep, independent_word_lengths, signed_trace, sympy_coset_table
+from oracles import (
+    brute_claim_sweep,
+    independent_word_lengths,
+    signed_trace,
+    sympy_coset_table,
+    traced_transversal,
+)
 
 F2_GENS = ["aa", "b", "abA"]
 
@@ -58,7 +64,7 @@ class TestSubgroupCoupling:
         c = f2_coupling
         assert c.index == 2
         assert [f2.describe(t) for t in c.sub.transversal] == ["e", "a"]
-        assert c.mu_x_gamma() == 1 and c.mu_x_lambda() == 2
+        assert c.x0 == (f2.identity(), 0) and c.mu_x_lambda() == 2
 
     def test_index_agrees_with_parity_homomorphism(self, f2, f2_coupling):
         # the subgroup is the kernel of a |-> 1, b |-> 0 into C2: check that
@@ -198,6 +204,37 @@ class TestTraceByLetter:
         assert len(traced) >= 20 and max(traced) >= 12, traced
 
 
+class TestTransversalFromTable:
+    """subgroup_data reads the transversal and the Schreier generators off the
+    table's columns; the oracle multiplies on the left and traces each word."""
+
+    @staticmethod
+    def assert_matches_oracle(sub):
+        transversal, schreier = traced_transversal(sub)
+        assert sub.transversal == transversal
+        assert sub.schreier_generators == schreier
+
+    @pytest.mark.parametrize("spec", TestTraceByLetter.GOLDEN_SPECS, ids=lambda s: s[0])
+    def test_golden_specs(self, spec):
+        name, gens = spec
+        self.assert_matches_oracle(coupling.subgroup_data(parse_group(name), gens))
+
+    def test_random_subgroups(self):
+        rng = random.Random(31)
+        indices = []
+        for name in TestCosetEnumeration.GROUPS:
+            g = parse_group(name)
+            for _ in range(10):
+                gens = [g.to_word(w) for w in random_words(g, rng, rng.randint(1, 3), 6)]
+                try:
+                    sub = coupling.subgroup_data(g, gens, Budget(100))
+                except (BudgetError, PreconditionError):  # infinite or large index
+                    continue
+                self.assert_matches_oracle(sub)
+                indices.append(sub.index)
+        assert len(indices) >= 20 and sum(i >= 12 for i in indices) >= 3, indices
+
+
 class TestCocycles:
     def test_alpha_examples(self, f2, f2_coupling):
         c = f2_coupling
@@ -229,7 +266,7 @@ class TestCocycles:
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="a")
         lam = f2.parse_word("aa")
         g0 = f2.parse_word("a")
-        gamma, k = c.beta(lam, c.x_gamma[0])
+        gamma, k = c.beta(lam)
         assert k == 0
         assert gamma == f2.multiply(g0, f2.multiply(lam, f2.inverse(g0)))
 
@@ -240,7 +277,7 @@ class TestCocycles:
         with pytest.raises(PreconditionError):
             c.alpha((a, 0), (f2.parse_word("aa"), 0))  # aa not in T
         with pytest.raises(PreconditionError):
-            c.beta(a, c.x_gamma[0])  # a is not in the subgroup
+            c.beta(a)  # a is not in the subgroup
 
     def test_cocycle_identity_f2(self, f2_coupling):
         rep = check_cocycle_identity(f2_coupling, 3)
@@ -312,6 +349,16 @@ class TestLambdaMetric:
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
             f2_coupling_with(20).lambda_lengths({aaaaaa})
         assert f2_coupling_with(2 + 187).lambda_lengths({aaaaaa})[aaaaaa] == 3
+
+    def test_within_leaves_out_longer_targets(self, f2):
+        # aa has Schreier length 1 and (aa)^3 length 3: within 2, only aa is
+        # resolved, and B_lambda is read to depth 2 only (37 elements)
+        aa, aaaaaa = f2.parse_word("aa"), f2.parse_word("aaaaaa")
+        c = f2_coupling_with(2 + 37)
+        assert c.lambda_lengths({aaaaaa}, within=2) == {}
+        assert c.budget.spent == 2 + 37
+        assert c.lambda_lengths({aa, aaaaaa}, within=2) == {aa: 1}
+        assert f2_coupling_with(2 + 187).lambda_lengths({aa, aaaaaa}, within=3) == {aa: 1, aaaaaa: 3}
 
 
 class TestSharedBalls:
@@ -471,7 +518,7 @@ class TestStrengthening:
     def test_trivial_witness_is_isomorphic(self, f2, f2_coupling):
         st = strengthen_coboundedness(f2_coupling, [f2.identity()])
         assert st.fiber_count == 1
-        assert st.x_gamma == f2_coupling.x_gamma
+        assert st.x0 == f2_coupling.x0
         assert st.x_lambda_points() == f2_coupling.x_lambda_points()
 
     def test_padded_witness_two_fibers(self, f2):
