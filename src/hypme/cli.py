@@ -14,9 +14,11 @@ bracket (`rational.outward`).  Commands therefore call kernels through their
 module, as `graphs.distance_matrix(...)`, never through names bound at
 import time.
 
-Exit codes: 0 success; 1 usage, parse, precondition, or budget errors;
-2 when a mathematical assertion fails (the theorem-contradiction signal),
-so CI can tell broken math from broken IO.
+Exit codes: 0 success; 1 usage, parse, precondition, budget or IO errors
+(the report file included), with one line on stderr and no report; 2 when
+the report is written but its mathematical check fails (a command's
+`math_ok` is false: an obstruction violation, a failed coupling check or
+claim), so CI can tell broken math from broken IO.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import Budget, HypmeError, MathCheckError, ParseError
+from .errors import Budget, HypmeError, ParseError
 
 
 def _lazy(name: str):
@@ -147,7 +149,8 @@ def cmd_find_cycles(args, budget):
 
 
 def _read_embedding(path: str) -> cycles.CycleEmbedding:
-    """The embedding object that find-cycles reports, checked for shape."""
+    """The embedding object that find-cycles reports, checked for shape and
+    for keys other than its four."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -155,7 +158,11 @@ def _read_embedding(path: str) -> cycles.CycleEmbedding:
             raise ParseError(f"embedding file is not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"embedding must be a JSON object, got {json.dumps(obj)[:40]}")
-    missing = [k for k in ("n", "images", "a", "b") if k not in obj]
+    keys = ("n", "images", "a", "b")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ParseError(f"embedding has unknown key(s) {', '.join(unknown)}")
+    missing = [k for k in keys if k not in obj]
     if missing:
         raise ParseError(f"embedding lacks key(s) {', '.join(missing)}")
     images = obj["images"]
@@ -434,16 +441,13 @@ def dispatch(argv=None) -> int:
         budget = _budget(args)
         config["budget_effective"] = budget.limit
         payload, math_ok = args.func(args, budget)
-    except MathCheckError as exc:
-        reports.write_report(args.out, config, {"error": str(exc), "kind": "math"})
-        return 2
+        reports.write_report(args.out, config, payload)
     except HypmeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 1
-    reports.write_report(args.out, config, payload)
     return 0 if math_ok else 2
 
 

@@ -39,10 +39,10 @@ SubgroupData caches, per letter, its column as one tuple over the cosets.
 
 Each coupling owns the run's `Budget` and two cached balls: B_gamma over
 S_gamma and B_lambda over the Schreier generators.  Each is one
-`groups.sphere_levels` BFS, run on only as far as a check asks, so every
-element is charged to the Budget once.  A smaller ball is a prefix of a
-larger one, because each level is sorted by `to_word`; so every check reads
-the same elements in the same order, whatever radius was read first.
+`groups.Spheres` BFS, run on only as far as a check asks, so every element
+is charged to the Budget once.  A smaller ball is a prefix of a larger one,
+because each level is sorted by `to_word`; so every check reads the same
+elements in the same order, whatever radius was read first.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import Budget, BudgetError, ParseError, PreconditionError
-from .groups import MarkedGroup, parse_group, sphere_levels
+from .groups import MarkedGroup, Spheres, parse_group
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, lower, matrix_rank, upper
 from .reports import encode
@@ -269,29 +269,6 @@ def subgroup_data(
 # the coupling
 
 
-class Spheres:
-    """The levels of one word-metric BFS, computed only as far as asked for."""
-
-    def __init__(self, group: MarkedGroup, gens, budget: Budget):
-        self._bfs = sphere_levels(group, gens, budget)
-        self._levels: list[list] = []
-
-    def __getitem__(self, depth: int) -> list:
-        """The elements of length exactly `depth`, sorted by `to_word`."""
-        while len(self._levels) <= depth:
-            level = next(self._bfs, None)  # None: the BFS ended at a BudgetError
-            if level is None:
-                raise BudgetError(f"a group BFS stopped over budget before radius {depth}")
-            self._levels.append(level[1])
-        return self._levels[depth]
-
-    def ball(self, radius: int) -> list:
-        """The elements of length <= radius, level by level."""
-        if radius < 0:
-            raise PreconditionError("radius must be >= 0")
-        return [g for depth in range(radius + 1) for g in self[depth]]
-
-
 @dataclass(frozen=True)
 class Coupling:
     """A fibered subgroup coupling with its one gamma-domain point x0.
@@ -309,7 +286,7 @@ class Coupling:
     @cached_property
     def gamma_spheres(self) -> Spheres:
         """B_gamma over S_gamma, the base-group part of the gamma side."""
-        return Spheres(self.group, [s for _, s in self.group.symmetric_generators()], self.budget)
+        return Spheres(self.group, budget=self.budget)
 
     @cached_property
     def lambda_spheres(self) -> Spheres:
@@ -480,7 +457,8 @@ def subgroup_coupling(
 def coupling_from_spec(spec: dict | str, budget: Budget | None = None) -> Coupling:
     """Build from the JSON spec {"group", "subgroup_generators", "x_gamma"}.
 
-    A spec of the wrong shape raises ParseError naming the key at fault.
+    A spec of the wrong shape, or with a key not among these three, raises
+    ParseError naming the key at fault.
     """
     if isinstance(spec, str):
         try:
@@ -489,6 +467,9 @@ def coupling_from_spec(spec: dict | str, budget: Budget | None = None) -> Coupli
             raise ParseError(f"coupling spec is not JSON: {exc}") from None
     if not isinstance(spec, dict):
         raise ParseError(f"coupling spec must be a JSON object, got {type(spec).__name__}")
+    unknown = sorted(set(spec) - {"group", "subgroup_generators", "x_gamma"})
+    if unknown:
+        raise ParseError(f"coupling spec has unknown key(s) {', '.join(unknown)}")
     if "group" not in spec or "subgroup_generators" not in spec:
         raise ParseError("coupling spec needs 'group' and 'subgroup_generators'")
     words, x_gamma = spec["subgroup_generators"], spec.get("x_gamma", "e")

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import Budget, BudgetError, PreconditionError
 from .graphs import DistanceMatrix, Graph, direct_image_path
-from .rational import ln_lower, ln_upper, log2_upper
+from .rational import FracInterval, log2_upper
 
 EXHAUSTIVE_VERTEX_LIMIT = 40
 
@@ -90,7 +90,7 @@ def asymptotic_onset(b: Fraction) -> int:
 
     def holds(n: int) -> bool:
         lhs = 4 * log2_upper(b * n) + 4 + 2 * b
-        return lhs <= 6 * ln_lower(Fraction(n))
+        return lhs <= 6 * FracInterval(n).ln().lo
 
     hi = 4
     while not holds(hi):
@@ -133,7 +133,7 @@ def check_obstruction(e: CycleEmbedding, delta: Fraction) -> ObstructionReport:
     b_eff = max(e.b, Fraction(1))
     bound = obstruction_bound(delta, b_eff, n_even)
     cor_ok = delta >= 1 and e.n >= asymptotic_onset(b_eff)
-    bound_cor = 6 * delta * ln_upper(Fraction(e.n)) / e.n if cor_ok else None
+    bound_cor = 6 * delta * FracInterval(e.n).ln().hi / e.n if cor_ok else None
     return ObstructionReport(
         delta=delta,
         a=e.a,

@@ -1,14 +1,13 @@
 """Exception taxonomy shared across the toolkit, and the work budget.
 
-The CLI maps these onto exit codes: parse/precondition/budget failures are
-ordinary errors (exit 1), while MathCheckError marks a violated mathematical
-invariant (exit 2) so CI can tell broken math from broken IO.  One `Budget`
-bounds the work of a run, counted in group elements (charged per BFS level,
-so each element a BFS reaches is charged once; a coupling runs one BFS per
-side and every check reads it), cosets defined by coset enumeration (dead
-ones included), identity-check cases, candidate vertices of the
-fat-cycle search and the 64-bit words of the growth volumes condition (5)
-expands.
+The CLI maps every HypmeError onto exit 1 (parse, precondition and budget
+failures alike); exit 2 is not an exception but a written report whose
+mathematical check failed.  One `Budget` bounds the work of a run, counted
+in group elements (charged per BFS level, so each element a BFS reaches is
+charged once; a coupling runs one BFS per side and every check reads it),
+cosets defined by coset enumeration (dead ones included), identity-check
+cases, candidate vertices of the fat-cycle search and the 64-bit words of
+the growth volumes condition (5) expands.
 """
 
 DEFAULT_BUDGET = 10_000_000
@@ -49,7 +48,3 @@ class Budget:
                 f"{self.spent} already spent; raise --budget or HYPME_BUDGET"
             )
         self.spent += amount
-
-
-class MathCheckError(HypmeError):
-    """A checkable mathematical assertion failed (the theorem-contradiction signal)."""

@@ -4,7 +4,8 @@ Supported families are fixed so that every computation downstream is exact:
 free groups F<k>, free abelian Z^<d>, finite cyclic C<n>, and their free
 ("*") and direct ("x") products.  Elements carry canonical normal forms,
 word lengths have closed forms per family, and ball enumeration is a
-deterministic BFS.
+deterministic BFS.  `Spheres` is the only word-metric BFS over a marked
+group: `ball`, `bfs_growth_table` and a coupling's two balls read its levels.
 
 Each family states its spherical growth series sum_n |S(n)| t^n = N(t)/D(t)
 once (de la Harpe, Topics in Geometric Group Theory, ch. VI); a free product
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .errors import Budget, ParseError, PreconditionError
 from .graphs import Graph, make_graph
-from .rational import FracInterval, ln_lower, ln_upper
+from .rational import FracInterval
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,7 @@ class Growth:
     multiplicity of the root t = 1, else "bounded" (a finite group).
     `entropy` is a certified bracket on h = -ln(rho) (0 unless exponential);
     `rho` is the root itself when it is rational, and then 1/rho is an
-    integer and the bracket is [ln_lower(1/rho), ln_upper(1/rho)].
+    integer and the bracket is FracInterval(1/rho).ln().
     """
 
     kind: str
@@ -130,7 +131,7 @@ class Growth:
             lo = hi = rho
         else:
             rho = None
-        entropy = FracInterval(ln_lower(1 / hi), ln_upper(1 / lo))
+        entropy = FracInterval(FracInterval(1 / hi).ln().lo, FracInterval(1 / lo).ln().hi)
         return cls("exponential", 0, entropy, rho, tuple(den))
 
     def describe(self) -> str:
@@ -607,33 +608,53 @@ class CayleyBall:
     growth: tuple[int, ...]  # Vol(0..radius), counted by the BFS
 
 
-def sphere_levels(group: MarkedGroup, gens, budget: Budget | None = None):
-    """Yield (depth, level) for depth 0, 1, 2, ...: the elements of word
-    length exactly `depth` over `gens`, sorted by `group.to_word`.
+class Spheres:
+    """The levels of one word-metric BFS over `gens` (by default the
+    symmetric generators), computed only as far as asked for.
 
     `gens` must be symmetric (closed under inverses), so every neighbour of
-    a level-d element lies in level d-1, d or d+1 and two levels suffice to
-    tell new elements from old.  Past the end of a finite group the levels
-    are empty.  Each level is charged to `budget` as group elements before
-    it is yielded.  Stop iterating at the last level needed: the next one is
-    computed only when asked for.
+    a level-d element lies in level d-1, d or d+1 and the two live levels
+    tell new elements from old.  Level d holds the elements of word length
+    exactly d, sorted by `group.to_word`; past the end of a finite group the
+    levels are empty.  Each level is charged to `budget` as group elements
+    before it is kept, so every element is charged once; a level refused
+    over budget is refused again on the next read, with nothing charged.
+    Every level read stays, so a smaller ball is a prefix of a larger one.
     """
-    budget = budget or Budget()
-    budget.charge("group elements at radius 0", 1, by="a group BFS")
-    prev: set = set()
-    curr = {group.identity()}
-    yield 0, [group.identity()]
-    for depth in itertools.count(1):
-        nxt = set()
-        for g in curr:
-            for s in gens:
-                h = group.multiply(g, s)
-                if h not in prev and h not in curr:
-                    nxt.add(h)
-        what = f"group elements at radius {depth} (radius {depth - 1} completed)"
-        budget.charge(what, len(nxt), by="a group BFS")
-        prev, curr = curr, nxt
-        yield depth, sorted(nxt, key=group.to_word)
+
+    def __init__(self, group: MarkedGroup, gens=None, budget: Budget | None = None):
+        self.group = group
+        self.gens = [g for _, g in group.symmetric_generators()] if gens is None else gens
+        self.budget = budget or Budget()
+        self._levels: list[list] = []
+        self._live: tuple[set, set] = (set(), set())  # levels d-1 and d, as sets
+
+    def levels(self, radius: int) -> list[list]:
+        """Levels 0..radius; a negative radius is refused before any charge."""
+        if radius < 0:
+            raise PreconditionError("radius must be >= 0")
+        group, gens = self.group, self.gens
+        while (depth := len(self._levels)) <= radius:
+            prev, curr = self._live
+            nxt = set() if depth else {group.identity()}
+            for g in curr:
+                for s in gens:
+                    h = group.multiply(g, s)
+                    if h not in prev and h not in curr:
+                        nxt.add(h)
+            done = f" (radius {depth - 1} completed)" if depth else ""
+            self.budget.charge(f"group elements at radius {depth}{done}", len(nxt), by="a group BFS")
+            self._live = (curr, nxt)
+            self._levels.append(sorted(nxt, key=group.to_word))
+        return self._levels[: radius + 1]
+
+    def __getitem__(self, depth: int) -> list:
+        """The elements of length exactly `depth`, sorted by `to_word`."""
+        return self.levels(depth)[depth]
+
+    def ball(self, radius: int) -> list:
+        """The elements of length <= radius, level by level."""
+        return [g for level in self.levels(radius) for g in level]
 
 
 def bfs_growth_table(
@@ -642,20 +663,9 @@ def bfs_growth_table(
     gens=None,
     budget: Budget | None = None,
 ) -> tuple[int, ...]:
-    """Vol(0..radius) over `gens` counted by BFS alone (memory stays at two
-    levels); the group's own volumes come from its series, `group.volume`."""
-    if radius < 0:
-        raise PreconditionError("radius must be >= 0")
-    if gens is None:
-        gens = [g for _, g in group.symmetric_generators()]
-    vols = []
-    total = 0
-    for depth, level in sphere_levels(group, gens, budget):
-        total += len(level)
-        vols.append(total)
-        if depth >= radius:
-            break
-    return tuple(vols)
+    """Vol(0..radius) over `gens` counted by BFS alone; the group's own
+    volumes come from its series, `group.volume`."""
+    return tuple(itertools.accumulate(map(len, Spheres(group, gens, budget).levels(radius))))
 
 
 def ball(
@@ -665,23 +675,13 @@ def ball(
     budget: Budget | None = None,
 ) -> CayleyBall:
     """Exact Cayley ball B(e, radius): elements, word lengths, ball graph, growth."""
-    if radius < 0:
-        raise PreconditionError("radius must be >= 0")
-    if gens is None:
-        gens = [g for _, g in group.symmetric_generators()]
-    elements = []
-    lengths = []
-    vols = []
-    for depth, level in sphere_levels(group, gens, budget):
-        elements.extend(level)
-        lengths.extend([depth] * len(level))
-        vols.append(len(elements))
-        if depth >= radius:
-            break
+    spheres = Spheres(group, gens, budget)
+    levels = spheres.levels(radius)
+    elements = [g for level in levels for g in level]
     index = {g: i for i, g in enumerate(elements)}
     edges = set()
     for i, g in enumerate(elements):
-        for s in gens:
+        for s in spheres.gens:
             h = group.multiply(g, s)
             j = index.get(h)
             if j is not None and j != i:
@@ -691,8 +691,8 @@ def ball(
         radius=radius,
         graph=graph,
         elements=tuple(elements),
-        word_lengths=tuple(lengths),
-        growth=tuple(vols),
+        word_lengths=tuple(d for d, level in enumerate(levels) for _ in level),
+        growth=tuple(itertools.accumulate(map(len, levels))),
     )
 
 

@@ -51,6 +51,13 @@ class IntegrabilityFunction:
     # --- evaluation ----------------------------------------------------------
 
     @property
+    def exponent(self) -> Fraction:
+        """The power of t: p for power, 1 + 1/q for poly_plus, and the inner
+        p of exp(t^p) for exp_power.  Every family is a power law in this
+        exponent, or the exponential of one."""
+        return 1 + 1 / self.param if self.family == "poly_plus" else self.param
+
+    @property
     def exact(self) -> bool:
         """True when `value` gives exact Fractions: power with an integer exponent."""
         return self.family == "power" and self.param.denominator == 1
@@ -60,8 +67,7 @@ class IntegrabilityFunction:
         FracInterval on the 2**-32 grid."""
         if t < 0:
             raise PreconditionError("integrability functions take t >= 0")
-        x = self.scale * t
-        e = 1 + 1 / self.param if self.family == "poly_plus" else self.param
+        x, e = self.scale * t, self.exponent
         root = exact_root(x, e.denominator)
         if root is not None:  # x^e is rational: take it exactly
             x, e = root**e.numerator, Fraction(1)
@@ -76,32 +82,24 @@ class IntegrabilityFunction:
     def ln_interval(self, x: FracInterval) -> FracInterval:
         """ln(phi(x)) as a certified interval, for x > 0."""
         xs = x * self.scale
-        if self.family == "power":
-            return xs.ln() * self.param
         if self.family == "exp_power":
-            return xs.pow_rational(self.param)
-        return xs.ln() * (1 + 1 / self.param)
+            return xs.pow_rational(self.exponent)
+        return xs.ln() * self.exponent
 
     def inverse_interval(self, y: Fraction) -> FracInterval:
         """Generalized inverse inf{t : phi(t) >= y} as a certified interval
         (scale folded in)."""
         if y <= 0:
             return FracInterval(0)
-        yi = FracInterval(y)
-        if self.family == "power":
-            t = yi.pow_rational(1 / self.param)
-        elif self.family == "poly_plus":
-            t = yi.pow_rational(self.param / (1 + self.param))
+        yi, inv = FracInterval(y), 1 / self.exponent
+        if self.family != "exp_power":
+            t = yi.pow_rational(inv)
         else:
             ly = yi.ln()
             if ly.hi <= 0:
                 return FracInterval(0)
-            hi_t = FracInterval(ly.hi).pow_rational(1 / self.param).hi
-            lo_t = (
-                FracInterval(ly.lo).pow_rational(1 / self.param).lo
-                if ly.lo > 0
-                else Fraction(0)
-            )
+            hi_t = FracInterval(ly.hi).pow_rational(inv).hi
+            lo_t = FracInterval(ly.lo).pow_rational(inv).lo if ly.lo > 0 else Fraction(0)
             t = FracInterval(lo_t, hi_t)
         return t / self.scale
 

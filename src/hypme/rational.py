@@ -9,8 +9,12 @@ rounds them outward to multiples of 2**-32.  So a bracket contains the true
 value, and a verdict read from one end stays conservative: an upper end can
 only enlarge a bound, never shrink it.
 
-`outward` is the only code in hypme that imports mpmath, and it does so on
-its first call, so a run that needs no certified bracket never loads it.
+The certified brackets of ln and exp are `FracInterval(x).ln()` and
+`.exp()`; a caller that needs one end of a bracket reads its `.lo` or `.hi`.
+`pow_rational` brackets a fractional power and `log2_upper` bounds log2 from
+above.  All of them call `outward`, which is the only code in hypme that
+imports mpmath, and it does so on its first call, so a run that needs no
+certified bracket never loads it.
 """
 
 from __future__ import annotations
@@ -148,28 +152,6 @@ def log2_upper(x: Fraction) -> Fraction:
     if exact is not None:
         return exact
     return outward(lambda iv, y: iv.log(y) / iv.log(2), x).hi
-
-
-def ln_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds on ln(x), exact for x = 1."""
-    if x <= 0:
-        raise ValueError("ln requires a positive argument")
-    return tuple(outward(lambda iv, y: iv.log(y), x))
-
-
-def ln_lower(x: Fraction) -> Fraction:
-    """Rational lower bound on ln(x)."""
-    return ln_bounds(x)[0]
-
-
-def ln_upper(x: Fraction) -> Fraction:
-    """Rational upper bound on ln(x)."""
-    return ln_bounds(x)[1]
-
-
-def exp_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds on exp(x), exact for x = 0."""
-    return tuple(FracInterval(x).exp())
 
 
 class FracInterval:

@@ -10,12 +10,13 @@ hyperbolicity across the coupling:
     bounded-cocycle variant).
 
 Numeric evaluation runs in certified rational interval arithmetic so that
-verdicts near boundaries come out "inconclusive" rather than wrong, and the
-closed families (phi power/exp_power, r = c log n or n^e) additionally get
-an analytic verdict from the growth a group derives from its growth series:
-its class, polynomial degree and certified entropy bracket.  Ratios span
-hundreds of orders of magnitude, so sampled values are reported as natural
-logarithms.
+verdicts near boundaries come out "inconclusive" rather than wrong.  Every
+weight is a power law t^p or exp(t^p) in its `exponent` p, so with
+r = c log n or n^e condition (5) always gets an analytic verdict, from the
+growth a group derives from its growth series: its class, polynomial degree
+and certified entropy bracket.  Condition (6) falls back to the samples for
+an exp_power psi under a log schedule.  Ratios span hundreds of orders of
+magnitude, so sampled values are reported as natural logarithms.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from fractions import Fraction
 from .errors import Budget, PreconditionError
 from .groups import Growth, MarkedGroup
 from .integrability import IntegrabilityFunction
-from .rational import FracInterval, format_fraction, ln_bounds
+from .rational import FracInterval, format_fraction
 
 
 @functools.cache
 def ln2() -> FracInterval:
     """Certified bracket of ln 2, computed on first use."""
-    return FracInterval(*ln_bounds(Fraction(2)))
+    return FracInterval(2).ln()
 
 
 # ---------------------------------------------------------------------------
@@ -175,31 +176,13 @@ class ConditionReport:
 
 def _analytic_condition_5(
     phi: IntegrabilityFunction, r: Schedule, growth: Growth
-) -> tuple[str, dict] | None:
-    """Closed-family limit verdicts for the vanishing ratio."""
-    if phi.family == "exp_power" and r.family == "log":
-        return "tends_to_zero", {"reason": "stretched-exponential denominator"}
-    if phi.family == "power":
-        p = phi.param
-        if r.family == "log":
-            crit_lo = 2 + r.coefficient * growth.entropy.lo
-            crit_hi = 2 + r.coefficient * growth.entropy.hi
-            if p > crit_hi:
-                return "tends_to_zero", {"critical_exponent": str(float(crit_hi))}
-            if p <= crit_lo:
-                return "fails", {"critical_exponent": str(float(crit_lo))}
-            return "inconclusive", {"reason": "p within rounding of the critical exponent"}
-        # r = n^e
-        if growth.kind == "exponential":
-            return "fails", {"reason": "exponential growth beats any power of n"}
-        e = r.exponent
-        lhs = phi.param * (1 - e)
-        rhs = 2 + e + e * growth.degree
-        if lhs > rhs:
-            return "tends_to_zero", {}
-        return "fails", {}
+) -> tuple[str, dict]:
+    """Limit verdicts for the vanishing ratio; phi is the power law t^p or,
+    for exp_power, exp(t^p), with p = phi.exponent."""
+    p = phi.exponent
     if phi.family == "exp_power":
-        p = phi.param
+        if r.family == "log":
+            return "tends_to_zero", {"reason": "stretched-exponential denominator"}
         e = r.exponent
         if growth.kind != "exponential":
             return "tends_to_zero", {}
@@ -209,7 +192,23 @@ def _analytic_condition_5(
         if lhs < e:
             return "fails", {}
         return "inconclusive", {"reason": "exponent tie; coefficient comparison omitted"}
-    return None
+    if r.family == "log":
+        crit_lo = 2 + r.coefficient * growth.entropy.lo
+        crit_hi = 2 + r.coefficient * growth.entropy.hi
+        if p > crit_hi:
+            return "tends_to_zero", {"critical_exponent": str(float(crit_hi))}
+        if p <= crit_lo:
+            return "fails", {"critical_exponent": str(float(crit_lo))}
+        return "inconclusive", {"reason": "p within rounding of the critical exponent"}
+    # r = n^e
+    if growth.kind == "exponential":
+        return "fails", {"reason": "exponential growth beats any power of n"}
+    e = r.exponent
+    lhs = p * (1 - e)
+    rhs = 2 + e + e * growth.degree
+    if lhs > rhs:
+        return "tends_to_zero", {}
+    return "fails", {}
 
 
 def check_condition_5(
@@ -240,7 +239,7 @@ def check_condition_5(
         ln_num = (
             FracInterval(Fraction(n)).ln() * 2
             + rn.ln()
-            + FracInterval(*ln_bounds(Fraction(vol)))
+            + FracInterval(vol).ln()
         )
         ln_den = rc.phi.ln_interval(FracInterval(Fraction(n)) / rn)
         lr = ln_num - ln_den
@@ -254,23 +253,14 @@ def check_condition_5(
         ):
             n0 = grid[i]
             break
-    analytic = _analytic_condition_5(rc.phi, rc.r, group.growth)
-    if analytic is not None:
-        verdict, notes = analytic
-        is_analytic = True
-    else:
-        verdict, is_analytic = "inconclusive", False
-        notes = {"reason": "no closed-form family; empirical tail only"}
-        if n0 is not None and log_ratios[-1].definitely_less(log_ratios[0]):
-            notes["empirical"] = "decreasing tail observed"
+    verdict, notes = _analytic_condition_5(rc.phi, rc.r, group.growth)
     if schedule_exceeds_n:
-        notes = dict(notes)
         notes["r_exceeds_n_at"] = schedule_exceeds_n[:5]
     return ConditionReport(
         condition="(5)",
         name="vanishing_ratio",
         verdict=verdict,
-        analytic=is_analytic,
+        analytic=True,
         n0=n0,
         samples=samples,
         notes={"phi": rc.phi.describe(), "r": rc.r.describe(), **notes},
@@ -279,17 +269,14 @@ def check_condition_5(
 
 def _analytic_condition_6(rc: RigidityConditions) -> tuple[str, dict] | None:
     psi, r = rc.psi, rc.r
+    if psi.family != "exp_power":
+        if r.family == "log":
+            return "fails", {"reason": "polynomial psi inverse beats a log schedule"}
+        inv_exp = 1 / psi.exponent
+        notes = {"r_exponent": r.exponent, "psi_inverse_exponent": inv_exp}
+        return ("holds_eventually" if r.exponent > inv_exp else "fails"), notes
     if r.family == "pow":
-        if psi.family in ("power", "poly_plus"):
-            inv_exp = (
-                1 / psi.param if psi.family == "power" else psi.param / (1 + psi.param)
-            )
-            notes = {"r_exponent": r.exponent, "psi_inverse_exponent": inv_exp}
-            return ("holds_eventually" if r.exponent > inv_exp else "fails"), notes
-        if psi.family == "exp_power":
-            return "holds_eventually", {"reason": "psi inverse grows logarithmically"}
-    if r.family == "log" and psi.family in ("power", "poly_plus"):
-        return "fails", {"reason": "polynomial psi inverse beats a log schedule"}
+        return "holds_eventually", {"reason": "psi inverse grows logarithmically"}
     return None
 
 

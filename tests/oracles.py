@@ -211,8 +211,9 @@ def grid_edge_text(w: int, h: int) -> str:
 
 
 def independent_word_lengths(group, gens, targets=None, max_radius=12) -> dict:
-    """Word lengths over `gens` by a deque BFS that shares no code with `sphere_levels`: every element
-    within `max_radius`, or, given `targets`, until all of them are reached."""
+    """Word lengths over `gens` by a deque BFS that shares no code with
+    `groups.Spheres`: every element within `max_radius`, or, given
+    `targets`, until all of them are reached."""
     sym = set(gens) | {group.inverse(s) for s in gens}
     lengths = {group.identity(): 0}
     queue = deque([group.identity()])

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from hypme.integrability import exp_power, poly_plus, power
-from hypme.rational import FracInterval, exp_bounds, ln_bounds, log2_upper, lower, upper
+from hypme.rational import FracInterval, log2_upper, lower, upper
 from hypme.rigidity import Schedule, ln2
 
 REF_BITS = 2000
@@ -49,7 +49,7 @@ NAMED_EXP = [Fraction(t) for t in (14, 24, 40, 59, 60, 80, -40)]
 def test_ln_bounds():
     rng = random.Random(1)
     for x in NAMED_LN + sample_rationals(rng, 200) + [Fraction(1)]:
-        lo, hi = ln_bounds(x)
+        lo, hi = FracInterval(x).ln()
         assert brackets(lo, hi, lambda: mpmath.log(mpq(x))), x
 
 
@@ -74,7 +74,7 @@ def test_exp_bounds():
     xs = NAMED_EXP + [Fraction(t) for t in range(-5, 61)]
     xs += [Fraction(rng.randint(-80 * 10**4, 80 * 10**4), 10**4) for _ in range(200)]
     for x in xs:
-        lo, hi = exp_bounds(x)
+        lo, hi = FracInterval(x).exp()
         assert lo <= hi
         assert brackets(lo, hi, lambda: mpmath.exp(mpq(x))), x
 

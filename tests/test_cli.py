@@ -303,6 +303,7 @@ class TestExitCodes:
         ('{"n": 2, "images": [0, 1], "a": "1/1", "b": "1/1"}', "at least 3"),
         ('{"n": 3, "images": [0, 1, "x"], "a": "1/1", "b": "1/1"}', "list of vertex integers"),
         ('{"n": 4, "images": [0, 1, 7, 6], "a": "one", "b": "1/1"}', "not fractions"),
+        ('{"n": 4, "images": [0, 1, 7, 6], "a": "1/1", "b": "1/1", "bb": "2/1"}', "unknown key(s) bb"),
         ("{", "not JSON"),
     ])
     @pytest.mark.parametrize("host", [["--delta", "1"], ["--gen", "grid:6,6"]])
@@ -323,7 +324,10 @@ class TestExitCodes:
         ('{"group": "F2", "subgroup_generators": 5}', "'subgroup_generators' must be"),
         ('{"group": "F2", "subgroup_generators": "aab"}', "'subgroup_generators' must be"),
         ('{"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": 3}', "'x_gamma' must be"),
-    ], ids=["number", "not-json", "group-number", "words-number", "words-string", "x-gamma-number"])
+        # a misspelled key would otherwise leave the base point at e
+        ('{"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gama": "b"}', "unknown key(s) x_gama"),
+    ], ids=["number", "not-json", "group-number", "words-number", "words-string", "x-gamma-number",
+            "unknown-key"])
     def test_malformed_spec_is_parse_error(self, tmp_path, capsys, content, problem):
         spec = tmp_path / "spec.json"
         spec.write_text(content)
@@ -376,6 +380,11 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unwritable_report_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert dispatch(["group-ball", "--group", "F2", "--radius", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1 and "missing" in err
 
     def test_generated_host_over_vertex_cap_is_exit_one(self, tmp_path, capsys):
         out = tmp_path / "x.json"

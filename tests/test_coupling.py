@@ -341,9 +341,9 @@ class TestLambdaMetric:
         c = f2_coupling_with(20)
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
             c.lambda_spheres.ball(4)
-        # the levels read stay; the BFS does not run on past its BudgetError
+        # the levels read stay; a retry is refused with the same charge, charging nothing
         assert len(c.lambda_spheres.ball(1)) == 7
-        with pytest.raises(BudgetError, match="stopped over budget before radius 2"):
+        with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):
             c.lambda_spheres.ball(2)
         aaaaaa = f2.parse_word("aaaaaa")  # (aa)^3: Schreier length 3
         with pytest.raises(BudgetError, match=r"at radius 2 \(radius 1 completed\)"):

@@ -31,6 +31,10 @@ CASES = {
     "graph-analyze-sampled": (["graph-analyze", "--gen", "grid:25,25", "--samples", "50"], 0),
     "find-cycles": (["find-cycles", "--gen", "grid:4,4", "--min-a", "1/2", "--min-n", "8"], 0),
     "find-cycles-tree": (["find-cycles", "--gen", "tree:2,3", "--min-a", "1/2", "--min-n", "4"], 0),
+    # the heuristic search's not_found report: no embedding, nodes_used only
+    "find-cycles-not-found": (
+        ["find-cycles", "--gen", "grid:6,6", "--min-a", "2/3", "--min-n", "8", "--mode", "heuristic"], 0,
+    ),
     "check-obstruction": (["check-obstruction", "--gen", "grid:4,4", "--embedding", "embedding.json"], 0),
     "check-obstruction-delta": (["check-obstruction", "--embedding", "embedding.json", "--delta", "1/10"], 0),
     "group-ball": (["group-ball", "--group", "C2*C3", "--radius", "4"], 0),
@@ -58,6 +62,11 @@ CASES = {
     "conditions": (["conditions", "--group", "F2"], 0),
     "conditions-z2": (
         ["conditions", "--group", "Z^2", "--phi", "poly_plus:2", "--psi", "exp_power:1", "--r", "pow:1/2"], 0,
+    ),
+    # an exp_power psi under a log schedule has no analytic (6) verdict: the samples decide
+    "conditions-6-fails": (["conditions", "--group", "F2", "--psi", "exp_power:1", "--check", "6"], 0),
+    "conditions-6-holds": (
+        ["conditions", "--group", "F2", "--psi", "exp_power:2", "--r", "log:2000", "--check", "6"], 0,
     ),
 }
 

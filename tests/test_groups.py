@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypme.errors import Budget, BudgetError, ParseError
+from hypme.errors import Budget, BudgetError, ParseError, PreconditionError
 from hypme.groups import (
     Cyclic,
     DirectProduct,
     Growth,
+    Spheres,
     ball,
     bfs_growth_table,
     entropy_estimate,
     parse_group,
 )
-from hypme.rational import exp_bounds, ln_lower, ln_upper
+from hypme.rational import FracInterval
 
 from oracles import least_positive_root
 
@@ -162,6 +163,17 @@ class TestBalls:
         with pytest.raises(BudgetError, match="radius 3"):
             bfs_growth_table(parse_group("F2"), 8, budget=Budget(40))
 
+    def test_spheres_retry_over_budget_charges_nothing(self):
+        # F2 has 1 + 4 elements within radius 1 and 12 more at radius 2
+        budget = Budget(5 + 11)
+        spheres = Spheres(parse_group("F2"), budget=budget)
+        for _ in range(2):
+            with pytest.raises(BudgetError, match=r"12 group elements at radius 2 \(radius 1 completed\)"):
+                spheres.ball(3)
+            assert budget.spent == 5 and len(spheres.ball(1)) == 5
+        with pytest.raises(PreconditionError, match="radius must be >= 0"):
+            Spheres(parse_group("F2"), budget=Budget(0)).ball(-1)
+
     @pytest.mark.parametrize("spec, radius", [("F2", 5), ("Z^2", 6), ("C2*C3", 7), ("C3xC4", 8)])
     def test_growth_table_matches_ball(self, spec, radius):
         # C3xC4 has diameter 3, so its levels run out before the radius
@@ -210,8 +222,7 @@ class TestGrowthSeries:
         growth = Growth.of_denominator(den)
         top = max(factors)
         assert growth.kind == "exponential" and growth.rho == Fraction(1, top)
-        bounds = (ln_lower(Fraction(top)), ln_upper(Fraction(top)))
-        assert (growth.entropy.lo, growth.entropy.hi) == bounds
+        assert (growth.entropy.lo, growth.entropy.hi) == tuple(FracInterval(top).ln())
 
     @pytest.mark.parametrize(
         "den",
@@ -263,12 +274,12 @@ class TestEntropy:
         assert est.lower == h.lo > 0
         assert h.hi - h.lo <= Fraction(1, 2**30)
         # ln sqrt(2) in [lo, hi] iff 2 in [exp(2 lo), exp(2 hi)]
-        assert exp_bounds(2 * h.lo)[1] <= 2 <= exp_bounds(2 * h.hi)[0]
+        assert FracInterval(2 * h.lo).exp().hi <= 2 <= FracInterval(2 * h.hi).exp().lo
 
     @pytest.mark.parametrize("spec, base", [("F2", 3), ("F3", 5), ("F2xZ", 3), ("F2xF2", 3)])
     def test_free_factor_bounds_are_exact_logs(self, spec, base):
         h = parse_group(spec).growth.entropy
-        assert (h.lo, h.hi) == (ln_lower(Fraction(base)), ln_upper(Fraction(base)))
+        assert (h.lo, h.hi) == tuple(FracInterval(base).ln())
 
     def test_lower_below_declared(self):
         for spec in ("F2", "F3", "Z^2", "C2*C3"):

@@ -42,6 +42,14 @@ def test_poly_plus_numeric():
     assert ln.lo <= math.log(8) <= ln.hi and ln.hi - ln.lo < 1e-6
 
 
+def test_exponent_is_the_power_of_t():
+    assert power(Fraction(5, 2)).exponent == Fraction(5, 2)
+    assert poly_plus(2).exponent == Fraction(3, 2)
+    assert exp_power(3).exponent == 3
+    # poly_plus(1) is t^2 but stays a bracket: `exact` is the power family's alone
+    assert poly_plus(1).exponent == 2 and not poly_plus(1).exact
+
+
 @pytest.mark.parametrize(
     "fn,y,expected",
     [

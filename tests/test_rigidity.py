@@ -147,6 +147,32 @@ class TestCondition5:
             assert above.analytic and below.analytic
             assert abs(float(above.notes["critical_exponent"]) - critical) < 1e-6
 
+    @pytest.mark.parametrize("spec", ["F2", "Z^2"])
+    @pytest.mark.parametrize(
+        "r", [Schedule("log", coefficient=Fraction(108)), Schedule("pow", exponent=Fraction(1, 2))]
+    )
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 7), Fraction(1, 200)])
+    def test_poly_plus_is_the_power_of_its_exponent(self, spec, r, q):
+        # poly_plus(q) is t^(1 + 1/q): same verdict, notes and samples as power(1 + 1/q)
+        group = parse_group(spec)
+        reps = [
+            check_condition_5(make_rc(phi, power(1), r, n_max=10**4), group)
+            for phi in (poly_plus(q), power(1 + 1 / q))
+        ]
+        views = [(rep.verdict, rep.analytic, rep.samples, {**rep.notes, "phi": None}) for rep in reps]
+        assert views[0] == views[1]
+        assert reps[0].analytic and reps[0].notes["phi"] == poly_plus(q).describe()
+
+    def test_poly_plus_verdicts(self):
+        # t^(3/2) on F2 under 108 log n: below the critical exponent, as power:3/2
+        rc = make_rc(poly_plus(2), power(1), Schedule("log", coefficient=Fraction(108)))
+        rep = check_condition_5(rc, parse_group("F2"))
+        assert (rep.verdict, rep.analytic) == ("fails", True) and "critical_exponent" in rep.notes
+        # t^8 on Z^2 under n^(1/2): 8 (1 - 1/2) = 4 > 2 + 1/2 + 2/2
+        rc = make_rc(poly_plus(Fraction(1, 7)), power(1), Schedule("pow", exponent=Fraction(1, 2)))
+        rep = check_condition_5(rc, parse_group("Z^2"))
+        assert (rep.verdict, rep.notes.get("reason")) == ("tends_to_zero", None)
+
     def test_r_exceeding_n_is_flagged(self):
         group = parse_group("F2")
         rc = make_rc(power(200), power(1), Schedule("log", coefficient=Fraction(108)))

@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps hypme functions by module and name and reads
 their results and bound arguments (`g`, `dm`, `tree_hint`, `samples`, ...)
 to count work.  A renamed function or argument breaks the traced benchmark;
-this test runs one small job per counted kernel under the tracer, so such a
-rename fails here first.
+this test runs one small job per counted kernel under the tracer, and the
+group commands whose uncounted functions it wraps, so such a rename fails
+here first.
 """
 
 import importlib.util
@@ -40,6 +41,8 @@ def test_every_counted_kernel_records_its_counts(tracing, tmp_path):
         ("graph-analyze", "--gen", "grid:25,25", "--samples", "5"),  # n > EXACT_CUTOFF
         ("find-cycles", "--gen", "grid:4,4", "--min-a", "1/2", "--min-n", "8"),
         ("group-ball", "--group", "F2", "--radius", "2"),
+        ("group-ball", "--group", "F2", "--radius", "2", "--counts-only"),  # bfs_growth_table
+        ("threshold", "--group", "F2"),  # ball, entropy_estimate, threshold_p
         ("claim-check", "--spec", str(spec), "--lambda-radius", "2", "--radii", "1"),
         ("coupling-verify", "--spec", str(spec), "--radius", "1"),
     ]
@@ -58,3 +61,6 @@ def test_every_counted_kernel_records_its_counts(tracing, tmp_path):
     spans = [s for s in tracer.spans if s.name in counted]
     assert {s.name for s in spans} == counted
     assert all(s.counts for s in spans), [s.name for s in spans if not s.counts]
+    # uncounted wrappers the group commands reach must still find their functions
+    recorded = {s.name for s in tracer.spans}
+    assert {"groups.bfs_growth_table", "groups.entropy_estimate", "rigidity.threshold_p"} <= recorded
