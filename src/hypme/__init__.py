@@ -12,14 +12,15 @@ Modules by concern:
   rigidity       thresholds and the vanishing/schedule condition checkers
   cli            the command-line front door
   rational       exact rationals and certified brackets
+  brackets       the integer arithmetic behind the certified brackets
   reports        the deterministic JSON report writer
   errors         the error classes and the work Budget
 
 Importing `hypme` runs none of them.  Importing `hypme.cli` runs `errors`
 and registers each other module above in sys.modules and on this package
 without running it; a module runs when one of its attributes is first read,
-so each CLI run executes only the modules its subcommand calls.  mpmath is imported by `rational.outward` on
-its first call, and by nothing else.
+so each CLI run executes only the modules its subcommand calls.  numpy is
+the only runtime dependency.
 """
 
 __version__ = "0.1.0"

@@ -9,10 +9,10 @@ bounds the work of every kernel a run calls.
 
 Importing this module runs none of the kernel modules: each is registered
 lazily (`_lazy`) and runs on first attribute access, so a subcommand pays
-only for the modules it calls, and mpmath loads with the first certified
-bracket (`rational.outward`).  Commands therefore call kernels through their
-module, as `graphs.distance_matrix(...)`, never through names bound at
-import time.
+only for the modules it calls.  Commands therefore call kernels through
+their module, as `graphs.distance_matrix(...)`, never through names bound at
+import time.  Certified brackets are computed in Python integers by
+`brackets`, which only the commands that take one run.
 
 Exit codes: 0 success; 1 usage, parse, precondition, budget or IO errors
 (the report file included), with one line on stderr and no report; 2 when
@@ -48,6 +48,7 @@ def _lazy(name: str):
     return module
 
 
+brackets = _lazy("brackets")
 coupling = _lazy("coupling")
 cycles = _lazy("cycles")
 graphs = _lazy("graphs")
@@ -113,8 +114,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="work budget in group elements "
                    "(each element a BFS reaches is charged once), cosets defined by coset "
-                   "enumeration, identity-check cases, cycle-search candidate vertices and "
-                   "64-bit words of the volumes condition (5) expands (or HYPME_BUDGET)")
+                   "enumeration, identity-check cases, cycle-search candidate vertices, "
+                   "64-bit words of the volumes condition (5) expands and bracket bits, the "
+                   "working bits of each exp_power bracket (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):

@@ -695,7 +695,7 @@ def projection_and_similarity(
     else:
         raise PreconditionError("side must be 'lambda' or 'gamma'")
 
-    integral = sum((phi.value(Fraction(d)) for d in dists), Fraction(0))
+    integral = sum((phi.value(Fraction(d), c.budget) for d in dists), Fraction(0))
     correction_words = sorted({g.describe(lam) for lam in corrections})
     return {
         "side": side,
@@ -732,7 +732,8 @@ def integrability_report(
     the second has the one term of the point x0.
 
     Also reports the essential sup of |beta(t)| (the L-infinity constant;
-    finite here because the domain is finite).
+    finite here because the domain is finite).  Each exp_power term charges
+    its bracket's working bits to `c.budget`.
     """
     gamma_gens = c.gamma_generators()
     points = c.x_lambda_points()
@@ -750,7 +751,8 @@ def integrability_report(
 
     def integral(fn, dist_lists):
         # the largest integral by its upper end; the first one on a tie
-        sums = [sum((fn.value(Fraction(d)) for d in dists), Fraction(0)) for dists in dist_lists]
+        sums = [sum((fn.value(Fraction(d), c.budget) for d in dists), Fraction(0))
+                for dists in dist_lists]
         return max(sums, key=upper, default=Fraction(0))
 
     K = integral(phi, [[lengths[v] for v in alpha_values[s]] for s in gamma_gens])
@@ -947,7 +949,7 @@ def claim_bound_check(
             d_lambda = c.lambda_lengths({w})[w]
         if k_constant is None:
             k_constant = _k_constant(c, phi)
-        denom = phi.value(Fraction(d_lambda, R))
+        denom = phi.value(Fraction(d_lambda, R), c.budget)
         if lower(denom) <= 0:
             raise PreconditionError("phi vanishes at d/R; bound undefined")
         bound = k_constant * R * c.gamma_volume(R) / denom
@@ -977,7 +979,7 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
     |B| (|B| - 1) per (R, phi), and `failures` lists the w in order of first
     occurrence among the pairs in `to_word` order, that is, by the first u
     with u w in B, then by u w.  The two balls charge their group elements
-    to `c.budget`.
+    to `c.budget`, and each exp_power bracket its working bits.
     """
     g = c.group
     if not R_values or min(R_values) < 1:
@@ -1018,7 +1020,7 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
                 if disp[w] > R:
                     continue  # measured side is 0 <= bound
                 evaluated += 1
-                denom = upper(phi.value(Fraction(lam_len[w], R)))
+                denom = upper(phi.value(Fraction(lam_len[w], R), c.budget))
                 if denom == 0:
                     failures.append((g.describe(w), R, phi.describe(), "phi=0"))
                     continue

@@ -6,8 +6,9 @@ mathematical check failed.  One `Budget` bounds the work of a run, counted
 in group elements (charged per BFS level, so each element a BFS reaches is
 charged once; a coupling runs one BFS per side and every check reads it),
 cosets defined by coset enumeration (dead ones included), identity-check
-cases, candidate vertices of the fat-cycle search and the 64-bit words of
-the growth volumes condition (5) expands.
+cases, candidate vertices of the fat-cycle search, the 64-bit words of
+the growth volumes condition (5) expands, and the working bits of each
+exp_power bracket ("bracket bits": exp(373248) needs 538k of them).
 """
 
 DEFAULT_BUDGET = 10_000_000
@@ -43,8 +44,10 @@ class Budget:
     def charge(self, what: str, amount: int = 1, *, by: str) -> None:
         """Spend `amount` units of `what` for `by`; past the limit, raise BudgetError."""
         if self.spent + amount > self.limit:
+            # str() refuses integers of more than 4300 digits
+            need = amount if amount < 2**64 else f"at least 2**{amount.bit_length() - 1}"
             raise BudgetError(
-                f"{by} needs {amount} {what}, over the budget of {self.limit} with "
+                f"{by} needs {need} {what}, over the budget of {self.limit} with "
                 f"{self.spent} already spent; raise --budget or HYPME_BUDGET"
             )
         self.spent += amount

@@ -11,10 +11,12 @@ phi(delta * t); the scale is what makes integrability independent of the
 generating set for non-doubling families.  `value(t)` is the one way to
 evaluate: power with an integer exponent is the exact family and gives an
 exact Fraction; every other family gives a certified FracInterval from
-`rational.outward`, whose ends are multiples of 2**-32.  Callers do plain
-FracInterval arithmetic, which accepts either.  The interval API gives
-certified rational intervals for ln(phi(x)) and for the generalized inverse
-inv(y) = inf { t : phi(t) >= y }, with closed forms for all three families.
+`brackets.power` or `brackets.exp_pow`, whose ends are multiples of 2**-32,
+charging an exp_power bracket's working bits (538k for exp(373248)) to the
+Budget first.  Callers do plain FracInterval arithmetic, which accepts
+either.  The interval API gives certified rational intervals for ln(phi(x))
+and for the generalized inverse inv(y) = inf { t : phi(t) >= y }, with
+closed forms for all three families.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionError
-from .rational import FracInterval, exact_root, exp_extra_bits, format_fraction, outward, parse_fraction
+from . import brackets
+from .errors import Budget, ParseError, PreconditionError
+from .rational import FracInterval, exact_root, format_fraction, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,10 @@ class IntegrabilityFunction:
         """True when `value` gives exact Fractions: power with an integer exponent."""
         return self.family == "power" and self.param.denominator == 1
 
-    def value(self, t: Fraction) -> Fraction | FracInterval:
+    def value(self, t: Fraction, budget: Budget | None = None) -> Fraction | FracInterval:
         """phi(t): an exact Fraction for the exact family, else a certified
-        FracInterval on the 2**-32 grid."""
+        FracInterval on the 2**-32 grid.  An exp_power bracket first charges
+        its working bits to `budget`."""
         if t < 0:
             raise PreconditionError("integrability functions take t >= 0")
         x, e = self.scale * t, self.exponent
@@ -73,9 +77,11 @@ class IntegrabilityFunction:
             x, e = root**e.numerator, Fraction(1)
         if self.exact:
             return x
-        if self.family == "exp_power":
-            return outward(lambda iv, y, p: iv.exp(y**p), x, e, extra_bits=exp_extra_bits(x ** float(e)))
-        return outward(lambda iv, y, p: y**p, x, e)
+        if self.family != "exp_power":
+            return FracInterval(*brackets.power(x, e))
+        if budget is not None:
+            budget.charge("bracket bits", brackets.exp_pow_bits(x, e), by="an exp bracket")
+        return FracInterval(*brackets.exp_pow(x, e))
 
     # --- interval API -----------------------------------------------------------
 

@@ -1,34 +1,19 @@
 """Exact rationals and certified transcendental bounds.
 
 All quantities that enter a verdict are either exact ``Fraction`` values or
-certified rational brackets of transcendental functions.  Every bracket comes
-from one function, `outward`: it evaluates an mpmath interval expression at a
-working precision of at least MIN_PRECISION_BITS bits, converts the endpoints
-of the result to Fractions exactly (never through a 53-bit float or mpf), and
-rounds them outward to multiples of 2**-32.  So a bracket contains the true
-value, and a verdict read from one end stays conservative: an upper end can
-only enlarge a bound, never shrink it.
-
-The certified brackets of ln and exp are `FracInterval(x).ln()` and
-`.exp()`; a caller that needs one end of a bracket reads its `.lo` or `.hi`.
-`pow_rational` brackets a fractional power and `log2_upper` bounds log2 from
-above.  All of them call `outward`, which is the only code in hypme that
-imports mpmath, and it does so on its first call, so a run that needs no
-certified bracket never loads it.
+certified rational brackets of transcendental functions, `FracInterval(x)`
+`.ln()`, `.exp()` and `.pow_rational(e)` and `log2_upper`, whose ends are
+multiples of 2**-32 computed in integers by `brackets`.  So a bracket
+contains the true value, and a verdict read from one end (`.lo` or `.hi`)
+stays conservative: an upper end can only enlarge a bound, never shrink it.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from fractions import Fraction
 
+from . import brackets
 from .errors import ParseError
-
-# Dyadic precision of certified brackets: their ends are multiples of 2**-32.
-LOG_PRECISION_BITS = 32
-# Least working precision of an interval evaluation, in bits.
-MIN_PRECISION_BITS = 128
 
 
 def format_fraction(x: Fraction | int) -> str:
@@ -83,75 +68,26 @@ def exact_log2(x: Fraction) -> Fraction | None:
 
 def exact_root(x: Fraction, n: int) -> Fraction | None:
     """The rational n-th root of x >= 0 when there is one, else None."""
-    if x == 0:
-        return x
-    roots = []
-    for k in (x.numerator, x.denominator):
-        r = 1 << -(-k.bit_length() // n)  # at least the root; Newton descends to it
-        while (s := ((n - 1) * r + k // r ** (n - 1)) // n) < r:
-            r = s
-        if r**n != k:
-            return None
-        roots.append(r)
+    ks = (x.numerator, x.denominator)
+    roots = ks if n == 1 else [brackets.iroot(k, n) for k in ks]  # exact weights run no bracket code
+    if any(r**n != k for r, k in zip(roots, ks)):
+        return None
     return Fraction(*roots)
-
-
-@functools.cache
-def _mpmath():
-    """mpmath's interval context and its exact converters, imported once."""
-    from mpmath import iv, libmp
-
-    return iv, libmp
-
-
-def outward(fn, *args, extra_bits: int = 0) -> "FracInterval":
-    """Certified bracket of fn(iv, *args), rounded outward to multiples of
-    2**-LOG_PRECISION_BITS.
-
-    `iv` is mpmath's interval context, for example
-    `outward(lambda iv, y: iv.log(y), x)`.  Each argument, a Fraction or a
-    FracInterval, enters it as the narrowest interval of the working
-    precision that contains it, and `fn` maps those intervals to an mpmath
-    interval.  The working precision is MIN_PRECISION_BITS, or more for long
-    arguments, plus `extra_bits`.  The result's endpoints are converted to
-    Fractions exactly.
-    """
-    iv, libmp = _mpmath()
-    xs = [_as_interval(a) for a in args]
-    size = max((k.bit_length() for x in xs for e in x for k in e.as_integer_ratio()), default=0)
-    prec = max(MIN_PRECISION_BITS, size + LOG_PRECISION_BITS + 64) + extra_bits
-    old = iv.prec
-    iv.prec = prec
-    try:
-        value = fn(iv, *(
-            iv.make_mpf((
-                libmp.from_rational(*x.lo.as_integer_ratio(), prec, libmp.round_floor),
-                libmp.from_rational(*x.hi.as_integer_ratio(), prec, libmp.round_ceiling),
-            ))
-            for x in xs
-        ))
-        lo, hi = (Fraction(*libmp.to_rational(end)) for end in value._mpi_)
-    finally:
-        iv.prec = old
-    scale = 2**LOG_PRECISION_BITS
-    return FracInterval(Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale))
-
-
-def exp_extra_bits(v) -> int:
-    """Working bits, beyond outward's, that keep a bracket of exp(x) for
-    |x| <= v grid-tight: exp(v) has about v*log2(e) integer bits."""
-    return max(0, math.ceil(v * math.log2(math.e)))
 
 
 def log2_upper(x: Fraction) -> Fraction:
     """Rational upper bound on log2(x), exact for powers of two.
 
-    Non-exact results are rounded up to a multiple of 2**-LOG_PRECISION_BITS.
+    Non-exact results are rounded up to a multiple of 2**-32.
     """
     exact = exact_log2(x)
-    if exact is not None:
-        return exact
-    return outward(lambda iv, y: iv.log(y) / iv.log(2), x).hi
+    return exact if exact is not None else brackets.log2(x)[1]
+
+
+def _ends(f, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The lower end of f(lo) and the upper end of f(hi), f increasing."""
+    at_lo = f(lo)
+    return at_lo[0], (at_lo if hi == lo else f(hi))[1]
 
 
 class FracInterval:
@@ -219,14 +155,14 @@ class FracInterval:
     def ln(self) -> "FracInterval":
         if self.lo <= 0:
             raise ValueError("ln requires a positive interval")
-        return outward(lambda iv, x: iv.log(x), self)
+        return FracInterval(*_ends(brackets.ln, self.lo, self.hi))
 
     def exp(self) -> "FracInterval":
-        return outward(lambda iv, x: iv.exp(x), self, extra_bits=exp_extra_bits(max(-self.lo, self.hi)))
+        return FracInterval(*_ends(brackets.exp, self.lo, self.hi))
 
     def pow_rational(self, e: Fraction) -> "FracInterval":
         """x^e for positive x; exact for integer e and for a point x whose
-        power is rational, else one outward-rounded step."""
+        power is rational, else each end rounded outward to the grid."""
         e = Fraction(e)
         if e == 0:
             return FracInterval(1)
@@ -239,7 +175,9 @@ class FracInterval:
             raise ValueError("fractional powers need a positive interval")
         if self.lo == self.hi and (root := exact_root(self.lo, e.denominator)) is not None:
             return FracInterval(root**e.numerator)
-        return outward(lambda iv, x, p: x**p, self, e)
+        if e < 0:
+            return (1 / self).pow_rational(-e)
+        return FracInterval(*_ends(lambda x: brackets.power(x, e), self.lo, self.hi))
 
     def definitely_less(self, other) -> bool:
         other = _as_interval(other)

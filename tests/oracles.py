@@ -11,9 +11,13 @@ from the pairs, and takes the lambda ball and lengths from its own BFS.
 The coset table oracle is sympy's own HLT enumeration.  The transversal
 oracle grows left cosets by multiplying group elements and traces each
 candidate through the table, where `subgroup_data` reads table entries only.
+The bracket oracle `mpmath_outward` evaluates ln, exp and powers in mpmath's
+interval arithmetic, where `brackets` computes them in integers.
 """
 
+import functools
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -24,7 +28,8 @@ from hypme import coupling
 from hypme.errors import PreconditionError
 from hypme.graphs import DistanceMatrix, Graph, geodesic_mask, make_graph
 from hypme.hyperbolicity import _nearest_to_geodesics
-from hypme.rational import lower, upper
+from hypme.brackets import LOG_PRECISION_BITS, MIN_PRECISION_BITS
+from hypme.rational import FracInterval, _as_interval, lower, upper
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -378,3 +383,44 @@ def least_positive_root(den) -> float | None:
     roots = np.roots(list(reversed(den)))
     positive = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0]
     return min(positive, default=None)
+
+
+@functools.cache
+def _mpmath():
+    """mpmath's interval context and its exact converters, imported once."""
+    from mpmath import iv, libmp
+
+    return iv, libmp
+
+
+def mpmath_outward(fn, *args, extra_bits: int = 0) -> FracInterval:
+    """Certified bracket of fn(iv, *args), rounded outward to multiples of
+    2**-LOG_PRECISION_BITS.
+
+    `iv` is mpmath's interval context, for example
+    `mpmath_outward(lambda iv, y: iv.log(y), x)`.  Each argument, a Fraction
+    or a FracInterval, enters it as the narrowest interval of the working
+    precision that contains it, and `fn` maps those intervals to an mpmath
+    interval.  The working precision is MIN_PRECISION_BITS, or more for long
+    arguments, plus `extra_bits`.  The result's endpoints are converted to
+    Fractions exactly.
+    """
+    iv, libmp = _mpmath()
+    xs = [_as_interval(a) for a in args]
+    size = max((k.bit_length() for x in xs for e in x for k in e.as_integer_ratio()), default=0)
+    prec = max(MIN_PRECISION_BITS, size + LOG_PRECISION_BITS + 64) + extra_bits
+    old = iv.prec
+    iv.prec = prec
+    try:
+        value = fn(iv, *(
+            iv.make_mpf((
+                libmp.from_rational(*x.lo.as_integer_ratio(), prec, libmp.round_floor),
+                libmp.from_rational(*x.hi.as_integer_ratio(), prec, libmp.round_ceiling),
+            ))
+            for x in xs
+        ))
+        lo, hi = (Fraction(*libmp.to_rational(end)) for end in value._mpi_)
+    finally:
+        iv.prec = old
+    scale = 2**LOG_PRECISION_BITS
+    return FracInterval(Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale))

@@ -1,9 +1,12 @@
-"""Certified brackets against a 2000-bit mpmath reference.
+"""Certified brackets against a 2000-bit mpmath reference and the mpmath
+interval oracle.
 
 Every bracket that `rational` and `integrability` hand out must contain the
 true value.  Transcendental values are compared with mpmath at 2000 bits,
 far beyond the 2**-32 grid of the brackets; algebraic values x**(n/q) are
-compared exactly, through the q-th powers of the bracket's ends.
+compared exactly, through the q-th powers of the bracket's ends.  The
+brackets must also equal, end for end, those of `oracles.mpmath_outward`,
+mpmath's interval arithmetic rounded outward to the same grid.
 """
 
 import random
@@ -12,9 +15,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from hypme import brackets as native
+from hypme.brackets import exp_extra_bits
 from hypme.integrability import exp_power, poly_plus, power
-from hypme.rational import FracInterval, log2_upper, lower, upper
+from hypme.rational import FracInterval, exact_log2, exact_root, log2_upper, lower, upper
 from hypme.rigidity import Schedule, ln2
+from oracles import mpmath_outward
 
 REF_BITS = 2000
 
@@ -155,3 +161,129 @@ def test_exact_algebraic_values_stay_on_the_grid():
     # 1/3 is not on the 2**-32 grid: its bracket is the two grid points around it
     lo, hi = power(Fraction(1, 2)).value(Fraction(1, 9))
     assert lo < Fraction(1, 3) < hi and hi - lo == Fraction(1, 2**32)
+    # an interval whose ends are squares of grid points
+    assert FracInterval(4, 9).pow_rational(Fraction(1, 2)) == FracInterval(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# native brackets against the mpmath interval oracle, end for end
+
+
+def oracle_ln(x):
+    return mpmath_outward(lambda iv, y: iv.log(y), x)
+
+
+def oracle_exp(x):
+    return mpmath_outward(lambda iv, y: iv.exp(y), x, extra_bits=exp_extra_bits(abs(x)))
+
+
+def oracle_pow(x, e):
+    return mpmath_outward(lambda iv, y, p: y**p, x, e)
+
+
+def oracle_log2_upper(x):
+    exact = exact_log2(x)
+    return exact if exact is not None else mpmath_outward(lambda iv, y: iv.log(y) / iv.log(2), x).hi
+
+
+def digits(rng, most):
+    return rng.randint(1, 10 ** rng.randint(1, most))
+
+
+def assert_same(got, oracle, arg):
+    assert tuple(got) == tuple(oracle), arg
+
+
+def test_ln_matches_oracle():
+    rng = random.Random(11)
+    xs = [Fraction(digits(rng, 40), digits(rng, 40)) for _ in range(150)]
+    # condition (5)'s volumes: integers of about 2,400 bits
+    xs += [Fraction(3**1500 + rng.randint(-(10**9), 10**9)) for _ in range(10)]
+    for x in xs + [Fraction(1), Fraction(2), Fraction(1, 2)]:
+        assert_same(FracInterval(x).ln(), oracle_ln(x), x)
+    assert tuple(FracInterval(1).ln()) == (0, 0)
+
+
+def test_exp_matches_oracle():
+    rng = random.Random(12)
+    xs = []
+    for _ in range(60):
+        q = rng.randint(1, 1000)
+        xs.append(Fraction(rng.randint(-(10**4) * q, 10**4 * q), q))
+    xs += [Fraction(rng.getrandbits(210) * rng.choice((1, -1)), 2**200) for _ in range(40)]
+    for x in xs + [Fraction(0), Fraction(1), Fraction(-1)]:
+        assert_same(FracInterval(x).exp(), oracle_exp(x), x)
+    assert tuple(FracInterval(0).exp()) == (1, 1)
+
+
+@pytest.mark.parametrize("e", ["1/2", "1/3", "2/3", "3/2", "5/2"])
+def test_pow_matches_oracle(e):
+    e, rng = Fraction(e), random.Random(13)
+    for _ in range(40):
+        x = Fraction(digits(rng, 12), digits(rng, 6))
+        if exact_root(x, e.denominator) is not None:
+            continue  # a rational power: test_perfect_powers_are_exact
+        assert_same(native.power(x, e), oracle_pow(x, e), x)
+        assert_same(FracInterval(x).pow_rational(e), oracle_pow(x, e), x)
+        if (xe := x ** float(e)) < 2000:
+            expected = mpmath_outward(lambda iv, y, p: iv.exp(y**p), x, e, extra_bits=exp_extra_bits(xe))
+            assert_same(native.exp_pow(x, e), expected, x)
+
+
+def test_log2_upper_matches_oracle():
+    rng = random.Random(14)
+    xs = [Fraction(digits(rng, 40), digits(rng, 40)) for _ in range(100)]
+    xs += [Fraction(2) ** k for k in range(-40, 41, 7)] + [Fraction(3) ** 1500]
+    for x in xs:
+        assert log2_upper(x) == oracle_log2_upper(x), x
+
+
+PERFECT_POWERS = [
+    ("4", "1/2", "2"), ("25/16", "1/2", "5/4"), ("1/16", "1/2", "1/4"),
+    ("8", "1/3", "2"), ("27/8", "2/3", "9/4"), ("9/4", "5/2", "243/32"),
+]
+
+
+@pytest.mark.parametrize("x, e, root", PERFECT_POWERS)
+def test_perfect_powers_are_exact(x, e, root):
+    # the integer root lands on the grid: the bracket is the point, as the
+    # oracle's square root gives it; the oracle takes other roots as
+    # exp(e ln x), which can land a grid step out
+    x, e, root = Fraction(x), Fraction(e), Fraction(root)
+    got, oracle = native.power(x, e), oracle_pow(x, e)
+    assert got == (root, root)
+    if e == Fraction(1, 2):
+        assert_same(got, oracle, x)
+    else:
+        assert oracle.lo <= got[0] and got[1] <= oracle.hi
+
+
+def near_grid(rng, value, bits):
+    """A best rational approximation, with a denominator of at most `bits`
+    bits, of value(g) for a random grid point g: about 2**(-2 bits) from it."""
+    g = Fraction(rng.randint(2**32, 2**37), 2**32)
+    with mpmath.workprec(8 * bits):
+        man, exp = value(mpq(g)).man_exp
+    return (man * Fraction(2) ** exp).limit_denominator(2**bits)
+
+
+def test_brackets_near_grid_points():
+    # each value lies about 2**-300 from a grid point, closer than the first
+    # working precision of either side: the native bracket refines it and
+    # must land on the side that the oracle, given 400 more bits, finds
+    rng = random.Random(15)
+    bits, more = 150, {"extra_bits": 400}
+    for _ in range(8):
+        x = near_grid(rng, mpmath.exp, bits)
+        assert_same(FracInterval(x).ln(), mpmath_outward(lambda iv, y: iv.log(y), x, **more), x)
+        x = near_grid(rng, mpmath.log, bits)
+        assert_same(FracInterval(x).exp(), mpmath_outward(lambda iv, y: iv.exp(y), x, **more), x)
+        x = near_grid(rng, lambda g: g**1.5, bits)
+        expected = mpmath_outward(lambda iv, y, p: y**p, x, Fraction(2, 3), **more)
+        assert_same(native.power(x, Fraction(2, 3)), expected, x)
+        x = near_grid(rng, lambda g: mpmath.power(2, g), bits)
+        expected = mpmath_outward(lambda iv, y: iv.log(y) / iv.log(2), x, **more).hi
+        assert log2_upper(x) == expected, x
+        x = near_grid(rng, lambda g: mpmath.log(g) ** 2, bits)
+        expected = mpmath_outward(lambda iv, y, p: iv.exp(y**p), x, Fraction(1, 2), **more)
+        assert_same(native.exp_pow(x, Fraction(1, 2)), expected, x)

@@ -100,10 +100,13 @@ class TestEnvelope:
             ["threshold", "--group", "Z"],
         ])
 
-    def test_commands_without_brackets_leave_mpmath_unloaded(self, tmp_path):
-        # rational.outward imports mpmath on its first call; these runs take no
-        # certified bracket (group-ball at radius 1 has no entropy block)
+    def test_no_command_loads_mpmath(self, tmp_path):
+        # mpmath is a test oracle only: certified brackets are computed in
+        # integers, so neither the commands that take none (group-ball at
+        # radius 1 has no entropy block) nor those that take ln, exp, power
+        # and log2 brackets load it
         spec = write_spec(tmp_path, F2_SPEC)
+        embedding = os.path.join(os.path.dirname(__file__), "golden", "inputs", "embedding.json")
         assert_commands_leave_unloaded(tmp_path, "mpmath", [
             ["graph-analyze", "--gen", "grid:9,9"],
             ["graph-analyze", "--gen", "grid:25,25", "--samples", "5"],
@@ -112,12 +115,18 @@ class TestEnvelope:
             ["coupling-build", "--spec", spec],
             ["coupling-verify", "--spec", spec],
             ["claim-check", "--spec", spec],
+            ["group-ball", "--group", "F2", "--radius", "3"],
+            ["threshold", "--group", "F2"],
+            ["conditions", "--group", "F2", "--psi", "exp_power:1"],
+            ["check-obstruction", "--gen", "grid:4,4", "--embedding", embedding],
+            ["integrability", "--spec", spec, "--phi", "exp_power:1", "--psi", "exp_power:1/2@3"],
+            ["claim-check", "--spec", spec, "--phi", "power:1/2,exp_power:1"],
         ])
 
     def test_modules_run_on_first_use(self, tmp_path):
         # type() reads the class without touching the module; any attribute
         # access would execute it
-        unused = ["cycles", "groups", "coupling", "rigidity", "integrability"]
+        unused = ["cycles", "groups", "coupling", "rigidity", "integrability", "brackets"]
         out = str(tmp_path / "r.json")
         code = (
             "import json, sys, types\n"
@@ -167,6 +176,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Vol up to radius 1000000, for --n-max 1000000" in err
         assert "volume words, over the budget of 5000" in err and "--budget or HYPME_BUDGET" in err
+
+    def test_exp_bracket_over_budget_is_exit_one_fast(self, tmp_path, capsys):
+        # exp(10**6 d) needs about 1.44 million working bits per bracket; the
+        # charge comes before any of them is computed
+        spec = write_spec(tmp_path, F2_SPEC)
+        start = time.perf_counter()
+        code, doc = run(tmp_path, "integrability", "--spec", spec, "--phi", "exp_power:1@1e6",
+                        "--budget", "1000000")
+        assert time.perf_counter() - start < 10
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "an exp bracket needs 1442824 bracket bits, over the budget of 1000000" in err
+        assert "--budget or HYPME_BUDGET" in err
+
+    def test_exp_bracket_beyond_any_budget_is_exit_one(self, tmp_path, capsys, monkeypatch):
+        # exp(10**400) once overflowed a float while sizing its working precision
+        monkeypatch.delenv("HYPME_BUDGET", raising=False)
+        spec = write_spec(tmp_path, F2_SPEC)
+        code, doc = run(tmp_path, "integrability", "--spec", spec, "--phi", "exp_power:1@1e400")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "an exp bracket needs at least 2**1329 bracket bits, over the budget of 10000000" in err
+        assert "Traceback" not in err
 
     def test_cocycle_identity_over_budget_is_exit_one(self, tmp_path, capsys):
         # Z^2 at radius 6: 7,225 b-identity cases fit, 2 * 85^2 = 14,450 cocycle cases do not
