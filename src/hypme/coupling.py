@@ -394,6 +394,10 @@ class Coupling:
         (g0 lambda g0^-1, 0)."""
         if not self.sub.contains(lam):
             raise PreconditionError("beta requires a subgroup element")
+        return self._conjugate_by_x0(lam)
+
+    def _conjugate_by_x0(self, lam):
+        """beta(lambda) for a lambda already known to lie in the subgroup."""
         g0 = self.x0[0]
         return (self.group.multiply(g0, self.group.multiply(lam, self.group.inverse(g0))), 0)
 
@@ -547,7 +551,10 @@ def check_b_identity(c: Coupling, radius: int) -> CheckReport:
 
     The general identity evaluates beta at u^-1 . x0, which is x0 again, as
     X_gamma is one point.  The check runs |B_lambda(radius)|^2 cases, charged
-    to `c.budget` after the lambda ball and before the first case.
+    to `c.budget` after the lambda ball and before the first case.  Each
+    element of the ball is traced through the coset table once, by b_map:
+    the subgroup is closed under products and inverses, so every v^-1 u is
+    then a member, and the cases take beta without its membership trace.
     """
     elems = sorted(c.lambda_spheres.ball(radius), key=c.group.to_word)
     cases = len(elems) ** 2
@@ -559,7 +566,7 @@ def check_b_identity(c: Coupling, radius: int) -> CheckReport:
         bu_inv = c.gamma_inverse(b_of[u])
         for v in elems:
             left = c.gamma_multiply(bu_inv, b_of[v])
-            right = c.gamma_inverse(c.beta(c.group.multiply(inv(v), u)))
+            right = c.gamma_inverse(c._conjugate_by_x0(c.group.multiply(inv(v), u)))
             if left != right:
                 bad += 1
     return CheckReport.of("b_identity", cases, bad, radius=radius)

@@ -241,7 +241,11 @@ def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int, extra: int = 
     corners = [int(v) for v in np.nonzero(ecc == ecc.max())[0]]
     if 3 <= len(corners) <= 12:
         yield _greedy_tour(dm, corners)
-    order = np.argsort(d, axis=None)[::-1]
+    # The default sort is not stable, and numpy breaks ties among equal
+    # distances differently in int16 and int32 arrays (grids 6x6 to 30x30,
+    # numpy 2.4).  The far pairs, and with them the heuristic's reports, are
+    # those of an int32 sort, so the sort runs on an int32 copy.
+    order = np.argsort(d.astype(np.int32), axis=None)[::-1]
     seen_pairs = set()
     far_pairs = []
     for flat in order:

@@ -7,10 +7,17 @@ are explicit vertex sequences.
 
 Conventions:
     - vertices are dense integers 0..n-1;
-    - the distance matrix is a full int32 numpy array, built by a
+    - the distance matrix is a full int16 numpy array, built by a
       multi-source bitset BFS that runs all n searches level by level; it
-      takes 4n^2 bytes, so distance_matrix refuses graphs above MAX_VERTICES
+      takes 2n^2 bytes, so distance_matrix refuses graphs above MAX_VERTICES
       before allocating anything;
+    - every distance is at most n - 1 <= MAX_VERTICES - 1 = 16,383, so a
+      sum of two distances is at most 32,766 and fits in int16.  The
+      kernels rely on this invariant: they add two entries in int16
+      (geodesic masks, pair sums, the triangle inequality) but never three,
+      and they take a median of three sums with min and max, not by adding.
+      MAX_VERTICES = 2^14 is the largest n for which 2(n - 1) <= 32,767.
+      At the cap the matrix takes 512 MiB;
     - all operations are pure functions of immutable inputs;
     - numpy is imported by the functions that build or read a distance
       matrix, not by the module, so a run that builds a Graph and no matrix
@@ -31,7 +38,7 @@ from .errors import ParseError, PreconditionError
 if TYPE_CHECKING:
     import numpy as np
 
-MAX_VERTICES = 20_000
+MAX_VERTICES = 1 << 14  # the largest n whose two-distance sums fit in int16
 # scratch bytes per row block of the APSP kernel, beside the n^2 matrix
 _BLOCK_BYTES = 1 << 18
 
@@ -154,7 +161,7 @@ def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:
 class DistanceMatrix:
     """Exact all-pairs graph distances (unit edge lengths)."""
 
-    d: np.ndarray  # int32, shape (n, n)
+    d: np.ndarray  # int16, shape (n, n); entries <= MAX_VERTICES - 1
 
     @property
     def n(self) -> int:
@@ -174,8 +181,12 @@ class DistanceMatrix:
             raise PreconditionError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0):
             raise PreconditionError("diagonal must be zero")
-        if n > 1 and np.min(d + np.eye(n, dtype=d.dtype) * 10**6) < 1:
+        if np.any(d[~np.eye(n, dtype=bool)] < 1):
             raise PreconditionError("off-diagonal distances must be >= 1")
+        # the invariant of the module docstring, which keeps the sums below
+        # (and in every kernel) from wrapping in int16
+        if np.any(d >= MAX_VERTICES):
+            raise PreconditionError(f"distances must be < MAX_VERTICES = {MAX_VERTICES}")
         # full triangle inequality: d(u,w) <= d(u,v) + d(v,w)
         for v in range(n):
             if np.any(d > d[:, v][:, None] + d[v, :][None, :]):
@@ -195,9 +206,10 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
     and every source in next[v] lies at the new level's distance from v.  The
     OR is a `bitwise_or.reduceat` over the CSR neighbour lists, done in blocks
-    of rows together with unpacking the new bits into `d`.  Memory: 4n^2 bytes
-    for `d`, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of scratch per
-    block.  Graphs above MAX_VERTICES are refused before anything is allocated.
+    of rows together with unpacking the new bits into `d`.  Memory: 2n^2 bytes
+    for the int16 `d`, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of
+    scratch per block.  Graphs above MAX_VERTICES are refused before anything
+    is allocated.
     """
     import numpy as np
 
@@ -207,7 +219,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     if n > MAX_VERTICES:
         raise PreconditionError(f"graph has {n} vertices, cap is {MAX_VERTICES}")
     if n == 1:
-        return DistanceMatrix(d=np.zeros((1, 1), dtype=np.int32))
+        return DistanceMatrix(d=np.zeros((1, 1), dtype=np.int16))
     adj = g.adjacency()
     degree = [len(row) for row in adj]
     if not all(degree):  # an isolated vertex; reduceat also needs no empty rows
@@ -221,7 +233,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     frontier[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
     seen = frontier.copy()
     nxt = np.empty_like(frontier)
-    d = np.zeros((n, n), dtype=np.int32)
+    d = np.zeros((n, n), dtype=np.int16)
     blocks = _row_blocks(indptr, n, words)
     level = 0
     while True:

@@ -119,12 +119,13 @@ def _pairs_by_distance(dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_to_geodesics(dm: DistanceMatrix, v: int, nbrs: list[np.ndarray]) -> np.ndarray:
-    """Table N[w, y] = d(y, G(v, w)) for all w, y, as int16, by the geodesic
-    recurrence of the module docstring; nbrs[w] is the neighbour array of w."""
+    """Table N[w, y] = d(y, G(v, w)) for all w, y, by the geodesic recurrence
+    of the module docstring; nbrs[w] is the neighbour array of w.  The table
+    starts as a copy of the int16 distance matrix, so it takes 2n^2 bytes."""
     import numpy as np
 
     dv = dm.d[v]
-    out = dm.d.astype(np.int16)
+    out = dm.d.copy()
     # w = v comes first and has no predecessor; every later w has one
     for w in np.argsort(dv, kind="stable")[1:]:
         pred = nbrs[w][dv[nbrs[w]] == dv[w] - 1]
@@ -201,21 +202,24 @@ def thin_triangle_delta(
 def four_point_value(dm: DistanceMatrix, x: int, y: int, z: int, w: int) -> Fraction:
     """(L1 - L2)/2 for one quadruple, where L1 >= L2 >= L3 are the pair sums."""
     d = dm.d
-    sums = sorted([int(d[x, y] + d[z, w]), int(d[x, z] + d[y, w]), int(d[x, w] + d[y, z])])
+    sums = sorted([
+        int(d[x, y]) + int(d[z, w]), int(d[x, z]) + int(d[y, w]), int(d[x, w]) + int(d[y, z])
+    ])
     return Fraction(sums[2] - sums[1], 2)
 
 
 def _four_point_row(d: np.ndarray, x: int, y: int) -> np.ndarray:
-    """L1 - L2 of the quadruple (x, y, z, w), for every z and w."""
+    """L1 - L2 of the quadruple (x, y, z, w), for every z and w.
+
+    Each pair sum fits in d's int16 (see graphs), but s1 + s2 + s3 need not,
+    so the median L2 is taken with min and max."""
     import numpy as np
 
     s1 = int(d[x, y]) + d
     s2 = d[x][:, None] + d[y][None, :]
     s3 = d[y][:, None] + d[x][None, :]
-    mx = np.maximum(np.maximum(s1, s2), s3)
-    mn = np.minimum(np.minimum(s1, s2), s3)
-    med = s1 + s2 + s3 - mx - mn
-    return mx - med
+    lo, hi = np.minimum(s1, s2), np.maximum(s1, s2)
+    return np.maximum(hi, s3) - np.maximum(lo, np.minimum(hi, s3))
 
 
 def four_point_delta(

@@ -154,6 +154,17 @@ def test_pow_rational_in_one_step():
     assert brackets_power(p.lo, p.hi, Fraction(10), Fraction(5, 2))
 
 
+def test_pow_rational_zero_and_negative_exponents():
+    assert FracInterval(2, 3).pow_rational(Fraction(0)) == FracInterval(1)
+    assert FracInterval(2, 3).pow_rational(Fraction(-2)) == FracInterval(Fraction(1, 9), Fraction(1, 4))
+    assert FracInterval(4).pow_rational(Fraction(-1, 2)) == FracInterval(Fraction(1, 2))
+    p = FracInterval(Fraction(1, 4), 9).pow_rational(Fraction(-3, 2))
+    assert p.hi == 8 and brackets_power(p.lo, p.hi, Fraction(9), Fraction(-3, 2))
+    for x, e in ((Fraction(10), Fraction(-1, 2)), (Fraction(7, 3), Fraction(-5, 3))):
+        p = FracInterval(x).pow_rational(e)
+        assert p.lo < p.hi and brackets_power(p.lo, p.hi, x, e), (x, e)
+
+
 def test_exact_algebraic_values_stay_on_the_grid():
     # (1/4)**(5/2) = 1/32 and 27**(2/3) = 9 are exact: the bracket is the point
     assert power(Fraction(5, 2), Fraction(1, 3)).value(Fraction(3, 4)) == FracInterval(Fraction(1, 32))

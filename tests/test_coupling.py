@@ -678,6 +678,28 @@ class TestBIdentityBudget:
             check_b_identity(f2_coupling_with(2 + 37 + 1368), 2)
 
 
+class TestBIdentityMembership:
+    def test_one_trace_per_ball_element(self, monkeypatch):
+        c = subgroup_coupling(parse_group("F2"), F2_GENS)
+        ball = len(c.lambda_spheres.ball(3))
+        traces = []
+        trace = coupling.SubgroupData.trace
+        monkeypatch.setattr(
+            coupling.SubgroupData, "trace", lambda sub, start, g: traces.append(g) or trace(sub, start, g)
+        )
+        rep = check_b_identity(c, 3)
+        assert (rep.cases, rep.violations) == (ball**2, 0) == (34_969, 0)
+        assert len(traces) <= ball + 2
+
+    def test_non_members_still_raise(self, f2, monkeypatch):
+        c = subgroup_coupling(f2, F2_GENS)
+        with pytest.raises(PreconditionError, match="subgroup element"):
+            c.beta(f2.parse_word("a"))
+        monkeypatch.setattr(coupling.SubgroupData, "contains", lambda sub, g: False)
+        with pytest.raises(PreconditionError, match="subgroup element"):
+            check_b_identity(c, 1)
+
+
 class TestCocycleIdentityBudget:
     def test_refuses_before_the_first_case(self):
         # |X_lambda| = 2 and |B_gamma(3)| = 53 in F2: 2 * 53^2 = 5618 cases,

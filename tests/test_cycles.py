@@ -215,6 +215,21 @@ class TestFindFatCycle:
         res = find_fat_cycle(g, dm, Fraction(1, 18), 20, mode="exhaustive")
         assert res.outcome == "proven_absent"
 
+    def test_tree_with_min_a_zero(self):
+        # a = 0 admits the walk back and forth along the least edge, found
+        # without search; a single vertex has no edge and no cycle
+        g = tree_graph(2, 3)
+        dm = distance_matrix(g)
+        for min_n in (3, 4, 7):
+            res = find_fat_cycle(g, dm, Fraction(0), min_n)
+            assert (res.outcome, res.nodes_used) == ("found", 0)
+            e = res.embedding
+            assert e.n == min_n + min_n % 2 and e.images[:2] == min(g.edges)
+            assert (e.a, e.b) == (0, 1)
+        point = tree_graph(2, 0)
+        res = find_fat_cycle(point, distance_matrix(point), Fraction(0), 3)
+        assert (res.embedding, res.outcome) == (None, "proven_absent")
+
     def test_small_host_exhaustive_absence(self):
         rng = random.Random(11)
         g = random_tree(20, rng)

@@ -111,7 +111,7 @@ def _host(shape: str, n: int) -> Graph:
 
 def _assert_matches_networkx(g: Graph) -> np.ndarray:
     dm = distance_matrix(g)
-    assert dm.d.dtype == np.int32
+    assert dm.d.dtype == np.int16
     assert np.array_equal(dm.d, np.array(nx_distances(g)))
     return dm.d
 

@@ -2,14 +2,18 @@ import itertools
 import random
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypme import hyperbolicity
+from hypme.cycles import cycle_distance, verify_embedding
 from hypme.errors import PreconditionError
 from hypme.graphs import (
+    MAX_VERTICES,
+    DistanceMatrix,
     cycle_graph,
     direct_image_path,
     distance_matrix,
@@ -138,6 +142,101 @@ class TestKernelsMatchOracles:
         dm = distance_matrix(g)
         dt, _ = thin_triangle_delta(g, dm)
         assert dt == brute_thin_delta(g, nx_distances(g))
+
+
+def path_metric(points: list[int]) -> list[list[int]]:
+    return [[abs(p - q) for q in points] for p in points]
+
+
+def cycle_metric(length: int, points: list[int]) -> list[list[int]]:
+    return [[cycle_distance(length, p, q) for q in points] for p in points]
+
+
+TOP = MAX_VERTICES - 1  # the largest distance a host under the cap can have
+ANTIPODAL = random.Random(5).sample(range(TOP), 4)
+# a few points of a path and of a cycle whose distances reach TOP, built
+# without the graphs themselves: their pair sums reach 32,766, one below the
+# int16 maximum, and three of them overflow it
+CAP_METRICS = {
+    "path": path_metric([0, 1, 2, TOP // 2, TOP // 2 + 1, TOP - 2, TOP - 1, TOP]),
+    "cycle": cycle_metric(2 * TOP, [0, 1, TOP // 2, TOP - 1, TOP, TOP + 1, 3 * TOP // 2, 2 * TOP - 1]),
+    "cycle-antipodes": cycle_metric(2 * TOP, sorted(ANTIPODAL + [p + TOP for p in ANTIPODAL])),
+}
+
+
+def py_thin_point(dist, a: int, b: int, c: int) -> tuple[int, int]:
+    """_thin_triangle_point in Python ints: the largest d(x, G(a,c) u G(b,c))
+    over x in G(a,b), and the first x that attains it."""
+    n = len(dist)
+
+    def geo(u, v):
+        return [x for x in range(n) if dist[u][x] + dist[x][v] == dist[u][v]]
+
+    union = set(geo(a, c)) | set(geo(b, c))
+    best = (-1, -1)
+    for x in geo(a, b):
+        value = min(dist[x][y] for y in union)
+        if value > best[0]:
+            best = (value, x)
+    return best
+
+
+def py_lead(dist, x: int, y: int, z: int, w: int) -> int:
+    """L1 - L2 of a quadruple, in Python ints."""
+    sums = sorted([dist[x][y] + dist[z][w], dist[x][z] + dist[y][w], dist[x][w] + dist[y][z]])
+    return sums[2] - sums[1]
+
+
+class TestDistancesAtTheCap:
+    """The int16 kernels against Python ints on distances up to MAX_VERTICES - 1."""
+
+    def test_two_distances_fit_in_int16(self):
+        assert 2 * TOP <= np.iinfo(np.int16).max < 2 * MAX_VERTICES
+
+    @pytest.mark.parametrize("name", CAP_METRICS)
+    def test_kernels_match_python_ints(self, name):
+        dist = CAP_METRICS[name]
+        n = len(dist)
+        dm = DistanceMatrix(d=np.array(dist, dtype=np.int16))
+        assert int(dm.d.max()) == TOP
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on scalar overflow
+            dm.validate()
+            for x, y in itertools.product(range(n), repeat=2):
+                assert geodesic_mask(dm, x, y).tolist() == [
+                    dist[x][z] + dist[z][y] == dist[x][y] for z in range(n)
+                ]
+                row = hyperbolicity._four_point_row(dm.d, x, y)
+                assert row.tolist() == [[py_lead(dist, x, y, z, w) for w in range(n)] for z in range(n)]
+                for z in range(n):
+                    assert hyperbolicity._thin_triangle_point(dm, x, y, z) == py_thin_point(dist, x, y, z)
+            for q in itertools.product(range(0, n, 2), repeat=4):
+                assert four_point_value(dm, *q) == Fraction(py_lead(dist, *q), 2)
+            d4, w4 = four_point_delta(dm)
+            assert 2 * d4 == brute_four_point_numerator(dist, n)
+            assert four_point_value(dm, *w4) == d4
+            for images in (list(range(n)), list(range(n))[::-1][::2] + list(range(1, n, 2))):
+                emb = verify_embedding(dm, images)
+                ratios = [
+                    Fraction(dist[images[i]][images[j]], cycle_distance(len(images), i, j))
+                    for i, j in itertools.combinations(range(len(images)), 2)
+                ]
+                assert (emb.a, emb.b) == (min(ratios), max(ratios))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_validate(self, dtype):
+        for dist in CAP_METRICS.values():
+            DistanceMatrix(d=np.array(dist, dtype=dtype)).validate()
+        bad = {
+            "triangle": [[0, TOP, 1], [TOP, 0, 1], [1, 1, 0]],
+            ">= 1": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+            "MAX_VERTICES": [[0, TOP + 1, 1], [TOP + 1, 0, TOP], [1, TOP, 0]],
+            "symmetric": [[0, 1, 2], [1, 0, 1], [1, 1, 0]],
+            "diagonal": [[1, 1], [1, 0]],
+        }
+        for match, dist in bad.items():
+            with pytest.raises(PreconditionError, match=match):
+                DistanceMatrix(d=np.array(dist, dtype=dtype)).validate()
 
 
 def sparse_graph(n: int, seed: int):
