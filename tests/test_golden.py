@@ -46,6 +46,8 @@ CASES = {
     "coupling-build": (["coupling-build", "--spec", "f2.json"], 0),
     "coupling-build-c2c3": (["coupling-build", "--spec", "c2c3.json"], 0),
     "coupling-build-c3xc4": (["coupling-build", "--spec", "c3c4.json"], 0),
+    # base point x_gamma = b lies outside X_lambda: pins the view off the identity
+    "coupling-build-f2b": (["coupling-build", "--spec", "f2b.json"], 0),
     "coupling-verify": (["coupling-verify", "--spec", "f2.json", "--radius", "2"], 0),
     "coupling-verify-c3xc4": (["coupling-verify", "--spec", "c3c4.json", "--radius", "3"], 0),
     # base point x_gamma = b: pins beta's conjugation by g0
