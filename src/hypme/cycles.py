@@ -276,45 +276,13 @@ def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int, extra: int = 
             yield rng.sample(range(n), 4)
 
 
-def _improve_locally(g: Graph, dm: DistanceMatrix, images: list[int], budget: Budget) -> list[int]:
-    """Vertex swaps that keep consecutive images adjacent and raise a; each
-    swap trial is charged to `budget` as one candidate vertex."""
-    adj = g.adjacency()
-    current = verify_embedding(dm, images)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(images)):
-            prev_v = images[(i - 1) % len(images)]
-            next_v = images[(i + 1) % len(images)]
-            for y in adj[images[i]]:
-                budget.charge("candidate vertices", by="the cycle heuristic")
-                if dm[prev_v, y] != 1 or dm[next_v, y] != 1:
-                    continue
-                trial = images[:i] + [y] + images[i + 1 :]
-                cand = verify_embedding(dm, trial)
-                if cand.a > current.a:
-                    images, current, improved = trial, cand, True
-                    break
-            if improved:
-                break
-    return images
-
-
 def _heuristic_embeddings(g: Graph, dm: DistanceMatrix, min_n: int, seed: int, budget: Budget):
-    """Closed walks through the corner candidates, then the best of them
-    (largest a) improved by local swaps."""
-    best: CycleEmbedding | None = None
+    """The closed walks through the corner candidates, each verified."""
     for corners in _heuristic_candidates(g, dm, seed):
         images = _closed_walk_images(dm, corners)
         budget.charge("candidate vertices", 1 if images is None else len(images), by="the cycle heuristic")
         if images is not None and len(images) >= max(min_n, 3):
-            emb = verify_embedding(dm, images)
-            yield emb
-            if best is None or emb.a > best.a:
-                best = emb
-    if best is not None and best.a > 0:
-        yield verify_embedding(dm, _improve_locally(g, dm, list(best.images), budget))
+            yield verify_embedding(dm, images)
 
 
 def find_fat_cycle(
@@ -342,7 +310,7 @@ def find_fat_cycle(
     hold no witness, so "proven_absent" remains a proof.  The DFS order is
     kept, so the first witness returned is the one the unpruned search
     would reach first.  nodes_used is what the search charged to `budget`:
-    candidate vertices of DFS extensions, closed-walk images or swap trials.
+    candidate vertices of DFS extensions or closed-walk images.
     """
     if min_n < 3:
         raise PreconditionError("min_n must be >= 3")
