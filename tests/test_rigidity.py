@@ -173,6 +173,40 @@ class TestCondition5:
         rep = check_condition_5(rc, parse_group("Z^2"))
         assert (rep.verdict, rep.notes.get("reason")) == ("tends_to_zero", None)
 
+    def test_exp_power_under_a_log_schedule_tends_to_zero(self):
+        # exp(t^p) at t = n / (c ln n) outgrows every power of n, so no growth rate matters
+        rc = make_rc(exp_power(1), power(1), Schedule("log", coefficient=Fraction(108)), n_max=10**4)
+        rep = check_condition_5(rc, parse_group("F2"))
+        assert (rep.verdict, rep.analytic) == ("tends_to_zero", True)
+        assert rep.notes["reason"] == "stretched-exponential denominator"
+
+    def test_exp_power_under_sub_exponential_growth_tends_to_zero(self):
+        # under n^(1/2), exp(t^1) is exp(n^(1/2)): it beats Z^2's polynomial
+        # volumes, where on F2 the same exponents tie (the next test)
+        rc = make_rc(exp_power(1), power(1), Schedule("pow", exponent=Fraction(1, 2)), n_max=10**4)
+        rep = check_condition_5(rc, parse_group("Z^2"))
+        assert (rep.verdict, rep.analytic) == ("tends_to_zero", True)
+        assert "reason" not in rep.notes
+
+    def test_exp_power_exponent_tie_is_inconclusive(self):
+        # p (1 - e) = 1 * (1 - 1/2) = e: exp(n^(1/2)) against F2's Vol(n^(1/2)) ~ 3^(n^(1/2))
+        rc = make_rc(exp_power(1), power(1), Schedule("pow", exponent=Fraction(1, 2)), n_max=10**4)
+        rep = check_condition_5(rc, parse_group("F2"))
+        assert rep.verdict == "inconclusive"
+        assert rep.notes["reason"] == "exponent tie; coefficient comparison omitted"
+
+    def test_exponent_within_the_entropy_bracket_is_inconclusive(self):
+        # under r = ln n the critical exponent is 2 + h; p = 2 + h.hi lies in
+        # (2 + h.lo, 2 + h.hi], where the certified bracket cannot decide
+        group = parse_group("F2")
+        entropy = group.growth.entropy
+        assert entropy.lo < entropy.hi
+        rc = make_rc(power(2 + entropy.hi), power(1), Schedule("log", coefficient=Fraction(1)), n_max=10**4)
+        rep = check_condition_5(rc, group)
+        assert rep.verdict == "inconclusive"
+        assert rep.notes["reason"] == "p within rounding of the critical exponent"
+        assert "critical_exponent" not in rep.notes
+
     def test_r_exceeding_n_is_flagged(self):
         group = parse_group("F2")
         rc = make_rc(power(200), power(1), Schedule("log", coefficient=Fraction(108)))
