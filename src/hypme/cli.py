@@ -237,8 +237,10 @@ def _coupling_view(c) -> dict:
         "index": c.index,
         "transversal": [g.describe(t) for t in c.sub.transversal],
         "schreier_generators": [g.describe(s) for s in c.sub.schreier_generators],
-        "fibers": [g.describe(f) for f in c.fibers],
-        "x_gamma": [[g.describe(c.x0[0]), c.x0[1]]],
+        # the shift f of X_lambda = T f^-1 and the point x0, in the report's
+        # list shapes, which keep a fiber index 0 for the one fiber
+        "fibers": [g.describe(c.shift)],
+        "x_gamma": [[g.describe(c.x0), 0]],
         "mu_scale": Fraction(1),  # mu is counting measure
         "mu_x_gamma": Fraction(1),  # X_gamma is the one point x0
         "mu_x_lambda": c.mu_x_lambda(),
@@ -246,12 +248,14 @@ def _coupling_view(c) -> dict:
     }
 
 
+def _witness_view(c) -> list[str]:
+    return [c.group.describe(f) for f in coupling.coboundedness_witness(c)]
+
+
 def cmd_coupling_build(args, budget):
     c = _load_coupling(args, budget)
     payload = _coupling_view(c)
-    payload["coboundedness_witness"] = [
-        c.group.describe(f) for f in coupling.coboundedness_witness(c)
-    ]
+    payload["coboundedness_witness"] = _witness_view(c)
     return payload, True
 
 
@@ -290,7 +294,11 @@ def cmd_claim_check(args, budget):
         r_values = [int(x) for x in args.radii.split(",")]
     except ValueError:
         raise ParseError(f"--radii {args.radii!r} is not a list of integers") from None
-    payload = coupling.claim_bound_sweep(c, args.lambda_radius, r_values, phis)
+    witness = _witness_view(c)
+    payload = coupling.claim_bound_sweep(
+        coupling.strengthen_coboundedness(c), args.lambda_radius, r_values, phis
+    )
+    payload["coboundedness_witness"] = witness
     return payload, payload["passed"]
 
 
@@ -402,7 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="power:1")
     p.set_defaults(func=cmd_integrability)
 
-    p = sub.add_parser("claim-check", help="measure-bound sweep over a subgroup ball")
+    p = sub.add_parser(
+        "claim-check",
+        help="strengthen the coupling, then sweep the measure bound over a subgroup ball",
+        description="Strengthen the coupling first, shifting X_lambda by the coboundedness "
+        "witness so that it contains X_gamma, then check the measure bound for every pair "
+        "of the subgroup ball.",
+    )
     _add_common(p)
     p.add_argument("--spec", required=True)
     p.add_argument("--lambda-radius", type=int, default=4)

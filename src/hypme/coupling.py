@@ -3,23 +3,26 @@
 The ambient space is a finitely generated group G with counting measure.
 The full group (the "gamma side") acts by left multiplication, a finite
 index subgroup L (the "lambda side", with Schreier generators) acts on the
-right by lambda * w = w lambda^-1, and the two actions commute.  The gamma
-fundamental domain is a singleton {g0}; the lambda fundamental domain is a
-left-coset transversal T, so mu(X_gamma) = 1 and mu(X_lambda) = [G : L].
-X_gamma is exactly one point in every coupling, the fibered ones below
-included: the gamma side acts simply transitively on the whole space, so the
-space is a single gamma orbit.  A coupling stores that point x0 = (g0, i0).
+right by lambda * w = w lambda^-1, and the two actions commute; the points
+of the space are group elements.  The gamma side acts simply transitively,
+so its fundamental domain X_gamma is one point x0 = g0 and mu(X_gamma) = 1.
+The lambda fundamental domain is the left-coset transversal T shifted by
+one subgroup element f, X_lambda = T f^-1, so mu(X_lambda) = [G : L]; a
+plain subgroup coupling has f = e.
 
-To support the coboundedness-strengthening construction, every coupling is
-stored in fibered form: the space is G x {0..m-1}, the gamma side is
-G x Z/m (the finite factor permutes fibers cyclically), and the lambda
-fundamental domain in fiber i is the translate T * f_i^-1 for an element
-f_i of L.  A plain subgroup coupling is the m = 1 case with f_0 = e.
+The measure bound is stated for a strengthened coupling, one with X_gamma
+inside X_lambda.  A coupling is cobounded when X_gamma lies in F * X_lambda
+for a finite F in L, and the general strengthening lets Gamma x Z/|F| act
+on Omega x F.  Here X_gamma is the one point x0, whose lambda orbit x0 L
+meets X_lambda in exactly one point, so the minimal witness F is one
+element f'.  With |F| = 1 the product construction is the coupling itself
+with X_lambda moved to f' * X_lambda = T (f' f)^-1: strengthening is a
+shift of the transversal (`strengthen_coboundedness`).
 
 Cocycles are computed by coset lookup:
 
-    alpha((gamma,k), (x,i)) = f_j * rep(gamma x)^-1 * (gamma x),  j = k+i mod m
-    beta(lambda)            = (g0 lambda g0^-1, 0)
+    alpha(gamma, x) = f * rep(gamma x)^-1 * (gamma x)
+    beta(lambda)    = g0 lambda g0^-1
 
 where rep(g) is the transversal representative of the left coset g L.
 Both are exact group elements; every integral in scope is a finite sum
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -271,21 +274,17 @@ def subgroup_data(
 
 @dataclass(frozen=True)
 class Coupling:
-    """A fibered subgroup coupling with its one gamma-domain point x0.
-
-    The gamma side G x Z/m acts simply transitively on G x {0..m-1}, so
-    X_gamma is exactly one point, x0 = (g0, i0), and mu(X_gamma) = 1.
-    """
+    """A subgroup coupling with X_lambda = T shift^-1 and X_gamma = {x0}."""
 
     group: MarkedGroup
     sub: SubgroupData
-    fibers: tuple  # elements f_i of the subgroup; plain coupling: (e,)
-    x0: tuple  # the point (g0, fiber index) that is all of X_gamma
+    shift: object  # the subgroup element f of X_lambda = T f^-1; plain coupling: e
+    x0: object  # the group element g0 that is all of X_gamma
     budget: Budget = field(default_factory=Budget, compare=False, repr=False)
 
     @cached_property
     def gamma_spheres(self) -> Spheres:
-        """B_gamma over S_gamma, the base-group part of the gamma side."""
+        """B_gamma over S_gamma."""
         return Spheres(self.group, budget=self.budget)
 
     @cached_property
@@ -293,117 +292,68 @@ class Coupling:
         """B_lambda over the Schreier generators."""
         return Spheres(self.group, self.sub.schreier_generators, self.budget)
 
-    # --- basic structure ---------------------------------------------------
-
-    @property
-    def fiber_count(self) -> int:
-        return len(self.fibers)
-
     @property
     def index(self) -> int:
         return self.sub.index
 
-    def gamma_multiply(self, p, q):
-        """The product of gamma points; with q a point (g, i), the gamma action."""
-        return (self.group.multiply(p[0], q[0]), (p[1] + q[1]) % self.fiber_count)
-
-    def gamma_inverse(self, p):
-        return (self.group.inverse(p[0]), (-p[1]) % self.fiber_count)
-
-    def gamma_length(self, p) -> int:
-        """Word length over S_gamma plus the fiber group (all of K \\ {e})."""
-        return self.group.word_length(p[0]) + (1 if p[1] % self.fiber_count else 0)
-
-    def gamma_generators(self) -> list:
-        """S_gamma in fiber 0, then the nontrivial fiber moves (all of K \\ {e})."""
-        e = self.group.identity()
-        return [(s, 0) for _, s in self.group.symmetric_generators()] + [
-            (e, k) for k in range(1, self.fiber_count)
-        ]
-
-    def gamma_distance(self, p, q) -> int:
-        return self.gamma_length(self.gamma_multiply(self.gamma_inverse(p), q))
-
-    def gamma_volume(self, radius: int) -> int:
-        """Ball sizes of the gamma side: Vol(r) + (m-1) Vol(r-1) for m fibers."""
-        m = self.fiber_count
-        if m == 1:
-            return self.group.volume(radius)
-        if radius == 0:
-            return 1
-        return self.group.volume(radius) + (m - 1) * self.group.volume(radius - 1)
-
-    def gamma_ball(self, radius: int):
-        """The gamma points within `radius` of (e, 0); a fiber move costs one letter."""
-        base = self.gamma_spheres.ball(radius)
-        out = [(g, 0) for g in base]
-        inner = base[: len(base) - len(self.gamma_spheres[radius])]
-        for k in range(1, self.fiber_count):
-            out.extend((g, k) for g in inner)
-        return out
-
-    # --- actions -------------------------------------------------------------
-
-    def lambda_act(self, lam, point):
-        g, i = point
-        return (self.group.multiply(g, self.group.inverse(lam)), i)
+    def lambda_act(self, lam, w):
+        return self.group.multiply(w, self.group.inverse(lam))
 
     # --- fundamental domains ---------------------------------------------------
 
-    def x_lambda_points(self):
-        out = []
-        for i, f in enumerate(self.fibers):
-            finv = self.group.inverse(f)
-            for t in self.sub.transversal:
-                out.append((self.group.multiply(t, finv), i))
-        return out
+    def x_lambda_points(self) -> list:
+        finv = self.group.inverse(self.shift)
+        return [self.group.multiply(t, finv) for t in self.sub.transversal]
 
-    def x_lambda_rep(self, point):
-        """Projection of a point's lambda orbit into X_lambda."""
-        g, i = point
-        t = self.sub.rep(g)
-        return (self.group.multiply(t, self.group.inverse(self.fibers[i])), i)
+    def x_lambda_rep(self, w):
+        """The point of X_lambda in the lambda orbit w L."""
+        return self.group.multiply(self.sub.rep(w), self.group.inverse(self.shift))
 
-    def in_x_lambda(self, point) -> bool:
-        return point == self.x_lambda_rep(point)
+    def in_x_lambda(self, w) -> bool:
+        return w == self.x_lambda_rep(w)
 
     def x_gamma_in_x_lambda(self) -> bool:
         return self.in_x_lambda(self.x0)
 
+    def require_inclusion(self, what: str) -> None:
+        """Refuse a coupling whose X_gamma is not inside X_lambda."""
+        if not self.x_gamma_in_x_lambda():
+            raise PreconditionError(
+                f"{what} requires X_gamma inside X_lambda; run strengthen_coboundedness first"
+            )
+
     def mu_x_lambda(self) -> Fraction:
-        return Fraction(self.index * self.fiber_count)
+        return Fraction(self.index)
 
     # --- cocycles ---------------------------------------------------------------
 
-    def alpha(self, p, point):
-        """The unique subgroup element returning the gamma point p times point
-        to X_lambda."""
-        if not self.in_x_lambda(point):
+    def alpha(self, gamma, x):
+        """The unique subgroup element returning gamma x to X_lambda."""
+        if not self.in_x_lambda(x):
             raise PreconditionError("alpha requires a point of X_lambda")
-        moved = self.gamma_multiply(p, point)
-        return self.group.multiply(self.group.inverse(self.x_lambda_rep(moved)[0]), moved[0])
+        moved = self.group.multiply(gamma, x)
+        return self.group.multiply(self.group.inverse(self.x_lambda_rep(moved)), moved)
 
-    def induced_gamma(self, p, point):
-        """gamma . x for a gamma point p: the shadow of the gamma action on X_lambda."""
-        if not self.in_x_lambda(point):
+    def induced_gamma(self, gamma, x):
+        """gamma . x: the shadow of the gamma action on X_lambda."""
+        if not self.in_x_lambda(x):
             raise PreconditionError("induced action requires a point of X_lambda")
-        return self.x_lambda_rep(self.gamma_multiply(p, point))
+        return self.x_lambda_rep(self.group.multiply(gamma, x))
 
     def beta(self, lam):
-        """The unique gamma-side element returning lambda * x0 to x0:
-        (g0 lambda g0^-1, 0)."""
+        """The unique gamma-side element returning lambda * x0 to x0: g0 lambda g0^-1."""
         if not self.sub.contains(lam):
             raise PreconditionError("beta requires a subgroup element")
         return self._conjugate_by_x0(lam)
 
     def _conjugate_by_x0(self, lam):
         """beta(lambda) for a lambda already known to lie in the subgroup."""
-        g0 = self.x0[0]
-        return (self.group.multiply(g0, self.group.multiply(lam, self.group.inverse(g0))), 0)
+        g = self.group
+        return g.multiply(self.x0, g.multiply(lam, g.inverse(self.x0)))
 
     def b_map(self, lam):
         """b(lambda) = beta(lambda^-1)^-1."""
-        return self.gamma_inverse(self.beta(self.group.inverse(lam)))
+        return self.group.inverse(self.beta(self.group.inverse(lam)))
 
     # --- subgroup metric -----------------------------------------------------------
 
@@ -443,17 +393,15 @@ def subgroup_coupling(
     """The coupling of a group with a finite-index subgroup.
 
     The group acts on itself by left translations, the subgroup by right
-    translations; fundamental domains are the point (x_gamma, 0) and a
+    translations; fundamental domains are the point x_gamma and a
     BFS-minimal Schreier transversal.
     """
     budget = budget or Budget()
-    sub = subgroup_data(group, subgroup_gen_words, budget)
-    g0 = group.parse_word(x_gamma_word)
     return Coupling(
         group=group,
-        sub=sub,
-        fibers=(group.identity(),),
-        x0=(g0, 0),
+        sub=subgroup_data(group, subgroup_gen_words, budget),
+        shift=group.identity(),
+        x0=group.parse_word(x_gamma_word),
         budget=budget,
     )
 
@@ -512,7 +460,7 @@ def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
     if radius < 1:
         return CheckReport.of("cocycle_identity", 0, 0)
     points = c.x_lambda_points()
-    ballg = c.gamma_ball(radius)
+    ballg = c.gamma_spheres.ball(radius)
     cases = len(points) * len(ballg) ** 2
     c.budget.charge("cases", cases, by=f"cocycle identity check at radius {radius}")
     bad = 0
@@ -523,7 +471,7 @@ def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
             ax = alpha_x[p]
             mx = moved[p]
             for q in ballg:
-                left = c.alpha(c.gamma_multiply(q, p), x)
+                left = c.alpha(c.group.multiply(q, p), x)
                 right = c.group.multiply(c.alpha(q, mx), ax)
                 if left != right:
                     bad += 1
@@ -532,11 +480,7 @@ def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
 
 def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
     """alpha(beta(lam), x0) == lam for |lam|_{S_lambda} <= radius."""
-    if not c.x_gamma_in_x_lambda():
-        raise PreconditionError(
-            "inverse relation requires X_gamma inside X_lambda; "
-            "run strengthen_coboundedness first"
-        )
+    c.require_inclusion("the inverse relation")
     cases = 0
     bad = 0
     for lam in c.lambda_spheres.ball(radius):
@@ -560,13 +504,13 @@ def check_b_identity(c: Coupling, radius: int) -> CheckReport:
     cases = len(elems) ** 2
     c.budget.charge("cases", cases, by=f"b-identity check at radius {radius}")
     bad = 0
-    inv = c.group.inverse
+    mul, inv = c.group.multiply, c.group.inverse
     b_of = {u: c.b_map(u) for u in elems}
     for u in elems:
-        bu_inv = c.gamma_inverse(b_of[u])
+        bu_inv = inv(b_of[u])
         for v in elems:
-            left = c.gamma_multiply(bu_inv, b_of[v])
-            right = c.gamma_inverse(c._conjugate_by_x0(c.group.multiply(inv(v), u)))
+            left = mul(bu_inv, b_of[v])
+            right = inv(c._conjugate_by_x0(mul(inv(v), u)))
             if left != right:
                 bad += 1
     return CheckReport.of("b_identity", cases, bad, radius=radius)
@@ -577,18 +521,18 @@ def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> 
     import random
 
     rng = random.Random(seed)
-    ballg = c.gamma_ball(radius)
+    mul = c.group.multiply
+    ballg = c.gamma_spheres.ball(radius)
     lams = sorted(c.lambda_spheres.ball(radius), key=c.group.to_word)
-    points = [(p[0], i) for p in ballg for i in range(c.fiber_count)]
     cases = 0
     bad = 0
     for _ in range(samples):
         p = rng.choice(ballg)
         lam = rng.choice(lams)
-        w = rng.choice(points)
+        w = rng.choice(ballg)
         cases += 1
-        one = c.lambda_act(lam, c.gamma_multiply(p, w))
-        two = c.gamma_multiply(p, c.lambda_act(lam, w))
+        one = c.lambda_act(lam, mul(p, w))
+        two = mul(p, c.lambda_act(lam, w))
         if one != two:
             bad += 1
     return CheckReport.of("actions_commute", cases, bad, radius=radius)
@@ -598,10 +542,11 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
     """Ball-truncated fundamental-domain axioms for both actions.
 
     Injectivity: (group element, domain point) pairs hit distinct points.
-    Coverage: every point with small enough base coordinate is hit, where
-    "small enough" subtracts the largest word length appearing in the domain
-    and translate data.  Transversal uniqueness is re-verified by direct
-    membership tests rather than through the coset index.
+    Coverage: every point within radius - |x0| of e is gamma x0 for a gamma
+    in B_gamma(radius), and every point of B_gamma(radius) is x lambda^-1
+    for its X_lambda point x and a subgroup element lambda.  Transversal
+    uniqueness is re-verified by direct membership tests rather than
+    through the coset index.
     """
     g = c.group
     bad = 0
@@ -617,22 +562,21 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
         if len(hits) != 1:
             bad += 1
 
-    # gamma side: injectivity and coverage (fiber moves cost one letter)
-    c_gamma = g.word_length(c.x0[0]) + (1 if c.fiber_count > 1 else 0)
+    # gamma side: injectivity and coverage
+    c_gamma = g.word_length(c.x0)
     seen = set()
-    for p in c.gamma_ball(radius):
+    for p in base_ball:
         cases += 1
-        pt = c.gamma_multiply(p, c.x0)
+        pt = g.multiply(p, c.x0)
         if pt in seen:
             bad += 1
         seen.add(pt)
     for w in base_ball:
         if g.word_length(w) > radius - c_gamma:
             continue
-        for i in range(c.fiber_count):
-            cases += 1
-            if (w, i) not in seen:
-                bad += 1
+        cases += 1
+        if w not in seen:
+            bad += 1
 
     # lambda side: round-trip projection and injectivity over a lambda ball
     x_lambda = c.x_lambda_points()
@@ -644,15 +588,13 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
             if pt in seen_l:
                 bad += 1
             seen_l[pt] = (lam, x)
-    c_lambda = max(g.word_length(p[0]) for p in x_lambda)
+    c_lambda = max(g.word_length(x) for x in x_lambda)
     for w in base_ball:
-        for i in range(c.fiber_count):
-            cases += 1
-            x = c.x_lambda_rep((w, i))
-            lam = g.multiply(g.inverse(w), x[0])  # x lam^-1 == w
-            pt = c.lambda_act(lam, x)
-            if pt != (w, i) or not c.sub.contains(lam):
-                bad += 1
+        cases += 1
+        x = c.x_lambda_rep(w)
+        lam = g.multiply(g.inverse(w), x)  # x lam^-1 == w
+        if c.lambda_act(lam, x) != w or not c.sub.contains(lam):
+            bad += 1
     return CheckReport.of(
         "fundamental_domains", cases, bad, radius=radius, c_gamma=c_gamma, c_lambda=c_lambda
     )
@@ -674,8 +616,6 @@ def projection_and_similarity(
     here) and the exact similarity integral when phi allows it.
     """
     g = c.group
-    if c.fiber_count != 1:
-        raise PreconditionError("projections are defined for plain couplings")
     elems1 = [g.parse_word(w) for w in X1]
     elems2 = [g.parse_word(w) for w in X2]
     if side == "lambda":
@@ -742,7 +682,7 @@ def integrability_report(
     finite here because the domain is finite).  Each exp_power term charges
     its bracket's working bits to `c.budget`.
     """
-    gamma_gens = c.gamma_generators()
+    gamma_gens = [s for _, s in c.group.symmetric_generators()]
     points = c.x_lambda_points()
     alpha_values = {}
     targets = set()
@@ -753,7 +693,7 @@ def integrability_report(
     lengths = c.lambda_lengths(targets)
     alpha_max = max((lengths[v] for vals in alpha_values.values() for v in vals), default=0)
 
-    beta_lengths = [c.gamma_length(c.beta(t)) for t in c.sub.schreier_generators]
+    beta_lengths = [c.group.word_length(c.beta(t)) for t in c.sub.schreier_generators]
     beta_sup = max(beta_lengths, default=0)
 
     def integral(fn, dist_lists):
@@ -782,113 +722,26 @@ def integrability_report(
 def coboundedness_witness(c: Coupling) -> list:
     """The minimal finite F in the subgroup with X_gamma inside F * X_lambda.
 
-    The point x0 determines a unique translate, so the minimal witness is
-    that one element.
-    """
-    return [required_translate(c, c.x0)]
-
-
-def required_translate(c: Coupling, point):
-    """The unique f with point in f * X_lambda."""
-    g = c.group
-    return g.multiply(g.inverse(point[0]), c.x_lambda_rep(point)[0])
-
-
-def strengthen_coboundedness(c: Coupling, F) -> Coupling:
-    """Product coupling on Omega x F making the gamma domain sit inside the
-    lambda domain.
-
-    The new gamma side is Gamma x K with K cyclic of order |F| permuting the
-    (fixed) enumeration of F; generating set S_gamma plus the nontrivial
-    elements of K, so points differing only in fiber are at distance <= 1.
-    Postconditions (both domains are genuine fundamental domains, the
-    inclusion, the step bound, and the growth comparison) are re-checked by
-    validate_strengthened via the standard check functions.
+    The lambda orbit x0 L meets X_lambda in one point x, and x0 = f * x for
+    exactly one f = x0^-1 x in L; so the minimal witness is [f].
     """
     g = c.group
-    F = list(F)
-    if not F:
-        raise PreconditionError("witness set F must be nonempty")
-    for f in F:
-        if not c.sub.contains(f):
-            raise PreconditionError("witness elements must lie in the subgroup")
-    positions = {f: idx for idx, f in enumerate(F)}
-    if len(positions) != len(F):
-        raise PreconditionError("witness set F has repeated elements")
-
-    m_old = c.fiber_count
-    new_fibers = []
-    for f in F:
-        for fi in c.fibers:
-            new_fibers.append(g.multiply(f, fi))
-
-    f_hat = required_translate(c, c.x0)
-    if f_hat not in positions:
-        raise PreconditionError(
-            f"F is not a coboundedness witness: point needs translate {g.describe(f_hat)}"
-        )
-    x, i = c.x0
-    out = Coupling(
-        group=g,
-        sub=c.sub,
-        fibers=tuple(new_fibers),
-        x0=(x, positions[f_hat] * m_old + i),
-        budget=c.budget,
-    )
-    if not out.x_gamma_in_x_lambda():
-        raise PreconditionError("strengthening failed to achieve the inclusion")
-    return out
+    return [g.multiply(g.inverse(c.x0), c.x_lambda_rep(c.x0))]
 
 
-def check_step_bound(c: Coupling) -> CheckReport:
-    """d((g0,i), (g0,j)) <= 1 for the gamma-domain base point across fibers."""
-    g0 = c.x0[0]
-    cases = 0
-    bad = 0
-    for i in range(c.fiber_count):
-        for j in range(c.fiber_count):
-            cases += 1
-            if c.gamma_distance((g0, i), (g0, j)) > 1:
-                bad += 1
-    return CheckReport.of("step_bound", cases, bad)
+def strengthen_coboundedness(c: Coupling) -> Coupling:
+    """The coupling with X_lambda moved so that it contains X_gamma.
 
-
-def check_growth_comparison(c: Coupling, radius: int) -> CheckReport:
-    """Vol_{S_gamma-tilde}(r) <= |K| * Vol_{S_gamma}(r), with the left side
-    enumerated by BFS on the product group."""
-    from .groups import Cyclic, DirectProduct, bfs_growth_table
-
-    g = c.group
-    m = c.fiber_count
-    if m == 1:
-        return CheckReport.of("growth_comparison", radius + 1, 0, radius=radius)
-    prod = DirectProduct([g, Cyclic(m)])
-    vols = bfs_growth_table(prod, radius, gens=c.gamma_generators(), budget=c.budget)
-    bad = 0
-    for r in range(radius + 1):
-        lhs = vols[r]
-        rhs = m * g.volume(r)
-        if lhs > rhs:
-            bad += 1
-        expected = c.gamma_volume(r)
-        if lhs != expected:
-            bad += 1
-    return CheckReport.of("growth_comparison", radius + 1, bad, radius=radius)
-
-
-def validate_strengthened(c: Coupling, radius: int = 3, growth_radius: int = 6) -> dict:
-    """All postcondition checks of the product construction, as one report."""
-    reports = [
-        check_fundamental_domains(c, radius),
-        check_step_bound(c),
-        check_growth_comparison(c, growth_radius),
-    ]
-    inclusion = c.x_gamma_in_x_lambda()
-    return {
-        "x_gamma_in_x_lambda": inclusion,
-        "checks": reports,
-        "passed": inclusion and all(r.passed for r in reports),
-    }
+    The general construction takes a finite witness F with X_gamma inside
+    F * X_lambda and lets Gamma x Z/|F| act on Omega x F.  X_gamma is the
+    one point x0, so the minimal F is the one element f of
+    `coboundedness_witness`, the product with |F| = 1 is Omega itself, and
+    the new lambda domain f * X_lambda = T (f shift)^-1 is the transversal
+    shifted by f.  On a coupling with X_gamma already inside X_lambda, f is
+    e and the result equals c.  The budget is shared with c.
+    """
+    f = coboundedness_witness(c)[0]
+    return replace(c, shift=c.group.multiply(f, c.shift))
 
 
 # ---------------------------------------------------------------------------
@@ -932,11 +785,7 @@ def claim_bound_check(
     at x0 along the way.
     """
     g = c.group
-    if not c.x_gamma_in_x_lambda():
-        raise PreconditionError(
-            "the measure bound requires X_gamma inside X_lambda; "
-            "run strengthen_coboundedness first"
-        )
+    c.require_inclusion("the measure bound")
     if R < 1:
         raise PreconditionError("R must be a positive integer")
     for w in (u, v):
@@ -945,9 +794,9 @@ def claim_bound_check(
     w = g.multiply(g.inverse(u), v)
     degenerate = g.is_identity(w)
 
-    diff = c.gamma_multiply(c.gamma_inverse(c.b_map(u)), c.b_map(v))
-    identity_bad = int(diff != c.gamma_inverse(c.beta(g.inverse(w))))
-    measured = Fraction(int(c.gamma_length(diff) <= R))
+    diff = g.multiply(g.inverse(c.b_map(u)), c.b_map(v))
+    identity_bad = int(diff != g.inverse(c.beta(g.inverse(w))))
+    measured = Fraction(int(g.word_length(diff) <= R))
 
     if degenerate:
         d_lambda, k_constant, bound = 0, Fraction(0), Fraction(0)
@@ -959,7 +808,7 @@ def claim_bound_check(
         denom = phi.value(Fraction(d_lambda, R), c.budget)
         if lower(denom) <= 0:
             raise PreconditionError("phi vanishes at d/R; bound undefined")
-        bound = k_constant * R * c.gamma_volume(R) / denom
+        bound = k_constant * R * g.volume(R) / denom
     return ClaimBoundReport(
         u=g.describe(u), v=g.describe(v), R=R, d_lambda=d_lambda,
         measured=measured, bound=bound, k_constant=k_constant,
@@ -986,19 +835,21 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
     |B| (|B| - 1) per (R, phi), and `failures` lists the w in order of first
     occurrence among the pairs in `to_word` order, that is, by the first u
     with u w in B, then by u w.  The two balls charge their group elements
-    to `c.budget`, and each exp_power bracket its working bits.
+    to `c.budget`, and each exp_power bracket its working bits.  Like
+    `claim_bound_check`, the sweep refuses a coupling whose X_gamma is not
+    inside X_lambda.
     """
     g = c.group
+    c.require_inclusion("the measure bound")
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
-    base = c.x0[0]
-    base_inv = g.inverse(base)
+    base_inv = g.inverse(c.x0)
 
     # candidate w -> gamma-side displacement |g0 w g0^-1|
     disp = {}
     for depth in range(max(R_values) + 1):
         for gamma in c.gamma_spheres[depth]:
-            w = g.multiply(base_inv, g.multiply(gamma, base))
+            w = g.multiply(base_inv, g.multiply(gamma, c.x0))
             if not g.is_identity(w) and c.sub.contains(w):
                 disp[w] = depth
 
@@ -1022,7 +873,7 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
         kc = k_constants[phi.describe()]
         k_low = lower(kc)
         for R in R_values:
-            vol = c.gamma_volume(R)
+            vol = g.volume(R)
             for w in order:
                 if disp[w] > R:
                     continue  # measured side is 0 <= bound

@@ -657,25 +657,15 @@ class Spheres:
         return [g for level in self.levels(radius) for g in level]
 
 
-def bfs_growth_table(
-    group: MarkedGroup,
-    radius: int,
-    gens=None,
-    budget: Budget | None = None,
-) -> tuple[int, ...]:
-    """Vol(0..radius) over `gens` counted by BFS alone; the group's own
-    volumes come from its series, `group.volume`."""
-    return tuple(itertools.accumulate(map(len, Spheres(group, gens, budget).levels(radius))))
+def bfs_growth_table(group: MarkedGroup, radius: int, budget: Budget | None = None) -> tuple[int, ...]:
+    """Vol(0..radius) counted by BFS alone; the group's own volumes come
+    from its series, `group.volume`."""
+    return tuple(itertools.accumulate(map(len, Spheres(group, budget=budget).levels(radius))))
 
 
-def ball(
-    group: MarkedGroup,
-    radius: int,
-    gens=None,
-    budget: Budget | None = None,
-) -> CayleyBall:
+def ball(group: MarkedGroup, radius: int, budget: Budget | None = None) -> CayleyBall:
     """Exact Cayley ball B(e, radius): elements, word lengths, ball graph, growth."""
-    spheres = Spheres(group, gens, budget)
+    spheres = Spheres(group, budget=budget)
     levels = spheres.levels(radius)
     elements = [g for level in levels for g in level]
     index = {g: i for i, g in enumerate(elements)}

@@ -259,10 +259,10 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
             w = g.multiply(uinv, v)
             w_multiplicity[w] = w_multiplicity.get(w, 0) + 1
 
-    base = c.x0[0]
+    base = c.x0
     w_disp = {}
     for w in w_multiplicity:
-        w_disp[w] = c.gamma_length((g.multiply(base, g.multiply(w, g.inverse(base))), 0))
+        w_disp[w] = g.word_length(g.multiply(base, g.multiply(w, g.inverse(base))))
     need = {w for w, disp in w_disp.items() if disp <= max_R}
     lam_len = independent_word_lengths(g, gens, need, max_radius=2 * lambda_radius)
 
@@ -273,7 +273,7 @@ def brute_claim_sweep(c, lambda_radius: int, R_values, phis) -> dict:
     for phi in phis:
         kc = k_constants[phi.describe()]
         for R in R_values:
-            vol = c.gamma_volume(R)
+            vol = g.volume(R)
             for w, mult in w_multiplicity.items():
                 checked_pairs += mult
                 if w_disp[w] > R:

@@ -10,6 +10,9 @@ import pytest
 
 from hypme import __version__, coupling, hyperbolicity
 from hypme.cli import dispatch
+from hypme.integrability import power
+from hypme.reports import encode
+from oracles import brute_claim_sweep
 
 F2_SPEC = {"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": "e"}
 Z2_SPEC = {"group": "Z^2", "subgroup_generators": ["aa", "b"], "x_gamma": "e"}
@@ -520,6 +523,21 @@ class TestSubcommands:
                         "--lambda-radius", "3")
         assert code == 0
         assert doc["report"]["passed"] is True
+
+    def test_claim_check_strengthens_first(self, tmp_path):
+        # x_gamma = b lies outside X_lambda: the report is the pair oracle's
+        # sweep on the coupling shifted by its witness B
+        spec = os.path.join(os.path.dirname(__file__), "golden", "inputs", "f2b.json")
+        code, doc = run(tmp_path, "claim-check", "--spec", spec, "--lambda-radius", "3")
+        assert code == 0
+        with open(spec) as fh:
+            c = coupling.coupling_from_spec(fh.read())
+        strengthened = coupling.strengthen_coboundedness(c)
+        expected = brute_claim_sweep(strengthened, 3, [1, 2, 3], [power(1), power(2)])
+        report = doc["report"]
+        assert report.pop("coboundedness_witness") == ["B"]
+        assert report == encode(expected)
+        assert report["K"] == {"power(1/1)": "4/1", "power(2/1)": "10/1"}
 
     def test_threshold_f2(self, tmp_path):
         code, doc = run(tmp_path, "threshold", "--group", "F2")

@@ -10,9 +10,7 @@ from hypme.coupling import (
     check_b_identity,
     check_cocycle_identity,
     check_fundamental_domains,
-    check_growth_comparison,
     check_inverse_relation,
-    check_step_bound,
     claim_bound_check,
     claim_bound_sweep,
     coboundedness_witness,
@@ -21,7 +19,6 @@ from hypme.coupling import (
     projection_and_similarity,
     strengthen_coboundedness,
     subgroup_coupling,
-    validate_strengthened,
 )
 from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
@@ -64,7 +61,7 @@ class TestSubgroupCoupling:
         c = f2_coupling
         assert c.index == 2
         assert [f2.describe(t) for t in c.sub.transversal] == ["e", "a"]
-        assert c.x0 == (f2.identity(), 0) and c.mu_x_lambda() == 2
+        assert c.x0 == f2.identity() and c.mu_x_lambda() == 2
 
     def test_index_agrees_with_parity_homomorphism(self, f2, f2_coupling):
         # the subgroup is the kernel of a |-> 1, b |-> 0 into C2: check that
@@ -239,43 +236,39 @@ class TestCocycles:
     def test_alpha_examples(self, f2, f2_coupling):
         c = f2_coupling
         e, a = f2.identity(), f2.parse_word("a")
-        assert c.alpha((a, 0), (e, 0)) == e
-        assert c.alpha((a, 0), (a, 0)) == f2.parse_word("aa")
-        assert c.alpha((e, 0), (a, 0)) == e
+        assert c.alpha(a, e) == e
+        assert c.alpha(a, a) == f2.parse_word("aa")
+        assert c.alpha(e, a) == e
 
     def test_alpha_of_generators_are_schreier_generators(self, f2, f2_coupling):
         c = f2_coupling
         for _, s in f2.symmetric_generators():
             for x in c.x_lambda_points():
-                val = c.alpha((s, 0), x)
+                val = c.alpha(s, x)
                 assert f2.is_identity(val) or val in c.sub.schreier_generators
 
     def test_alpha_returns_the_induced_point_on_z2(self, z2_coupling):
-        # Z^2 elements are pairs of ints, so a bare element would look like a
-        # gamma point; alpha and induced_gamma take gamma points (g, 0) only
         c = z2_coupling
         for _, s in c.group.symmetric_generators():
             for x in c.x_lambda_points():
-                lam = c.alpha((s, 0), x)
+                lam = c.alpha(s, x)
                 assert c.sub.contains(lam)
-                moved = c.gamma_multiply((s, 0), x)
-                assert c.lambda_act(lam, moved) == c.induced_gamma((s, 0), x)
-                assert c.in_x_lambda(c.induced_gamma((s, 0), x))
+                moved = c.group.multiply(s, x)
+                assert c.lambda_act(lam, moved) == c.induced_gamma(s, x)
+                assert c.in_x_lambda(c.induced_gamma(s, x))
 
     def test_beta_is_conjugation_by_base_point(self, f2):
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="a")
         lam = f2.parse_word("aa")
         g0 = f2.parse_word("a")
-        gamma, k = c.beta(lam)
-        assert k == 0
-        assert gamma == f2.multiply(g0, f2.multiply(lam, f2.inverse(g0)))
+        assert c.beta(lam) == f2.multiply(g0, f2.multiply(lam, f2.inverse(g0)))
 
     def test_cocycle_domain_errors(self, f2, f2_coupling):
         c = f2_coupling
         a = f2.parse_word("a")
-        assert c.alpha((a, 0), (a, 0)) == f2.parse_word("aa")
+        assert c.alpha(a, a) == f2.parse_word("aa")
         with pytest.raises(PreconditionError):
-            c.alpha((a, 0), (f2.parse_word("aa"), 0))  # aa not in T
+            c.alpha(a, f2.parse_word("aa"))  # aa not in T
         with pytest.raises(PreconditionError):
             c.beta(a)  # a is not in the subgroup
 
@@ -377,9 +370,9 @@ class TestSharedBalls:
 
     def test_gamma_ball_is_a_prefix(self, f2):
         c = f2_coupling_with(10_000)
-        ball3 = c.gamma_ball(3)
+        ball3 = c.gamma_spheres.ball(3)
         assert c.budget.spent == 2 + 53 == 2 + len(ball3)  # the 2 cosets, then the ball
-        assert c.gamma_ball(1) == ball3[:5]
+        assert c.gamma_spheres.ball(1) == ball3[:5]
         assert c.budget.spent == 2 + 53
 
     def test_read_past_a_finite_subgroup(self):
@@ -399,7 +392,7 @@ class TestSharedBalls:
 
     def test_strengthening_keeps_the_budget(self, f2):
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b", budget=Budget(10_000))
-        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
+        st = strengthen_coboundedness(c)
         assert st.budget is c.budget
 
 
@@ -451,12 +444,12 @@ class TestIntegrability:
         best = Fraction(0)
         ref_lengths = independent_word_lengths(
             f2, list(f2_coupling.sub.schreier_generators),
-            [f2_coupling.alpha((s, 0), x) for _, s in f2.symmetric_generators()
+            [f2_coupling.alpha(s, x) for _, s in f2.symmetric_generators()
              for x in f2_coupling.x_lambda_points()],
         )
         for _, s in f2.symmetric_generators():
             total = sum(
-                Fraction(ref_lengths[f2_coupling.alpha((s, 0), x)])
+                Fraction(ref_lengths[f2_coupling.alpha(s, x)])
                 for x in f2_coupling.x_lambda_points()
             )
             best = max(best, total)
@@ -483,7 +476,7 @@ class TestIntegrability:
         c = f2_coupling
         extra = f2.parse_word("aabb")
         bigger = list(c.sub.schreier_generators) + [extra, f2.inverse(extra)]
-        targets = [c.alpha((s, 0), x) for _, s in f2.symmetric_generators() for x in c.x_lambda_points()]
+        targets = [c.alpha(s, x) for _, s in f2.symmetric_generators() for x in c.x_lambda_points()]
         ref = independent_word_lengths(f2, bigger, targets)
         total = sum(ref[t] for t in targets)
         assert total < float("inf")
@@ -509,55 +502,57 @@ class TestCoboundedness:
     def test_witness_covers(self, f2):
         for word in ("b", "ab", "aab", "ba"):
             c = subgroup_coupling(f2, F2_GENS, x_gamma_word=word)
-            W = coboundedness_witness(c)
-            st = strengthen_coboundedness(c, W)
+            st = strengthen_coboundedness(c)
             assert st.x_gamma_in_x_lambda()
+
+
+# (group, subgroup generators, x_gamma): the golden specs, and F2 at base
+# points outside X_lambda, each with its own one-element witness
+STRENGTHEN_CASES = [
+    ("F2", F2_GENS, "e"),
+    ("F2", F2_GENS, "b"),
+    ("Z^2", ["aa", "b"], "e"),
+    ("C2*C3", ["b", "aba"], "e"),
+    ("C3xC4", ["b"], "e"),
+    ("F2", F2_GENS, "ab"),
+    ("F2", F2_GENS, "aab"),
+    ("F2", F2_GENS, "ba"),
+]
 
 
 class TestStrengthening:
     def test_trivial_witness_is_isomorphic(self, f2, f2_coupling):
-        st = strengthen_coboundedness(f2_coupling, [f2.identity()])
-        assert st.fiber_count == 1
+        st = strengthen_coboundedness(f2_coupling)
+        assert st.shift == f2_coupling.shift == f2.identity()
         assert st.x0 == f2_coupling.x0
         assert st.x_lambda_points() == f2_coupling.x_lambda_points()
 
-    def test_padded_witness_two_fibers(self, f2):
-        c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
-        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
-        assert st.fiber_count == 2
+    @pytest.mark.parametrize("case", STRENGTHEN_CASES, ids=[f"{g}@{x}" for g, _, x in STRENGTHEN_CASES])
+    def test_strengthened_passes_the_checks(self, case):
+        group, gens, x_gamma = case
+        st = strengthen_coboundedness(subgroup_coupling(parse_group(group), gens, x_gamma_word=x_gamma))
         assert st.x_gamma_in_x_lambda()
-        report = validate_strengthened(st, radius=3, growth_radius=6)
-        assert report["passed"]
+        assert coboundedness_witness(st) == [st.group.identity()]
+        assert strengthen_coboundedness(st) == st
+        for report in (
+            check_fundamental_domains(st, 3),
+            check_inverse_relation(st, 3),
+            check_cocycle_identity(st, 2),
+            check_b_identity(st, 2),
+        ):
+            assert report.passed and report.cases > 0, report
 
-    def test_non_witness_rejected(self, f2):
+    def test_shift_is_the_witness(self, f2):
+        # x0 = b lies in the coset L of e: the witness B moves X_lambda = {e, a}
+        # to {e, a} B^-1 = {b, ab}, which holds b
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
-        with pytest.raises(PreconditionError, match="witness"):
-            strengthen_coboundedness(c, [f2.identity()])
-
-    def test_step_bound(self, f2):
-        c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
-        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
-        assert check_step_bound(st).passed
-
-    def test_growth_comparison(self, f2):
-        c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
-        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
-        rep = check_growth_comparison(st, 6)
-        assert rep.passed
-
-    def test_gamma_metric_on_fibers(self, f2):
-        c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
-        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
-        x = f2.parse_word("b")
-        assert st.gamma_distance((x, 0), (x, 1)) == 1
-        assert st.gamma_distance((x, 1), (x, 1)) == 0
-        # fiber moves combine with group moves additively
-        y = f2.parse_word("ba")
-        assert st.gamma_distance((x, 0), (y, 1)) == 2
+        st = strengthen_coboundedness(c)
+        assert [f2.describe(x) for x in st.x_lambda_points()] == ["b", "ab"]
+        assert st.shift == f2.parse_word("B") and st.x0 == c.x0 and st.sub is c.sub
 
     def test_cocycles_still_exact_after_strengthening(self, f2):
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
-        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
+        st = strengthen_coboundedness(c)
         assert check_cocycle_identity(st, 2).passed
         assert check_inverse_relation(st, 3).passed
         assert check_b_identity(st, 2).passed
@@ -601,17 +596,16 @@ class TestClaimBound:
 
     def test_sweep_on_strengthened(self, f2):
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
-        st = strengthen_coboundedness(c, [f2.identity(), f2.parse_word("B")])
+        st = strengthen_coboundedness(c)
         out = claim_bound_sweep(st, 2, [1, 2], [power(1)])
         assert out["passed"]
 
 
 # (group, subgroup generators, x_gamma, strengthened): the golden specs, and
 # base points off the identity, which conjugate the displacements; a base
-# point outside X_lambda is also swept after strengthen_coboundedness
+# point outside X_lambda is swept after strengthen_coboundedness
 SWEEP_CASES = [
     ("F2", F2_GENS, "e", False),
-    ("F2", F2_GENS, "ab", False),
     ("F2", F2_GENS, "ab", True),
     ("Z^2", ["aa", "b"], "e", False),
     ("Z^2", ["aa", "b"], "ab", True),
@@ -625,7 +619,7 @@ SWEEP_IDS = [f"{g}@{x}" + ("-strengthened" if st else "") for g, _, x, st in SWE
 
 def sweep_coupling(group, gens, x_gamma, strengthened):
     c = subgroup_coupling(parse_group(group), gens, x_gamma_word=x_gamma)
-    return strengthen_coboundedness(c, coboundedness_witness(c)) if strengthened else c
+    return strengthen_coboundedness(c) if strengthened else c
 
 
 class TestClaimSweepOracle:
@@ -653,6 +647,20 @@ class TestClaimSweepOracle:
             out = claim_bound_sweep(c, lambda_radius, [3, 1, 2], phis)
             assert out["failures"]
             assert out == brute_claim_sweep(c, lambda_radius, [3, 1, 2], phis), lambda_radius
+
+    def test_unstrengthened_refused(self, f2):
+        # ab lies outside X_lambda = {e, a}: the sweep, the single-pair bound
+        # and the inverse relation refuse it with one message
+        c = subgroup_coupling(f2, F2_GENS, x_gamma_word="ab")
+        aa, b = f2.parse_word("aa"), f2.parse_word("b")
+        for run in (
+            lambda: claim_bound_sweep(c, 1, [1], [power(1)]),
+            lambda: claim_bound_check(c, aa, b, 1, power(1)),
+            lambda: check_inverse_relation(c, 1),
+        ):
+            with pytest.raises(PreconditionError, match="requires X_gamma inside X_lambda; run strengthen"):
+                run()
+        assert claim_bound_sweep(strengthen_coboundedness(c), 1, [1], [power(1)])["passed"]
 
     def test_counts_at_lambda_radius_six(self, f2_coupling):
         # |B| = 23437, so the pair loop would make 3.3e9 checks; the sweep
