@@ -606,6 +606,7 @@ class TestClaimBound:
 # point outside X_lambda is swept after strengthen_coboundedness
 SWEEP_CASES = [
     ("F2", F2_GENS, "e", False),
+    ("F2", F2_GENS, "ab", False),
     ("F2", F2_GENS, "ab", True),
     ("Z^2", ["aa", "b"], "e", False),
     ("Z^2", ["aa", "b"], "ab", True),
@@ -622,6 +623,18 @@ def sweep_coupling(group, gens, x_gamma, strengthened):
     return strengthen_coboundedness(c) if strengthened else c
 
 
+INCLUSION = "requires X_gamma inside X_lambda; run strengthen"
+
+
+def assert_pair_loop_refuses(c, lambda_radius, R, phi):
+    """The pair loop ran claim_bound_check on the pairs u != v of the ball;
+    with X_gamma outside X_lambda that call refuses (checked on consecutive pairs)."""
+    ball = c.lambda_spheres.ball(lambda_radius)
+    for u, v in zip(ball, ball[1:]):
+        with pytest.raises(PreconditionError, match=INCLUSION):
+            claim_bound_check(c, u, v, R, phi)
+
+
 class TestClaimSweepOracle:
     """The gamma-side sweep against the pair double loop it replaced."""
 
@@ -631,6 +644,12 @@ class TestClaimSweepOracle:
         phis = [power(1), exp_power(1)]
         for lambda_radius in (1, 2, 3):
             for radii in ([1, 2, 3], [3, 1], [2]):
+                if not c.x_gamma_in_x_lambda():
+                    # unstrengthened: the pair loop refuses, and so does the sweep
+                    assert_pair_loop_refuses(c, lambda_radius, max(radii), phis[0])
+                    with pytest.raises(PreconditionError, match=INCLUSION):
+                        claim_bound_sweep(c, lambda_radius, radii, phis)
+                    continue
                 expected = brute_claim_sweep(c, lambda_radius, radii, phis)
                 assert claim_bound_sweep(c, lambda_radius, radii, phis) == expected, (
                     lambda_radius, radii,
@@ -640,10 +659,21 @@ class TestClaimSweepOracle:
     def test_failure_order_pinned(self, case, monkeypatch):
         # with a tiny K every evaluation fails, so `failures` lists every
         # displacement, in the order of first occurrence among the pairs
-        monkeypatch.setattr(coupling, "_k_constant", lambda c, phi: Fraction(1, 10**6))
+        k_calls = []
+        monkeypatch.setattr(
+            coupling, "_k_constant", lambda c, phi: k_calls.append(phi) or Fraction(1, 10**6)
+        )
         c = sweep_coupling(*case)
         phis = [power(1), power(2)]
         for lambda_radius in (1, 2, 3):
+            if not c.x_gamma_in_x_lambda():
+                # unstrengthened: refused before any K is computed or any
+                # failure listed, as the pair loop refuses on its first pair
+                assert_pair_loop_refuses(c, lambda_radius, 3, phis[0])
+                with pytest.raises(PreconditionError, match=INCLUSION):
+                    claim_bound_sweep(c, lambda_radius, [3, 1, 2], phis)
+                assert k_calls == []
+                continue
             out = claim_bound_sweep(c, lambda_radius, [3, 1, 2], phis)
             assert out["failures"]
             assert out == brute_claim_sweep(c, lambda_radius, [3, 1, 2], phis), lambda_radius
@@ -658,7 +688,7 @@ class TestClaimSweepOracle:
             lambda: claim_bound_check(c, aa, b, 1, power(1)),
             lambda: check_inverse_relation(c, 1),
         ):
-            with pytest.raises(PreconditionError, match="requires X_gamma inside X_lambda; run strengthen"):
+            with pytest.raises(PreconditionError, match=INCLUSION):
                 run()
         assert claim_bound_sweep(strengthen_coboundedness(c), 1, [1], [power(1)])["passed"]
 
