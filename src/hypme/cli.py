@@ -115,24 +115,20 @@ def _add_common(p):
     p.add_argument("--budget", type=int, default=None, help="work budget in group elements "
                    "(each element a BFS reaches is charged once), cosets defined by coset "
                    "enumeration, identity-check cases, cycle-search candidate vertices, "
-                   "64-bit words of the volumes condition (5) expands and bracket bits, the "
-                   "working bits of each exp_power bracket (or HYPME_BUDGET)")
+                   "64-bit words of the volumes condition (5) expands, bracket bits (working "
+                   "bits of each exp_power bracket) and cell blocks (64 distance cells) of the "
+                   "exact delta scans: n^2 per thin-triangle table, 2n|G(a,b)| per row, i+1 per "
+                   "four-point row i, n^2 for its witness row; 0.6M-1.7M blocks/s (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
     g = _load_host(args)
     dm = graphs.distance_matrix(g)
-    if g.n <= hyperbolicity.EXACT_CUTOFF or g.is_tree or args.force:
-        rep = hyperbolicity.hyperbolicity_report(g, dm, force=args.force)
+    if g.n <= hyperbolicity.EXACT_CUTOFF or g.is_tree:
+        rep = hyperbolicity.hyperbolicity_report(g, dm, budget)
     else:
         rep = hyperbolicity.sampled_hyperbolicity(g, dm, samples=args.samples, seed=args.seed)
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "diameter": int(dm.d.max()),
-        **vars(rep),
-    }
-    return payload, True
+    return {"n": g.n, "m": g.m, "diameter": int(dm.d.max()), **vars(rep)}, True
 
 
 def cmd_find_cycles(args, budget):
@@ -191,7 +187,7 @@ def cmd_check_obstruction(args, budget):
         if not all(0 <= v < host.n for v in emb.images):
             raise ParseError(f"embedding image vertex out of range for a host with {host.n} vertices")
         dm = graphs.distance_matrix(host)
-        delta = hyperbolicity.thin_triangle_delta(host, dm)[0] + 2
+        delta = hyperbolicity.thin_triangle_delta(host, dm, budget)[0] + 2
         delta_source = "thin_triangle_plus_slack_2"
         emb = cycles.verify_embedding(dm, list(emb.images))  # re-verify against the host
     report = cycles.check_obstruction(emb, delta)
@@ -260,7 +256,8 @@ def cmd_coupling_build(args, budget):
 
 
 def cmd_coupling_verify(args, budget):
-    c = _load_coupling(args, budget)
+    # strengthening is the identity on a coupling with X_gamma inside X_lambda
+    c = coupling.strengthen_coboundedness(_load_coupling(args, budget))
     # the b-identity check has the most cases, so it refuses an over-budget radius first
     b_identity = coupling.check_b_identity(c, args.radius)
     checks = [
@@ -268,9 +265,8 @@ def cmd_coupling_verify(args, budget):
         b_identity,
         coupling.check_actions_commute(c, max(args.radius - 1, 1), samples=200, seed=args.seed),
         coupling.check_fundamental_domains(c, args.radius),
+        coupling.check_inverse_relation(c, args.radius),
     ]
-    if c.x_gamma_in_x_lambda():
-        checks.append(coupling.check_inverse_relation(c, args.radius))
     payload = {
         "coupling": _coupling_view(c),
         "radius": args.radius,
@@ -307,7 +303,7 @@ def cmd_threshold(args, budget):
     b = groups.ball(group, args.ball_radius, budget=budget)
     est = groups.entropy_estimate(group, args.ball_radius)
     rep = rigidity.threshold_p(
-        hyperbolicity.thin_triangle_delta(b.graph)[0],
+        hyperbolicity.thin_triangle_delta(b.graph, budget=budget)[0],
         group.growth.entropy.hi,
         provenance={
             "delta_source": f"thin_triangle on ball radius {args.ball_radius} (lower bound for the group)",
@@ -365,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-analyze", help="distances and hyperbolicity constants")
     _add_host_args(p)
     _add_common(p)
-    p.add_argument("--force", action="store_true", help="run exact kernels past the size cutoff")
     p.add_argument("--samples", type=int, default=100_000, help="sample count past the cutoff")
     p.set_defaults(func=cmd_graph_analyze)
 
@@ -397,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help='JSON: {"group","subgroup_generators","x_gamma"}')
     p.set_defaults(func=cmd_coupling_build)
 
-    p = sub.add_parser("coupling-verify", help="exhaustive cocycle and domain checks")
+    p = sub.add_parser("coupling-verify", help="strengthen the coupling, then run exhaustive checks")
     _add_common(p)
     p.add_argument("--spec", required=True)
     p.add_argument("--radius", type=int, default=3)

@@ -59,12 +59,13 @@ TABLE_CACHE_BYTES; a table pushed out is rebuilt if a later row needs it.
 
 Both scans are O(n^4) at worst: where a constant is 0 on a graph that is
 not a tree (a complete graph, a tree of cliques), the bounds stop little or
-nothing.  They use exact integer arithmetic and return Fractions, and both
-refuse n > EXACT_CUTOFF unless forced; above that a seeded uniform sample
-gives a certified lower bound, labeled as such in the report.  Like graphs,
-the module imports numpy only inside the functions that use it, and
-thin_triangle_delta answers a tree before it reads or builds a distance
-matrix, so a tree costs no numpy import.
+nothing, so each table and row is charged to a Budget, in the cell blocks
+of `errors`, before it is computed.  They use exact integer arithmetic and
+return Fractions.  Past EXACT_CUTOFF vertices the CLI takes instead a
+seeded uniform sample, a certified lower bound labeled as such, which
+charges nothing.  Like graphs, the module imports numpy only inside the
+functions that use it, and thin_triangle_delta answers a tree before it
+reads or builds a distance matrix, so a tree costs no numpy import.
 """
 
 from __future__ import annotations
@@ -75,14 +76,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import PreconditionError
+from .errors import Budget, PreconditionError
 from .graphs import DistanceMatrix, Graph, Path, distance_matrix, geodesic_mask
 from .rational import log2_upper
 
 if TYPE_CHECKING:
     import numpy as np
 
+# graph-analyze samples past this many vertices, unless the host is a tree
 EXACT_CUTOFF = 600
+CELLS_PER_BLOCK = 64  # distance cells per unit of the scans' Budget charges
 # bytes of thin-triangle tables N_v (2n^2 each) kept between rows
 TABLE_CACHE_BYTES = 64 << 20
 
@@ -100,12 +103,8 @@ def _witness(thin: tuple[tuple[int, int, int], int], four: tuple[int, int, int, 
     return {"thin_triple": thin[0], "thin_vertex": thin[1], "four_point": four}
 
 
-def _refuse_past_cutoff(n: int, scan: str, force: bool) -> None:
-    if n > EXACT_CUTOFF and not force:
-        raise PreconditionError(
-            f"exhaustive {scan} scan refuses n={n} > {EXACT_CUTOFF}; "
-            "sample instead, or force the scan (graph-analyze --force)"
-        )
+def _charge(budget: Budget, cells: int, by: str) -> None:
+    budget.charge("cell blocks", -(-cells // CELLS_PER_BLOCK), by=by)
 
 
 def _pairs_by_distance(dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -151,32 +150,35 @@ def thin_triangle_value(dm: DistanceMatrix, a: int, b: int, c: int) -> int:
 
 
 def thin_triangle_delta(
-    g: Graph, dm: DistanceMatrix | None = None, force: bool = False
+    g: Graph, dm: DistanceMatrix | None = None, budget: Budget | None = None
 ) -> tuple[Fraction, tuple]:
     """Exact thin-triangle constant with a witness ((a,b,c), x).
 
     The witness reproduces the constant via thin_triangle_value.  Trees are
     dispatched from g alone, before any distance matrix is read or built:
     geodesics are unique and triangles are tripods, so the constant is 0.
-    Past EXACT_CUTOFF the scan runs only if forced.  Without dm, the scan
-    builds the distance matrix of g itself.
+    Each table and row is charged to `budget` before it is computed.
+    Without dm, the scan builds the distance matrix of g itself.
     """
     n = g.n
     if n <= 2 or g.is_tree:
         return Fraction(0), ((0, 0, 0), 0)
-    _refuse_past_cutoff(n, "thin-triangle", force)
+    budget = budget or Budget()
     if dm is None:
         dm = distance_matrix(g)
     import numpy as np
 
     d = dm.d
     nbrs = [np.array(row, dtype=np.intp) for row in g.adjacency()]
-    table = functools.lru_cache(maxsize=max(1, TABLE_CACHE_BYTES // (2 * n * n)))(
-        lambda v: _nearest_to_geodesics(dm, v, nbrs)
-    )
+
+    @functools.lru_cache(maxsize=max(1, TABLE_CACHE_BYTES // (2 * n * n)))
+    def table(v: int) -> np.ndarray:
+        _charge(budget, n * n, "a thin-triangle table")
+        return _nearest_to_geodesics(dm, v, nbrs)
 
     def row(a: int, b: int) -> tuple[int, tuple]:
         idx = np.nonzero(geodesic_mask(dm, a, b))[0]
+        _charge(budget, 2 * n * len(idx), "a thin-triangle row")
         vals = np.minimum(table(a)[:, idx], table(b)[:, idx])
         per_c = vals.max(axis=1)
         c = int(per_c.argmax())
@@ -223,18 +225,18 @@ def _four_point_row(d: np.ndarray, x: int, y: int) -> np.ndarray:
 
 
 def four_point_delta(
-    dm: DistanceMatrix, tree_hint: bool = False, force: bool = False
+    dm: DistanceMatrix, tree_hint: bool = False, budget: Budget | None = None
 ) -> tuple[Fraction, tuple[int, int, int, int]]:
     """Exact Gromov four-point constant with an achieving quadruple.
 
     On trees the four-point condition is an equality, so callers may pass
-    tree_hint to skip the quadruple scan.  Past EXACT_CUTOFF the scan runs
-    only if forced.
+    tree_hint to skip the quadruple scan.  Each row is charged to `budget`
+    before it is computed.
     """
     n = dm.n
     if n <= 2 or tree_hint:
         return Fraction(0), (0, 0, 0, 0)
-    _refuse_past_cutoff(n, "four-point", force)
+    budget = budget or Budget()
     import numpy as np
 
     d = dm.d
@@ -248,6 +250,7 @@ def four_point_delta(
         # Quadruples (x, y, z, w) over the rows (z, w) visited so far.  lead is
         # L1 - L2 where d(x,y) + d(z,w) is the largest sum, and negative where
         # it is not; the quadruple then shows up in the row of its largest sum.
+        _charge(budget, i + 1, "a four-point row")
         z, w = zs[: i + 1], ws[: i + 1]
         lead = (d[x, y] + dzw[: i + 1]) - np.maximum(d[x, z] + d[y, w], d[x, w] + d[y, z])
         top = int(lead.max())  # at least 0, from (z, w) = (x, y)
@@ -261,17 +264,19 @@ def four_point_delta(
         least = (int(members[k, 0]), int(members[k, 1]))
         first = least if top > best else min(first, least)
         best = top
+    _charge(budget, n * n, "the four-point witness row")
     diff = _four_point_row(d, *first)
     z, w = np.unravel_index(int(diff.argmax()), diff.shape)
     return Fraction(best, 2), (*first, int(z), int(w))
 
 
 def hyperbolicity_report(
-    g: Graph, dm: DistanceMatrix, force: bool = False
+    g: Graph, dm: DistanceMatrix, budget: Budget | None = None
 ) -> HyperbolicityReport:
-    """Both exact constants; `force` lets the scans run past EXACT_CUTOFF."""
-    dt, wt = thin_triangle_delta(g, dm, force=force)
-    d4, w4 = four_point_delta(dm, tree_hint=g.is_tree, force=force)
+    """Both exact constants, the two scans charging one `budget`."""
+    budget = budget or Budget()
+    dt, wt = thin_triangle_delta(g, dm, budget)
+    d4, w4 = four_point_delta(dm, tree_hint=g.is_tree, budget=budget)
     return HyperbolicityReport(
         delta_thin=dt, delta_four_point=d4, witness=_witness(wt, w4), exact=True
     )

@@ -161,22 +161,17 @@ class FracInterval:
         return FracInterval(*_ends(brackets.exp, self.lo, self.hi))
 
     def pow_rational(self, e: Fraction) -> "FracInterval":
-        """x^e for positive x; exact for integer e and for a point x whose
-        power is rational, else each end rounded outward to the grid."""
+        """x^e for positive x and e > 0; exact for integer e and for a point x
+        whose power is rational, else each end rounded outward to the grid."""
         e = Fraction(e)
-        if e == 0:
-            return FracInterval(1)
+        if e <= 0:
+            raise ValueError(f"pow_rational needs a positive exponent, got {e}")
         if e.denominator == 1:
-            k = int(e)
-            if k > 0:
-                return FracInterval(self.lo**k, self.hi**k)
-            return FracInterval(1) / self.pow_rational(-e)
+            return FracInterval(self.lo**e.numerator, self.hi**e.numerator)
         if self.lo <= 0:
             raise ValueError("fractional powers need a positive interval")
         if self.lo == self.hi and (root := exact_root(self.lo, e.denominator)) is not None:
             return FracInterval(root**e.numerator)
-        if e < 0:
-            return (1 / self).pow_rational(-e)
         return FracInterval(*_ends(lambda x: brackets.power(x, e), self.lo, self.hi))
 
     def definitely_less(self, other) -> bool:

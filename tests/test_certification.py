@@ -155,14 +155,12 @@ def test_pow_rational_in_one_step():
 
 
 def test_pow_rational_zero_and_negative_exponents():
-    assert FracInterval(2, 3).pow_rational(Fraction(0)) == FracInterval(1)
-    assert FracInterval(2, 3).pow_rational(Fraction(-2)) == FracInterval(Fraction(1, 9), Fraction(1, 4))
-    assert FracInterval(4).pow_rational(Fraction(-1, 2)) == FracInterval(Fraction(1, 2))
-    p = FracInterval(Fraction(1, 4), 9).pow_rational(Fraction(-3, 2))
-    assert p.hi == 8 and brackets_power(p.lo, p.hi, Fraction(9), Fraction(-3, 2))
-    for x, e in ((Fraction(10), Fraction(-1, 2)), (Fraction(7, 3), Fraction(-5, 3))):
-        p = FracInterval(x).pow_rational(e)
-        assert p.lo < p.hi and brackets_power(p.lo, p.hi, x, e), (x, e)
+    # every caller passes e > 0 (schedule exponents in (0, 1], function
+    # exponents and their reciprocals), so e <= 0 is refused, not evaluated
+    for x, e in ((FracInterval(2, 3), 0), (FracInterval(2, 3), -2), (FracInterval(4), Fraction(-1, 2)),
+                 (FracInterval(Fraction(1, 4), 9), Fraction(-3, 2)), (FracInterval(10), Fraction(-1, 2))):
+        with pytest.raises(ValueError, match="positive exponent"):
+            x.pow_rational(Fraction(e))
 
 
 def test_exact_algebraic_values_stay_on_the_grid():

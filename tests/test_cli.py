@@ -427,20 +427,25 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: graph has 22500 vertices, cap is")
 
+    def test_exact_scans_over_budget_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert dispatch(["graph-analyze", "--gen", "grid:9,9", "--budget", "10", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--budget" in err
+
 
 class TestForce:
-    """graph-analyze --force runs the exact scans past the cutoff (lowered to 10 here)."""
+    """graph-analyze samples past EXACT_CUTOFF (lowered to 10 here)."""
 
     @pytest.fixture(autouse=True)
     def low_cutoff(self, monkeypatch):
         monkeypatch.setattr(hyperbolicity, "EXACT_CUTOFF", 10)
 
-    def test_force_gives_exact_constants(self, tmp_path):
-        code, doc = run(tmp_path, "graph-analyze", "--gen", "cycle:12", "--force")
-        assert code == 0
-        rep = doc["report"]
-        assert rep["exact"] is True and rep["samples"] is None
-        assert rep["delta_thin"] == "3/1" and rep["delta_four_point"] == "3/1"
+    def test_force_is_not_a_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert dispatch(["graph-analyze", "--gen", "cycle:12", "--force", "--out", str(out)]) == 1
+        assert not out.exists() and "--force" in capsys.readouterr().err
 
     def test_without_force_samples(self, tmp_path):
         code, doc = run(tmp_path, "graph-analyze", "--gen", "cycle:12", "--samples", "20")

@@ -10,7 +10,7 @@ import pytest
 
 from hypme import hyperbolicity
 from hypme.cycles import cycle_distance, verify_embedding
-from hypme.errors import PreconditionError
+from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.graphs import (
     MAX_VERTICES,
     DistanceMatrix,
@@ -289,7 +289,7 @@ class TestForcedScanMemory:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            rep = hyperbolicity_report(g, dm, force=True)
+            rep = hyperbolicity_report(g, dm)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -351,23 +351,92 @@ class TestWitnesses:
 
 
 class TestCutoff:
-    """The exact scans refuse n > EXACT_CUTOFF unless forced (cutoff lowered to 10)."""
+    """EXACT_CUTOFF picks the CLI's path only: the kernels never read it."""
 
-    def test_refusal_names_the_flag(self, monkeypatch):
-        g = cycle_graph(12)
-        dm = distance_matrix(g)
-        monkeypatch.setattr(hyperbolicity, "EXACT_CUTOFF", 10)
-        with pytest.raises(PreconditionError, match="--force"):
-            thin_triangle_delta(g, dm)
-        with pytest.raises(PreconditionError, match="--force"):
-            four_point_delta(dm)
-
-    def test_force_runs_the_scans(self, monkeypatch):
+    def test_kernels_ignore_the_cutoff(self, monkeypatch):
         g = cycle_graph(12)
         dm = distance_matrix(g)
         expected = hyperbolicity_report(g, dm)
         monkeypatch.setattr(hyperbolicity, "EXACT_CUTOFF", 10)
-        assert hyperbolicity_report(g, dm, force=True) == expected
+        assert hyperbolicity_report(g, dm) == expected
+
+
+def fail_if_called(*args):
+    raise AssertionError("computed before its charge")
+
+
+class TestBudget:
+    """Both exact scans charge the Budget, in cell blocks, before they compute."""
+
+    def spent(self, scan, *args) -> int:
+        budget = Budget(10**12)
+        scan(*args, budget=budget)
+        return budget.spent
+
+    def test_thin_triangle_row_charged_before_any_table(self, monkeypatch):
+        g = grid_graph(9, 9)
+        dm = distance_matrix(g)
+        monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", fail_if_called)
+        # the first row, corner to corner, has all 81 vertices on its
+        # geodesics: 2 * 81 * 81 cells, 206 blocks
+        budget = Budget(205)
+        with pytest.raises(BudgetError, match="thin-triangle row needs 206 cell blocks.*--budget"):
+            thin_triangle_delta(g, dm, budget)
+        assert budget.spent == 0
+
+    def test_thin_triangle_table_charged_before_it_is_built(self, monkeypatch):
+        g = grid_graph(9, 9)
+        dm = distance_matrix(g)
+        monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", fail_if_called)
+        budget = Budget(206 + 102)  # the row, and not one table of 81 * 81 cells
+        with pytest.raises(BudgetError, match="thin-triangle table needs 103 cell blocks"):
+            thin_triangle_delta(g, dm, budget)
+        assert budget.spent == 206
+
+    def test_a_cached_table_is_not_charged_again(self, monkeypatch):
+        g = sparse_graph(120, 5)
+        dm = distance_matrix(g)
+        built, charged = [], []
+        build = hyperbolicity._nearest_to_geodesics
+        charge = Budget.charge
+
+        def counted(dm, v, nbrs):
+            built.append(v)
+            return build(dm, v, nbrs)
+
+        def recorded(budget, what, amount=1, *, by):
+            charged.append(by)
+            charge(budget, what, amount, by=by)
+
+        monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", counted)
+        monkeypatch.setattr(Budget, "charge", recorded)
+        thin_triangle_delta(g, dm, Budget())
+        assert charged.count("a thin-triangle table") == len(built) >= 2
+
+    def test_four_point_stops_within_the_limit(self):
+        dm = distance_matrix(sparse_graph(60, 1))  # the scan spends 1,341 blocks
+        budget = Budget(1000)
+        with pytest.raises(BudgetError, match="a four-point row needs"):
+            four_point_delta(dm, budget=budget)
+        assert budget.spent <= budget.limit
+
+    def test_four_point_witness_row_charged_before_it_is_computed(self, monkeypatch):
+        dm = distance_matrix(grid_graph(9, 9))
+        total = self.spent(four_point_delta, dm)
+        monkeypatch.setattr(hyperbolicity, "_four_point_row", fail_if_called)
+        with pytest.raises(BudgetError, match="four-point witness row needs 103 cell blocks"):
+            four_point_delta(dm, budget=Budget(total - 1))
+
+    def test_report_charges_both_scans_to_one_budget(self):
+        g = sparse_graph(60, 3)
+        dm = distance_matrix(g)
+        assert self.spent(hyperbolicity_report, g, dm) == (
+            self.spent(thin_triangle_delta, g, dm) + self.spent(four_point_delta, dm)
+        )
+
+    def test_trees_charge_nothing(self):
+        g = tree_graph(3, 4)
+        assert self.spent(hyperbolicity_report, g, distance_matrix(g)) == 0
 
 
 class TestGeodesicPathBound:

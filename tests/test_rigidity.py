@@ -238,6 +238,17 @@ class TestCondition67:
         rep = check_condition_6_7(rc, "thm42")
         assert rep.verdict == "fails"  # 108/18 = 6 < 12
 
+    def test_thm42_tie_leaves_every_sample_undecided(self):
+        # 216/18 = 12 = 6*(delta+1): both sides are 12 ln n, so no bracket
+        # separates them, every sample flags holds None and no N0 is
+        # reported; the analytic comparison of coefficients decides
+        rc = make_rc(power(1), power(1), Schedule("log", coefficient=Fraction(216)))
+        rep = check_condition_6_7(rc, "thm42")
+        assert len(rep.samples) == 45
+        assert all(s["holds"] is None for s in rep.samples)
+        assert rep.n0 is None
+        assert rep.verdict == "holds_eventually" and rep.analytic
+
     def test_thm41_eta_above_q(self):
         rc = make_rc(
             power(1), poly_plus(1), Schedule("pow", exponent=Fraction(2, 3)),
