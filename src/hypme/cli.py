@@ -233,10 +233,8 @@ def _coupling_view(c) -> dict:
         "index": c.index,
         "transversal": [g.describe(t) for t in c.sub.transversal],
         "schreier_generators": [g.describe(s) for s in c.sub.schreier_generators],
-        # the shift f of X_lambda = T f^-1 and the point x0, in the report's
-        # list shapes, which keep a fiber index 0 for the one fiber
-        "fibers": [g.describe(c.shift)],
-        "x_gamma": [[g.describe(c.x0), 0]],
+        "shift": g.describe(c.shift),  # f of X_lambda = T f^-1
+        "x_gamma": g.describe(c.x0),
         "mu_scale": Fraction(1),  # mu is counting measure
         "mu_x_gamma": Fraction(1),  # X_gamma is the one point x0
         "mu_x_lambda": c.mu_x_lambda(),

@@ -114,6 +114,25 @@ class SubgroupData:
         return self.transversal[self.left_index(g)]
 
 
+def _columns(group: MarkedGroup, g) -> list[int]:
+    """The letters of `to_word(g)` as coset-table columns."""
+    return [group.letter_columns[ch] for ch in group.to_word(g)]
+
+
+def _relator_columns(group: MarkedGroup) -> list[list[int]]:
+    """The relators, the group's one presentation, as coset-table columns."""
+    return [[2 * abs(x) - 2 + (x < 0) for x in rel] for rel in group.relators()]
+
+
+def _exponent_sums(group: MarkedGroup, words) -> list[list[int]]:
+    """The exponent sum of each generator in each word of table columns."""
+    sums = [[0] * group.num_generators for _ in words]
+    for vec, word in zip(sums, words):
+        for col in word:
+            vec[col >> 1] += 1 - 2 * (col & 1)
+    return sums
+
+
 def _build_coset_table(group: MarkedGroup, words, cap: int):
     """The standardised right-coset table of the subgroup generated by `words`.
 
@@ -188,8 +207,8 @@ def _build_coset_table(group: MarkedGroup, words, cap: int):
 
     new()
     for g in words:
-        scan_and_fill(0, [group.letter_columns[ch] for ch in group.to_word(g)])
-    relators = [[2 * abs(x) - 2 + (x < 0) for x in rel] for rel in group.relators()]
+        scan_and_fill(0, _columns(group, g))
+    relators = _relator_columns(group)
     for c, row in enumerate(table):  # also visits the cosets defined on the way
         for rel in relators:
             if p[c] == c:
@@ -215,22 +234,29 @@ def subgroup_data(
 ) -> SubgroupData:
     """Coset-enumerate the subgroup: transversal plus Schreier generators.
 
-    An abelianization rank check rejects provably infinite-index inputs
-    before enumeration is attempted.  The transversal is a BFS over left
-    cosets, growing by left multiplication, that reads the table directly:
-    left_index(s t) = trace(0, t^-1 s^-1) = table[left_index(t)][column of s^-1].
+    A rank check rejects provably infinite-index inputs before enumeration
+    is attempted.  It reads the exponent sums of the group's relators, the
+    one presentation that enumeration also scans: with R their rows and S
+    those of the subgroup generators, the abelianization has free rank
+    k - rank(R) over k generators, and the subgroup's image there has rank
+    rank(R u S) - rank(R), which a finite index must reach.
+
+    The transversal is a BFS over left cosets, growing by left
+    multiplication, that reads the table directly: left_index(s t) =
+    trace(0, t^-1 s^-1) = table[left_index(t)][column of s^-1].
     Every coset of the standardised table is reachable from coset 0, so the
     BFS reaches them all.  The same identity gives each Schreier generator
     rep(s t)^-1 s t from one table entry.
     """
     gens = [group.parse_word(w) for w in subgroup_gen_words]
-    rank = group.abelian_free_rank()
-    if rank > 0:
-        sub_rank = matrix_rank([group.abelian_vector(g) for g in gens])
-        if sub_rank < rank:
-            raise PreconditionError(
-                f"subgroup has infinite index: abelianized image has rank {sub_rank} < {rank}"
-            )
+    rels = _exponent_sums(group, _relator_columns(group))
+    subs = _exponent_sums(group, [_columns(group, g) for g in gens])
+    rel_rank = matrix_rank(rels)
+    rank, sub_rank = group.num_generators - rel_rank, matrix_rank(rels + subs) - rel_rank
+    if sub_rank < rank:
+        raise PreconditionError(
+            f"subgroup has infinite index: abelianized image has rank {sub_rank} < {rank}"
+        )
     budget = budget or Budget()
     table, defined = _build_coset_table(
         group, gens, min(budget.limit - budget.spent, DEFAULT_COSET_BUDGET)
@@ -333,6 +359,14 @@ class Coupling:
             raise PreconditionError("alpha requires a point of X_lambda")
         moved = self.group.multiply(gamma, x)
         return self.group.multiply(self.group.inverse(self.x_lambda_rep(moved)), moved)
+
+    @cached_property
+    def alpha_lengths(self) -> list[list[int]]:
+        """|alpha(s, x)|_lambda, a row for each s in S_gamma over x in X_lambda."""
+        points = self.x_lambda_points()
+        rows = [[self.alpha(s, x) for x in points] for _, s in self.group.symmetric_generators()]
+        lengths = self.lambda_lengths({v for row in rows for v in row})
+        return [[lengths[v] for v in row] for row in rows]
 
     def induced_gamma(self, gamma, x):
         """gamma . x: the shadow of the gamma action on X_lambda."""
@@ -671,6 +705,18 @@ class IntegrabilityReport:
     exact: bool
 
 
+def _largest_integral(c: Coupling, fn: IntegrabilityFunction, rows) -> Fraction | FracInterval:
+    """The largest sum of fn over a row of distances, by its upper end; the
+    first one on a tie.  Each exp_power term charges `c.budget`."""
+    sums = [sum((fn.value(Fraction(d), c.budget) for d in row), Fraction(0)) for row in rows]
+    return max(sums, key=upper, default=Fraction(0))
+
+
+def _k_constant(c: Coupling, phi: IntegrabilityFunction) -> Fraction | FracInterval:
+    """K = max over s in S_gamma of the integral of phi(|alpha(s,.)|) over X_lambda."""
+    return _largest_integral(c, phi, c.alpha_lengths)
+
+
 def integrability_report(
     c: Coupling, phi: IntegrabilityFunction, psi: IntegrabilityFunction
 ) -> IntegrabilityReport:
@@ -682,35 +728,14 @@ def integrability_report(
     finite here because the domain is finite).  Each exp_power term charges
     its bracket's working bits to `c.budget`.
     """
-    gamma_gens = [s for _, s in c.group.symmetric_generators()]
-    points = c.x_lambda_points()
-    alpha_values = {}
-    targets = set()
-    for s in gamma_gens:
-        vals = [c.alpha(s, x) for x in points]
-        alpha_values[s] = vals
-        targets.update(vals)
-    lengths = c.lambda_lengths(targets)
-    alpha_max = max((lengths[v] for vals in alpha_values.values() for v in vals), default=0)
-
     beta_lengths = [c.group.word_length(c.beta(t)) for t in c.sub.schreier_generators]
-    beta_sup = max(beta_lengths, default=0)
-
-    def integral(fn, dist_lists):
-        # the largest integral by its upper end; the first one on a tie
-        sums = [sum((fn.value(Fraction(d), c.budget) for d in dists), Fraction(0))
-                for dists in dist_lists]
-        return max(sums, key=upper, default=Fraction(0))
-
-    K = integral(phi, [[lengths[v] for v in alpha_values[s]] for s in gamma_gens])
-    L = integral(psi, [[d] for d in beta_lengths])
     return IntegrabilityReport(
         phi=phi.describe(),
         psi=psi.describe(),
-        k_constant=K,
-        l_constant=L,
-        beta_sup=beta_sup,
-        alpha_max_length=alpha_max,
+        k_constant=_k_constant(c, phi),
+        l_constant=_largest_integral(c, psi, [[d] for d in beta_lengths]),
+        beta_sup=max(beta_lengths, default=0),
+        alpha_max_length=max((d for row in c.alpha_lengths for d in row), default=0),
         exact=phi.exact and psi.exact,
     )
 
@@ -763,19 +788,7 @@ class ClaimBoundReport:
     passed: bool
 
 
-def _k_constant(c: Coupling, phi: IntegrabilityFunction):
-    return integrability_report(c, phi, phi).k_constant
-
-
-def claim_bound_check(
-    c: Coupling,
-    u,
-    v,
-    R: int,
-    phi: IntegrabilityFunction,
-    k_constant=None,
-    d_lambda: int | None = None,
-) -> ClaimBoundReport:
+def claim_bound_check(c: Coupling, u, v, R: int, phi: IntegrabilityFunction) -> ClaimBoundReport:
     """mu({x : d(b_x(u), b_x(v)) <= R}) <= K R Vol(R) / phi(d_lambda(u,v)/R).
 
     Exact on both sides for exactly evaluable phi; u == v is degenerate
@@ -801,10 +814,8 @@ def claim_bound_check(
     if degenerate:
         d_lambda, k_constant, bound = 0, Fraction(0), Fraction(0)
     else:
-        if d_lambda is None:
-            d_lambda = c.lambda_lengths({w})[w]
-        if k_constant is None:
-            k_constant = _k_constant(c, phi)
+        d_lambda = c.lambda_lengths({w})[w]
+        k_constant = _k_constant(c, phi)
         denom = phi.value(Fraction(d_lambda, R), c.budget)
         if lower(denom) <= 0:
             raise PreconditionError("phi vanishes at d/R; bound undefined")

@@ -12,12 +12,13 @@ certifies non-hyperbolicity at that delta.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Budget, BudgetError, PreconditionError
-from .graphs import DistanceMatrix, Graph, direct_image_path
+from .graphs import DistanceMatrix, Graph, direct_image_path, pairs_by_distance
 from .rational import FracInterval, log2_upper
 
 EXHAUSTIVE_VERTEX_LIMIT = 40
@@ -241,23 +242,9 @@ def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int, extra: int = 
     corners = [int(v) for v in np.nonzero(ecc == ecc.max())[0]]
     if 3 <= len(corners) <= 12:
         yield _greedy_tour(dm, corners)
-    # The default sort is not stable, and numpy breaks ties among equal
-    # distances differently in int16 and int32 arrays (grids 6x6 to 30x30,
-    # numpy 2.4).  The far pairs, and with them the heuristic's reports, are
-    # those of an int32 sort, so the sort runs on an int32 copy.
-    order = np.argsort(d.astype(np.int32), axis=None)[::-1]
-    seen_pairs = set()
-    far_pairs = []
-    for flat in order:
-        u, v = int(flat) // n, int(flat) % n
-        key = (min(u, v), max(u, v))
-        if u == v or key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        far_pairs.append(key)
-        if len(far_pairs) >= 5:
-            break
-    for u, v in far_pairs:
+    # the five farthest pairs; no distance level past theirs is built
+    pairs = ((int(u), int(v)) for _, a, b in pairs_by_distance(dm) for u, v in zip(a, b))
+    for u, v in itertools.islice(pairs, 5):
         spread = np.minimum(d[u], d[v])
         w_order = sorted(range(n), key=lambda x: (-int(spread[x]), int(abs(d[u, x] - d[v, x])), x))
         for w in w_order[:3]:

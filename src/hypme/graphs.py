@@ -281,6 +281,20 @@ def geodesic_mask(dm: DistanceMatrix, u: int, v: int) -> np.ndarray:
     return d[u] + d[v] == d[u, v]
 
 
+def pairs_by_distance(dm: DistanceMatrix):
+    """Every pair a < b by nonincreasing d(a, b), ties in lexicographic order.
+
+    Yields (level, a, b) for each distance level from the diameter down to 1,
+    where a and b are the arrays of that level's pairs.  A level costs two
+    n^2 boolean masks, and a caller that stops early builds no later level."""
+    import numpy as np
+
+    d = dm.d
+    for level in range(int(d.max(initial=0)), 0, -1):
+        a, b = np.nonzero(np.triu(d == level, 1))
+        yield level, a, b
+
+
 def geodesic_points(dm: DistanceMatrix, u: int, v: int) -> set[int]:
     """The union of all discrete geodesics from u to v, as a vertex set."""
     n = dm.n

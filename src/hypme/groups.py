@@ -16,6 +16,9 @@ the growth class and a certified entropy bracket off the roots of D.  The
 group is the only source of growth data; a BFS counts volumes as a plain
 tuple, for the `group-ball` report and for checks against the series.
 
+Each family also states its presentation once, as `relators()`: coset
+enumeration scans them, and their exponent sums decide the infinite-index check.
+
 Words serialize as strings over a..z with uppercase denoting inverses
 (A = a inverse); generator letters are assigned left to right across the
 whole group expression, so at most 26 generators are supported.
@@ -259,30 +262,6 @@ class MarkedGroup:
             out[self.letter(k)], out[self.letter(k).upper()] = 2 * k, 2 * k + 1
         return out
 
-    def abelian_generator_vectors(self) -> list[tuple[int, ...]]:
-        """Image of each generator in the free part of the abelianization.
-
-        A finite-index subgroup must hit a finite-index sublattice there, so a
-        rank-deficient image certifies infinite index before any enumeration.
-        """
-        raise NotImplementedError
-
-    def abelian_free_rank(self) -> int:
-        vecs = self.abelian_generator_vectors()
-        return len(vecs[0]) if vecs else 0
-
-    def abelian_vector(self, g) -> tuple[int, ...]:
-        vecs = self.abelian_generator_vectors()
-        if not vecs or not vecs[0]:
-            return ()
-        total = [0] * len(vecs[0])
-        for ch in self.to_word(g):
-            col = self.letter_columns[ch]
-            sign = -1 if col & 1 else 1
-            for i, x in enumerate(vecs[col >> 1]):
-                total[i] += sign * x
-        return tuple(total)
-
 
 class FreeGroup(MarkedGroup):
     """Free group of rank k; elements are freely reduced letter strings."""
@@ -322,9 +301,6 @@ class FreeGroup(MarkedGroup):
 
     def growth_series(self):
         return [1, 1], [1, 1 - 2 * self.rank]
-
-    def abelian_generator_vectors(self):
-        return [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
 
 
 class FreeAbelian(MarkedGroup):
@@ -368,9 +344,6 @@ class FreeAbelian(MarkedGroup):
     def growth_series(self):
         return _poly_prod([[1, 1]] * self.dim), _poly_prod([[1, -1]] * self.dim)
 
-    def abelian_generator_vectors(self):
-        return [tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)]
-
 
 class Cyclic(MarkedGroup):
     """Z/mZ with the single generator 1 mod m; elements are residues."""
@@ -409,9 +382,6 @@ class Cyclic(MarkedGroup):
         # spheres 1, 2, 2, ..., and a single antipode 1 when the order is even
         return [1] + [2] * ((self.order - 1) // 2) + [1] * (1 - self.order % 2), [1]
 
-    def abelian_generator_vectors(self):
-        return [()]
-
 
 class _Product(MarkedGroup):
     """Free or direct product over the union of the factors' generators:
@@ -449,19 +419,6 @@ class _Product(MarkedGroup):
             for f, off in zip(self.factors, self._offsets)
             for rel in f.relators()
         ]
-
-    def abelian_generator_vectors(self):
-        blocks = [f.abelian_generator_vectors() for f in self.factors]
-        ranks = [len(b[0]) if b else 0 for b in blocks]
-        total = sum(ranks)
-        out = []
-        offset = 0
-        for b, r in zip(blocks, ranks):
-            for vec in b:
-                padded = (0,) * offset + tuple(vec) + (0,) * (total - offset - r)
-                out.append(padded)
-            offset += r
-        return out
 
 
 class FreeProduct(_Product):

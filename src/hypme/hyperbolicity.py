@@ -11,9 +11,9 @@ Two constants are computed over the exact distance matrix:
 
 Both exact scans are organised in rows: a row is a vertex pair a < b and
 holds every triple (a, b, c), or every quadruple (a, b, z, w).  They visit
-the rows in one order, by nonincreasing d(a, b) with ties in lexicographic
-order (a stable argsort of the upper triangle by -d), and stop once no
-unvisited row can beat the best value found, by these bounds:
+the rows in the one order of `graphs.pairs_by_distance`, by nonincreasing
+d(a, b) with ties in lexicographic order, one distance level at a time, and
+stop once no unvisited row can beat the best value found, by these bounds:
 
   - thin-triangle: every row (a, b) scores at most floor(d(a,b)/2).  Each x
     in G(a,b) has d(x,a) + d(x,b) = d(a,b), so one of the two is at most
@@ -77,7 +77,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import Budget, PreconditionError
-from .graphs import DistanceMatrix, Graph, Path, distance_matrix, geodesic_mask
+from .graphs import DistanceMatrix, Graph, Path, distance_matrix, geodesic_mask, pairs_by_distance
 from .rational import log2_upper
 
 if TYPE_CHECKING:
@@ -105,16 +105,6 @@ def _witness(thin: tuple[tuple[int, int, int], int], four: tuple[int, int, int, 
 
 def _charge(budget: Budget, cells: int, by: str) -> None:
     budget.charge("cell blocks", -(-cells // CELLS_PER_BLOCK), by=by)
-
-
-def _pairs_by_distance(dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair a < b by nonincreasing d(a, b), ties in lexicographic
-    order, as arrays of the a and of the b: the row order of both exact scans."""
-    import numpy as np
-
-    a, b = np.triu_indices(dm.n, 1)
-    order = np.argsort(-dm.d[a, b], kind="stable")
-    return a[order], b[order]
 
 
 def _nearest_to_geodesics(dm: DistanceMatrix, v: int, nbrs: list[np.ndarray]) -> np.ndarray:
@@ -186,12 +176,14 @@ def thin_triangle_delta(
 
     best = -1
     visited = {}
-    a_s, b_s = _pairs_by_distance(dm)
-    for a, b in zip(a_s.tolist(), b_s.tolist()):
-        if d[a, b] // 2 <= best:
+    for level, a_s, b_s in pairs_by_distance(dm):
+        if level // 2 <= best:
             break
-        visited[a, b] = row(a, b)
-        best = max(best, visited[a, b][0])
+        for a, b in zip(a_s.tolist(), b_s.tolist()):
+            visited[a, b] = row(a, b)
+            best = max(best, visited[a, b][0])
+            if level // 2 <= best:
+                break
     # rescan in lexicographic order the rows whose bound reaches the maximum
     a_s, b_s = np.nonzero(np.triu(d // 2 >= best, 1))
     for a, b in zip(a_s.tolist(), b_s.tolist()):
@@ -240,30 +232,34 @@ def four_point_delta(
     import numpy as np
 
     d = dm.d
-    zs, ws = _pairs_by_distance(dm)
-    dzw = d[zs, ws]
     best = -1
     first = (0, 1)  # least two smallest members of a quadruple attaining best
-    for i, (x, y) in enumerate(zip(zs.tolist(), ws.tolist())):
-        if dzw[i] < best:
+    zs = ws = np.zeros(0, dtype=np.intp)  # the rows visited so far
+    # a row scores at most its level, so the pass can only stop between levels
+    for level, a_s, b_s in pairs_by_distance(dm):
+        if level < best:
             break
-        # Quadruples (x, y, z, w) over the rows (z, w) visited so far.  lead is
-        # L1 - L2 where d(x,y) + d(z,w) is the largest sum, and negative where
-        # it is not; the quadruple then shows up in the row of its largest sum.
-        _charge(budget, i + 1, "a four-point row")
-        z, w = zs[: i + 1], ws[: i + 1]
-        lead = (d[x, y] + dzw[: i + 1]) - np.maximum(d[x, z] + d[y, w], d[x, w] + d[y, z])
-        top = int(lead.max())  # at least 0, from (z, w) = (x, y)
-        if top < best or top == 0:
-            best = max(best, top)
-            continue
-        hit = np.nonzero(lead == top)[0]
-        corners = np.full_like(hit, x), np.full_like(hit, y), z[hit], w[hit]
-        members = np.sort(np.stack(corners, axis=1))
-        k = int(np.argmin(members[:, 0] * n + members[:, 1]))
-        least = (int(members[k, 0]), int(members[k, 1]))
-        first = least if top > best else min(first, least)
-        best = top
+        start = len(zs)
+        zs, ws = np.concatenate((zs, a_s)), np.concatenate((ws, b_s))
+        dzw = d[zs, ws]
+        for i, (x, y) in enumerate(zip(a_s.tolist(), b_s.tolist()), start):
+            # Quadruples (x, y, z, w) over the rows (z, w) visited so far: lead
+            # is L1 - L2 where d(x,y) + d(z,w) is the largest sum, and negative
+            # where not; the quadruple then shows up in the row of that sum.
+            _charge(budget, i + 1, "a four-point row")
+            z, w = zs[: i + 1], ws[: i + 1]
+            lead = (d[x, y] + dzw[: i + 1]) - np.maximum(d[x, z] + d[y, w], d[x, w] + d[y, z])
+            top = int(lead.max())  # at least 0, from (z, w) = (x, y)
+            if top < best or top == 0:
+                best = max(best, top)
+                continue
+            hit = np.nonzero(lead == top)[0]
+            corners = np.full_like(hit, x), np.full_like(hit, y), z[hit], w[hit]
+            members = np.sort(np.stack(corners, axis=1))
+            k = int(np.argmin(members[:, 0] * n + members[:, 1]))
+            least = (int(members[k, 0]), int(members[k, 1]))
+            first = least if top > best else min(first, least)
+            best = top
     _charge(budget, n * n, "the four-point witness row")
     diff = _four_point_row(d, *first)
     z, w = np.unravel_index(int(diff.argmax()), diff.shape)

@@ -3,7 +3,9 @@
 Three ingredients decide whether a coupling's quantitative data can force
 hyperbolicity across the coupling:
 
-  - the critical exponent 108 * delta * entropy + 2;
+  - the critical exponent 2 + c * entropy (`critical_exponent`), with
+    c = 108 * delta in the threshold and c the log schedule's coefficient in
+    condition (5);
   - the vanishing condition: n^2 r(n) Vol(r(n)) / phi(n/r(n)) -> 0;
   - the schedule conditions r(n)/18 >= 4(delta+1)log2(n) + 3 psi^-1(3Ln)
     (with a psi-integral bound L) and r(n)/18 >= 6(delta+1)log(n) (the
@@ -111,6 +113,11 @@ class ThresholdReport:
     provenance: dict
 
 
+def critical_exponent(c: Fraction, h: Fraction | FracInterval) -> Fraction | FracInterval:
+    """2 + c h: exact for an exact entropy h, a bracket for a bracket."""
+    return 2 + c * h
+
+
 def threshold_p(delta: Fraction, entropy: Fraction, provenance: dict | None = None) -> ThresholdReport:
     """The critical integrability exponent 108*delta*entropy + 2."""
     delta = Fraction(delta)
@@ -120,7 +127,7 @@ def threshold_p(delta: Fraction, entropy: Fraction, provenance: dict | None = No
     return ThresholdReport(
         delta=delta,
         entropy=entropy,
-        p_threshold=108 * delta * entropy + 2,
+        p_threshold=critical_exponent(108 * delta, entropy),
         provenance=provenance or {},
     )
 
@@ -193,12 +200,11 @@ def _analytic_condition_5(
             return "fails", {}
         return "inconclusive", {"reason": "exponent tie; coefficient comparison omitted"}
     if r.family == "log":
-        crit_lo = 2 + r.coefficient * growth.entropy.lo
-        crit_hi = 2 + r.coefficient * growth.entropy.hi
-        if p > crit_hi:
-            return "tends_to_zero", {"critical_exponent": str(float(crit_hi))}
-        if p <= crit_lo:
-            return "fails", {"critical_exponent": str(float(crit_lo))}
+        crit = critical_exponent(r.coefficient, growth.entropy)
+        if p > crit.hi:
+            return "tends_to_zero", {"critical_exponent": crit}
+        if p <= crit.lo:
+            return "fails", {"critical_exponent": crit}
         return "inconclusive", {"reason": "p within rounding of the critical exponent"}
     # r = n^e
     if growth.kind == "exponential":

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from hypme.coupling import (
     projection_and_similarity,
     strengthen_coboundedness,
     subgroup_coupling,
+    subgroup_data,
 )
 from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
@@ -82,6 +85,28 @@ class TestSubgroupCoupling:
     def test_infinite_index_rejected(self, f2):
         with pytest.raises(PreconditionError, match="infinite index"):
             subgroup_coupling(f2, ["a"])
+
+    @pytest.mark.parametrize("spec", ["F2", "Z^3", "C2*C3", "C3xC4", "F2xZ", "Z^2*C2", "Z*C3"])
+    def test_free_rank_from_relators(self, spec):
+        # the relators' exponent sums give the free rank of the closed form:
+        # the sum over atoms of k for F_k and d for Z^d
+        rank = sum(int(k or 1) for k in re.findall(r"(?:F|Z\^?)(\d*)", spec))
+        g = parse_group(spec)
+        if rank:
+            with pytest.raises(PreconditionError, match=rf"image has rank 0 < {rank}$"):
+                subgroup_data(g, [])
+        else:  # nothing to refuse: the trivial subgroup goes on to enumeration
+            with contextlib.suppress(BudgetError):
+                subgroup_data(g, [], Budget(64))
+        gens = [g.letter(i) for i in range(g.num_generators)]
+        assert subgroup_data(g, gens).index == 1
+
+    @pytest.mark.parametrize("spec, gens, message", [
+        ("Z^2", ["a"], "rank 1 < 2"), ("F2xZ", ["a", "b"], "rank 2 < 3"),
+    ])
+    def test_rank_refusals_keep_their_numbers(self, spec, gens, message):
+        with pytest.raises(PreconditionError, match=f"abelianized image has {message}$"):
+            subgroup_data(parse_group(spec), gens)
 
     def test_matrix_rank_matches_sympy(self):
         from sympy import Matrix

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hypme.cycles import (
+    _heuristic_candidates,
     asymptotic_onset,
     check_obstruction,
     cycle_distance,
@@ -189,6 +190,14 @@ class TestFindFatCycle:
         res = find_fat_cycle(g, dm, Fraction(1, 18), 50)
         assert res.outcome == "found"
         assert res.embedding.n == 100 and res.embedding.a == 1
+
+    def test_heuristic_far_pairs_are_the_farthest_in_order(self):
+        # all 100 vertices are eccentric, so no corner tour: the far-pair
+        # candidates come first, from the pairs at distance 50 in order
+        g = cycle_graph(100)
+        candidates = list(_heuristic_candidates(g, distance_matrix(g), seed=0))
+        far = dict.fromkeys((c[0], c[2]) for c in candidates[:-40])  # 40 seeded ones last
+        assert list(far) == [(i, i + 50) for i in range(5)]
 
     def test_grid_boundary_found(self):
         g = grid_graph(9, 9)

@@ -35,6 +35,8 @@ CASES = {
     "find-cycles-not-found": (
         ["find-cycles", "--gen", "grid:6,6", "--min-a", "2/3", "--min-n", "8", "--mode", "heuristic"], 0,
     ),
+    # every vertex is eccentric, so no corner tour: pins the far-pair order
+    "find-cycles-cycle100": (["find-cycles", "--gen", "cycle:100", "--min-a", "1/2", "--min-n", "60"], 0),
     "check-obstruction": (["check-obstruction", "--gen", "grid:4,4", "--embedding", "embedding.json"], 0),
     "check-obstruction-delta": (["check-obstruction", "--embedding", "embedding.json", "--delta", "1/10"], 0),
     "group-ball": (["group-ball", "--group", "C2*C3", "--radius", "4"], 0),

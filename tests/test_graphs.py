@@ -21,6 +21,7 @@ from hypme.graphs import (
     grid_graph,
     load_graph,
     make_graph,
+    pairs_by_distance,
     random_tree,
     tree_graph,
 )
@@ -202,6 +203,26 @@ class TestGeodesicPoints:
         for u in range(g.n):
             for v in range(g.n):
                 assert geodesic_points(dm, u, v) == all_geodesic_vertices(g, dist, u, v)
+
+
+class TestPairsByDistance:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_brute_sort(self, seed):
+        # every pair a < b, by nonincreasing distance and then lexicographically
+        rng = random.Random(seed)
+        hosts = [
+            random_connected_graph(rng, rng.randrange(5, 40), rng.randrange(0, 12)),
+            cycle_graph(rng.randrange(3, 30)),
+            grid_graph(rng.randrange(1, 7), rng.randrange(2, 7)),
+        ]
+        for g in hosts:
+            dm = distance_matrix(g)
+            got = []
+            for level, a, b in pairs_by_distance(dm):
+                assert all(dm[x, y] == level for x, y in zip(a, b))
+                got += zip(a.tolist(), b.tolist())
+            pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
+            assert got == sorted(pairs, key=lambda p: (-dm[p], p[0], p[1]))
 
 
 class TestCycleGraph:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,14 +139,20 @@ class TestCondition5:
         # C2*C3 has h = ln sqrt(2), so with r = 108 log n the critical exponent
         # is 2 + 54 ln 2 = 39.43...; Z*Z and C2*C2*C2 have h = log 3 and log 2
         r = Schedule("log", coefficient=Fraction(108))
-        for spec, critical in (("C2*C3", 2 + 54 * math.log(2)), ("Z*Z", 2 + 108 * math.log(3)),
-                               ("C2*C2*C2", 2 + 108 * math.log(2))):
+        with mpmath.workprec(200):
+            cases = (("C2*C3", 2 + 54 * mpmath.log(2)), ("Z*Z", 2 + 108 * mpmath.log(3)),
+                     ("C2*C2*C2", 2 + 108 * mpmath.log(2)))
+        for spec, critical in cases:
             group = parse_group(spec)
             above = check_condition_5(make_rc(power(math.ceil(critical)), power(1), r), group)
             below = check_condition_5(make_rc(power(math.floor(critical)), power(1), r), group)
             assert (above.verdict, below.verdict) == ("tends_to_zero", "fails"), spec
             assert above.analytic and below.analytic
-            assert abs(float(above.notes["critical_exponent"]) - critical) < 1e-6
+            # the note is the certified bracket 2 + 108 h, both ends within 1e-6
+            for rep in (above, below):
+                with mpmath.workprec(200):
+                    lo, hi = (mpmath.mpf(x.numerator) / x.denominator for x in rep.notes["critical_exponent"])
+                    assert lo <= critical <= hi and hi - lo < 1e-6, spec
 
     @pytest.mark.parametrize("spec", ["F2", "Z^2"])
     @pytest.mark.parametrize(
