@@ -117,8 +117,9 @@ def _add_common(p):
                    "enumeration, identity-check cases, cycle-search candidate vertices, "
                    "64-bit words of the volumes condition (5) expands, bracket bits (working "
                    "bits of each exp_power bracket) and cell blocks (64 distance cells) of the "
-                   "exact delta scans: n^2 per thin-triangle table, 2n|G(a,b)| per row, i+1 per "
-                   "four-point row i, n^2 for its witness row; 0.6M-1.7M blocks/s (or HYPME_BUDGET)")
+                   "delta kernels: n^2 per thin-triangle table, 2n|G(a,b)| per row, i+1 per "
+                   "four-point row i, n^2 for its witness row, 3n + |G(a,b)||G(a,c) u G(b,c)| "
+                   "per sampled triple; 0.6M-1.7M blocks/s (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
@@ -127,7 +128,7 @@ def cmd_graph_analyze(args, budget):
     if g.n <= hyperbolicity.EXACT_CUTOFF or g.is_tree:
         rep = hyperbolicity.hyperbolicity_report(g, dm, budget)
     else:
-        rep = hyperbolicity.sampled_hyperbolicity(g, dm, samples=args.samples, seed=args.seed)
+        rep = hyperbolicity.sampled_hyperbolicity(g, dm, args.samples, args.seed, budget=budget)
     return {"n": g.n, "m": g.m, "diameter": int(dm.d.max()), **vars(rep)}, True
 
 

@@ -114,14 +114,9 @@ class SubgroupData:
         return self.transversal[self.left_index(g)]
 
 
-def _columns(group: MarkedGroup, g) -> list[int]:
-    """The letters of `to_word(g)` as coset-table columns."""
-    return [group.letter_columns[ch] for ch in group.to_word(g)]
-
-
-def _relator_columns(group: MarkedGroup) -> list[list[int]]:
-    """The relators, the group's one presentation, as coset-table columns."""
-    return [[2 * abs(x) - 2 + (x < 0) for x in rel] for rel in group.relators()]
+def _columns(group: MarkedGroup, word: str) -> list[int]:
+    """The letters of a word, such as a relator or `to_word(g)`, as coset-table columns."""
+    return [group.letter_columns[ch] for ch in word]
 
 
 def _exponent_sums(group: MarkedGroup, words) -> list[list[int]]:
@@ -137,10 +132,10 @@ def _build_coset_table(group: MarkedGroup, words, cap: int):
     """The standardised right-coset table of the subgroup generated by `words`.
 
     HLT Todd-Coxeter with coincidence processing (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 5.1).  Column 2k is generator
-    k + 1 and column 2k + 1 its inverse.  Returns the table and the number of
-    cosets defined, dead ones included; past `cap` of them it raises
-    BudgetError.
+    Handbook of Computational Group Theory, 5.1).  Column 2k is the letter
+    group.letter(k) and column 2k + 1 its inverse.  Returns the table and
+    the number of cosets defined, dead ones included; past `cap` of them it
+    raises BudgetError.
     """
     table: list[list] = []
     p: list[int] = []  # p[c] == c for a live coset, else one it coincided with
@@ -207,8 +202,8 @@ def _build_coset_table(group: MarkedGroup, words, cap: int):
 
     new()
     for g in words:
-        scan_and_fill(0, _columns(group, g))
-    relators = _relator_columns(group)
+        scan_and_fill(0, _columns(group, group.to_word(g)))
+    relators = [_columns(group, rel) for rel in group.relators()]
     for c, row in enumerate(table):  # also visits the cosets defined on the way
         for rel in relators:
             if p[c] == c:
@@ -249,8 +244,8 @@ def subgroup_data(
     rep(s t)^-1 s t from one table entry.
     """
     gens = [group.parse_word(w) for w in subgroup_gen_words]
-    rels = _exponent_sums(group, _relator_columns(group))
-    subs = _exponent_sums(group, [_columns(group, g) for g in gens])
+    rels = _exponent_sums(group, [_columns(group, rel) for rel in group.relators()])
+    subs = _exponent_sums(group, [_columns(group, group.to_word(g)) for g in gens])
     rel_rank = matrix_rank(rels)
     rank, sub_rank = group.num_generators - rel_rank, matrix_rank(rels + subs) - rel_rank
     if sub_rank < rank:

@@ -79,19 +79,15 @@ def obstruction_bound(delta: Fraction, b: Fraction, n: int) -> Fraction:
 
 @functools.cache
 def asymptotic_onset(b: Fraction) -> int:
-    """Smallest even n >= 4 with 4*log2(b*n) + 4 + 2*b <= 6*ln(n).
+    """Smallest even n >= 4 with n * obstruction_bound(1, b, n) <= 6*ln(n).
 
     From that point on (and for any delta >= 1) the asymptotic form
     6*delta*log(n)/n dominates the even-cycle bound, so it is a valid
     relaxation.  Certified with directed rounding; values grow like
     exp(26) for b = 1, hence computed by doubling plus bisection.
     """
-    if b < 1:
-        raise PreconditionError("b must be >= 1")
-
     def holds(n: int) -> bool:
-        lhs = 4 * log2_upper(b * n) + 4 + 2 * b
-        return lhs <= 6 * FracInterval(n).ln().lo
+        return obstruction_bound(Fraction(1), b, n) * n <= 6 * FracInterval(n).ln().lo
 
     hi = 4
     while not holds(hi):
@@ -148,52 +144,30 @@ def check_obstruction(e: CycleEmbedding, delta: Fraction) -> ObstructionReport:
     )
 
 
-class _CycleSearch:
-    """Depth-first search over simple cycles; each candidate extension is
-    charged to `budget` as one candidate vertex.
+def _simple_cycles(g: Graph, budget: Budget, d=None, need=()):
+    """Depth-first search over simple cycles, in canonical form; each
+    candidate extension is charged to `budget` as one candidate vertex.
 
-    With a fatness target (dm, min_a, min_n) it drops every path prefix
-    that no cycle of length >= min_n with a >= min_a can contain (see
-    find_fat_cycle); without one it yields every simple cycle.
+    With a distance matrix `d`, two vertices at path separation k must be at
+    host distance >= need[k], for 1 <= k < len(need); a prefix that breaks
+    this is dropped (see find_fat_cycle).  With no `need`, every simple
+    cycle is yielded.
     """
-
-    def __init__(
-        self,
-        g: Graph,
-        budget: Budget,
-        dm: DistanceMatrix | None = None,
-        min_a: Fraction = Fraction(0),
-        min_n: int = 3,
-    ):
-        self.g = g
-        self.budget = budget
-        self.d = dm.d if dm is not None and min_a > 0 else None
-        # need[k]: least host distance a pair at path separation k may have,
-        # i.e. ceil(min_a*k), for 1 <= k <= floor(min_n/2)
-        self.need = [-(-min_a.numerator * k // min_a.denominator) for k in range(min_n // 2 + 1)]
-
-    def _admissible(self, path: list[int], y: int) -> bool:
-        if self.d is None:
-            return True
-        dy = self.d[y]
-        need = self.need
-        last = len(path)  # y's index on the extended path
-        for k in range(1, min(len(need) - 1, last) + 1):
-            if dy[path[last - k]] < need[k]:
-                return False
-        return True
-
-    def __iter__(self):
-        adj = self.g.adjacency()
-        for root in range(self.g.n):
-            stack = [(root, [root], {root})]
-            while stack:
-                x, path, onpath = stack.pop()
-                for y in adj[x]:
-                    self.budget.charge("candidate vertices", by="the cycle search")
-                    if y == root and len(path) >= 3 and path[1] < path[-1]:
-                        yield list(path)
-                    elif y > root and y not in onpath and self._admissible(path, y):
+    adj = g.adjacency()
+    for root in range(g.n):
+        stack = [(root, [root], {root})]
+        while stack:
+            x, path, onpath = stack.pop()
+            for y in adj[x]:
+                budget.charge("candidate vertices", by="the cycle search")
+                if y == root and len(path) >= 3 and path[1] < path[-1]:
+                    yield list(path)
+                elif y > root and y not in onpath:
+                    last = len(path)  # y's index on the extended path
+                    for k in range(1, min(len(need) - 1, last) + 1):
+                        if d[y, path[last - k]] < need[k]:
+                            break
+                    else:
                         stack.append((y, path + [y], onpath | {y}))
 
 
@@ -204,7 +178,7 @@ def enumerate_simple_cycles(g: Graph, budget: Budget | None = None):
     vertex is smaller than the last.  Each candidate extension is charged to
     `budget`.
     """
-    yield from _CycleSearch(g, budget or Budget())
+    yield from _simple_cycles(g, budget or Budget())
 
 
 @dataclass(frozen=True)
@@ -315,7 +289,10 @@ def find_fat_cycle(
     budget = budget or Budget()
     start = budget.spent
     if exhaustive:
-        cycles = (cyc for cyc in _CycleSearch(g, budget, dm, min_a, min_n) if len(cyc) >= min_n)
+        # need[k] = ceil(min_a*k) for 1 <= k <= floor(min_n/2)
+        need = [-(-min_a.numerator * k // min_a.denominator) for k in range(min_n // 2 + 1)]
+        search = _simple_cycles(g, budget, dm.d, need if min_a > 0 else ())
+        cycles = (cyc for cyc in search if len(cyc) >= min_n)
         embeddings = (verify_embedding(dm, cyc) for cyc in cycles)
     else:
         embeddings = _heuristic_embeddings(g, dm, min_n, seed, budget)

@@ -9,8 +9,8 @@ Conventions:
     - vertices are dense integers 0..n-1;
     - the distance matrix is a full int16 numpy array, built by a
       multi-source bitset BFS that runs all n searches level by level; it
-      takes 2n^2 bytes, so distance_matrix refuses graphs above MAX_VERTICES
-      before allocating anything;
+      takes 2n^2 bytes, so distance_matrix, load_graph and the generators
+      refuse graphs above MAX_VERTICES before building anything of their size;
     - every distance is at most n - 1 <= MAX_VERTICES - 1 = 16,383, so a
       sum of two distances is at most 32,766 and fits in int16.  The
       kernels rely on this invariant: they add two entries in int16
@@ -77,10 +77,10 @@ class Graph:
             row.sort()
         return adj
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        return len(_component(self.adjacency(), 0)) == self.n
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise PreconditionError(f"graph has {n} vertices, cap is {MAX_VERTICES}")
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -129,17 +129,8 @@ def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:
     if max_id < 0:
         raise ParseError("no edges found")
     n = max_id + 1
-    # distance_matrix checks the cap too; here it also guards the connectivity
-    # test below, which allocates a list per vertex id
-    if n > MAX_VERTICES:
-        raise PreconditionError(f"graph has {n} vertices, cap is {MAX_VERTICES}")
+    _check_size(n)  # before the adjacency lists, one per vertex id
     g = make_graph(n, edges)
-    if g.is_connected():
-        return g
-    if not largest_component:
-        raise PreconditionError(
-            "graph is disconnected (pass largest_component=True to extract one)"
-        )
     adj = g.adjacency()
     seen: set[int] = set()
     best: set[int] = set()
@@ -150,6 +141,12 @@ def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:
         seen |= comp
         if len(comp) > len(best):
             best = comp
+    if len(best) == n:
+        return g
+    if not largest_component:
+        raise PreconditionError(
+            "graph is disconnected (pass largest_component=True to extract one)"
+        )
     relabel = {old: new for new, old in enumerate(sorted(best))}
     kept = [
         (relabel[u], relabel[v]) for u, v in edges if u in best and v in best
@@ -216,8 +213,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     n = g.n
     if n == 0:
         raise PreconditionError("empty graph")
-    if n > MAX_VERTICES:
-        raise PreconditionError(f"graph has {n} vertices, cap is {MAX_VERTICES}")
+    _check_size(n)
     if n == 1:
         return DistanceMatrix(d=np.zeros((1, 1), dtype=np.int16))
     adj = g.adjacency()
@@ -354,7 +350,7 @@ def direct_image_path(host_d: DistanceMatrix, images: list[int]) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# generators
+# generators: each refuses a host above MAX_VERTICES before building its edges
 
 
 def cycle_graph(n: int) -> Graph:
@@ -364,6 +360,7 @@ def cycle_graph(n: int) -> Graph:
     """
     if n < 3:
         raise PreconditionError(f"cycle length must be >= 3, got {n}")
+    _check_size(n)
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -371,6 +368,7 @@ def grid_graph(w: int, h: int) -> Graph:
     """The w x h grid graph, vertices numbered row-major."""
     if w < 1 or h < 1:
         raise PreconditionError("grid dimensions must be positive")
+    _check_size(w * h)
     edges = []
     for i in range(h):
         for j in range(w):
@@ -383,31 +381,22 @@ def grid_graph(w: int, h: int) -> Graph:
 
 
 def tree_graph(branching: int, depth: int) -> Graph:
-    """Complete rooted tree where every internal vertex has `branching` children."""
+    """Complete rooted tree where every internal vertex has `branching` children.
+
+    Vertices are numbered level by level, so the parent of v is (v - 1) // branching;
+    the count stops at the first level that passes MAX_VERTICES."""
     if branching < 1 or depth < 0:
         raise PreconditionError("branching >= 1 and depth >= 0 required")
-    edges = []
-    level = [0]
-    next_id = 1
+    n = width = 1
     for _ in range(depth):
-        new_level = []
-        for parent in level:
-            for _ in range(branching):
-                edges.append((parent, next_id))
-                new_level.append(next_id)
-                next_id += 1
-        level = new_level
-    if next_id == 1:
-        # a single vertex is a valid (edgeless) tree
-        return Graph(n=1, edges=frozenset())
-    return make_graph(next_id, edges)
+        width *= branching
+        n += width
+        _check_size(n)
+    return make_graph(n, [((v - 1) // branching, v) for v in range(1, n)])
 
 
 def random_tree(n: int, rng) -> Graph:
     """Uniform-ish random tree: each vertex i >= 1 attaches to a random earlier one."""
     if n < 1:
         raise PreconditionError("tree needs at least one vertex")
-    if n == 1:
-        return Graph(n=1, edges=frozenset())
-    edges = [(rng.randrange(i), i) for i in range(1, n)]
-    return make_graph(n, edges)
+    return make_graph(n, [(rng.randrange(i), i) for i in range(1, n)])

@@ -16,8 +16,9 @@ the growth class and a certified entropy bracket off the roots of D.  The
 group is the only source of growth data; a BFS counts volumes as a plain
 tuple, for the `group-ball` report and for checks against the series.
 
-Each family also states its presentation once, as `relators()`: coset
-enumeration scans them, and their exponent sums decide the infinite-index check.
+Each family also states its presentation once, as `relators()`, words over
+the group's letters: coset enumeration scans them, and their exponent sums
+decide the infinite-index check.
 
 Words serialize as strings over a..z with uppercase denoting inverses
 (A = a inverse); generator letters are assigned left to right across the
@@ -149,6 +150,10 @@ class Growth:
         return f"-log(rho), rho the least positive root of {terms.lstrip('+')}"
 
 
+def _commutator(x: str, y: str) -> str:
+    return x + y + x.upper() + y.upper()
+
+
 class MarkedGroup:
     """Base interface: identity, generators, exact multiplication and lengths."""
 
@@ -170,8 +175,8 @@ class MarkedGroup:
     def word_length(self, g) -> int:
         raise NotImplementedError
 
-    def relators(self) -> list[tuple[int, ...]]:
-        """Defining relators as tuples of signed 1-based generator indices."""
+    def relators(self) -> list[str]:
+        """Defining relators as words over the group's letters."""
         raise NotImplementedError
 
     def growth_series(self) -> tuple[list[int], list[int]]:
@@ -296,7 +301,7 @@ class FreeGroup(MarkedGroup):
     def to_word(self, g: str) -> str:
         return g
 
-    def relators(self) -> list[tuple[int, ...]]:
+    def relators(self) -> list[str]:
         return []
 
     def growth_series(self):
@@ -334,12 +339,9 @@ class FreeAbelian(MarkedGroup):
             parts.append((self.letter(i) if x > 0 else self.letter(i).upper()) * abs(x))
         return "".join(parts)
 
-    def relators(self) -> list[tuple[int, ...]]:
-        return [
-            (i, j, -i, -j)
-            for i in range(1, self.dim + 1)
-            for j in range(i + 1, self.dim + 1)
-        ]
+    def relators(self) -> list[str]:
+        letters = map(self.letter, range(self.dim))
+        return [_commutator(x, y) for x, y in itertools.combinations(letters, 2)]
 
     def growth_series(self):
         return _poly_prod([[1, 1]] * self.dim), _poly_prod([[1, -1]] * self.dim)
@@ -375,8 +377,8 @@ class Cyclic(MarkedGroup):
             return "a" * g
         return "A" * (self.order - g)
 
-    def relators(self) -> list[tuple[int, ...]]:
-        return [(1,) * self.order]
+    def relators(self) -> list[str]:
+        return ["a" * self.order]
 
     def growth_series(self):
         # spheres 1, 2, 2, ..., and a single antipode 1 when the order is even
@@ -413,11 +415,9 @@ class _Product(MarkedGroup):
             out.append(chr(ord(base) + ord(ch.lower()) - ord("a") + offset))
         return "".join(out)
 
-    def relators(self) -> list[tuple[int, ...]]:
+    def relators(self) -> list[str]:
         return [
-            tuple(x + off if x > 0 else x - off for x in rel)
-            for f, off in zip(self.factors, self._offsets)
-            for rel in f.relators()
+            self._shift_word(rel, fi) for fi, f in enumerate(self.factors) for rel in f.relators()
         ]
 
 
@@ -499,17 +499,13 @@ class DirectProduct(_Product):
         words = [f.to_word(x) or "e" for f, x in zip(self.factors, g)]
         return "(" + ",".join(words) + ")"
 
-    def relators(self) -> list[tuple[int, ...]]:
-        rels = super().relators()
-        # cross-factor commutators
-        for fi in range(len(self.factors)):
-            for fj in range(fi + 1, len(self.factors)):
-                for gi in range(self.factors[fi].num_generators):
-                    for gj in range(self.factors[fj].num_generators):
-                        a = self._offsets[fi] + gi + 1
-                        b = self._offsets[fj] + gj + 1
-                        rels.append((a, b, -a, -b))
-        return rels
+    def relators(self) -> list[str]:
+        letters = [
+            [self.letter(off + k) for k in range(f.num_generators)]
+            for f, off in zip(self.factors, self._offsets)
+        ]
+        pairs = itertools.combinations(letters, 2)  # each letter with every later factor's
+        return super().relators() + [_commutator(x, y) for xs, ys in pairs for x in xs for y in ys]
 
     def growth_series(self):
         series = [f.growth_series() for f in self.factors]
@@ -633,7 +629,7 @@ def ball(group: MarkedGroup, radius: int, budget: Budget | None = None) -> Cayle
             j = index.get(h)
             if j is not None and j != i:
                 edges.add((min(i, j), max(i, j)))
-    graph = make_graph(len(elements), edges) if edges else Graph(n=len(elements), edges=frozenset())
+    graph = make_graph(len(elements), edges)
     return CayleyBall(
         radius=radius,
         graph=graph,

@@ -63,9 +63,10 @@ nothing, so each table and row is charged to a Budget, in the cell blocks
 of `errors`, before it is computed.  They use exact integer arithmetic and
 return Fractions.  Past EXACT_CUTOFF vertices the CLI takes instead a
 seeded uniform sample, a certified lower bound labeled as such, which
-charges nothing.  Like graphs, the module imports numpy only inside the
-functions that use it, and thin_triangle_delta answers a tree before it
-reads or builds a distance matrix, so a tree costs no numpy import.
+charges each sampled triple's masks and gather in the same cell blocks.
+Like graphs, the module imports numpy only inside the functions that use
+it, and thin_triangle_delta answers a tree before it reads or builds a
+distance matrix, so a tree costs no numpy import.
 """
 
 from __future__ import annotations
@@ -122,13 +123,18 @@ def _nearest_to_geodesics(dm: DistanceMatrix, v: int, nbrs: list[np.ndarray]) ->
     return out
 
 
-def _thin_triangle_point(dm: DistanceMatrix, a: int, b: int, c: int) -> tuple[int, int]:
+def _thin_triangle_point(
+    dm: DistanceMatrix, a: int, b: int, c: int, budget: Budget | None = None
+) -> tuple[int, int]:
     """thin_triangle_value of one ordered triple, with the first x in G(a,b)
-    that attains it."""
+    that attains it.  With a budget, the three masks (3n cells) and the
+    gather (|G(a,b)| * |G(a,c) u G(b,c)| cells) are charged before the gather."""
     import numpy as np
 
     union = geodesic_mask(dm, a, c) | geodesic_mask(dm, b, c)
     idx = geodesic_mask(dm, a, b).nonzero()[0]
+    if budget is not None:
+        _charge(budget, 3 * dm.n + len(idx) * int(union.sum()), "a sampled triple of --samples")
     dist_to_union = dm.d[np.ix_(idx, union)].min(axis=1)
     k = int(dist_to_union.argmax())
     return int(dist_to_union[k]), int(idx[k])
@@ -279,20 +285,23 @@ def hyperbolicity_report(
 
 
 def sampled_hyperbolicity(
-    g: Graph, dm: DistanceMatrix, samples: int, seed: int
+    g: Graph, dm: DistanceMatrix, samples: int, seed: int, budget: Budget | None = None
 ) -> HyperbolicityReport:
-    """Seeded uniform sampling of triples/quadruples: a lower bound on both deltas."""
+    """Seeded uniform sampling of triples/quadruples: a lower bound on both deltas.
+
+    Each sampled triple is charged to `budget` before its gather."""
     if samples < 1:
         raise PreconditionError(f"samples must be >= 1, got {samples}")
     n = dm.n
     rng = random.Random(seed)
+    budget = budget or Budget()
     best_t = -1
     wt = ((0, 0, 0), 0)
     best_q = Fraction(-1)
     wq = (0, 0, 0, 0)
     for _ in range(samples):
         a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        v, x = _thin_triangle_point(dm, a, b, c)
+        v, x = _thin_triangle_point(dm, a, b, c, budget)
         if v > best_t:
             best_t, wt = v, ((a, b, c), x)
         x0, y0, z0, w0 = (rng.randrange(n) for _ in range(4))

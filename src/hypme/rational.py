@@ -174,14 +174,6 @@ class FracInterval:
             return FracInterval(root**e.numerator)
         return FracInterval(*_ends(lambda x: brackets.power(x, e), self.lo, self.hi))
 
-    def definitely_less(self, other) -> bool:
-        other = _as_interval(other)
-        return self.hi < other.lo
-
-    def definitely_at_least(self, other) -> bool:
-        other = _as_interval(other)
-        return self.lo >= other.hi
-
     def midpoint_float(self) -> float:
         return float((self.lo + self.hi) / 2)
 

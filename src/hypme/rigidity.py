@@ -181,6 +181,18 @@ class ConditionReport:
     notes: dict = field(metadata={"inline": True})
 
 
+def _onset(grid: list[int], holds: list) -> int | None:
+    """The first grid point whose flag and every later one are True, or None;
+    holds[i] is the flag of grid[i], and `holds` may stop short of the grid."""
+    n0 = None
+    for n, flag in zip(grid, holds):
+        if flag is not True:
+            n0 = None
+        elif n0 is None:
+            n0 = n
+    return n0
+
+
 def _analytic_condition_5(
     phi: IntegrabilityFunction, r: Schedule, growth: Growth
 ) -> tuple[str, dict]:
@@ -251,14 +263,7 @@ def check_condition_5(
         lr = ln_num - ln_den
         log_ratios.append(lr)
         samples.append({"n": n, "log_ratio": lr.midpoint_float()})
-    n0 = None
-    for i in range(len(grid) - 1):
-        if all(
-            log_ratios[j + 1].definitely_less(log_ratios[j])
-            for j in range(i, len(grid) - 1)
-        ):
-            n0 = grid[i]
-            break
+    n0 = _onset(grid, [b.hi < a.lo for a, b in zip(log_ratios, log_ratios[1:])])
     verdict, notes = _analytic_condition_5(rc.phi, rc.r, group.growth)
     if schedule_exceeds_n:
         notes["r_exceeds_n_at"] = schedule_exceeds_n[:5]
@@ -286,6 +291,12 @@ def _analytic_condition_6(rc: RigidityConditions) -> tuple[str, dict] | None:
     return None
 
 
+def _analytic_condition_7(rc: RigidityConditions) -> tuple[str, dict]:
+    if rc.r.family == "pow":
+        return "holds_eventually", {"reason": "power schedule beats log"}
+    return ("holds_eventually" if rc.r.coefficient / 18 >= 6 * (rc.delta + 1) else "fails"), {}
+
+
 def check_condition_6_7(rc: RigidityConditions, mode: str) -> ConditionReport:
     """Schedule conditions.
 
@@ -309,51 +320,26 @@ def check_condition_6_7(rc: RigidityConditions, mode: str) -> ConditionReport:
             )
         else:
             rhs = ln_n * (6 * (rc.delta + 1))
-        if lhs.definitely_at_least(rhs):
-            flag = True
-        elif lhs.definitely_less(rhs):
-            flag = False
-        else:
-            flag = None
+        flag = True if lhs.lo >= rhs.hi else False if lhs.hi < rhs.lo else None
         holds_flags.append(flag)
         samples.append(
             {"n": n, "lhs": lhs.midpoint_float(), "rhs": rhs.midpoint_float(), "holds": flag}
         )
-    n0 = None
-    for i in range(len(grid)):
-        if all(holds_flags[j] is True for j in range(i, len(grid))):
-            n0 = grid[i]
-            break
-    if mode == "thm41":
-        analytic = _analytic_condition_6(rc)
-    else:
-        if rc.r.family == "pow":
-            analytic = ("holds_eventually", {"reason": "power schedule beats log"})
-        else:
-            lhs_coeff = rc.r.coefficient / 18
-            rhs_coeff = 6 * (rc.delta + 1)
-            analytic = (
-                ("holds_eventually", {}) if lhs_coeff >= rhs_coeff else ("fails", {})
-            )
+    n0 = _onset(grid, holds_flags)
+    analytic = _analytic_condition_6(rc) if mode == "thm41" else _analytic_condition_7(rc)
     if analytic is not None:
         verdict, notes = analytic
-        is_analytic = True
+    elif n0 is not None:
+        verdict, notes = "holds_eventually", {"empirical": f"holds on sampled n >= {n0}"}
+    elif holds_flags and holds_flags[-1] is False:
+        verdict, notes = "fails", {"empirical": "fails at n_max"}
     else:
-        is_analytic = False
-        notes = {}
-        if n0 is not None:
-            verdict = "holds_eventually"
-            notes["empirical"] = f"holds on sampled n >= {n0}"
-        elif holds_flags and holds_flags[-1] is False:
-            verdict = "fails"
-            notes["empirical"] = "fails at n_max"
-        else:
-            verdict = "inconclusive"
+        verdict, notes = "inconclusive", {}
     return ConditionReport(
         condition="(6)" if mode == "thm41" else "(7)",
         name="schedule_vs_inverse" if mode == "thm41" else "schedule_vs_log",
         verdict=verdict,
-        analytic=is_analytic,
+        analytic=analytic is not None,
         n0=n0,
         samples=samples,
         notes={

@@ -357,15 +357,15 @@ def sympy_coset_table(group, words, cap: int):
     names = ", ".join(group.letter(i) for i in range(group.num_generators))
     fgroup, *gens = free_group(names)
 
-    def to_sympy(letters):
+    def to_sympy(word):
         w = fgroup.identity
-        for letter in letters:
-            gen = gens[abs(letter) - 1]
-            w = w * (gen if letter > 0 else gen**-1)
+        for ch in word:
+            gen = gens[ord(ch.lower()) - ord("a")]
+            w = w * (gen if ch.islower() else gen**-1)
         return w
 
     fp = FpGroup(fgroup, [to_sympy(rel) for rel in group.relators()])
-    subgroup = [to_sympy(signed_letters(group, g)) for g in words]
+    subgroup = [to_sympy(group.to_word(g)) for g in words]
     try:
         table = coset_enumeration_r(fp, subgroup, max_cosets=cap)
     except ValueError:

@@ -434,6 +434,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "--budget" in err
 
+    def test_sampled_path_over_budget_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        start = time.perf_counter()
+        argv = ["graph-analyze", "--gen", "grid:30,30", "--samples", "100000", "--budget", "100000"]
+        assert dispatch([*argv, "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 10
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--samples" in err and "--budget" in err
+
 
 class TestForce:
     """graph-analyze samples past EXACT_CUTOFF (lowered to 10 here)."""

@@ -182,6 +182,33 @@ class TestCosetEnumeration:
         with pytest.raises(BudgetError, match="stopped at 1 cosets"):
             coupling._build_coset_table(f2, gens, 1)
 
+    # Frozen from the signed-index relators (k + 1 for letter k, -(k + 1) for
+    # its inverse, read as column 2k or 2k + 1): each group's relator columns,
+    # in order, and the cosets its subgroup's table holds and defines.
+    FROZEN = [
+        ("F2", ["aa", "b", "abA"], [], 2, 2),
+        ("Z^3", ["aa", "b", "c"], [[0, 2, 1, 3], [0, 4, 1, 5], [2, 4, 3, 5]], 2, 2),
+        ("C5", [], [[0, 0, 0, 0, 0]], 5, 5),
+        ("C2*C3", ["b", "aba"], [[0, 0], [2, 2, 2]], 2, 3),
+        ("C3xC4", [], [[0, 0, 0], [2, 2, 2, 2], [0, 2, 1, 3]], 12, 14),
+        ("F2xZ", ["aa", "b", "c", "abA"], [[0, 4, 1, 5], [2, 4, 3, 5]], 2, 2),
+        ("Z^2*C2", ["a", "b", "cac", "cbc"], [[0, 2, 1, 3], [4, 4]], 2, 3),
+        ("Z^2xC2xC3", ["aa", "b"], [
+            [0, 2, 1, 3], [4, 4], [6, 6, 6], [0, 4, 1, 5],
+            [2, 4, 3, 5], [0, 6, 1, 7], [2, 6, 3, 7], [4, 6, 5, 7],
+        ], 12, 14),
+    ]
+
+    @pytest.mark.parametrize("spec, words, columns, index, defined", FROZEN)
+    def test_relator_words_keep_their_columns(self, spec, words, columns, index, defined):
+        g = parse_group(spec)
+        rels = g.relators()
+        assert all(isinstance(rel, str) for rel in rels)
+        assert [coupling._columns(g, rel) for rel in rels] == columns
+        gens = [g.parse_word(w) for w in words]
+        table, count = coupling._build_coset_table(g, gens, 20_000)
+        assert (len(table), count) == (index, defined)
+
 
 def random_words(g, rng, count: int, longest: int) -> list:
     letters = [g.letter(i) for i in range(g.num_generators)]

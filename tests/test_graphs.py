@@ -63,6 +63,14 @@ class TestLoadGraph:
         g = load_graph("0 1\n1 2\n3 4", largest_component=True)
         assert g.n == 3 and g.m == 2
 
+    @pytest.mark.parametrize("text, m", [
+        ("3 4\n4 5\n3 5\n0 1\n1 2", 2),  # the path holds vertex 0
+        ("0 1\n1 2\n0 2\n3 4\n4 5", 3),  # the triangle holds vertex 0
+    ])
+    def test_largest_component_tie_keeps_vertex_zero(self, text, m):
+        g = load_graph(text, largest_component=True)
+        assert g.n == 3 and g.m == m
+
     def test_grid_round_trip(self):
         g = load_graph(grid_edge_text(5, 5))
         ref = grid_graph(5, 5)
@@ -163,7 +171,8 @@ class TestBitsetBFS:
             distance_matrix(g)
 
     def test_vertex_cap_refused_before_allocating(self):
-        g = cycle_graph(MAX_VERTICES + 1)
+        n = MAX_VERTICES + 1  # past the generators' own refusal
+        g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
         tracemalloc.start()
         try:
             with pytest.raises(PreconditionError, match="cap is"):
@@ -172,6 +181,27 @@ class TestBitsetBFS:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("build", [
+        lambda: cycle_graph(MAX_VERTICES + 1),
+        lambda: grid_graph(128, 129),
+        lambda: tree_graph(1, MAX_VERTICES),
+        lambda: tree_graph(2, 30),
+        lambda: load_graph(f"0 {MAX_VERTICES}"),
+    ])
+    def test_hosts_past_the_cap_refused_before_building(self, build):
+        tracemalloc.start()
+        try:
+            cap = rf"graph has \d+ vertices, cap is {MAX_VERTICES}$"
+            with pytest.raises(PreconditionError, match=cap):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_at_the_cap_builds(self):
+        assert grid_graph(128, 128).n == MAX_VERTICES
 
 
 class TestGeodesicPoints:
@@ -287,7 +317,7 @@ class TestDirectImagePath:
 def test_random_tree_has_tree_shape(n, rng):
     g = random_tree(n, rng)
     assert g.m == g.n - 1
-    assert g.is_connected()
+    distance_matrix(g)  # refuses a disconnected graph
 
 
 def test_path_requires_length_one():

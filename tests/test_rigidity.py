@@ -16,6 +16,7 @@ from hypme.rigidity import (
     Schedule,
     check_condition_5,
     check_condition_6_7,
+    _onset,
     corollary_schedules,
     threshold_p,
 )
@@ -299,6 +300,33 @@ class TestCondition67:
             check_condition_6_7(rc, "thm43")
 
 
+def quadratic_onset_5(grid, flags):
+    """N0 of condition (5) as first defined: flags[j] says the ratio falls
+    from grid[j] to grid[j + 1]."""
+    for i in range(len(grid) - 1):
+        if all(flags[j] for j in range(i, len(grid) - 1)):
+            return grid[i]
+    return None
+
+
+def quadratic_onset_6_7(grid, flags):
+    """N0 of conditions (6) and (7) as first defined: flags[j] is grid[j]'s."""
+    for i in range(len(grid)):
+        if all(flags[j] is True for j in range(i, len(grid))):
+            return grid[i]
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([True, False, None]), max_size=12))
+def test_onset_matches_the_quadratic_definitions(flags):
+    grid = [2 + 3 * i for i in range(len(flags))]
+    assert _onset(grid, flags) == quadratic_onset_6_7(grid, flags)
+    decreases = [flag is True for flag in flags]  # condition (5)'s flags are plain bools
+    longer = grid + [2 + 3 * len(flags)]
+    assert _onset(longer, decreases) == quadratic_onset_5(longer, decreases)
+
+
 class TestIntervalHelpers:
     def test_interval_arithmetic(self):
         a = FracInterval(Fraction(1), Fraction(2))
@@ -307,8 +335,6 @@ class TestIntervalHelpers:
         assert (b - a).lo == 1 and (b - a).hi == 3
         assert (a * b).lo == 3 and (a * b).hi == 8
         assert (b / a).lo == Fraction(3, 2) and (b / a).hi == 4
-        assert a.definitely_less(b)
-        assert b.definitely_at_least(a)
 
     def test_ln_exp_round_trip(self):
         x = FracInterval(Fraction(10))
