@@ -7,17 +7,20 @@ are explicit vertex sequences.
 
 Conventions:
     - vertices are dense integers 0..n-1;
-    - the distance matrix is a full int16 numpy array, built by a
-      multi-source bitset BFS that runs all n searches level by level; it
-      takes 2n^2 bytes, so distance_matrix, load_graph and the generators
-      refuse graphs above MAX_VERTICES before building anything of their size;
-    - every distance is at most n - 1 <= MAX_VERTICES - 1 = 16,383, so a
-      sum of two distances is at most 32,766 and fits in int16.  The
-      kernels rely on this invariant: they add two entries in int16
-      (geodesic masks, pair sums, the triangle inequality) but never three,
-      and they take a median of three sums with min and max, not by adding.
-      MAX_VERTICES = 2^14 is the largest n for which 2(n - 1) <= 32,767.
-      At the cap the matrix takes 512 MiB;
+    - the distance matrix is a full numpy array, built by a multi-source
+      bitset BFS that runs all n searches level by level.  Its dtype is
+      chosen before it is allocated, from one BFS from vertex 0: int8 (n^2
+      bytes) when 2 ecc(0) <= 63, else int16 (2n^2 bytes).  distance_matrix,
+      load_graph and the generators refuse graphs above MAX_VERTICES before
+      building anything of their size;
+    - a sum of two distances fits in the matrix's dtype.  The kernels rely
+      on this invariant: they add two entries in the dtype (geodesic masks,
+      pair sums, the triangle inequality) but never three, and they take a
+      median of three sums with min and max, not by adding.  For int8 every
+      distance is at most diam <= 2 ecc(0) <= 63, so a sum is at most 126 <=
+      127.  For int16 every distance is at most n - 1 <= MAX_VERTICES - 1 =
+      16,383, so a sum is at most 32,766 <= 32,767; MAX_VERTICES = 2^14 is the
+      largest n for which that holds.  At the cap an int16 matrix takes 512 MiB;
     - all operations are pure functions of immutable inputs;
     - numpy is imported by the functions that build or read a distance
       matrix, not by the module, so a run that builds a Graph and no matrix
@@ -28,7 +31,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING
@@ -88,16 +91,17 @@ def make_graph(n: int, edges) -> Graph:
     return Graph(n=n, edges=canon)
 
 
-def _component(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
+def _bfs(adj: list[list[int]], start: int) -> dict[int, int]:
+    """The distance from `start` of every vertex of its component."""
+    dist = {start: 0}
     queue = deque([start])
     while queue:
         x = queue.popleft()
         for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
+            if y not in dist:
+                dist[y] = dist[x] + 1
                 queue.append(y)
-    return seen
+    return dist
 
 
 def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:
@@ -133,12 +137,12 @@ def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:
     g = make_graph(n, edges)
     adj = g.adjacency()
     seen: set[int] = set()
-    best: set[int] = set()
+    best: dict[int, int] = {}
     for start in range(n):
         if start in seen:
             continue
-        comp = _component(adj, start)
-        seen |= comp
+        comp = _bfs(adj, start)
+        seen |= comp.keys()
         if len(comp) > len(best):
             best = comp
     if len(best) == n:
@@ -158,7 +162,9 @@ def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:
 class DistanceMatrix:
     """Exact all-pairs graph distances (unit edge lengths)."""
 
-    d: np.ndarray  # int16, shape (n, n); entries <= MAX_VERTICES - 1
+    # int8 or int16, shape (n, n); two entries add without wrapping (see the
+    # module docstring)
+    d: np.ndarray
 
     @property
     def n(self) -> int:
@@ -181,9 +187,12 @@ class DistanceMatrix:
         if np.any(d[~np.eye(n, dtype=bool)] < 1):
             raise PreconditionError("off-diagonal distances must be >= 1")
         # the invariant of the module docstring, which keeps the sums below
-        # (and in every kernel) from wrapping in int16
-        if np.any(d >= MAX_VERTICES):
-            raise PreconditionError(f"distances must be < MAX_VERTICES = {MAX_VERTICES}")
+        # (and in every kernel) from wrapping in d's dtype
+        top = min(MAX_VERTICES - 1, np.iinfo(d.dtype).max // 2)
+        if np.any(d > top):
+            raise PreconditionError(
+                f"distances must be <= {top} = min(MAX_VERTICES - 1, {d.dtype} maximum // 2)"
+            )
         # full triangle inequality: d(u,w) <= d(u,v) + d(v,w)
         for v in range(n):
             if np.any(d > d[:, v][:, None] + d[v, :][None, :]):
@@ -203,10 +212,12 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 
     and every source in next[v] lies at the new level's distance from v.  The
     OR is a `bitwise_or.reduceat` over the CSR neighbour lists, done in blocks
-    of rows together with unpacking the new bits into `d`.  Memory: 2n^2 bytes
-    for the int16 `d`, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of
-    scratch per block.  Graphs above MAX_VERTICES are refused before anything
-    is allocated.
+    of rows together with unpacking the new bits into `d`.  One BFS from
+    vertex 0 first proves the graph connected and picks `d`'s dtype (see the
+    module docstring).  Memory: n^2 bytes for an int8 `d` or 2n^2 for an
+    int16 one, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of scratch per
+    block.  Graphs above MAX_VERTICES are refused before anything is
+    allocated.
     """
     import numpy as np
 
@@ -214,12 +225,15 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     if n == 0:
         raise PreconditionError("empty graph")
     _check_size(n)
-    if n == 1:
-        return DistanceMatrix(d=np.zeros((1, 1), dtype=np.int16))
     adj = g.adjacency()
-    degree = [len(row) for row in adj]
-    if not all(degree):  # an isolated vertex; reduceat also needs no empty rows
+    from_0 = _bfs(adj, 0)
+    if len(from_0) < n:
         raise PreconditionError("graph is disconnected")
+    # diam <= 2 ecc(0), so two distances add without wrapping in the dtype
+    dtype = np.int8 if 2 * max(from_0.values()) <= np.iinfo(np.int8).max // 2 else np.int16
+    if n == 1:
+        return DistanceMatrix(d=np.zeros((1, 1), dtype=dtype))
+    degree = [len(row) for row in adj]  # connected, so reduceat gets no empty row
     indptr = np.fromiter(accumulate(degree, initial=0), dtype=np.int64, count=n + 1)
     indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(indptr[-1]))
     words = (n + 63) // 64
@@ -229,7 +243,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     frontier[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
     seen = frontier.copy()
     nxt = np.empty_like(frontier)
-    d = np.zeros((n, n), dtype=np.int16)
+    d = np.zeros((n, n), dtype=dtype)
     blocks = _row_blocks(indptr, n, words)
     level = 0
     while True:
@@ -250,10 +264,6 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
         if not grew:
             break
         frontier, nxt = nxt, frontier
-    full = np.full(words, ~np.uint64(0), dtype=word)
-    full[-1] >>= np.uint64(64 * words - n)
-    if not (seen == full).all():
-        raise PreconditionError("graph is disconnected")
     return DistanceMatrix(d=d)
 
 
@@ -289,14 +299,6 @@ def pairs_by_distance(dm: DistanceMatrix):
     for level in range(int(d.max(initial=0)), 0, -1):
         a, b = np.nonzero(np.triu(d == level, 1))
         yield level, a, b
-
-
-def geodesic_points(dm: DistanceMatrix, u: int, v: int) -> set[int]:
-    """The union of all discrete geodesics from u to v, as a vertex set."""
-    n = dm.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise PreconditionError("vertex out of range")
-    return set(int(x) for x in geodesic_mask(dm, u, v).nonzero()[0])
 
 
 @dataclass(frozen=True)
@@ -393,10 +395,3 @@ def tree_graph(branching: int, depth: int) -> Graph:
         n += width
         _check_size(n)
     return make_graph(n, [((v - 1) // branching, v) for v in range(1, n)])
-
-
-def random_tree(n: int, rng) -> Graph:
-    """Uniform-ish random tree: each vertex i >= 1 attaches to a random earlier one."""
-    if n < 1:
-        raise PreconditionError("tree needs at least one vertex")
-    return make_graph(n, [(rng.randrange(i), i) for i in range(1, n)])

@@ -87,7 +87,8 @@ if TYPE_CHECKING:
 # graph-analyze samples past this many vertices, unless the host is a tree
 EXACT_CUTOFF = 600
 CELLS_PER_BLOCK = 64  # distance cells per unit of the scans' Budget charges
-# bytes of thin-triangle tables N_v (2n^2 each) kept between rows
+# bytes of thin-triangle tables N_v kept between rows; each is a copy of the
+# distance matrix, n^2 bytes on an int8 host and 2n^2 on an int16 one
 TABLE_CACHE_BYTES = 64 << 20
 
 
@@ -111,7 +112,8 @@ def _charge(budget: Budget, cells: int, by: str) -> None:
 def _nearest_to_geodesics(dm: DistanceMatrix, v: int, nbrs: list[np.ndarray]) -> np.ndarray:
     """Table N[w, y] = d(y, G(v, w)) for all w, y, by the geodesic recurrence
     of the module docstring; nbrs[w] is the neighbour array of w.  The table
-    starts as a copy of the int16 distance matrix, so it takes 2n^2 bytes."""
+    starts as a copy of the distance matrix, so it takes d.nbytes: n^2 bytes
+    for an int8 matrix, 2n^2 for an int16 one."""
     import numpy as np
 
     dv = dm.d[v]
@@ -167,7 +169,7 @@ def thin_triangle_delta(
     d = dm.d
     nbrs = [np.array(row, dtype=np.intp) for row in g.adjacency()]
 
-    @functools.lru_cache(maxsize=max(1, TABLE_CACHE_BYTES // (2 * n * n)))
+    @functools.lru_cache(maxsize=max(1, TABLE_CACHE_BYTES // d.nbytes))
     def table(v: int) -> np.ndarray:
         _charge(budget, n * n, "a thin-triangle table")
         return _nearest_to_geodesics(dm, v, nbrs)
@@ -211,8 +213,8 @@ def four_point_value(dm: DistanceMatrix, x: int, y: int, z: int, w: int) -> Frac
 def _four_point_row(d: np.ndarray, x: int, y: int) -> np.ndarray:
     """L1 - L2 of the quadruple (x, y, z, w), for every z and w.
 
-    Each pair sum fits in d's int16 (see graphs), but s1 + s2 + s3 need not,
-    so the median L2 is taken with min and max."""
+    Each pair sum fits in d's dtype, int8 or int16 (see graphs), but
+    s1 + s2 + s3 need not, so the median L2 is taken with min and max."""
     import numpy as np
 
     s1 = int(d[x, y]) + d

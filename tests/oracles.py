@@ -5,7 +5,9 @@ nested loops straight from definitions).  The graph oracles share no code
 with the production kernels beyond the distance matrix inputs, except the
 two full-scan references, which fix the canonical witnesses: they visit
 every row in lexicographic order and read the thin-triangle tables of
-`hyperbolicity._nearest_to_geodesics`.  The claim sweep oracle reuses the
+`hyperbolicity._nearest_to_geodesics`.  `geodesic_points` is no oracle: it
+lists the vertices of `graphs.geodesic_mask`, the kernel its tests check
+against `all_geodesic_vertices`.  The claim sweep oracle reuses the
 coupling's group arithmetic and K constants; it enumerates displacements
 from the pairs, and takes the lambda ball and lengths from its own BFS.
 The coset table oracle is sympy's own HLT enumeration.  The transversal
@@ -201,6 +203,17 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Grap
             edges.add(e)
             added += 1
     return make_graph(n, edges)
+
+
+def random_tree(n: int, rng: random.Random) -> Graph:
+    """Uniform-ish random tree: each vertex i >= 1 attaches to a random earlier one."""
+    return random_connected_graph(rng, n, 0)
+
+
+def geodesic_points(dm: DistanceMatrix, u: int, v: int) -> set[int]:
+    """The vertex set of `geodesic_mask`, the kernel under test, to compare
+    against all_geodesic_vertices."""
+    return {int(x) for x in geodesic_mask(dm, u, v).nonzero()[0]}
 
 
 def grid_edge_text(w: int, h: int) -> str:

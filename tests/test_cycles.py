@@ -19,12 +19,11 @@ from hypme.graphs import (
     distance_matrix,
     grid_graph,
     make_graph,
-    random_tree,
     tree_graph,
 )
 from hypme.hyperbolicity import thin_triangle_delta
 
-from oracles import nx_simple_cycles, random_connected_graph
+from oracles import nx_simple_cycles, random_connected_graph, random_tree
 
 
 def brute_constants(dm, images):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypme import graphs
 from hypme.errors import ParseError, PreconditionError
+from hypme.groups import ball, parse_group
 from hypme.graphs import (
     MAX_VERTICES,
     DistanceMatrix,
@@ -17,20 +18,20 @@ from hypme.graphs import (
     direct_image_path,
     distance_matrix,
     extract_geodesic,
-    geodesic_points,
     grid_graph,
     load_graph,
     make_graph,
     pairs_by_distance,
-    random_tree,
     tree_graph,
 )
 
 from oracles import (
     all_geodesic_vertices,
+    geodesic_points,
     grid_edge_text,
     nx_distances,
     random_connected_graph,
+    random_tree,
 )
 
 
@@ -120,8 +121,10 @@ def _host(shape: str, n: int) -> Graph:
 
 def _assert_matches_networkx(g: Graph) -> np.ndarray:
     dm = distance_matrix(g)
-    assert dm.d.dtype == np.int16
-    assert np.array_equal(dm.d, np.array(nx_distances(g)))
+    dist = nx_distances(g)
+    # the dtype rule: int8 exactly when 2 ecc(0) <= 63, else int16
+    assert dm.d.dtype == (np.int8 if 2 * max(dist[0]) <= 63 else np.int16)
+    assert np.array_equal(dm.d, np.array(dist))
     return dm.d
 
 
@@ -140,6 +143,14 @@ class TestBitsetBFS:
         # 64-row blocks: n = 64 +- 1 ends one row short of a block, on it, or one past it
         monkeypatch.setattr(graphs, "_BLOCK_BYTES", 64 * n)
         _assert_matches_networkx(_host(shape, n))
+
+    @pytest.mark.parametrize("build, dtype", [
+        (lambda: cycle_graph(63), np.int8),  # ecc(0) = 31
+        (lambda: cycle_graph(64), np.int16),  # ecc(0) = 32
+        (lambda: ball(parse_group("C5*Z"), 4).graph, np.int8),  # ecc(0) = 4
+    ], ids=["cycle:63", "cycle:64", "C5*Z-radius-4"])
+    def test_dtype_on_each_side_of_the_rule(self, build, dtype):
+        assert _assert_matches_networkx(build()).dtype == dtype
 
     def test_one_row_blocks(self, monkeypatch):
         monkeypatch.setattr(graphs, "_BLOCK_BYTES", 1)

@@ -20,7 +20,6 @@ from hypme.graphs import (
     geodesic_mask,
     grid_graph,
     load_graph,
-    random_tree,
     tree_graph,
 )
 from hypme.hyperbolicity import (
@@ -41,6 +40,7 @@ from oracles import (
     full_scan_thin_delta,
     nx_distances,
     random_connected_graph,
+    random_tree,
 )
 
 
@@ -152,16 +152,26 @@ def cycle_metric(length: int, points: list[int]) -> list[list[int]]:
     return [[cycle_distance(length, p, q) for q in points] for p in points]
 
 
-TOP = MAX_VERTICES - 1  # the largest distance a host under the cap can have
-ANTIPODAL = random.Random(5).sample(range(TOP), 4)
-# a few points of a path and of a cycle whose distances reach TOP, built
-# without the graphs themselves: their pair sums reach 32,766, one below the
-# int16 maximum, and three of them overflow it
-CAP_METRICS = {
-    "path": path_metric([0, 1, 2, TOP // 2, TOP // 2 + 1, TOP - 2, TOP - 1, TOP]),
-    "cycle": cycle_metric(2 * TOP, [0, 1, TOP // 2, TOP - 1, TOP, TOP + 1, 3 * TOP // 2, 2 * TOP - 1]),
-    "cycle-antipodes": cycle_metric(2 * TOP, sorted(ANTIPODAL + [p + TOP for p in ANTIPODAL])),
-}
+def cap_metrics(top: int) -> dict[str, list[list[int]]]:
+    """A few points of a path and of a cycle whose distances reach `top`,
+    built without the graphs themselves."""
+    antipodal = random.Random(5).sample(range(top), 4)
+    return {
+        "path": path_metric([0, 1, 2, top // 2, top // 2 + 1, top - 2, top - 1, top]),
+        "cycle": cycle_metric(2 * top, [0, 1, top // 2, top - 1, top, top + 1, 3 * top // 2, 2 * top - 1]),
+        "cycle-antipodes": cycle_metric(2 * top, sorted(antipodal + [p + top for p in antipodal])),
+    }
+
+
+# Each dtype of DistanceMatrix.d with the largest distance it holds: an int16
+# host is under the vertex cap, an int8 host has 2 ecc(0) <= 63.  Pair sums
+# reach 32,766 and 126, one below each maximum, and three of them overflow it.
+TOPS = {np.int16: MAX_VERTICES - 1, np.int8: 63}
+CAP_METRICS = {dtype: cap_metrics(top) for dtype, top in TOPS.items()}
+CAP_CASES = [
+    pytest.param(dtype, name, id=name if dtype is np.int16 else f"{name}-{dtype.__name__}")
+    for dtype, metrics in CAP_METRICS.items() for name in metrics
+]
 
 
 def py_thin_point(dist, a: int, b: int, c: int) -> tuple[int, int]:
@@ -188,17 +198,20 @@ def py_lead(dist, x: int, y: int, z: int, w: int) -> int:
 
 
 class TestDistancesAtTheCap:
-    """The int16 kernels against Python ints on distances up to MAX_VERTICES - 1."""
+    """The kernels in each dtype against Python ints on distances up to its top."""
 
-    def test_two_distances_fit_in_int16(self):
-        assert 2 * TOP <= np.iinfo(np.int16).max < 2 * MAX_VERTICES
+    @pytest.mark.parametrize("dtype", TOPS)
+    def test_two_distances_fit(self, dtype):
+        top = TOPS[dtype]
+        assert 2 * top <= np.iinfo(dtype).max < 2 * (top + 1)
 
-    @pytest.mark.parametrize("name", CAP_METRICS)
-    def test_kernels_match_python_ints(self, name):
-        dist = CAP_METRICS[name]
+    @pytest.mark.parametrize("dtype, name", CAP_CASES)
+    def test_kernels_match_python_ints(self, dtype, name):
+        top = TOPS[dtype]
+        dist = CAP_METRICS[dtype][name]
         n = len(dist)
-        dm = DistanceMatrix(d=np.array(dist, dtype=np.int16))
-        assert int(dm.d.max()) == TOP
+        dm = DistanceMatrix(d=np.array(dist, dtype=dtype))
+        assert int(dm.d.max()) == top
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns on scalar overflow
             dm.validate()
@@ -223,20 +236,24 @@ class TestDistancesAtTheCap:
                 ]
                 assert (emb.a, emb.b) == (min(ratios), max(ratios))
 
-    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int8])
     def test_validate(self, dtype):
-        for dist in CAP_METRICS.values():
-            DistanceMatrix(d=np.array(dist, dtype=dtype)).validate()
+        top = TOPS.get(dtype, MAX_VERTICES - 1)  # an int32 matrix holds any distance under the cap
         bad = {
-            "triangle": [[0, TOP, 1], [TOP, 0, 1], [1, 1, 0]],
+            "triangle": [[0, top, 1], [top, 0, 1], [1, 1, 0]],
             ">= 1": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
-            "MAX_VERTICES": [[0, TOP + 1, 1], [TOP + 1, 0, TOP], [1, TOP, 0]],
+            rf"<= {top} = min\(MAX_VERTICES - 1, {np.dtype(dtype).name} maximum // 2\)":
+                [[0, top + 1, 1], [top + 1, 0, top], [1, top, 0]],
             "symmetric": [[0, 1, 2], [1, 0, 1], [1, 1, 0]],
             "diagonal": [[1, 1], [1, 0]],
         }
-        for match, dist in bad.items():
-            with pytest.raises(PreconditionError, match=match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow on the way to a refusal
+            for dist in cap_metrics(top).values():
                 DistanceMatrix(d=np.array(dist, dtype=dtype)).validate()
+            for match, dist in bad.items():
+                with pytest.raises(PreconditionError, match=match):
+                    DistanceMatrix(d=np.array(dist, dtype=dtype)).validate()
 
 
 def sparse_graph(n: int, seed: int):
@@ -313,7 +330,7 @@ class TestForcedScanMemory:
             return build(dm, v, nbrs)
 
         monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", counted)
-        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", 2 * g.n * g.n)
+        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", dm.d.nbytes)
         assert thin_triangle_delta(g, dm) == expected
         assert len(built) > len(set(built)) > 2  # tables were pushed out and rebuilt
 
