@@ -114,12 +114,12 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="work budget in group elements "
                    "(each element a BFS reaches is charged once), cosets defined by coset "
-                   "enumeration, identity-check cases, cycle-search candidate vertices, "
-                   "64-bit words of the volumes condition (5) expands, bracket bits (working "
-                   "bits of each exp_power bracket) and cell blocks (64 distance cells) of the "
-                   "delta kernels: n^2 per thin-triangle table, 2n|G(a,b)| per row, i+1 per "
-                   "four-point row i, n^2 for its witness row, 3n + |G(a,b)||G(a,c) u G(b,c)| "
-                   "per sampled triple; 0.6M-1.7M blocks/s (or HYPME_BUDGET)")
+                   "enumeration, identity-check cases, cycle-search candidate vertices, 64-bit "
+                   "words of expanded growth volumes, bracket bits (working bits of each "
+                   "exp_power bracket) and cell blocks (64 distance cells) of the delta kernels: "
+                   "n^2 per thin-triangle table, 2n|G(a,b)| per row, n^3 + 2n sum|G(a,b)| per "
+                   "c-major pass, i+1 per four-point row i, n^2 for its witness row, 3n + |G(a,b)|"
+                   "|G(a,c) u G(b,c)| per sampled triple; 0.6M-1.7M blocks/s (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
@@ -299,6 +299,8 @@ def cmd_claim_check(args, budget):
 
 def cmd_threshold(args, budget):
     group = groups.parse_group(args.group)
+    if not group.ball_is_tree(args.ball_radius):  # its scan builds a distance matrix
+        graphs._check_size(group.volume(args.ball_radius, budget, by="the ball's vertex count"))
     b = groups.ball(group, args.ball_radius, budget=budget)
     est = groups.entropy_estimate(group, args.ball_radius)
     rep = rigidity.threshold_p(

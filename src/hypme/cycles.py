@@ -145,8 +145,10 @@ def check_obstruction(e: CycleEmbedding, delta: Fraction) -> ObstructionReport:
 
 
 def _simple_cycles(g: Graph, budget: Budget, d=None, need=()):
-    """Depth-first search over simple cycles, in canonical form; each
-    candidate extension is charged to `budget` as one candidate vertex.
+    """Depth-first search over simple cycles, each yielded once, in canonical
+    form: a vertex list that starts at the cycle's smallest vertex, with the
+    second vertex smaller than the last.  Each candidate extension is charged
+    to `budget` as one candidate vertex.
 
     With a distance matrix `d`, two vertices at path separation k must be at
     host distance >= need[k], for 1 <= k < len(need); a prefix that breaks
@@ -169,16 +171,6 @@ def _simple_cycles(g: Graph, budget: Budget, d=None, need=()):
                             break
                     else:
                         stack.append((y, path + [y], onpath | {y}))
-
-
-def enumerate_simple_cycles(g: Graph, budget: Budget | None = None):
-    """Yield every simple cycle exactly once, as a canonical vertex list.
-
-    Canonical form: starts at the cycle's smallest vertex, and the second
-    vertex is smaller than the last.  Each candidate extension is charged to
-    `budget`.
-    """
-    yield from _simple_cycles(g, budget or Budget())
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ in group elements (charged per BFS level, so each element a BFS reaches is
 charged once; a coupling runs one BFS per side and every check reads it),
 cosets defined by coset enumeration (dead ones included), identity-check
 cases, candidate vertices of the fat-cycle search, the 64-bit words of
-the growth volumes condition (5) expands, the working bits of each
-exp_power bracket ("bracket bits": exp(373248) needs 538k of them), and
-the cell blocks of the exact delta scans, ceil(cells/64) per charge: n^2
-cells per thin-triangle table built, 2n|G(a,b)| per thin-triangle row, i+1
-per four-point row i (from 0), n^2 for the four-point witness row; and
-3n + |G(a,b)| |G(a,c) u G(b,c)| per triple of the sampled delta path.  On a
-2-core Xeon (CPython 3.11, numpy 2.4) the scans ran at 0.6M-1.7M cell
-blocks a second, so the default budget stops one within 6 to 17 s.
+expanded growth volumes (condition (5), a ball's vertex-cap check), the
+working bits of each exp_power bracket ("bracket bits": exp(373248) needs
+538k of them), and the cell blocks of the exact delta scans, ceil(cells/64)
+per charge: n^2 cells per thin-triangle table, 2n|G(a,b)| per row, n^3 +
+2n sum |G(a,b)| per c-major pass, i+1 per four-point row i (from 0), n^2
+for the four-point witness row, 3n + |G(a,b)| |G(a,c) u G(b,c)| per
+sampled triple.  On a 2-core Xeon (CPython 3.11, numpy 2.4) the scans ran
+at 0.6M-1.7M cell blocks a second: the default budget stops one in 6-17 s.
 """
 
 DEFAULT_BUDGET = 10_000_000

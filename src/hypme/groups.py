@@ -212,8 +212,10 @@ class MarkedGroup:
             vols.append(vol)
         return vols[n]
 
-    def sphere_size(self, n: int) -> int:
-        return self.volume(n) - (self.volume(n - 1) if n else 0)
+    def ball_is_tree(self, radius: int) -> bool:
+        """B(e, radius) holds a cycle iff the girth is at most 2 radius + 1, and
+        the girth is the shortest relator longer than 2 (aa is one edge)."""
+        return all(len(w) <= 2 or len(w) > 2 * radius + 1 for w in self.relators())
 
     def is_identity(self, g) -> bool:
         return g == self.identity()

@@ -13,7 +13,7 @@ Both exact scans are organised in rows: a row is a vertex pair a < b and
 holds every triple (a, b, c), or every quadruple (a, b, z, w).  They visit
 the rows in the one order of `graphs.pairs_by_distance`, by nonincreasing
 d(a, b) with ties in lexicographic order, one distance level at a time, and
-stop once no unvisited row can beat the best value found, by these bounds:
+stop once no unscanned row can beat the best value found, by these bounds:
 
   - thin-triangle: every row (a, b) scores at most floor(d(a,b)/2).  Each x
     in G(a,b) has d(x,a) + d(x,b) = d(a,b), so one of the two is at most
@@ -33,13 +33,13 @@ They are recovered as follows:
 
   - thin-triangle: the pass visits rows while floor(d/2) > best, so it ends
     with the maximum; then the rows with floor(d/2) >= best are rescanned
-    in lexicographic order, reusing the values of visited rows, up to the
-    first row that reaches the maximum.
+    in lexicographic order, reusing scored rows' values, up to the first
+    row that reaches the maximum (recomputed if the c-major pass scored it).
   - four-point: the pass visits rows while d >= best, and row (x, y)
-    scores the quadruples (x, y, z, w) over the rows (z, w) visited so far,
+    scores the quadruples (x, y, z, w) over the rows (z, w) scanned so far,
     taking d(x,y) + d(z,w) as the largest sum (a score below the true value
     where it is not).  Every quadruple that attains the maximum M has both
-    pairs of its largest sum at distance >= M, so both rows are visited and
+    pairs of its largest sum at distance >= M, so both rows are scanned and
     the later one collects it.  The value is symmetric in the four points,
     so the first row reaching M is the least pair of two smallest members
     over all collected quadruples (row (0, 1) when M = 0, since every row
@@ -53,25 +53,25 @@ and, taking w in order of nondecreasing d(v, w),
 
     N_v[w] = min(N_v[w], min over those u of N_v[u]),
 
-which costs O(m*n) per table.  Tables are built only for the endpoints of
-visited rows and kept, least recently used first out, under
-TABLE_CACHE_BYTES; a table pushed out is rebuilt if a later row needs it.
+which costs O(m*n) per table.  Tables are kept up to TABLE_CACHE_BYTES (the
+first row's two past it); then one c-major pass builds each N_c once, as
+N_a[c, x] = N_c[a, x], and scores every unscored row whose bound reaches
+the best value: at most max(TABLE_CACHE_BYTES / d.nbytes, 2) + n + 2 tables.
 
 Both scans are O(n^4) at worst: where a constant is 0 on a graph that is
 not a tree (a complete graph, a tree of cliques), the bounds stop little or
-nothing, so each table and row is charged to a Budget, in the cell blocks
-of `errors`, before it is computed.  They use exact integer arithmetic and
-return Fractions.  Past EXACT_CUTOFF vertices the CLI takes instead a
-seeded uniform sample, a certified lower bound labeled as such, which
-charges each sampled triple's masks and gather in the same cell blocks.
-Like graphs, the module imports numpy only inside the functions that use
-it, and thin_triangle_delta answers a tree before it reads or builds a
-distance matrix, so a tree costs no numpy import.
+nothing, so each table, row and c-major pass is charged to a Budget, in the
+cell blocks of `errors`, before it is computed.  They use exact integer
+arithmetic and return Fractions.  Past EXACT_CUTOFF vertices the CLI takes
+instead a seeded uniform sample, a certified lower bound labeled as such,
+which charges each sampled triple's masks and gather in the same cell
+blocks.  Like graphs, the module imports numpy only inside the functions
+that use it, and thin_triangle_delta answers a tree before it reads or
+builds a distance matrix, so a tree costs no numpy import.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,8 +87,8 @@ if TYPE_CHECKING:
 # graph-analyze samples past this many vertices, unless the host is a tree
 EXACT_CUTOFF = 600
 CELLS_PER_BLOCK = 64  # distance cells per unit of the scans' Budget charges
-# bytes of thin-triangle tables N_v kept between rows; each is a copy of the
-# distance matrix, n^2 bytes on an int8 host and 2n^2 on an int16 one
+# bytes of thin-triangle tables N_v held at once, or the first row's two; each
+# is a copy of the distance matrix, n^2 bytes on an int8 host, 2n^2 on int16
 TABLE_CACHE_BYTES = 64 << 20
 
 
@@ -155,7 +155,7 @@ def thin_triangle_delta(
     The witness reproduces the constant via thin_triangle_value.  Trees are
     dispatched from g alone, before any distance matrix is read or built:
     geodesics are unique and triangles are tripods, so the constant is 0.
-    Each table and row is charged to `budget` before it is computed.
+    Each table, row and c-major pass is charged to `budget` before it runs.
     Without dm, the scan builds the distance matrix of g itself.
     """
     n = g.n
@@ -168,11 +168,13 @@ def thin_triangle_delta(
 
     d = dm.d
     nbrs = [np.array(row, dtype=np.intp) for row in g.adjacency()]
+    tables, known = {}, np.full_like(d, -1)  # known: each scored row's value, else -1
 
-    @functools.lru_cache(maxsize=max(1, TABLE_CACHE_BYTES // d.nbytes))
     def table(v: int) -> np.ndarray:
-        _charge(budget, n * n, "a thin-triangle table")
-        return _nearest_to_geodesics(dm, v, nbrs)
+        if v not in tables:
+            _charge(budget, n * n, "a thin-triangle table")
+            tables[v] = _nearest_to_geodesics(dm, v, nbrs)
+        return tables[v]
 
     def row(a: int, b: int) -> tuple[int, tuple]:
         idx = np.nonzero(geodesic_mask(dm, a, b))[0]
@@ -182,22 +184,49 @@ def thin_triangle_delta(
         c = int(per_c.argmax())
         return int(per_c[c]), ((a, b, c), int(idx[int(vals[c].argmax())]))
 
-    best = -1
-    visited = {}
+    def score(a: int, b: int) -> int:  # the first row's two tables are kept past the cap
+        nonlocal first
+        held = len(tables) + (a not in tables) + (b not in tables)
+        if known[a, b] < 0 and tables and held * d.nbytes > TABLE_CACHE_BYTES:
+            c_major_pass()
+        elif known[a, b] < 0:
+            value, witness = row(a, b)
+            known[a, b], first = value, min(first, (-value, (a, b), witness))
+        return int(known[a, b])
+
+    def c_major_pass() -> None:  # every unscored row with floor(d/2) >= best
+        tables.clear()  # the pass holds one table at a time
+        _charge(budget, n**3, "a c-major thin-triangle pass")  # its tables, before it counts points
+        rows = np.triu((d // 2 >= best) & (known < 0), 1)
+
+        def geodesics():  # each a, its rows' b and their masks G(a, b), one per b
+            for a, bs in enumerate(map(np.flatnonzero, rows)):
+                yield a, bs, d[a] + d[bs] == d[a, bs][:, None]
+        points = sum(int(geo.sum()) for _, _, geo in geodesics())
+        _charge(budget, 2 * n * points, "a c-major thin-triangle pass")
+        parts = [(a * n + x, bs[r] * n + x, geo.sum(axis=1))  # flat indices of (a, x), (b, x) in N_c
+                 for a, bs, geo in geodesics() for r, x in [geo.nonzero()]]
+        at_a, at_b, counts = (np.concatenate(p) for p in zip(*parts))
+        starts = np.cumsum(counts) - counts  # no row is empty: it holds a and b
+        value = np.zeros(len(counts), d.dtype)
+        for c in range(n):
+            t = _nearest_to_geodesics(dm, c, nbrs).ravel()  # N_c[a, x] = N_a[c, x]
+            np.maximum(value, np.maximum.reduceat(np.minimum(t[at_a], t[at_b]), starts), out=value)
+        known[rows] = value
+
+    best, first = -1, (1,)  # first: (-value, row, witness) of the least top row row() scored
     for level, a_s, b_s in pairs_by_distance(dm):
         if level // 2 <= best:
             break
         for a, b in zip(a_s.tolist(), b_s.tolist()):
-            visited[a, b] = row(a, b)
-            best = max(best, visited[a, b][0])
+            best = max(best, score(a, b))
             if level // 2 <= best:
                 break
     # rescan in lexicographic order the rows whose bound reaches the maximum
     a_s, b_s = np.nonzero(np.triu(d // 2 >= best, 1))
     for a, b in zip(a_s.tolist(), b_s.tolist()):
-        value, witness = visited.get((a, b)) or row(a, b)
-        if value == best:
-            return Fraction(best), witness
+        if score(a, b) == best:  # that is first, unless the c-major pass scored it
+            return Fraction(best), first[2] if first[:2] == (-best, (a, b)) else row(a, b)[1]
     raise AssertionError("no row reaches the maximum of the pass")
 
 
@@ -242,7 +271,7 @@ def four_point_delta(
     d = dm.d
     best = -1
     first = (0, 1)  # least two smallest members of a quadruple attaining best
-    zs = ws = np.zeros(0, dtype=np.intp)  # the rows visited so far
+    zs = ws = np.zeros(0, dtype=np.intp)  # the rows scanned so far
     # a row scores at most its level, so the pass can only stop between levels
     for level, a_s, b_s in pairs_by_distance(dm):
         if level < best:
@@ -251,7 +280,7 @@ def four_point_delta(
         zs, ws = np.concatenate((zs, a_s)), np.concatenate((ws, b_s))
         dzw = d[zs, ws]
         for i, (x, y) in enumerate(zip(a_s.tolist(), b_s.tolist()), start):
-            # Quadruples (x, y, z, w) over the rows (z, w) visited so far: lead
+            # Quadruples (x, y, z, w) over the rows (z, w) scanned so far: lead
             # is L1 - L2 where d(x,y) + d(z,w) is the largest sum, and negative
             # where not; the quadruple then shows up in the row of that sum.
             _charge(budget, i + 1, "a four-point row")

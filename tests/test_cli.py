@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hypme import __version__, coupling, hyperbolicity
+from hypme import __version__, coupling, groups, hyperbolicity
 from hypme.cli import dispatch
 from hypme.integrability import power
 from hypme.reports import encode
@@ -240,6 +240,22 @@ class TestExitCodes:
         code, doc = run(tmp_path, "threshold", "--group", "F2", "--ball-radius", radius)
         assert code == 1 and doc is None
         assert message in capsys.readouterr().err
+
+    def test_threshold_refuses_a_ball_past_the_cap_before_its_bfs(self, tmp_path, capsys, monkeypatch):
+        def fail_if_called(self, radius):
+            raise AssertionError("the ball's BFS ran before the vertex cap")
+
+        monkeypatch.setattr(groups.Spheres, "levels", fail_if_called)
+        # Z^2 has 2r^2 + 2r + 1 elements within radius r
+        code, doc = run(tmp_path, "threshold", "--group", "Z^2", "--ball-radius", "120")
+        assert code == 1 and doc is None
+        assert "graph has 29041 vertices, cap is 16384" in capsys.readouterr().err
+
+    def test_tree_ball_past_the_cap_is_not_refused(self, tmp_path):
+        # F2's ball of radius 9 has 39,365 elements, but a tree needs no distance matrix
+        assert run(tmp_path, "threshold", "--group", "F2", "--ball-radius", "9")[0] == 0
+        code, doc = run(tmp_path, "group-ball", "--group", "F2", "--radius", "9")
+        assert code == 0 and doc["report"]["n"] == 39365
 
     def test_coset_enumeration_capped_below_general_budget(self, tmp_path, monkeypatch):
         # the general budget (10M by default) would let the enumerator define

@@ -5,10 +5,10 @@ import pytest
 
 from hypme.cycles import (
     _heuristic_candidates,
+    _simple_cycles,
     asymptotic_onset,
     check_obstruction,
     cycle_distance,
-    enumerate_simple_cycles,
     find_fat_cycle,
     obstruction_bound,
     verify_embedding,
@@ -164,7 +164,7 @@ class TestEnumerateCycles:
     def test_matches_networkx(self, seed):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randrange(5, 12), rng.randrange(1, 5))
-        mine = {tuple(c) for c in enumerate_simple_cycles(g)}
+        mine = {tuple(c) for c in _simple_cycles(g, Budget())}
         assert mine == nx_simple_cycles(g)
 
     def test_tree_plus_chord_has_one_cycle(self):
@@ -173,13 +173,13 @@ class TestEnumerateCycles:
         edges = set(g.edges)
         edges.add((0, 29)) if (0, 29) not in edges else edges.add((1, 28))
         g2 = make_graph(30, edges)
-        cycles = list(enumerate_simple_cycles(g2))
+        cycles = list(_simple_cycles(g2, Budget()))
         assert len(cycles) == 1
 
     def test_budget_error(self):
         g = make_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
         with pytest.raises(BudgetError):
-            list(enumerate_simple_cycles(g, budget=Budget(10)))
+            list(_simple_cycles(g, Budget(10)))
 
 
 class TestFindFatCycle:
@@ -266,7 +266,7 @@ class TestFindFatCycle:
 
 def naive_fat_cycle(g, dm, min_a, min_n):
     """First enumerated simple cycle with n >= min_n and a >= min_a, unpruned."""
-    for cyc in enumerate_simple_cycles(g):
+    for cyc in _simple_cycles(g, Budget()):
         if len(cyc) >= min_n:
             e = verify_embedding(dm, cyc)
             if e.a >= min_a:
@@ -350,7 +350,7 @@ class TestSoundnessSweepSmall:
         dm = distance_matrix(g)
         dt, _ = thin_triangle_delta(g, dm)
         delta = dt + 2
-        for cyc in enumerate_simple_cycles(g):
+        for cyc in _simple_cycles(g, Budget()):
             e = verify_embedding(dm, cyc)
             rep = check_obstruction(e, delta)
             assert rep.verdict == "consistent"

@@ -130,7 +130,7 @@ class TestBalls:
         t = bfs_growth_table(g, 6, budget=Budget(30_000))  # F3 has the largest ball, 23,437
         assert list(t) == [g.volume(n) for n in range(7)]
         spheres = [b - a for a, b in zip(t, t[1:])]
-        assert [g.sphere_size(n) for n in range(1, 7)] == spheres
+        assert [g.volume(n) - g.volume(n - 1) for n in range(1, 7)] == spheres
 
     @pytest.mark.parametrize("spec", ["F2", "Z^2", "C2*C3", "F2xC2"])
     def test_word_length_equals_bfs_depth(self, spec):
@@ -177,6 +177,15 @@ class TestBalls:
         # C3xC4 has diameter 3, so its levels run out before the radius
         g = parse_group(spec)
         assert bfs_growth_table(g, radius) == ball(g, radius).growth
+
+    @pytest.mark.parametrize("spec", [
+        "F2", "Z", "Z^2", "Z^3", "C2", "C3", "C4", "C7", "C2*C2", "C2*C3", "C4*Z", "C5*Z",
+        "F2xC2", "C2xC2", "C2xC3", "C2*C3xZ",
+    ])
+    def test_ball_is_tree_read_off_the_relators(self, spec):
+        g = parse_group(spec)
+        for radius in range(5):
+            assert g.ball_is_tree(radius) == ball(g, radius).graph.is_tree, radius
 
     def test_ball_deterministic(self):
         b1 = ball(parse_group("C2*C3"), 5)

@@ -1,9 +1,12 @@
+import functools
+import importlib.util
 import itertools
 import random
 import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,11 @@ from hypme.graphs import (
     geodesic_mask,
     grid_graph,
     load_graph,
+    make_graph,
+    pairs_by_distance,
     tree_graph,
 )
+from hypme.groups import ball, parse_group
 from hypme.hyperbolicity import (
     four_point_delta,
     four_point_value,
@@ -265,22 +271,36 @@ def complete_graph_text(n: int) -> str:
     return "\n".join(f"{u} {v}" for u, v in itertools.combinations(range(n), 2))
 
 
+WITNESS_HOSTS = {
+    "grid3x3": grid_graph(3, 3), "grid4x7": grid_graph(4, 7), "grid9x9": grid_graph(9, 9),
+    "cycle5": cycle_graph(5), "cycle8": cycle_graph(8), "cycle13": cycle_graph(13),
+    "cycle100": cycle_graph(100), "sparse60": sparse_graph(60, 1), "sparse100": sparse_graph(100, 2),
+    "sparse130": sparse_graph(130, 3), "sparse170": sparse_graph(170, 4),
+}
+# n = 149 and thin-triangle constant 1: the bounds prune few rows
+C5Z_BALL4 = ball(parse_group("C5*Z"), 4).graph
+
+
 class TestWitnessOrder:
     """The pruned scans return the value and the witness of the full scan over
     every pair in lexicographic order (tests/oracles.py)."""
 
-    @pytest.mark.parametrize(
-        "g",
-        [grid_graph(3, 3), grid_graph(4, 7), grid_graph(9, 9), cycle_graph(5), cycle_graph(8),
-         cycle_graph(13), cycle_graph(100), sparse_graph(60, 1), sparse_graph(100, 2),
-         sparse_graph(130, 3), sparse_graph(170, 4)],
-        ids=["grid3x3", "grid4x7", "grid9x9", "cycle5", "cycle8", "cycle13", "cycle100",
-             "sparse60", "sparse100", "sparse130", "sparse170"],
-    )
+    @pytest.mark.parametrize("g", WITNESS_HOSTS.values(), ids=WITNESS_HOSTS.keys())
     def test_same_value_and_witness_as_full_scan(self, g):
         dm = distance_matrix(g)
         assert thin_triangle_delta(g, dm) == full_scan_thin_delta(g, dm)
         assert four_point_delta(dm) == full_scan_four_point_delta(dm)
+
+    @pytest.mark.parametrize("tables", [1, 5])
+    @pytest.mark.parametrize(
+        "g", [*WITNESS_HOSTS.values(), C5Z_BALL4], ids=[*WITNESS_HOSTS.keys(), "C5*Z-ball4"]
+    )
+    def test_c_major_pass_gives_the_full_scan(self, monkeypatch, g, tables):
+        # with room for one table, the first row keeps its two tables and the
+        # next row to need another starts the c-major pass
+        dm = distance_matrix(g)
+        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", tables * dm.d.nbytes)
+        assert thin_triangle_delta(g, dm) == full_scan_thin_delta(g, dm)
 
     @pytest.mark.parametrize("g", [grid_graph(4, 7), cycle_graph(13)], ids=["grid4x7", "cycle13"])
     def test_scan_builds_its_own_matrix(self, g):
@@ -318,21 +338,95 @@ class TestForcedScanMemory:
         assert thin_triangle_value(dm, *w["thin_triple"]) == rep.delta_thin
         assert four_point_value(dm, *w["four_point"]) == rep.delta_four_point
 
-    def test_one_cached_table_gives_the_same_result(self, monkeypatch):
-        g = sparse_graph(120, 5)
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+@functools.cache
+def bench_inputs():
+    """perfbench/inputs.py, whose seeded sparse hosts the benchmark reads."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_sparse(n: int, chords: int, seed: int):
+    return make_graph(n, bench_inputs().sparse_graph(n, chords, seed))
+
+
+def count_builds(monkeypatch) -> list[int]:
+    """The vertices whose thin-triangle tables are built from now on, in order."""
+    built = []
+    build = hyperbolicity._nearest_to_geodesics
+
+    def counted(dm, v, nbrs):
+        built.append(v)
+        return build(dm, v, nbrs)
+
+    monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", counted)
+    return built
+
+
+class TestTableBuilds:
+    """While its tables fit under TABLE_CACHE_BYTES (or are the first row's
+    two), the scan builds each table at most once; past that, one c-major
+    pass builds each table once more, and the witness row two."""
+
+    @pytest.mark.parametrize(
+        "g, tables",
+        [
+            pytest.param(lambda: grid_graph(9, 9), 2, id="grid9x9"),
+            pytest.param(lambda: cycle_graph(100), 2, id="cycle100"),
+            pytest.param(lambda: bench_sparse(170, 85, 1), 25, id="graph-exact-sparse170"),
+            pytest.param(lambda: grid_graph(24, 24), 2, id="grid24x24"),
+            pytest.param(lambda: bench_sparse(500, 250, 1), 10, id="sparse500"),
+            pytest.param(lambda: bench_sparse(600, 300, 2), 52, id="sparse600"),
+        ],
+    )
+    def test_hosts_that_fit_build_only_their_rows_tables(self, monkeypatch, g, tables):
+        # every table of these hosts' scored rows fits, so each is built once
+        g = g()
+        dm = distance_matrix(g)
+        built = count_builds(monkeypatch)
+        thin_triangle_delta(g, dm)
+        assert len(built) == len(set(built)) == tables
+
+    @pytest.mark.parametrize("tables", [0, 1])
+    def test_the_first_row_keeps_its_two_tables(self, monkeypatch, tables):
+        # grid 20x20's first row (0, 399) reaches its bound, 19, and ends the
+        # scan: with room for fewer than two tables it still builds only two
+        g = grid_graph(20, 20)
+        dm = distance_matrix(g)
+        built = count_builds(monkeypatch)
+        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", tables * dm.d.nbytes)
+        assert thin_triangle_delta(g, dm) == (19, ((0, 399, 19), 380))
+        assert built == [0, 399]
+
+    @pytest.mark.parametrize(
+        "g, tables", [(sparse_graph(120, 5), 3), (C5Z_BALL4, 5), (sparse_graph(120, 5), 1)],
+        ids=["sparse120", "C5*Z-ball4", "sparse120-one-table"],
+    )
+    def test_no_table_built_twice_before_the_pass(self, monkeypatch, g, tables):
         dm = distance_matrix(g)
         expected = thin_triangle_delta(g, dm)
-        built = []
-        build = hyperbolicity._nearest_to_geodesics
+        built = count_builds(monkeypatch)
+        at_pass = []  # the tables built when the c-major pass is charged
+        charge = Budget.charge
 
-        def counted(dm, v, nbrs):
-            built.append(v)
-            return build(dm, v, nbrs)
+        def recorded(budget, what, amount=1, *, by):
+            if by == "a c-major thin-triangle pass":
+                at_pass.append(len(built))
+            charge(budget, what, amount, by=by)
 
-        monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", counted)
-        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", dm.d.nbytes)
+        monkeypatch.setattr(Budget, "charge", recorded)
+        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", tables * dm.d.nbytes)
         assert thin_triangle_delta(g, dm) == expected
-        assert len(built) > len(set(built)) > 2  # tables were pushed out and rebuilt
+        assert len(at_pass) == 2 and at_pass[0] == at_pass[1]  # its tables, then its points
+        before = built[: at_pass[0]]
+        assert len(before) == len(set(before)) <= max(tables, 2)
+        assert sorted(built[at_pass[0]: at_pass[0] + g.n]) == list(range(g.n))
+        assert len(built) <= max(tables, 2) + g.n + 2 <= 2 * g.n
 
 
 class TestWitnesses:
@@ -410,22 +504,62 @@ class TestBudget:
             thin_triangle_delta(g, dm, budget)
         assert budget.spent == 206
 
-    def test_a_cached_table_is_not_charged_again(self, monkeypatch):
-        g = sparse_graph(120, 5)
+    @pytest.mark.parametrize("room", [0, 1], ids=["at-its-tables", "at-its-points"])
+    def test_c_major_pass_charged_before_its_point_lists(self, monkeypatch, room):
+        g = sparse_graph(300, 7)
         dm = distance_matrix(g)
-        built, charged = [], []
-        build = hyperbolicity._nearest_to_geodesics
-        charge = Budget.charge
+        n, build, built = g.n, hyperbolicity._nearest_to_geodesics, []
+        _, a_s, b_s = next(pairs_by_distance(dm))
+        points = int(geodesic_mask(dm, a_s[0], b_s[0]).sum())
+        first_row = 2 * -(-n * n // 64) + -(-2 * n * points // 64)  # its two tables and its row
+        tables = n**3 // 64  # 421,875; the points' charge is 2,060,485
 
-        def counted(dm, v, nbrs):
+        def first_row_only(dm, v, nbrs):
             built.append(v)
+            if len(built) > 2:
+                raise AssertionError("computed before its charge")
             return build(dm, v, nbrs)
+
+        monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", first_row_only)
+        # room for one table: the first row keeps its two, the next starts the pass
+        monkeypatch.setattr(hyperbolicity, "TABLE_CACHE_BYTES", dm.d.nbytes)
+        budget = Budget(first_row + room * tables + 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"c-major thin-triangle pass needs \d{6,} cell"):
+                thin_triangle_delta(g, dm, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 2
+        assert budget.spent == first_row + room * tables
+        # a few n^2 bytes; the pass's 220k points would take 16 bytes each, 3.5 MB
+        assert peak < 10 * dm.d.nbytes
+
+    @pytest.mark.parametrize("g", [grid_graph(9, 9), cycle_graph(100)], ids=["grid9x9", "cycle100"])
+    def test_the_witness_row_is_not_computed_again(self, monkeypatch, g):
+        # the first row ends these scans and is their witness: one row charged
+        charged = []
+        charge = Budget.charge
 
         def recorded(budget, what, amount=1, *, by):
             charged.append(by)
             charge(budget, what, amount, by=by)
 
-        monkeypatch.setattr(hyperbolicity, "_nearest_to_geodesics", counted)
+        monkeypatch.setattr(Budget, "charge", recorded)
+        thin_triangle_delta(g, distance_matrix(g), Budget())
+        assert charged.count("a thin-triangle row") == 1
+
+    def test_a_cached_table_is_not_charged_again(self, monkeypatch):
+        g = sparse_graph(120, 5)
+        dm = distance_matrix(g)
+        built, charged = count_builds(monkeypatch), []
+        charge = Budget.charge
+
+        def recorded(budget, what, amount=1, *, by):
+            charged.append(by)
+            charge(budget, what, amount, by=by)
+
         monkeypatch.setattr(Budget, "charge", recorded)
         thin_triangle_delta(g, dm, Budget())
         assert charged.count("a thin-triangle table") == len(built) >= 2
