@@ -116,15 +116,17 @@ def _add_common(p):
                    "(each element a BFS reaches is charged once), cosets defined by coset "
                    "enumeration, identity-check cases, cycle-search candidate vertices, 64-bit "
                    "words of expanded growth volumes, bracket bits (working bits of each "
-                   "exp_power bracket) and cell blocks (64 distance cells) of the delta kernels: "
-                   "n^2 per thin-triangle table, 2n|G(a,b)| per row, n^3 + 2n sum|G(a,b)| per "
-                   "c-major pass, i+1 per four-point row i, n^2 for its witness row, 3n + |G(a,b)|"
-                   "|G(a,c) u G(b,c)| per sampled triple; 0.6M-1.7M blocks/s (or HYPME_BUDGET)")
+                   "exp_power bracket) and cell blocks: n ceil(n/64)/64 per APSP BFS level "
+                   "(64 bitset words a block), 0.4M-0.6M blocks/s; of the delta kernels (64 "
+                   "distance cells a block), n^2 per thin-triangle table, 2n|G(a,b)| per row, "
+                   "n^3 + 2n sum|G(a,b)| per c-major pass, i+1 per four-point row i, n^2 for its "
+                   "witness row, 3n + |G(a,b)||G(a,c) u G(b,c)| per sampled triple; 0.6M-1.7M "
+                   "blocks/s (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
     g = _load_host(args)
-    dm = graphs.distance_matrix(g)
+    dm = graphs.distance_matrix(g, budget)
     if g.n <= hyperbolicity.EXACT_CUTOFF or g.is_tree:
         rep = hyperbolicity.hyperbolicity_report(g, dm, budget)
     else:
@@ -134,7 +136,7 @@ def cmd_graph_analyze(args, budget):
 
 def cmd_find_cycles(args, budget):
     g = _load_host(args)
-    dm = graphs.distance_matrix(g)
+    dm = graphs.distance_matrix(g, budget)
     res = cycles.find_fat_cycle(
         g,
         dm,
@@ -187,7 +189,7 @@ def cmd_check_obstruction(args, budget):
         host = _load_host(args)
         if not all(0 <= v < host.n for v in emb.images):
             raise ParseError(f"embedding image vertex out of range for a host with {host.n} vertices")
-        dm = graphs.distance_matrix(host)
+        dm = graphs.distance_matrix(host, budget)
         delta = hyperbolicity.thin_triangle_delta(host, dm, budget)[0] + 2
         delta_source = "thin_triangle_plus_slack_2"
         emb = cycles.verify_embedding(dm, list(emb.images))  # re-verify against the host

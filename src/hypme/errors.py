@@ -9,12 +9,15 @@ cosets defined by coset enumeration (dead ones included), identity-check
 cases, candidate vertices of the fat-cycle search, the 64-bit words of
 expanded growth volumes (condition (5), a ball's vertex-cap check), the
 working bits of each exp_power bracket ("bracket bits": exp(373248) needs
-538k of them), and the cell blocks of the exact delta scans, ceil(cells/64)
-per charge: n^2 cells per thin-triangle table, 2n|G(a,b)| per row, n^3 +
-2n sum |G(a,b)| per c-major pass, i+1 per four-point row i (from 0), n^2
+538k of them), and cell blocks.  The APSP BFS charges ceil(n ceil(n/64)/64)
+blocks (one per 64 bitset words) per level: ecc(0) levels before its
+matrix is allocated, then each later level.  The exact delta scans charge
+ceil(cells/64): n^2 cells per thin-triangle table, 2n|G(a,b)| per row, n^3
++ 2n sum |G(a,b)| per c-major pass, i+1 per four-point row i (from 0), n^2
 for the four-point witness row, 3n + |G(a,b)| |G(a,c) u G(b,c)| per
 sampled triple.  On a 2-core Xeon (CPython 3.11, numpy 2.4) the scans ran
-at 0.6M-1.7M cell blocks a second: the default budget stops one in 6-17 s.
+at 0.6M-1.7M cell blocks a second, the APSP BFS at 0.4M-0.6M (n >= 364):
+the default budget stops a scan in 6-17 s and the BFS in 17-25 s.
 """
 
 DEFAULT_BUDGET = 10_000_000

@@ -8,11 +8,14 @@ are explicit vertex sequences.
 Conventions:
     - vertices are dense integers 0..n-1;
     - the distance matrix is a full numpy array, built by a multi-source
-      bitset BFS that runs all n searches level by level.  Its dtype is
+      bitset BFS that runs all n searches level by level and counts the
+      levels into `d`, d(v, s) = #{l >= 0 : s has not reached v by level
+      l}, with no branch per cell (see distance_matrix).  Its dtype is
       chosen before it is allocated, from one BFS from vertex 0: int8 (n^2
       bytes) when 2 ecc(0) <= 63, else int16 (2n^2 bytes).  distance_matrix,
       load_graph and the generators refuse graphs above MAX_VERTICES before
-      building anything of their size;
+      building anything of their size, and distance_matrix refuses a BFS
+      whose first ecc(0) levels are over its Budget before it allocates;
     - a sum of two distances fits in the matrix's dtype.  The kernels rely
       on this invariant: they add two entries in the dtype (geodesic masks,
       pair sums, the triangle inequality) but never three, and they take a
@@ -36,7 +39,7 @@ from collections import deque
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, PreconditionError
+from .errors import Budget, ParseError, PreconditionError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,6 +47,7 @@ if TYPE_CHECKING:
 MAX_VERTICES = 1 << 14  # the largest n whose two-distance sums fit in int16
 # scratch bytes per row block of the APSP kernel, beside the n^2 matrix
 _BLOCK_BYTES = 1 << 18
+WORDS_PER_BLOCK = 64  # bitset words per unit of the APSP BFS's Budget charges
 
 
 @dataclass(frozen=True)
@@ -199,23 +203,41 @@ class DistanceMatrix:
                 raise PreconditionError(f"triangle inequality fails through {v}")
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
+def distance_matrix(g: Graph, budget: Budget | None = None) -> DistanceMatrix:
     """Exact BFS distances for all vertex pairs; errors on disconnected input.
 
     A multi-source bitset BFS (Then et al., "The More the Merrier: Efficient
     Multi-Source Graph Traversal", VLDB 2014) runs the n searches together,
     one level at a time.  Row v of each (n, ceil(n/64)) uint64 bitset holds a
     set of sources: `seen[v]` those that have reached v, `frontier[v]` those
-    that reached it at the last level.  One level is
+    that reached it at the last level.  One level l is
 
         next[v] = OR of frontier[u] over u in adj(v), minus seen[v],
 
-    and every source in next[v] lies at the new level's distance from v.  The
-    OR is a `bitwise_or.reduceat` over the CSR neighbour lists, done in blocks
-    of rows together with unpacking the new bits into `d`.  One BFS from
-    vertex 0 first proves the graph connected and picks `d`'s dtype (see the
-    module docstring).  Memory: n^2 bytes for an int8 `d` or 2n^2 for an
-    int16 one, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of scratch per
+    and seen_l[v] = seen_(l-1)[v] | next[v].  The OR is a
+    `bitwise_or.reduceat` over the CSR neighbour lists, done in blocks of
+    rows.  `d` counts levels instead of writing each one:
+
+        d(v, s) = #{l >= 0 : s not in seen_l[v]},
+
+    so `d` starts at 1 off the diagonal (seen_0[v] = {v}), and each level
+    adds the unpacked complement of seen_l to the rows of every block that
+    grew.  The add has no branch; a masked copy of the level into the new
+    bits branches on every cell, and on a 2-core Xeon cost 4-7 ns a cell at
+    20-50% of cells set, against under 0.2 ns for the add.  The add does
+    touch every cell of a growing row, so where `d` outgrows the cache and
+    the levels are many and sparse it is the slower one (cycle:3000: 12 s
+    against 8 s).  The distances from v take every value 0..ecc(v), so a
+    block that finds no new source has finished all its rows and would add
+    only zeros: it is skipped.
+
+    One BFS from vertex 0 first proves the graph connected and picks `d`'s
+    dtype (see the module docstring).  The BFS runs at least ecc(0) levels,
+    each of n ceil(n/64) bitset words, charged to `budget` (the default
+    Budget if None) in cell blocks of 64 words: ecc(0) levels before
+    anything of the matrix's size is allocated, then each later level
+    before it runs.  Memory: n^2 bytes for an int8 `d` or 2n^2 for an int16
+    one, 3n^2/8 for the bitsets, and about _BLOCK_BYTES of scratch per
     block.  Graphs above MAX_VERTICES are refused before anything is
     allocated.
     """
@@ -229,38 +251,44 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     from_0 = _bfs(adj, 0)
     if len(from_0) < n:
         raise PreconditionError("graph is disconnected")
+    ecc = max(from_0.values())
     # diam <= 2 ecc(0), so two distances add without wrapping in the dtype
-    dtype = np.int8 if 2 * max(from_0.values()) <= np.iinfo(np.int8).max // 2 else np.int16
+    dtype = np.int8 if 2 * ecc <= np.iinfo(np.int8).max // 2 else np.int16
+    words = (n + 63) // 64
+    level_blocks = -(-n * words // WORDS_PER_BLOCK)
+    budget = budget or Budget()
+    budget.charge("cell blocks", ecc * level_blocks, by=f"the APSP BFS (at least {ecc} levels)")
     if n == 1:
         return DistanceMatrix(d=np.zeros((1, 1), dtype=dtype))
     degree = [len(row) for row in adj]  # connected, so reduceat gets no empty row
     indptr = np.fromiter(accumulate(degree, initial=0), dtype=np.int64, count=n + 1)
     indices = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(indptr[-1]))
-    words = (n + 63) // 64
     word = np.dtype("<u8")  # little-endian, so bit s of a row unpacks to column s
     frontier = np.zeros((n, words), dtype=word)
     v = np.arange(n)
     frontier[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
     seen = frontier.copy()
     nxt = np.empty_like(frontier)
-    d = np.zeros((n, n), dtype=dtype)
+    d = np.ones((n, n), dtype=dtype)  # level 0: every source but v itself is unseen
+    np.fill_diagonal(d, 0)
     blocks = _row_blocks(indptr, n, words)
     level = 0
     while True:
         level += 1
+        if level > ecc:
+            budget.charge("cell blocks", level_blocks, by=f"APSP BFS level {level}")
         grew = False
         for start, stop in blocks:
             lo, hi = indptr[start], indptr[stop]
-            block = np.bitwise_or.reduceat(frontier[indices[lo:hi]], indptr[start:stop] - lo)
+            block = nxt[start:stop]
+            np.bitwise_or.reduceat(frontier[indices[lo:hi]], indptr[start:stop] - lo, out=block)
             block &= ~seen[start:stop]
             if not block.any():
-                nxt[start:stop] = 0
                 continue
             grew = True
             seen[start:stop] |= block
-            nxt[start:stop] = block
-            bits = np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little")
-            np.copyto(d[start:stop], level, where=bits.view(bool))
+            unseen = (~seen[start:stop]).view(np.uint8)
+            d[start:stop] += np.unpackbits(unseen, axis=1, count=n, bitorder="little").view(np.int8)
         if not grew:
             break
         frontier, nxt = nxt, frontier

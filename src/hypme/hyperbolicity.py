@@ -163,7 +163,7 @@ def thin_triangle_delta(
         return Fraction(0), ((0, 0, 0), 0)
     budget = budget or Budget()
     if dm is None:
-        dm = distance_matrix(g)
+        dm = distance_matrix(g, budget)
     import numpy as np
 
     d = dm.d

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hypme import __version__, coupling, groups, hyperbolicity
+from hypme import __version__, coupling, graphs, groups, hyperbolicity
 from hypme.cli import dispatch
 from hypme.integrability import power
 from hypme.reports import encode
@@ -444,11 +444,32 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: graph has 22500 vertices, cap is")
 
     def test_exact_scans_over_budget_exit_one(self, tmp_path, capsys):
+        # the APSP BFS of grid:9,9 spends 17 levels of 3 cell blocks, the scans the rest
         out = tmp_path / "x.json"
-        assert dispatch(["graph-analyze", "--gen", "grid:9,9", "--budget", "10", "--out", str(out)]) == 1
+        assert dispatch(["graph-analyze", "--gen", "grid:9,9", "--budget", "100", "--out", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "--budget" in err
+        assert err.startswith("error: a thin-triangle row") and err.count("\n") == 1 and "--budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["graph-analyze"],
+        ["find-cycles", "--min-a", "1/2", "--min-n", "20"],
+        ["check-obstruction", "--embedding", "EMB"],
+    ], ids=["graph-analyze", "find-cycles", "check-obstruction"])
+    def test_apsp_over_budget_refused_before_its_levels(self, tmp_path, capsys, monkeypatch, argv):
+        # 8192 levels of 65,536 cell blocks: charged before the matrix is allocated
+        def fail_if_called(*args):
+            raise AssertionError("the APSP BFS ran before its budget charge")
+
+        monkeypatch.setattr(graphs, "_row_blocks", fail_if_called)
+        emb = tmp_path / "emb.json"
+        emb.write_text('{"n": 3, "images": [0, 1, 2], "a": "1/1", "b": "1/1"}')
+        out = tmp_path / "x.json"
+        argv = [str(emb) if a == "EMB" else a for a in argv]
+        assert dispatch([*argv, "--gen", "cycle:16384", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: the APSP BFS (at least 8192 levels) needs 536870912 cell blocks")
 
     def test_sampled_path_over_budget_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypme import graphs
-from hypme.errors import ParseError, PreconditionError
+from hypme.errors import Budget, BudgetError, ParseError, PreconditionError
 from hypme.groups import ball, parse_group
 from hypme.graphs import (
     MAX_VERTICES,
@@ -213,6 +213,91 @@ class TestBitsetBFS:
 
     def test_grid_at_the_cap_builds(self):
         assert grid_graph(128, 128).n == MAX_VERTICES
+
+
+def _clique_with_tail(k: int, tail: int) -> Graph:
+    """A k-clique on 0..k-1 with a path of `tail` more vertices hung from k-1."""
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return make_graph(k + tail, clique + [(v, v + 1) for v in range(k - 1, k + tail - 1)])
+
+
+def _level_blocks(n: int) -> int:
+    return -(-n * ((n + 63) // 64) // graphs.WORDS_PER_BLOCK)
+
+
+class TestLevelCounting:
+    """d(v, s) = #{l >= 0 : s not in seen_l[v]}, added level by level."""
+
+    @pytest.mark.parametrize("build, top", [
+        (lambda: _host("path", 300), 299),  # a count passes 127/128 and 255/256
+        (lambda: cycle_graph(600), 300),
+    ], ids=["path:300", "cycle:600"])
+    def test_counts_past_one_byte(self, build, top):
+        d = _assert_matches_networkx(build())
+        assert d.dtype == np.int16 and d.max() == top
+
+    @pytest.mark.parametrize("tail", [20, 60], ids=["int8", "int16"])
+    def test_blocks_that_finish_at_different_levels(self, monkeypatch, tail):
+        # the clique's rows (many arcs) and the tail's rows fall in separate
+        # blocks; a block in the middle of the tail stops growing at about
+        # half the levels of the clique's, and is skipped from then on
+        g = _clique_with_tail(40, tail)
+        monkeypatch.setattr(graphs, "_BLOCK_BYTES", 8 * g.n)
+        indptr = np.cumsum([0] + [len(row) for row in g.adjacency()])
+        blocks = graphs._row_blocks(indptr, g.n, (g.n + 63) // 64)
+        ecc = np.array(nx_distances(g)).max(axis=1)
+        finished = {int(ecc[start:stop].max()) for start, stop in blocks}
+        assert len(blocks) > 4 and len(finished) >= 3
+        _assert_matches_networkx(g)
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_graph(30, 30),
+        lambda: random_connected_graph(random.Random(16), 1600, 800),
+    ], ids=["grid:30,30", "sparse1600"])
+    def test_peak_is_the_matrix_the_bitsets_and_a_few_blocks(self, build):
+        g = build()
+        n = g.n
+        tracemalloc.start()
+        try:
+            d = distance_matrix(g).d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= d.nbytes + 3 * n * n / 8 + 4 * graphs._BLOCK_BYTES
+
+
+class TestBudget:
+    """The BFS charges ceil(n ceil(n/64) / 64) cell blocks a level."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: grid_graph(9, 9),  # ecc(0) = diameter
+        lambda: cycle_graph(130),  # ecc(0) = diameter, past two words
+        lambda: tree_graph(3, 4),  # ecc(0) = diameter / 2: four levels charged one by one
+        lambda: _clique_with_tail(40, 20),
+        lambda: Graph(n=1, edges=frozenset()),
+    ], ids=["grid:9,9", "cycle:130", "tree:3,4", "clique-tail", "point"])
+    def test_charges_one_level_past_the_diameter(self, build):
+        # levels 1..diam each find a new source, and level diam + 1 finds none
+        g = build()
+        diam = max(map(max, nx_distances(g)))
+        need = (diam + 1) * _level_blocks(g.n) if g.n > 1 else 0
+        budget = Budget(need)
+        assert np.array_equal(distance_matrix(g, budget).d, np.array(nx_distances(g)))
+        assert budget.spent == need
+        if need:
+            with pytest.raises(BudgetError, match=f"APSP BFS level {diam + 1} needs"):
+                distance_matrix(g, Budget(need - 1))
+
+    def test_ecc0_levels_charged_before_allocating(self):
+        g = cycle_graph(5000)  # 2500 levels of 6172 blocks, past the default budget
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"at least 2500 levels\) needs 15430000 cell blocks"):
+                distance_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGeodesicPoints:

@@ -589,6 +589,12 @@ class TestBudget:
         g = tree_graph(3, 4)
         assert self.spent(hyperbolicity_report, g, distance_matrix(g)) == 0
 
+    def test_own_distance_matrix_charged_to_the_scan_budget(self):
+        g = sparse_graph(60, 3)
+        assert self.spent(thin_triangle_delta, g) == (
+            self.spent(distance_matrix, g) + self.spent(thin_triangle_delta, g, distance_matrix(g))
+        )
+
 
 class TestGeodesicPathBound:
     def test_tree_paths_sit_on_geodesics(self):
