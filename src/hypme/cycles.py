@@ -180,11 +180,10 @@ class FatCycleResult:
     nodes_used: int
 
 
-def _closed_walk_images(dm: DistanceMatrix, corners: list[int]) -> list[int] | None:
-    loop = list(corners) + [corners[0]]
-    if any(dm[a, b] == 0 for a, b in zip(loop, loop[1:])):
-        return None
-    path = direct_image_path(dm, loop)
+def _closed_walk_images(dm: DistanceMatrix, corners: list[int]) -> list[int]:
+    """The closed walk through the corners along direct geodesics; every
+    candidate of `_heuristic_candidates` has distinct consecutive corners."""
+    path = direct_image_path(dm, list(corners) + [corners[0]])
     return list(path.vertices[:-1])
 
 
@@ -233,8 +232,8 @@ def _heuristic_embeddings(g: Graph, dm: DistanceMatrix, min_n: int, seed: int, b
     """The closed walks through the corner candidates, each verified."""
     for corners in _heuristic_candidates(g, dm, seed):
         images = _closed_walk_images(dm, corners)
-        budget.charge("candidate vertices", 1 if images is None else len(images), by="the cycle heuristic")
-        if images is not None and len(images) >= max(min_n, 3):
+        budget.charge("candidate vertices", len(images), by="the cycle heuristic")
+        if len(images) >= max(min_n, 3):
             yield verify_embedding(dm, images)
 
 

@@ -1,11 +1,15 @@
 """Marked groups with computable normal forms and exact growth.
 
 Supported families are fixed so that every computation downstream is exact:
-free groups F<k>, free abelian Z^<d>, finite cyclic C<n>, and their free
-("*") and direct ("x") products.  Elements carry canonical normal forms,
-word lengths have closed forms per family, and ball enumeration is a
-deterministic BFS.  `Spheres` is the only word-metric BFS over a marked
-group: `ball`, `bfs_growth_table` and a coupling's two balls read its levels.
+free groups F<k>, free abelian Z^<d>, finite cyclic C<n> (n at most
+MAX_ATOM_PARAMETER), and their free ("*") and direct ("x") products.  Every
+product the DSL parses is a direct product of free products of atoms, and
+one class, `Product`, holds it: an element is a tuple with one entry per
+direct factor, that factor's reduced alternating syllables (atom index,
+atom element).  Elements carry canonical normal forms, word lengths have
+closed forms per family, and ball enumeration is a deterministic BFS.
+`Spheres` is the only word-metric BFS over a marked group: `ball`,
+`bfs_growth_table` and a coupling's two balls read its levels.
 
 Each family states its spherical growth series sum_n |S(n)| t^n = N(t)/D(t)
 once (de la Harpe, Topics in Geometric Group Theory, ch. VI); a free product
@@ -274,8 +278,6 @@ class FreeGroup(MarkedGroup):
     """Free group of rank k; elements are freely reduced letter strings."""
 
     def __init__(self, rank: int, name: str | None = None):
-        if rank < 1:
-            raise ParseError("free group rank must be >= 1")
         self.rank = rank
         self.num_generators = rank
         self.name = name or f"F{rank}"
@@ -314,8 +316,6 @@ class FreeAbelian(MarkedGroup):
     """Z^d with unit-vector generators; elements are exponent tuples."""
 
     def __init__(self, dim: int, name: str | None = None):
-        if dim < 1:
-            raise ParseError("free abelian rank must be >= 1")
         self.dim = dim
         self.num_generators = dim
         self.name = name or f"Z^{dim}"
@@ -353,8 +353,6 @@ class Cyclic(MarkedGroup):
     """Z/mZ with the single generator 1 mod m; elements are residues."""
 
     def __init__(self, order: int, name: str | None = None):
-        if order < 2:
-            raise ParseError("cyclic order must be >= 2")
         self.order = order
         self.num_generators = 1
         self.name = name or f"C{order}"
@@ -387,147 +385,138 @@ class Cyclic(MarkedGroup):
         return [1] + [2] * ((self.order - 1) // 2) + [1] * (1 - self.order % 2), [1]
 
 
-class _Product(MarkedGroup):
-    """Free or direct product over the union of the factors' generators:
-    generator i of the product is generator i - offset of its factor."""
+class Product(MarkedGroup):
+    """A direct product of free products of atoms, the shape every DSL spec
+    has: `parts` lists the direct factors, each a list of atoms joined by
+    '*', and the generators are the atoms' in order.  An element is a tuple
+    with one entry per part, that part's reduced alternating syllables
+    (atom index, atom element); the identity is a tuple of empty parts."""
 
-    kind: str
-
-    def __init__(self, factors: list[MarkedGroup]):
-        if len(factors) < 2:
-            raise ParseError(f"{self.kind} product needs at least two factors")
-        self.factors = factors
-        self.name = ("*" if self.kind == "free" else "x").join(f.name for f in factors)
-        sizes = [f.num_generators for f in factors]
-        self.num_generators = sum(sizes)
-        self._offsets = list(itertools.accumulate(sizes[:-1], initial=0))
-
-    def _locate(self, i: int) -> tuple[int, int]:
-        for fi in reversed(range(len(self.factors))):
-            if i >= self._offsets[fi]:
-                return fi, i - self._offsets[fi]
-        raise PreconditionError("generator index out of range")
-
-    def _shift_word(self, w: str, fi: int) -> str:
-        """A word of factor fi spelled in the product's letters."""
-        offset = self._offsets[fi]
-        out = []
-        for ch in w:
-            base = "a" if ch.islower() else "A"
-            out.append(chr(ord(base) + ord(ch.lower()) - ord("a") + offset))
-        return "".join(out)
-
-    def relators(self) -> list[str]:
-        return [
-            self._shift_word(rel, fi) for fi, f in enumerate(self.factors) for rel in f.relators()
+    def __init__(self, parts: list[list[MarkedGroup]], name: str):
+        self.parts = parts
+        self.name = name
+        sizes = [[a.num_generators for a in atoms] for atoms in parts]
+        self._letters = _runs([sum(ks) for ks in sizes])  # each part's letters in the product
+        self.num_generators = sum(map(len, self._letters))
+        # str.translate tables: each atom's letters to its part's, and each
+        # part's letters to the product's
+        self._to_part = [[_table(run) for run in _runs(ks)] for ks in sizes]
+        self._to_product = [_table(run) for run in self._letters]
+        self._generators = [
+            tuple(((a, atom.generator(j)),) if q == p else () for q in range(len(parts)))
+            for p, atoms in enumerate(parts)
+            for a, atom in enumerate(atoms)
+            for j in range(atom.num_generators)
         ]
 
-
-class FreeProduct(_Product):
-    """Free product; elements are alternating syllable tuples (factor, element)."""
-
-    kind = "free"
-
     def identity(self):
-        return ()
+        return ((),) * len(self.parts)
 
     def generator(self, i: int):
-        fi, j = self._locate(i)
-        return ((fi, self.factors[fi].generator(j)),)
+        return self._generators[i]
 
     def multiply(self, g, h):
-        out = list(g)
-        for syl in h:
-            if out and out[-1][0] == syl[0]:
-                fi = syl[0]
-                merged = self.factors[fi].multiply(out[-1][1], syl[1])
-                out.pop()
-                if not self.factors[fi].is_identity(merged):
-                    out.append((fi, merged))
-            else:
-                out.append(syl)
-        return tuple(out)
+        return tuple(map(_free_merge, self.parts, g, h))
 
     def inverse(self, g):
-        return tuple((fi, self.factors[fi].inverse(x)) for fi, x in reversed(g))
+        return tuple([
+            tuple([(a, atoms[a].inverse(s)) for a, s in reversed(x)]) if x else x
+            for atoms, x in zip(self.parts, g)
+        ])
 
     def word_length(self, g) -> int:
-        return sum(self.factors[fi].word_length(x) for fi, x in g)
+        return sum(atoms[a].word_length(s) for atoms, x in zip(self.parts, g) for a, s in x)
+
+    def _part_words(self, g) -> list[str]:
+        """Each part's word, in the part's own letters."""
+        return [
+            "".join([atoms[a].to_word(s).translate(to_part[a]) for a, s in x])
+            for atoms, to_part, x in zip(self.parts, self._to_part, g)
+        ]
 
     def to_word(self, g) -> str:
-        return "".join(self._shift_word(self.factors[fi].to_word(x), fi) for fi, x in g)
-
-    def growth_series(self):
-        # 1/S = sum_i D_i/N_i - (k-1), over the common denominator prod_i N_i
-        series = [f.growth_series() for f in self.factors]
-        num = _poly_prod(n for n, _ in series)
-        terms = [[(1 - len(series)) * c for c in num]]
-        for i, (_, d) in enumerate(series):
-            terms.append(_poly_prod([d] + [n for j, (n, _) in enumerate(series) if j != i]))
-        den = _trim([sum(t) for t in itertools.zip_longest(*terms, fillvalue=0)])
-        return num, den
-
-
-class DirectProduct(_Product):
-    """Direct product with the union generating set; elements are tuples."""
-
-    kind = "direct"
-
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
-    def generator(self, i: int):
-        fi, j = self._locate(i)
-        return tuple(
-            f.generator(j) if k == fi else f.identity()
-            for k, f in enumerate(self.factors)
-        )
-
-    def multiply(self, g, h):
-        return tuple(f.multiply(x, y) for f, x, y in zip(self.factors, g, h))
-
-    def inverse(self, g):
-        return tuple(f.inverse(x) for f, x in zip(self.factors, g))
-
-    def word_length(self, g) -> int:
-        return sum(f.word_length(x) for f, x in zip(self.factors, g))
-
-    def to_word(self, g) -> str:
-        return "".join(
-            self._shift_word(f.to_word(x), fi) for fi, (f, x) in enumerate(zip(self.factors, g))
-        )
+        return "".join([w.translate(t) for w, t in zip(self._part_words(g), self._to_product)])
 
     def describe(self, g) -> str:
-        words = [f.to_word(x) or "e" for f, x in zip(self.factors, g)]
-        return "(" + ",".join(words) + ")"
+        if len(self.parts) == 1:
+            return super().describe(g)
+        return "(" + ",".join(w or "e" for w in self._part_words(g)) + ")"
 
     def relators(self) -> list[str]:
-        letters = [
-            [self.letter(off + k) for k in range(f.num_generators)]
-            for f, off in zip(self.factors, self._offsets)
+        own = [
+            rel.translate(t).translate(self._to_product[p])
+            for p, atoms in enumerate(self.parts)
+            for atom, t in zip(atoms, self._to_part[p])
+            for rel in atom.relators()
         ]
-        pairs = itertools.combinations(letters, 2)  # each letter with every later factor's
-        return super().relators() + [_commutator(x, y) for xs, ys in pairs for x in xs for y in ys]
+        pairs = itertools.combinations(self._letters, 2)  # each letter with every later part's
+        return own + [_commutator(x, y) for xs, ys in pairs for x in xs for y in ys]
 
     def growth_series(self):
-        series = [f.growth_series() for f in self.factors]
-        return _poly_prod(n for n, _ in series), _poly_prod(d for _, d in series)
+        # per part 1/S = sum_i D_i/N_i - (k-1), over the common denominator
+        # prod_i N_i; the parts' series multiply
+        nums, dens = [], []
+        for atoms in self.parts:
+            ns, ds = zip(*(a.growth_series() for a in atoms))
+            num = _poly_prod(ns)
+            terms = [[(1 - len(ns)) * c for c in num]]
+            terms += [_poly_prod([d, *ns[:i], *ns[i + 1 :]]) for i, d in enumerate(ds)]
+            nums.append(num)
+            dens.append(_trim([sum(t) for t in itertools.zip_longest(*terms, fillvalue=0)]))
+        return _poly_prod(nums), _poly_prod(dens)
 
 
-_ATOM_RE = re.compile(r"^(F|C)(\d+)$|^Z\^(\d+)$|^Z$")
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _runs(sizes: list[int]) -> list[str]:
+    """Consecutive runs of letters from a on, of the given lengths."""
+    return [_LETTERS[n - k : n] for k, n in zip(sizes, itertools.accumulate(sizes))]
+
+
+def _table(run: str) -> dict:
+    """A str.translate table from the first len(run) letters, and their
+    inverses, to the letters of `run`."""
+    src = _LETTERS[: len(run)]
+    return str.maketrans(src + src.upper(), run + run.upper())
+
+
+def _free_merge(atoms, x, y) -> tuple:
+    """The reduced product of two syllable tuples of a free product of
+    `atoms`: equal atoms meet only at the junction, and once a merged
+    syllable is not the identity its neighbours lie in other atoms.  A
+    generator touches one part, so most calls return an operand as it is."""
+    if not x or not y:
+        return x or y
+    i, j = len(x), 0
+    while i and j < len(y) and x[i - 1][0] == y[j][0]:
+        a = y[j][0]
+        merged = atoms[a].multiply(x[i - 1][1], y[j][1])
+        i, j = i - 1, j + 1
+        if not atoms[a].is_identity(merged):
+            return x[:i] + ((a, merged),) + y[j:]
+    return x[:i] + y[j:]
+
+
+_ATOM_RE = re.compile(r"^(F|C|Z\^)0*(\d+)$|^Z$")
+# The largest atom parameter.  C<n> keeps a relator of n letters and a
+# growth series of n/2 + 1 terms, so the bound caps what a spec allocates;
+# F<k> and Z^<d> meet the 26-letter cap long before it.
+MAX_ATOM_PARAMETER = 2**16
+_ATOMS = {"F": (FreeGroup, 1), "C": (Cyclic, 2), "Z^": (FreeAbelian, 1)}
 
 
 def _parse_atom(token: str) -> MarkedGroup:
+    """One atom, its parameter checked on its digits before it is converted."""
     m = _ATOM_RE.match(token)
     if not m:
         raise ParseError(f"bad group atom {token!r} (expected F<k>, Z^<d>, C<n>)")
     if token == "Z":
         return FreeAbelian(1, name="Z")
-    if m.group(1) == "F":
-        return FreeGroup(int(m.group(2)))
-    if m.group(1) == "C":
-        return Cyclic(int(m.group(2)))
-    return FreeAbelian(int(m.group(3)))
+    (family, least), digits = _ATOMS[m.group(1)], m.group(2)
+    if len(digits) > len(str(MAX_ATOM_PARAMETER)) or not least <= int(digits) <= MAX_ATOM_PARAMETER:
+        raise ParseError(f"{m.group(1)}<n> needs {least} <= n <= {MAX_ATOM_PARAMETER}: {token[:24]!r}")
+    return family(int(digits))
 
 
 def parse_group(spec: str) -> MarkedGroup:
@@ -536,18 +525,12 @@ def parse_group(spec: str) -> MarkedGroup:
     spec = spec.strip()
     if not spec:
         raise ParseError("empty group spec")
-    direct_parts = spec.split("x")
-    built: list[MarkedGroup] = []
-    for part in direct_parts:
-        free_parts = [p.strip() for p in part.split("*")]
-        atoms = [_parse_atom(p) for p in free_parts]
-        built.append(atoms[0] if len(atoms) == 1 else FreeProduct(atoms))
-    group = built[0] if len(built) == 1 else DirectProduct(built)
-    if group.num_generators > 26:
+    parts = [[_parse_atom(p.strip()) for p in part.split("*")] for part in spec.split("x")]
+    if sum(a.num_generators for atoms in parts for a in atoms) > 26:
         raise ParseError("at most 26 generators are supported (letters a..z)")
-    if len(built) > 1 or len(direct_parts[0].split("*")) > 1:
-        group.name = spec
-    return group
+    if len(parts) == 1 and len(parts[0]) == 1:
+        return parts[0][0]
+    return Product(parts, spec)
 
 
 # ---------------------------------------------------------------------------

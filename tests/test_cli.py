@@ -320,6 +320,18 @@ class TestExitCodes:
         rep = json.loads((tmp_path / "obs.json").read_text())["report"]
         assert rep["verdict"] == "violation"
 
+    def test_failed_coupling_check_writes_the_report_and_exits_two(self, tmp_path, monkeypatch):
+        # lambda acting on the left does not commute with the gamma action
+        monkeypatch.setattr(
+            coupling.Coupling, "lambda_act", lambda c, lam, w: c.group.multiply(c.group.inverse(lam), w)
+        )
+        spec = write_spec(tmp_path, F2_SPEC)
+        code, doc = run(tmp_path, "coupling-verify", "--spec", spec, "--radius", "2")
+        assert code == 2
+        checks = {r["check"]: r for r in doc["report"]["checks"]}
+        assert checks["actions_commute"]["violations"] > 0
+        assert not checks["actions_commute"]["passed"]
+
     def test_certified_host_is_consistent(self, tmp_path):
         emb = tmp_path / "emb.json"
         code, doc = run(tmp_path, "find-cycles", "--gen", "grid:6,6",

@@ -2,12 +2,14 @@ import contextlib
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hypme import coupling
 from hypme.coupling import (
+    Coupling,
     check_actions_commute,
     check_b_identity,
     check_cocycle_identity,
@@ -24,7 +26,7 @@ from hypme.coupling import (
     subgroup_data,
 )
 from hypme.errors import Budget, BudgetError, PreconditionError
-from hypme.groups import parse_group
+from hypme.groups import FreeGroup, parse_group
 from hypme.integrability import exp_power, power
 from hypme.rational import matrix_rank
 from oracles import (
@@ -355,6 +357,76 @@ class TestCocycles:
         assert check_fundamental_domains(z2_coupling, 3).passed
 
 
+def _with_fault(c, **methods):
+    """A copy of coupling `c` whose class overrides `methods`."""
+    return type("FaultyCoupling", (Coupling,), methods)(c.group, c.sub, c.shift, c.x0)
+
+
+def _wrong_at(method, at: str):
+    """`method`, its result multiplied by b when its first argument is `at`."""
+
+    def wrong(self, first, *rest):
+        right, g = method(self, first, *rest), self.group
+        return g.multiply(right, g.parse_word("b")) if first == g.parse_word(at) else right
+
+    return wrong
+
+
+def _lambda_acts_on_the_left(self, lam, w):
+    return self.group.multiply(self.group.inverse(lam), w)
+
+
+class _OneWrongProduct(FreeGroup):
+    """F2 with ab e = e, so the gamma translates of x0 = e by e and ab collide."""
+
+    def multiply(self, g, h):
+        return "" if (g, h) == ("ab", "") else super().multiply(g, h)
+
+
+# one fault per check, and one per kind of violation the fundamental-domain
+# check counts: a repeated coset representative, a gamma-side collision (and
+# so a point left uncovered), and a lambda side that collides and fails the
+# round trip
+FAULTS = {
+    "alpha wrong at ab": (
+        lambda c: _with_fault(c, alpha=_wrong_at(Coupling.alpha, "ab")),
+        lambda c: check_cocycle_identity(c, 2),
+    ),
+    "beta wrong at aa, inverse relation": (
+        lambda c: _with_fault(c, beta=_wrong_at(Coupling.beta, "aa")),
+        lambda c: check_inverse_relation(c, 2),
+    ),
+    "beta wrong at aa, b identity": (
+        lambda c: _with_fault(c, beta=_wrong_at(Coupling.beta, "aa")),
+        lambda c: check_b_identity(c, 2),
+    ),
+    "lambda acting on the left": (
+        lambda c: _with_fault(c, lambda_act=_lambda_acts_on_the_left),
+        lambda c: check_actions_commute(c, 2, samples=50, seed=1),
+    ),
+    "lambda acting trivially": (
+        lambda c: _with_fault(c, lambda_act=lambda self, lam, w: w),
+        lambda c: check_fundamental_domains(c, 2),
+    ),
+    "a repeated coset representative": (
+        lambda c: replace(c, sub=replace(c.sub, transversal=c.sub.transversal[:1] * c.index)),
+        lambda c: check_fundamental_domains(c, 2),
+    ),
+    "a wrong product": (
+        lambda c: subgroup_coupling(_OneWrongProduct(2), F2_GENS),
+        lambda c: check_fundamental_domains(c, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_checks_report_an_injected_fault(f2_coupling, fault):
+    inject, check = FAULTS[fault]
+    assert check(f2_coupling).passed
+    rep = check(inject(f2_coupling))
+    assert rep.violations > 0 and not rep.passed
+
+
 class TestLambdaMetric:
     def test_lengths_match_independent_bfs(self, f2, f2_coupling):
         c = f2_coupling
@@ -621,7 +693,8 @@ class TestClaimBound:
         v = f2.parse_word("b")
         rep = claim_bound_check(f2_coupling, u, v, 1, power(1))
         assert rep.d_lambda == 2
-        assert rep.identity_violations == 0
+        # X_gamma is one point, so the displacement identity has one case
+        assert rep.identity_cases == 1 and rep.identity_violations == 0
         assert rep.passed
         # measured side: |u^-1 v| = |AAb| = 3 > 1, so measure 0
         assert rep.measured == 0

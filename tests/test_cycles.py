@@ -159,6 +159,21 @@ class TestCheckObstruction:
         assert rep.bound_cor is None and not rep.cor_applicable
 
 
+def test_asymptotic_onset_is_the_first_even_n():
+    # n * bound(1, 1, n) = 4 log2(n) + 6 (log2 upper-rounded); compare it
+    # with 6 ln n in mpmath at the returned onset and two below it
+    import mpmath
+
+    n0 = asymptotic_onset(Fraction(1))
+
+    def holds(n):
+        lhs = obstruction_bound(Fraction(1), Fraction(1), n) * n
+        with mpmath.workprec(200):
+            return mpmath.mpf(lhs.numerator) / lhs.denominator <= 6 * mpmath.log(n)
+
+    assert holds(n0) and not holds(n0 - 2)
+
+
 class TestEnumerateCycles:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_networkx(self, seed):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hypme.errors import Budget, BudgetError, ParseError, PreconditionError
 from hypme.groups import (
+    MAX_ATOM_PARAMETER,
     Growth,
     Spheres,
     ball,
@@ -58,6 +60,26 @@ class TestParseGroup:
     def test_letter_cap(self):
         with pytest.raises(ParseError):
             parse_group("F27")
+
+    @pytest.mark.parametrize("spec", [
+        "C65537", "C1000000000", "C" + "9" * 5000, "F" + "9" * 5000, "Z^" + "9" * 5000, "F2*C3xC" + "1" * 40,
+    ])
+    def test_atom_parameter_refused_before_it_is_converted(self, spec):
+        # C<n> would build a series of n/2 + 1 terms and a relator of n
+        # letters, and int() refuses more than 4300 digits with ValueError
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"<= n <= {MAX_ATOM_PARAMETER}"):
+                parse_group(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_atom_parameter_bound_is_admitted(self):
+        g = parse_group(f"C{MAX_ATOM_PARAMETER}")
+        assert g.volume(MAX_ATOM_PARAMETER) == MAX_ATOM_PARAMETER
+        assert parse_group("C007").name == "C7"
 
 
 class TestNormalForms:

@@ -640,6 +640,19 @@ class TestGeodesicPathBound:
             rep = verify_geodesic_path_bound(g, dm, alpha, x1, x2, dt + 2)
             assert rep.passes
 
+    def test_default_slack_is_two(self):
+        # on C24 the long arc from 0 to 6 stays 3 away from the geodesic's
+        # midpoint 3; with delta = 0 the bound is 0 + 1 + slack, so only the
+        # default slack 2 passes it
+        g = cycle_graph(24)
+        dm = distance_matrix(g)
+        from hypme.graphs import Path
+
+        alpha = Path(vertices=(0, *range(23, 5, -1)))
+        rep = verify_geodesic_path_bound(g, dm, alpha, 0, 6, Fraction(0))
+        assert (rep.slack, rep.max_observed, rep.bound, rep.passes) == (2, 3, 3, True)
+        assert not verify_geodesic_path_bound(g, dm, alpha, 0, 6, Fraction(0), slack=1).passes
+
     def test_endpoint_mismatch_rejected(self):
         g = cycle_graph(6)
         dm = distance_matrix(g)

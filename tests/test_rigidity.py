@@ -58,10 +58,16 @@ class TestSchedules:
         assert r.family == "log" and r.coefficient == 108
         val = r.value(1000)
         assert abs(val.midpoint_float() - 108 * math.log(1000)) < 1e-6
+        # r(n) = 108 delta log n, so delta = 2 gives 216 log n
+        r2 = corollary_schedules("lp", delta=Fraction(2))
+        assert r2.coefficient == 216
+        assert abs(r2.value(1000).midpoint_float() - 216 * math.log(1000)) < 1e-6
 
     def test_exp_schedule(self):
         r = corollary_schedules("exp", eta=Fraction(2))
         assert r.family == "pow" and r.exponent == Fraction(2, 3)
+        # any eta > 0 is admitted: eta/(1 + eta) = 1/3 at eta = 1/2
+        assert corollary_schedules("exp", eta=Fraction(1, 2)).exponent == Fraction(1, 3)
 
     def test_parameter_ordering_enforced(self):
         with pytest.raises(PreconditionError):
@@ -135,6 +141,18 @@ class TestCondition5:
         bad = make_rc(exp_power(1), power(1), r)
         assert check_condition_5(good, group).verdict == "tends_to_zero"
         assert check_condition_5(bad, group).verdict == "fails"
+
+    @pytest.mark.parametrize("p, verdict", [(7, "fails"), (8, "tends_to_zero")])
+    def test_z2_power_schedule_critical_exponent_is_seven(self, p, verdict):
+        # Vol(r) ~ 2 r^2 on Z^2; with r = n^(1/2) and phi = t^p the ratio
+        # n^2 r Vol(r) / (n/r)^p behaves like n^(2 + e + 2e - p(1 - e)) at
+        # e = 1/2, that is n^(7/2 - p/2): constant at p = 7, falling at p = 8
+        rc = make_rc(power(p), power(1), Schedule("pow", exponent=Fraction(1, 2)))
+        rep = check_condition_5(rc, parse_group("Z^2"))
+        assert rep.verdict == verdict and rep.analytic
+        by_n = {s["n"]: s["log_ratio"] for s in rep.samples}
+        slope = (by_n[10**6] - by_n[10**4]) / math.log(100)
+        assert abs(slope - (Fraction(7, 2) - Fraction(p, 2))) < 0.01
 
     def test_free_products_get_analytic_verdicts(self):
         # C2*C3 has h = ln sqrt(2), so with r = 108 log n the critical exponent
@@ -293,6 +311,20 @@ class TestCondition67:
         rep = check_condition_6_7(rc, "thm41")
         assert rep.verdict == "holds_eventually"
         assert rep.n0 is not None and 10**4 < rep.n0 <= 10**6
+
+    def test_thm41_fails_at_n_max_when_only_the_last_sample_fails(self):
+        # exp_power psi under a log schedule has no analytic verdict.  With
+        # delta = 1, L = 1, r = 1068 log n and psi^-1(y) = (ln y)^2, condition
+        # (6) is 1068 ln(n)/18 >= 8 log2(n) + 3 ln(3n)^2, which holds from
+        # n = 2 to about n = 8.4e5 and fails at n_max = 10^6
+        rc = make_rc(power(1), exp_power(Fraction(1, 2)), Schedule("log", coefficient=Fraction(1068)))
+        rep = check_condition_6_7(rc, "thm41")
+        margins = [1068 * math.log(n) / 18 - 8 * math.log2(n) - 3 * math.log(3 * n) ** 2
+                   for n in (s["n"] for s in rep.samples)]
+        assert all(m > 1 for m in margins[:-1]) and margins[-1] < -1
+        assert [s["holds"] for s in rep.samples] == [True] * (len(margins) - 1) + [False]
+        assert (rep.verdict, rep.analytic, rep.n0) == ("fails", False, None)
+        assert rep.notes["empirical"] == "fails at n_max"
 
     def test_bad_mode_rejected(self):
         rc = make_rc(power(1), power(1), Schedule("log", coefficient=Fraction(300)))

@@ -64,3 +64,44 @@ def test_every_counted_kernel_records_its_counts(tracing, tmp_path):
     # uncounted wrappers the group commands reach must still find their functions
     recorded = {s.name for s in tracer.spans}
     assert {"groups.bfs_growth_table", "groups.entropy_estimate", "rigidity.threshold_p"} <= recorded
+
+
+def test_traced_pass_writes_the_plain_reports(tracing, tmp_path):
+    """One job per subcommand, run in this process plain, under the tracer,
+    then plain again: the benchmark's traced run checks the reports of an
+    in-process pass against those of a subprocess pass, so the tracer must
+    change no byte of any report."""
+    golden_inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    f2, c3c4, embedding = (str(golden_inputs / name) for name in ("f2.json", "c3c4.json", "embedding.json"))
+    jobs = [
+        ("graph-analyze", "--gen", "grid:4,4"),
+        ("find-cycles", "--gen", "grid:4,4", "--min-a", "1/2", "--min-n", "8"),
+        ("check-obstruction", "--gen", "grid:4,4", "--embedding", embedding),
+        ("group-ball", "--group", "C2*C3", "--radius", "4"),
+        ("coupling-build", "--spec", c3c4),
+        ("coupling-verify", "--spec", c3c4, "--radius", "2"),
+        ("integrability", "--spec", f2),
+        ("claim-check", "--spec", f2, "--lambda-radius", "2", "--radii", "1"),
+        ("threshold", "--group", "C2*C3", "--ball-radius", "3"),
+        ("conditions", "--group", "F2"),
+    ]
+    assert {argv[0] for argv in jobs} == set(tracing.SUBCOMMANDS)
+
+    def reports():
+        out = []
+        for i, argv in enumerate(jobs):
+            path = tmp_path / f"{i}.json"
+            path.unlink(missing_ok=True)
+            assert cli.dispatch([*argv, "--out", str(path)]) == 0, argv
+            out.append(path.read_bytes())
+        return out
+
+    plain = reports()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, cli)
+    try:
+        traced = reports()
+    finally:
+        tracing.uninstall(undo)
+    assert tracer.spans and traced == plain
+    assert reports() == plain
