@@ -126,8 +126,11 @@ def _add_common(p):
 
 def cmd_graph_analyze(args, budget):
     g = _load_host(args)
+    if g.is_tree:  # both constants and the diameter come without a distance matrix
+        rep = hyperbolicity.hyperbolicity_report(g, None, budget)
+        return {"n": g.n, "m": g.m, "diameter": graphs.tree_diameter(g), **vars(rep)}, True
     dm = graphs.distance_matrix(g, budget)
-    if g.n <= hyperbolicity.EXACT_CUTOFF or g.is_tree:
+    if g.n <= hyperbolicity.EXACT_CUTOFF:
         rep = hyperbolicity.hyperbolicity_report(g, dm, budget)
     else:
         rep = hyperbolicity.sampled_hyperbolicity(g, dm, args.samples, args.seed, budget=budget)
@@ -136,7 +139,7 @@ def cmd_graph_analyze(args, budget):
 
 def cmd_find_cycles(args, budget):
     g = _load_host(args)
-    dm = graphs.distance_matrix(g, budget)
+    dm = None if g.is_tree else graphs.distance_matrix(g, budget)  # a tree's answer needs none
     res = cycles.find_fat_cycle(
         g,
         dm,

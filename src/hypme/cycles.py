@@ -4,14 +4,13 @@ A cycle embedding is a map from the n-cycle into a host graph together with
 its tight bi-Lipschitz constants (a, b), computed as exact rationals over
 all vertex pairs.  In a delta-hyperbolic host the lower constant of a long
 cycle is obstructed: a <= (4*delta*log2(b*n) + 4 + 2*b)/n for even n, and
-asymptotically a < 6*delta*log(n)/n once n is large enough relative to b.
-Finding a single verified embedding that beats the bound therefore
-certifies non-hyperbolicity at that delta.
+asymptotically a < 6*delta*log(n)/n, reported when delta >= 1 and certified
+at the even length n_even.  A single verified embedding that beats the bound
+therefore certifies non-hyperbolicity at that delta.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -77,33 +76,6 @@ def obstruction_bound(delta: Fraction, b: Fraction, n: int) -> Fraction:
     return (4 * delta * log2_upper(b * n) + 4 + 2 * b) / n
 
 
-@functools.cache
-def asymptotic_onset(b: Fraction) -> int:
-    """Smallest even n >= 4 with n * obstruction_bound(1, b, n) <= 6*ln(n).
-
-    From that point on (and for any delta >= 1) the asymptotic form
-    6*delta*log(n)/n dominates the even-cycle bound, so it is a valid
-    relaxation.  Certified with directed rounding; values grow like
-    exp(26) for b = 1, hence computed by doubling plus bisection.
-    """
-    def holds(n: int) -> bool:
-        return obstruction_bound(Fraction(1), b, n) * n <= 6 * FracInterval(n).ln().lo
-
-    hi = 4
-    while not holds(hi):
-        hi *= 2
-        if hi > 1 << 62:
-            raise PreconditionError(f"no asymptotic onset below 2^62 for b={b}")
-    lo = hi // 2
-    while lo + 2 < hi:
-        mid = 2 * ((lo + hi) // 4)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
     delta: Fraction
@@ -123,13 +95,15 @@ def check_obstruction(e: CycleEmbedding, delta: Fraction) -> ObstructionReport:
     Odd-length embeddings are checked at 2*floor(n/2): restricting to an even
     sub-cycle changes constants by at most the adjacent-step distortion, which
     the report carries via (a, b).  The verdict is driven by the even-cycle
-    bound alone; the asymptotic form is evaluated when delta >= 1 and n is
-    past its onset, and reported for information.
+    bound alone.  The asymptotic form 6*delta*ln(n)/n is reported when delta
+    >= 1 and n_even * obstruction_bound(1, b, n_even) <= 6*ln(n_even) is
+    certified; then it holds at delta too, as 4 + 2b <= delta*(4 + 2b).
     """
     n_even = 2 * (e.n // 2)
     b_eff = max(e.b, Fraction(1))
     bound = obstruction_bound(delta, b_eff, n_even)
-    cor_ok = delta >= 1 and e.n >= asymptotic_onset(b_eff)
+    cor_ok = (delta >= 1 and n_even * obstruction_bound(Fraction(1), b_eff, n_even)
+              <= 6 * FracInterval(n_even).ln().lo)
     bound_cor = 6 * delta * FracInterval(e.n).ln().hi / e.n if cor_ok else None
     return ObstructionReport(
         delta=delta,
@@ -239,7 +213,7 @@ def _heuristic_embeddings(g: Graph, dm: DistanceMatrix, min_n: int, seed: int, b
 
 def find_fat_cycle(
     g: Graph,
-    dm: DistanceMatrix,
+    dm: DistanceMatrix | None,
     min_a: Fraction,
     min_n: int,
     mode: str = "auto",
@@ -252,6 +226,10 @@ def find_fat_cycle(
     enumeration (small hosts, or mode="exhaustive") can prove absence;
     the heuristic reports "not_found" when its candidates are spent.  Either
     reports "budget_exhausted" when `budget` refuses a charge.
+
+    A tree is answered from g alone (dm may be None): it has no cycle, so
+    "proven_absent" when min_a > 0 or it has one vertex, else the walk back
+    and forth on its least edge, with a = 0 and b = 1.
 
     The exhaustive search prunes path prefixes.  Two vertices p_i, p_j of a
     prefix at path separation k = j - i <= floor(min_n/2) sit at cycle
@@ -269,13 +247,12 @@ def find_fat_cycle(
     if mode not in ("auto", "exhaustive", "heuristic"):
         raise PreconditionError(f"unknown search mode {mode!r}")
     if g.is_tree:
-        if min_a > 0:
+        if min_a > 0 or g.m == 0:
             return FatCycleResult(None, "proven_absent", 0)
-        if g.m >= 1:
-            u, v = min(g.edges)
-            n = min_n + (min_n % 2)
-            images = [u, v] * (n // 2)
-            return FatCycleResult(verify_embedding(dm, images), "found", 0)
+        u, v = min(g.edges)
+        n = min_n + (min_n % 2)
+        walk = CycleEmbedding(n, (u, v) * (n // 2), a=Fraction(0), b=Fraction(1))
+        return FatCycleResult(walk, "found", 0)
     exhaustive = mode == "exhaustive" or (mode == "auto" and g.n <= EXHAUSTIVE_VERTEX_LIMIT)
     budget = budget or Budget()
     start = budget.spent

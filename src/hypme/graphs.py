@@ -29,7 +29,9 @@ Conventions:
       matrix, not by the module, so a run that builds a Graph and no matrix
       never loads it: group-ball, the coupling commands, conditions, and
       threshold on a tree ball (a free product of F_k, Z and C2 atoms),
-      whose thin-triangle constant is read off the Graph alone.
+      whose thin-triangle constant is read off the Graph alone, and
+      graph-analyze and find-cycles on a tree, whose constants, diameter
+      (tree_diameter) and cycle answer need no distances.
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ def _bfs(adj: list[list[int]], start: int) -> dict[int, int]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+def tree_diameter(g: Graph) -> int:
+    """The diameter of a tree, from two BFS: the vertex farthest from 0 is an
+    end of a longest path."""
+    adj = g.adjacency()
+    from_0 = _bfs(adj, 0)
+    return max(_bfs(adj, max(from_0, key=from_0.get)).values())
 
 
 def load_graph(edge_list_text: str, largest_component: bool = False) -> Graph:

@@ -66,8 +66,8 @@ arithmetic and return Fractions.  Past EXACT_CUTOFF vertices the CLI takes
 instead a seeded uniform sample, a certified lower bound labeled as such,
 which charges each sampled triple's masks and gather in the same cell
 blocks.  Like graphs, the module imports numpy only inside the functions
-that use it, and thin_triangle_delta answers a tree before it reads or
-builds a distance matrix, so a tree costs no numpy import.
+that use it, and thin_triangle_delta and hyperbolicity_report answer a tree
+from the Graph, with no distance matrix, so a tree costs no numpy import.
 """
 
 from __future__ import annotations
@@ -304,12 +304,17 @@ def four_point_delta(
 
 
 def hyperbolicity_report(
-    g: Graph, dm: DistanceMatrix, budget: Budget | None = None
+    g: Graph, dm: DistanceMatrix | None, budget: Budget | None = None
 ) -> HyperbolicityReport:
-    """Both exact constants, the two scans charging one `budget`."""
+    """Both exact constants, the two scans charging one `budget`.
+
+    A tree's constants are both 0, read off g, so on a tree dm may be None."""
     budget = budget or Budget()
     dt, wt = thin_triangle_delta(g, dm, budget)
-    d4, w4 = four_point_delta(dm, tree_hint=g.is_tree, budget=budget)
+    if g.is_tree:  # the four-point condition is an equality on a tree
+        d4, w4 = Fraction(0), (0, 0, 0, 0)
+    else:
+        d4, w4 = four_point_delta(dm, budget=budget)
     return HyperbolicityReport(
         delta_thin=dt, delta_four_point=d4, witness=_witness(wt, w4), exact=True
     )

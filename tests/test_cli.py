@@ -103,6 +103,16 @@ class TestEnvelope:
             ["threshold", "--group", "Z"],
         ])
 
+    def test_tree_commands_leave_numpy_unloaded(self, tmp_path):
+        # a tree's constants, diameter and cycle answer need no distance matrix
+        assert_commands_leave_unloaded(tmp_path, "numpy", [
+            ["graph-analyze", "--gen", "tree:1,5000"],
+            ["graph-analyze", "--gen", "tree:3,5"],
+            ["find-cycles", "--gen", "tree:1,5000", "--min-a", "1/2", "--min-n", "4"],
+            ["find-cycles", "--gen", "tree:2,3", "--min-a", "0", "--min-n", "5"],
+            ["find-cycles", "--gen", "tree:1,0", "--min-a", "0", "--min-n", "3"],
+        ])
+
     def test_no_command_loads_mpmath(self, tmp_path):
         # mpmath is a test oracle only: certified brackets are computed in
         # integers, so neither the commands that take none (group-ball at
@@ -347,6 +357,20 @@ class TestExitCodes:
         assert rep["verdict"] == "consistent"
         assert rep["delta_source"] == "thin_triangle_plus_slack_2"
 
+    @pytest.mark.parametrize("delta_args, delta", [
+        (["--gen", "grid:3,3"], "4/1"), (["--delta", "1"], "1/1"),
+    ], ids=["host", "supplied"])
+    def test_upper_constant_two_gets_its_verdict(self, tmp_path, delta_args, delta):
+        # the corners of grid:3,3 as a 4-cycle: b = 2, and delta >= 1; the
+        # asymptotic form's inequality fails at n = 4, so it is not reported
+        emb = tmp_path / "emb.json"
+        emb.write_text('{"n": 4, "images": [0, 2, 8, 6], "a": "1/1", "b": "2/1"}')
+        code, doc = run(tmp_path, "check-obstruction", "--embedding", str(emb), *delta_args)
+        assert code == 0
+        rep = doc["report"]
+        assert (rep["delta"], rep["b"], rep["verdict"]) == (delta, "2/1", "consistent")
+        assert rep["cor_applicable"] is False and rep["bound_cor"] is None
+
     def test_null_embedding_is_exit_one(self, tmp_path, capsys):
         # a failed search reports "embedding": null; checking it must not crash
         emb = tmp_path / "emb.json"
@@ -426,10 +450,19 @@ class TestExitCodes:
         ["group-ball", "--group", "F2", "--counts-only", "--radius", "-1"],
         ["claim-check", "--spec", "SPEC", "--lambda-radius", "-2"],
         ["graph-analyze", "--gen", "grid:25,25", "--samples", "-3"],
+        ["conditions", "--group", "F2", "--r", "log:0"],
+        ["conditions", "--group", "F2", "--r", "pow:2"],
+        ["conditions", "--group", "F2", "--r", "pow:0"],
+        ["conditions", "--group", "F2", "--L", "1/2"],
+        ["conditions", "--group", "F2", "--delta", "-1"],
+        ["conditions", "--group", "F2", "--n-min", "1"],
+        ["conditions", "--group", "F2", "--n-min", "100", "--n-max", "10"],
     ], ids=["min-a-word", "min-a-zero-denominator", "schedule", "phi-param",
             "gen-params", "gen-arity", "delta", "radii-word", "env-budget",
             "radii-zero", "radii-negative", "unknown-condition", "counts-radius-negative",
-            "lambda-radius-negative", "samples-negative"])
+            "lambda-radius-negative", "samples-negative", "log-coefficient-zero",
+            "pow-exponent-two", "pow-exponent-zero", "L-below-one", "delta-negative",
+            "n-min-one", "n-min-past-n-max"])
     def test_bad_flag_value_is_exit_one(self, tmp_path, capsys, monkeypatch, argv):
         argv = list(argv)
         while "=" in argv[0]:  # leading NAME=value items set the environment
@@ -482,6 +515,23 @@ class TestExitCodes:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: the APSP BFS (at least 8192 levels) needs 536870912 cell blocks")
+
+    def test_tree_hosts_build_no_distance_matrix(self, tmp_path, monkeypatch):
+        # the APSP BFS of tree:1,5000 would need 30,870,000 cell blocks, over the default budget
+        def fail_if_called(*args):
+            raise AssertionError("a tree host built its distance matrix")
+
+        monkeypatch.setattr(graphs, "distance_matrix", fail_if_called)
+        code, doc = run(tmp_path, "graph-analyze", "--gen", "tree:1,5000")
+        assert code == 0
+        assert doc["report"]["diameter"] == 5000
+        assert (doc["report"]["delta_thin"], doc["report"]["delta_four_point"]) == ("0/1", "0/1")
+        code, doc = run(tmp_path, "find-cycles", "--gen", "tree:1,5000", "--min-a", "1/2", "--min-n", "4")
+        assert (code, doc["report"]["outcome"]) == (0, "proven_absent")
+        code, doc = run(tmp_path, "find-cycles", "--gen", "tree:1,0", "--min-a", "0", "--min-n", "3")
+        assert (code, doc["report"]["outcome"], doc["report"]["embedding"]) == (0, "proven_absent", None)
+        code, doc = run(tmp_path, "graph-analyze", "--gen", "tree:1,0")
+        assert (code, doc["report"]["diameter"], doc["report"]["n"]) == (0, 0, 1)
 
     def test_sampled_path_over_budget_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -682,6 +682,23 @@ class TestStrengthening:
         assert check_b_identity(st, 2).passed
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda c, w: c.alpha(w("a"), w("aa")), "alpha requires a point of X_lambda"),
+    (lambda c, w: c.lambda_lengths({w("a")}), "length target a is not in the subgroup"),
+    (lambda c, w: projection_and_similarity(c, "x", ["e"], ["e"], power(1)),
+     "side must be 'lambda' or 'gamma'"),
+    (lambda c, w: projection_and_similarity(c, "lambda", ["e", "aa"], ["e", "a"], power(1)),
+     "X1 is not a transversal"),
+    (lambda c, w: claim_bound_check(c, w("aa"), w("b"), 0, power(1)), "R must be a positive integer"),
+    (lambda c, w: claim_bound_check(c, w("a"), w("b"), 1, power(1)), "u and v must be subgroup elements"),
+], ids=["alpha-outside-x-lambda", "length-target-outside", "projection-side", "projection-x1",
+        "claim-r-zero", "claim-u-outside"])
+def test_refusal_names_its_precondition(f2, f2_coupling, call, message):
+    # aa lies in the subgroup <aa, b, abA>, whose point of X_lambda is e
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call(f2_coupling, f2.parse_word)
+
+
 class TestClaimBound:
     def test_degenerate_pair_skipped(self, f2, f2_coupling):
         u = f2.parse_word("aa")

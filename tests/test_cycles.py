@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from hypme.cycles import (
+    CycleEmbedding,
     _heuristic_candidates,
     _simple_cycles,
-    asymptotic_onset,
     check_obstruction,
     cycle_distance,
     find_fat_cycle,
@@ -150,8 +150,6 @@ class TestCheckObstruction:
         assert rep.bound_prop == obstruction_bound(Fraction(5), Fraction(1), 8)
 
     def test_asymptotic_form_reported_when_applicable(self):
-        n0 = asymptotic_onset(Fraction(1))
-        assert n0 % 2 == 0 and n0 > 10**9  # crossing is far out for b = 1
         g = cycle_graph(12)
         dm = distance_matrix(g)
         e = verify_embedding(dm, list(range(12)))
@@ -159,19 +157,48 @@ class TestCheckObstruction:
         assert rep.bound_cor is None and not rep.cor_applicable
 
 
-def test_asymptotic_onset_is_the_first_even_n():
-    # n * bound(1, 1, n) = 4 log2(n) + 6 (log2 upper-rounded); compare it
-    # with 6 ln n in mpmath at the returned onset and two below it
+def _exact_crossing(b):
+    """The real n where 4*log2(b*n) + 4 + 2b = 6*ln(n), that is
+    n * obstruction_bound(1, b, n) = 6*ln(n) without rounding, by bisection
+    in mpmath; the difference falls in n, since 4/ln(2) < 6."""
     import mpmath
 
-    n0 = asymptotic_onset(Fraction(1))
+    with mpmath.workprec(200):
+        b = mpmath.mpf(b.numerator) / b.denominator
+        gap = lambda n: 4 * mpmath.log(b * n, 2) + 4 + 2 * b - 6 * mpmath.log(n)  # noqa: E731
+        lo, hi = mpmath.mpf(4), mpmath.mpf(2) ** 100
+        assert gap(lo) > 0 > gap(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        # log2 and ln are each rounded by at most 2 * 2^-32, so the certified
+        # comparison can differ from the exact one only where |gap| <= 20 * 2^-32,
+        # that is within n * 20 * 2^-32 / (6 - 4/ln 2) of the crossing
+        window = hi * 20 * mpmath.mpf(2) ** -32 / (6 - 4 / mpmath.log(2))
+        return int(mpmath.ceil(hi)), max(10**5, int(mpmath.ceil(window)))
 
-    def holds(n):
-        lhs = obstruction_bound(Fraction(1), Fraction(1), n) * n
-        with mpmath.workprec(200):
-            return mpmath.mpf(lhs.numerator) / lhs.denominator <= 6 * mpmath.log(n)
 
-    assert holds(n0) and not holds(n0 - 2)
+@pytest.mark.parametrize("b", [Fraction(1), Fraction(3, 2), Fraction(2)], ids=str)
+def test_asymptotic_form_reported_past_the_exact_crossing(b):
+    # check_obstruction reads only n, a and b of the embedding
+    crossing, margin = _exact_crossing(b)
+
+    def reported(n):
+        rep = check_obstruction(CycleEmbedding(n, (), Fraction(1, 2), b), Fraction(1))
+        assert (rep.bound_cor is not None) == rep.cor_applicable
+        return rep.cor_applicable
+
+    assert not reported(crossing - margin) and not reported(crossing - margin - 1)
+    assert reported(crossing + margin) and reported(crossing + margin + 1)
+
+
+@pytest.mark.parametrize("b", [Fraction(2), Fraction(4)], ids=str)
+@pytest.mark.parametrize("n", [4, 5, 1 << 62], ids=["4", "5", "2^62"])
+def test_large_upper_constant_still_gets_its_verdict(b, n):
+    # the exact crossing is about 5.4e22 for b = 2 and 7.8e37 for b = 4
+    rep = check_obstruction(CycleEmbedding(n, (), Fraction(1), b), Fraction(3))
+    assert rep.verdict == ("consistent" if n < 1 << 62 else "violation")
+    assert not rep.cor_applicable and rep.bound_cor is None
 
 
 class TestEnumerateCycles:
@@ -252,6 +279,19 @@ class TestFindFatCycle:
         point = tree_graph(2, 0)
         res = find_fat_cycle(point, distance_matrix(point), Fraction(0), 3)
         assert (res.embedding, res.outcome) == (None, "proven_absent")
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "heuristic"])
+    def test_tree_answers_without_a_matrix(self, mode):
+        # the stated walk's constants are those verify_embedding computes
+        for g in (tree_graph(2, 0), tree_graph(1, 1), tree_graph(2, 3), random_tree(30, random.Random(2))):
+            for min_a, min_n in ((Fraction(0), 3), (Fraction(0), 6), (Fraction(1, 3), 4)):
+                res = find_fat_cycle(g, None, min_a, min_n, mode=mode)
+                if g.m == 0 or min_a > 0:
+                    assert (res.embedding, res.outcome, res.nodes_used) == (None, "proven_absent", 0)
+                    continue
+                assert (res.outcome, res.nodes_used) == ("found", 0)
+                e = res.embedding
+                assert e == verify_embedding(distance_matrix(g), list(e.images))
 
     def test_small_host_exhaustive_absence(self):
         rng = random.Random(11)

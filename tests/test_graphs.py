@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import networkx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from hypme.graphs import (
     load_graph,
     make_graph,
     pairs_by_distance,
+    tree_diameter,
     tree_graph,
 )
 
@@ -32,6 +34,7 @@ from oracles import (
     nx_distances,
     random_connected_graph,
     random_tree,
+    to_networkx,
 )
 
 
@@ -414,6 +417,13 @@ def test_random_tree_has_tree_shape(n, rng):
     g = random_tree(n, rng)
     assert g.m == g.n - 1
     distance_matrix(g)  # refuses a disconnected graph
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_diameter_matches_networkx(seed):
+    rng = random.Random(seed)
+    for g in (random_tree(rng.randrange(1, 200), rng), random_tree(1 + seed % 3, rng)):
+        assert tree_diameter(g) == networkx.diameter(to_networkx(g))
 
 
 def test_path_requires_length_one():

@@ -57,6 +57,8 @@ class TestTreeCase:
         dm = distance_matrix(g)
         rep = hyperbolicity_report(g, dm)
         assert rep.delta_thin == 0 and rep.delta_four_point == 0
+        assert four_point_delta(dm, tree_hint=True) == (0, (0, 0, 0, 0))
+        assert four_point_delta(dm)[0] == 0  # the hint skips a scan that finds 0
 
     def test_trees_read_no_distance_matrix(self):
         class Unreadable:
@@ -66,6 +68,17 @@ class TestTreeCase:
         for g in (tree_graph(2, 3), random_tree(20, random.Random(5))):
             assert thin_triangle_delta(g, Unreadable()) == (0, ((0, 0, 0), 0))
             assert thin_triangle_delta(g) == (0, ((0, 0, 0), 0))
+
+    def test_report_on_a_tree_needs_no_matrix(self, monkeypatch):
+        trees = [tree_graph(1, 0), tree_graph(1, 1), tree_graph(2, 3), random_tree(20, random.Random(5))]
+        with_matrix = [hyperbolicity_report(g, distance_matrix(g)) for g in trees]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the tree report ran a matrix kernel")
+
+        monkeypatch.setattr(hyperbolicity, "four_point_delta", fail)
+        monkeypatch.setattr(hyperbolicity, "distance_matrix", fail)
+        assert [hyperbolicity_report(g, None) for g in trees] == with_matrix
 
     def test_random_trees_zero_via_oracle(self):
         rng = random.Random(3)
