@@ -1,4 +1,5 @@
-"""Certified brackets computed in Python integers: ln, exp, powers, log2.
+"""Certified brackets computed in Python integers: ln, powers, exp of a
+power, log2.
 
 Each public function returns a bracket's two ends.  The bracket is first a
 fixed-point one, integers lo <= v * 2**w <= hi: each step rounds the lower
@@ -6,11 +7,13 @@ end down and the upper end up, or the upper end adds a bound on what the
 lower end's roundings lost.  It is then rounded once, outward, to the 2**-32
 grid (`_on_grid`).  ln x takes x = m * 2**k exactly, 1/2 < m < 2, and
 ln m = 2 atanh((m-1)/(m+1)); x**(a/b) is the integer b-th root of
-floor(x**a * 2**(w*b)); exp works at the base bits plus `exp_extra_bits`,
-as (e**(1/b))**a, by binary splitting, for a short rational a/b, and as
-e**floor(x) times a halved Taylor series for any other x; log2 divides the
-ln brackets of x and 2.  `hypme.cli` registers this module lazily, so a run
-that takes no bracket never compiles it.
+floor(x**a * 2**(w*b)); log2 divides the ln brackets of x and 2.  exp is
+taken only as `exp_pow`, the weight exp(x**e), so its argument y = x**e is
+never negative: it works at the base bits plus `exp_extra_bits`, as
+(e**(1/b))**a, by binary splitting, for a short rational y = a/b, and as
+e**floor(y) times a halved Taylor series for any other y.  `hypme.cli`
+registers this module lazily, so a run that takes no bracket never
+compiles it.
 """
 
 from __future__ import annotations
@@ -84,20 +87,14 @@ def _ln(x: Fraction, w: int) -> tuple[int, int]:
 
 def exp_extra_bits(v: Fraction) -> int:
     """Working bits, beyond the base precision, that keep a bracket of exp(x)
-    for |x| <= v grid-tight: the at most v*log2(e) integer bits of exp(v)."""
+    for 0 <= x <= v grid-tight: the at most v*log2(e) integer bits of exp(v)."""
     return max(0, math.ceil(v * LOG2_E))
 
 
 def _exp(x: Fraction, w: int) -> tuple[int, int]:
-    """exp x for a rational x."""
+    """exp x for a rational x >= 0."""
     if x == 0:
         return 1 << w, 1 << w
-    if x < 0:
-        if x <= -w:  # 0 < exp(x) < 2**-w
-            return 0, 1
-        lo, hi = _exp(-x, w + 2)  # exp(-x) >= 1, so it is 1/exp(x) to w + 2 bits
-        one = 1 << 2 * w + 2
-        return one // hi, -(-one // lo)
     if x.denominator.bit_length() <= 64:  # a short rational
         return _exp_short(x, w)
     return _exp_reduced(x, w)
@@ -202,11 +199,6 @@ def _on_grid(bracket, *xs: Fraction, start: int = 0) -> tuple[Fraction, Fraction
 def ln(x: Fraction) -> tuple[Fraction, Fraction]:
     """The ends of a bracket of ln x, for a rational x > 0; ln 1 is 0."""
     return _on_grid(lambda w: _ln(x, w), x, start=MIN_PRECISION_BITS)
-
-
-def exp(x: Fraction) -> tuple[Fraction, Fraction]:
-    """The ends of a bracket of exp x, for a rational x; exp 0 is 1."""
-    return _on_grid(lambda w: _exp(x, w), x)
 
 
 def power(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:

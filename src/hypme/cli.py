@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 from fractions import Fraction
@@ -112,16 +111,8 @@ def _add_host_args(p):
 def _add_common(p):
     p.add_argument("--out", required=True, help="output report path (JSON)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="work budget in group elements "
-                   "(each element a BFS reaches is charged once), cosets defined by coset "
-                   "enumeration, identity-check cases, cycle-search candidate vertices, 64-bit "
-                   "words of expanded growth volumes, bracket bits (working bits of each "
-                   "exp_power bracket) and cell blocks: n ceil(n/64)/64 per APSP BFS level "
-                   "(64 bitset words a block), 0.4M-0.6M blocks/s; of the delta kernels (64 "
-                   "distance cells a block), n^2 per thin-triangle table, 2n|G(a,b)| per row, "
-                   "n^3 + 2n sum|G(a,b)| per c-major pass, i+1 per four-point row i, n^2 for its "
-                   "witness row, 3n + |G(a,b)||G(a,c) u G(b,c)| per sampled triple; 0.6M-1.7M "
-                   "blocks/s (or HYPME_BUDGET)")
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"work budget in {Budget.UNITS} (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
@@ -156,19 +147,7 @@ def _read_embedding(path: str) -> cycles.CycleEmbedding:
     """The embedding object that find-cycles reports, checked for shape and
     for keys other than its four."""
     with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"embedding file is not JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParseError(f"embedding must be a JSON object, got {json.dumps(obj)[:40]}")
-    keys = ("n", "images", "a", "b")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ParseError(f"embedding has unknown key(s) {', '.join(unknown)}")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ParseError(f"embedding lacks key(s) {', '.join(missing)}")
+        obj = reports.read_object(fh.read(), "embedding", ("n", "images", "a", "b"))
     images = obj["images"]
     if not isinstance(images, list) or not all(type(v) is int for v in images):
         raise ParseError("embedding images must be a list of vertex integers")

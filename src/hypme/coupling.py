@@ -51,7 +51,6 @@ elements in the same order, whatever radius was read first.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
@@ -60,7 +59,7 @@ from .errors import Budget, BudgetError, ParseError, PreconditionError
 from .groups import MarkedGroup, Spheres, parse_group
 from .integrability import IntegrabilityFunction
 from .rational import FracInterval, lower, matrix_rank, upper
-from .reports import encode
+from .reports import encode, read_object
 
 # the coset cap bounds the table's memory when an infinite index slips past the
 # rank check: <a> in C2*C3 reaches 20,000 cosets in 25-50 ms (2-core x86_64
@@ -436,23 +435,13 @@ def subgroup_coupling(
 
 
 def coupling_from_spec(spec: dict | str, budget: Budget | None = None) -> Coupling:
-    """Build from the JSON spec {"group", "subgroup_generators", "x_gamma"}.
+    """Build from the JSON spec {"group", "subgroup_generators", "x_gamma"},
+    as text or decoded; x_gamma is optional and defaults to "e".
 
     A spec of the wrong shape, or with a key not among these three, raises
     ParseError naming the key at fault.
     """
-    if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"coupling spec is not JSON: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ParseError(f"coupling spec must be a JSON object, got {type(spec).__name__}")
-    unknown = sorted(set(spec) - {"group", "subgroup_generators", "x_gamma"})
-    if unknown:
-        raise ParseError(f"coupling spec has unknown key(s) {', '.join(unknown)}")
-    if "group" not in spec or "subgroup_generators" not in spec:
-        raise ParseError("coupling spec needs 'group' and 'subgroup_generators'")
+    spec = read_object(spec, "coupling spec", ("group", "subgroup_generators"), ("x_gamma",))
     words, x_gamma = spec["subgroup_generators"], spec.get("x_gamma", "e")
     if not isinstance(spec["group"], str):
         raise ParseError("coupling spec 'group' must be a group name string")
@@ -790,7 +779,8 @@ def claim_bound_check(c: Coupling, u, v, R: int, phi: IntegrabilityFunction) -> 
     (phi(0) may vanish) and is reported as skipped rather than asserted.
     X_gamma is the one point x0 of measure 1, so the measured side is 0 or 1.
     The displacement identity b(u)^-1 b(v) == beta(v^-1 u)^-1 is re-verified
-    at x0 along the way.
+    at x0 along the way.  Expanding Vol(R) charges its 64-bit words to
+    `c.budget`.
     """
     g = c.group
     c.require_inclusion("the measure bound")
@@ -814,7 +804,7 @@ def claim_bound_check(c: Coupling, u, v, R: int, phi: IntegrabilityFunction) -> 
         denom = phi.value(Fraction(d_lambda, R), c.budget)
         if lower(denom) <= 0:
             raise PreconditionError("phi vanishes at d/R; bound undefined")
-        bound = k_constant * R * g.volume(R) / denom
+        bound = k_constant * R * g.volume(R, c.budget, by=f"the measure bound's Vol({R})") / denom
     return ClaimBoundReport(
         u=g.describe(u), v=g.describe(v), R=R, d_lambda=d_lambda,
         measured=measured, bound=bound, k_constant=k_constant,
@@ -841,20 +831,32 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
     |B| (|B| - 1) per (R, phi), and `failures` lists the w in order of first
     occurrence among the pairs in `to_word` order, that is, by the first u
     with u w in B, then by u w.  The two balls charge their group elements
-    to `c.budget`, and each exp_power bracket its working bits.  Like
+    to `c.budget`, each exp_power bracket its working bits, and Vol up to
+    the largest R its 64-bit words, before the first ball is read.  Like
     `claim_bound_check`, the sweep refuses a coupling whose X_gamma is not
     inside X_lambda.
+
+    The bound's denominator is the upper end of phi's bracket at
+    d_lambda / R >= 1/R > 0, which is positive for every family: an exact
+    power is > 0, a power or poly_plus bracket's upper end is at least
+    2**-32 and exp_power's is at least 1.  So every bound is finite.
     """
     g = c.group
     c.require_inclusion("the measure bound")
     if not R_values or min(R_values) < 1:
         raise PreconditionError("R values must be positive integers")
+    top = max(R_values)
+    g.volume(top, c.budget, by=f"the measure bound's Vol({top})")
     base_inv = g.inverse(c.x0)
 
-    # candidate w -> gamma-side displacement |g0 w g0^-1|
+    # candidate w -> gamma-side displacement |g0 w g0^-1|; a finite group's
+    # levels end before top
     disp = {}
-    for depth in range(max(R_values) + 1):
-        for gamma in c.gamma_spheres[depth]:
+    for depth in range(top + 1):
+        level = c.gamma_spheres[depth]
+        if not level:
+            break
+        for gamma in level:
             w = g.multiply(base_inv, g.multiply(gamma, c.x0))
             if not g.is_identity(w) and c.sub.contains(w):
                 disp[w] = depth
@@ -885,9 +887,6 @@ def claim_bound_sweep(c: Coupling, lambda_radius: int, R_values, phis) -> dict:
                     continue  # measured side is 0 <= bound
                 evaluated += 1
                 denom = upper(phi.value(Fraction(lam_len[w], R), c.budget))
-                if denom == 0:
-                    failures.append((g.describe(w), R, phi.describe(), "phi=0"))
-                    continue
                 bound = k_low * R * vol / denom
                 if Fraction(1) > bound:
                     failures.append((g.describe(w), R, phi.describe(), str(bound)))

@@ -170,9 +170,9 @@ def _greedy_tour(dm: DistanceMatrix, pts: list[int]) -> list[int]:
     return tour
 
 
-def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int, extra: int = 40):
+def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int):
     """Deterministic corner quadruples: eccentricity extremes, far pairs with
-    spread midpoints, then seeded random quadruples."""
+    spread midpoints, then 40 seeded random quadruples."""
     import numpy as np  # only the heuristic search needs it; see graphs
 
     n = g.n
@@ -197,7 +197,7 @@ def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int, extra: int = 
                     continue
                 yield [u, w, v, z]
     rng = random.Random(seed)
-    for _ in range(extra):
+    for _ in range(40):
         if n >= 4:
             yield rng.sample(range(n), 4)
 
@@ -257,8 +257,9 @@ def find_fat_cycle(
     budget = budget or Budget()
     start = budget.spent
     if exhaustive:
-        # need[k] = ceil(min_a*k) for 1 <= k <= floor(min_n/2)
-        need = [-(-min_a.numerator * k // min_a.denominator) for k in range(min_n // 2 + 1)]
+        # need[k] = ceil(min_a*k) for 1 <= k <= floor(min_n/2); a prefix has
+        # fewer than g.n vertices, so no k past g.n is read
+        need = [-(-min_a.numerator * k // min_a.denominator) for k in range(min(min_n // 2, g.n) + 1)]
         search = _simple_cycles(g, budget, dm.d, need if min_a > 0 else ())
         cycles = (cyc for cyc in search if len(cyc) >= min_n)
         embeddings = (verify_embedding(dm, cyc) for cyc in cycles)

@@ -159,36 +159,22 @@ def _commutator(x: str, y: str) -> str:
 
 
 class MarkedGroup:
-    """Base interface: identity, generators, exact multiplication and lengths."""
+    """A group with marked generators; what every family shares.
+
+    A family sets `name` and `num_generators` and defines, for hashable
+    elements in a canonical normal form:
+      - `identity()`, `generator(i)` for 0 <= i < num_generators,
+        `multiply(g, h)` and `inverse(g)`, all exact;
+      - `word_length(g)`, the length over the marked generators;
+      - `to_word(g)`, a word for g over the group's letters ("" for e);
+      - `relators()`, defining relators as words over those letters;
+      - `growth_series()`, the integer coefficients of N and D, lowest
+        degree first, with sum_n |S(n)| t^n = N(t)/D(t) for the marked
+        generators and D(0) = 1.
+    """
 
     name: str
     num_generators: int
-
-    def identity(self):
-        raise NotImplementedError
-
-    def generator(self, i: int):
-        raise NotImplementedError
-
-    def multiply(self, g, h):
-        raise NotImplementedError
-
-    def inverse(self, g):
-        raise NotImplementedError
-
-    def word_length(self, g) -> int:
-        raise NotImplementedError
-
-    def relators(self) -> list[str]:
-        """Defining relators as words over the group's letters."""
-        raise NotImplementedError
-
-    def growth_series(self) -> tuple[list[int], list[int]]:
-        """Integer coefficients of N and D, lowest degree first, with
-        sum_n |S(n)| t^n = N(t)/D(t) for the marked generators and D(0) = 1."""
-        raise NotImplementedError
-
-    # --- shared helpers ----------------------------------------------------
 
     @functools.cached_property
     def growth(self) -> Growth:
@@ -257,9 +243,6 @@ class MarkedGroup:
             g = self.multiply(g, step)
         return g
 
-    def to_word(self, g) -> str:
-        raise NotImplementedError
-
     def describe(self, g) -> str:
         w = self.to_word(g)
         return w if w else "e"
@@ -277,10 +260,10 @@ class MarkedGroup:
 class FreeGroup(MarkedGroup):
     """Free group of rank k; elements are freely reduced letter strings."""
 
-    def __init__(self, rank: int, name: str | None = None):
+    def __init__(self, rank: int):
         self.rank = rank
         self.num_generators = rank
-        self.name = name or f"F{rank}"
+        self.name = f"F{rank}"
 
     def identity(self):
         return ""
@@ -352,10 +335,10 @@ class FreeAbelian(MarkedGroup):
 class Cyclic(MarkedGroup):
     """Z/mZ with the single generator 1 mod m; elements are residues."""
 
-    def __init__(self, order: int, name: str | None = None):
+    def __init__(self, order: int):
         self.order = order
         self.num_generators = 1
-        self.name = name or f"C{order}"
+        self.name = f"C{order}"
 
     def identity(self):
         return 0
@@ -553,8 +536,9 @@ class Spheres:
     `gens` must be symmetric (closed under inverses), so every neighbour of
     a level-d element lies in level d-1, d or d+1 and the two live levels
     tell new elements from old.  Level d holds the elements of word length
-    exactly d, sorted by `group.to_word`; past the end of a finite group the
-    levels are empty.  Each level is charged to `budget` as group elements
+    exactly d, sorted by `group.to_word`.  The BFS stops at the first empty
+    level, the end of a finite group: it is stored once and read for every
+    later depth.  Each level is charged to `budget` as group elements
     before it is kept, so every element is charged once; a level refused
     over budget is refused again on the next read, with nothing charged.
     Every level read stays, so a smaller ball is a prefix of a larger one.
@@ -567,28 +551,31 @@ class Spheres:
         self._levels: list[list] = []
         self._live: tuple[set, set] = (set(), set())  # levels d-1 and d, as sets
 
-    def levels(self, radius: int) -> list[list]:
-        """Levels 0..radius; a negative radius is refused before any charge."""
-        if radius < 0:
+    def __getitem__(self, depth: int) -> list:
+        """The elements of length exactly `depth`, sorted by `to_word`; a
+        negative depth is refused before any charge."""
+        if depth < 0:
             raise PreconditionError("radius must be >= 0")
-        group, gens = self.group, self.gens
-        while (depth := len(self._levels)) <= radius:
+        levels, group, gens = self._levels, self.group, self.gens
+        while len(levels) <= depth and (not levels or levels[-1]):
+            d = len(levels)
             prev, curr = self._live
-            nxt = set() if depth else {group.identity()}
+            nxt = set() if d else {group.identity()}
             for g in curr:
                 for s in gens:
                     h = group.multiply(g, s)
                     if h not in prev and h not in curr:
                         nxt.add(h)
-            done = f" (radius {depth - 1} completed)" if depth else ""
-            self.budget.charge(f"group elements at radius {depth}{done}", len(nxt), by="a group BFS")
+            done = f" (radius {d - 1} completed)" if d else ""
+            self.budget.charge(f"group elements at radius {d}{done}", len(nxt), by="a group BFS")
             self._live = (curr, nxt)
-            self._levels.append(sorted(nxt, key=group.to_word))
-        return self._levels[: radius + 1]
+            levels.append(sorted(nxt, key=group.to_word))
+        return levels[min(depth, len(levels) - 1)]
 
-    def __getitem__(self, depth: int) -> list:
-        """The elements of length exactly `depth`, sorted by `to_word`."""
-        return self.levels(depth)[depth]
+    def levels(self, radius: int) -> list[list]:
+        """Levels 0..radius; a negative radius is refused before any charge."""
+        last = self[radius]
+        return [self[d] for d in range(radius)] + [last]
 
     def ball(self, radius: int) -> list:
         """The elements of length <= radius, level by level."""

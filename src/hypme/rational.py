@@ -2,8 +2,9 @@
 
 All quantities that enter a verdict are either exact ``Fraction`` values or
 certified rational brackets of transcendental functions, `FracInterval(x)`
-`.ln()`, `.exp()` and `.pow_rational(e)` and `log2_upper`, whose ends are
-multiples of 2**-32 computed in integers by `brackets`.  So a bracket
+`.ln()` and `.pow_rational(e)` and `log2_upper`, whose ends are multiples
+of 2**-32 computed in integers by `brackets`.  exp is taken only for the
+exp_power weight, by `brackets.exp_pow` through `integrability`.  So a bracket
 contains the true value, and a verdict read from one end (`.lo` or `.hi`)
 stays conservative: an upper end can only enlarge a bound, never shrink it.
 """
@@ -156,9 +157,6 @@ class FracInterval:
         if self.lo <= 0:
             raise ValueError("ln requires a positive interval")
         return FracInterval(*_ends(brackets.ln, self.lo, self.hi))
-
-    def exp(self) -> "FracInterval":
-        return FracInterval(*_ends(brackets.exp, self.lo, self.hi))
 
     def pow_rational(self, e: Fraction) -> "FracInterval":
         """x^e for positive x and e > 0; exact for integer e and for a point x

@@ -1,4 +1,4 @@
-"""Canonical report files.
+"""Canonical report files, and the JSON objects the CLI reads.
 
 Every CLI run emits one JSON report that embeds the tool version, the full
 configuration echo (including seed and budget), and the payload.  Identical
@@ -14,6 +14,10 @@ Payloads hold raw values; `encode` turns them into JSON data by one rule:
   - tuples and lists become lists, dicts stay dicts, both encoded item by item;
   - everything else passes through unchanged.  In particular a float stays a
     JSON number, so an uncertified float never looks like an exact "p/q".
+
+The CLI's input files, a coupling spec and a cycle embedding, are JSON
+objects with fixed keys; `read_object` checks that shape for both, and
+each caller checks its own fields.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import json
 from fractions import Fraction
 
 from . import __version__
+from .errors import ParseError
 from .rational import FracInterval, format_fraction
 
 
@@ -62,3 +67,23 @@ def write_report(path: str, config: dict, payload) -> None:
     text = render_report(config, payload)
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def read_object(source, what: str, required, optional=()) -> dict:
+    """The JSON object in `source`, text or already decoded, with every key
+    of `required` and no key outside `required` and `optional`; anything
+    else raises a ParseError that starts with `what`."""
+    if isinstance(source, str):
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(source, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(source).__name__}")
+    unknown = sorted(set(source) - {*required, *optional})
+    if unknown:
+        raise ParseError(f"{what} has unknown key(s) {', '.join(unknown)}")
+    missing = [k for k in required if k not in source]
+    if missing:
+        raise ParseError(f"{what} lacks key(s) {', '.join(missing)}")
+    return source

@@ -155,16 +155,20 @@ class RigidityConditions:
             raise PreconditionError("need 2 <= n_min <= n_max")
 
 
-def _sample_grid(n_min: int, n_max: int, points: int = 40) -> list[int]:
-    """Geometric grid including both endpoints and decades."""
+# points of the geometric part of a condition's sample grid
+SAMPLE_POINTS = 40
+
+
+def _sample_grid(n_min: int, n_max: int) -> list[int]:
+    """Geometric grid of SAMPLE_POINTS points, plus both endpoints and decades."""
     out = {n_min, n_max}
     for k in range(1, 19):
         if n_min <= 10**k <= n_max:
             out.add(10**k)
     if n_max > n_min:
-        ratio = (n_max / n_min) ** (1.0 / max(points - 1, 1))
+        ratio = (n_max / n_min) ** (1.0 / (SAMPLE_POINTS - 1))
         x = float(n_min)
-        for _ in range(points):
+        for _ in range(SAMPLE_POINTS):
             out.add(min(n_max, max(n_min, round(x))))
             x *= ratio
     return sorted(out)

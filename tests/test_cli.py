@@ -293,6 +293,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "group elements at radius 4" in err and "--budget or HYPME_BUDGET" in err
 
+    def test_claim_check_charges_the_volumes_first(self, tmp_path, capsys):
+        # C6 has 4 levels, so the sweep's gamma loop ends at once; Vol up to
+        # radius 5000 is 5001 volumes of one word each
+        spec = write_spec(tmp_path, {"group": "C6", "subgroup_generators": ["aa"]})
+        code, doc = run(tmp_path, "claim-check", "--spec", spec, "--radii", "5000", "--budget", "1000")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "Vol(5000) needs 1 volume words" in err and "--budget or HYPME_BUDGET" in err
+        code, doc = run(tmp_path, "claim-check", "--spec", spec, "--radii", "5000", "--budget", "6000")
+        assert code == 0 and doc["report"]["passed"]
+
     def test_infinite_index_names_the_coset_cap(self, tmp_path, capsys):
         # <a> in C2*C3 has infinite index, yet the abelianization has rank 0
         spec = write_spec(tmp_path, {"group": "C2*C3", "subgroup_generators": ["a"]})
@@ -413,8 +424,10 @@ class TestExitCodes:
         ('{"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": 3}', "'x_gamma' must be"),
         # a misspelled key would otherwise leave the base point at e
         ('{"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gama": "b"}', "unknown key(s) x_gama"),
+        ('{"group": "F2"}', "lacks key(s) subgroup_generators"),
+        ("[]", "must be a JSON object, got list"),
     ], ids=["number", "not-json", "group-number", "words-number", "words-string", "x-gamma-number",
-            "unknown-key"])
+            "unknown-key", "missing-key", "list"])
     def test_malformed_spec_is_parse_error(self, tmp_path, capsys, content, problem):
         spec = tmp_path / "spec.json"
         spec.write_text(content)

@@ -723,6 +723,15 @@ class TestClaimBound:
         assert rep.measured == 1  # |b|_Gamma = 1 <= R
         assert rep.passed
 
+    def test_volume_charged_to_the_budget(self):
+        # C6 has Vol(n) = 6 from n = 3 on, one word each: Vol up to 5000 is
+        # 5001 words, so a budget that leaves fewer refuses the bound
+        c = subgroup_coupling(parse_group("C6"), ["aa"], budget=Budget(2000))
+        aa = c.group.parse_word("aa")
+        with pytest.raises(BudgetError, match=r"the measure bound's Vol\(5000\) needs 1 volume words"):
+            claim_bound_check(c, c.group.identity(), aa, 5000, power(1))
+        assert claim_bound_check(c, c.group.identity(), aa, 1000, power(1)).passed
+
     def test_requires_inclusion(self, f2):
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
         u = f2.parse_word("aa")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -379,6 +380,21 @@ class TestPrunedExhaustiveSearch:
         short = find_fat_cycle(h, dh, Fraction(1, 3), h.n + 1, mode="exhaustive",
                                budget=Budget(absent.nodes_used - 1))
         assert (short.outcome, short.nodes_used) == ("budget_exhausted", absent.nodes_used - 1)
+
+    def test_pruning_table_is_sized_by_the_host(self):
+        # a path prefix has fewer than g.n vertices, so every min_n >= 2 g.n
+        # reads the same table; a table of min_n/2 entries peaks near 200 MB
+        g = grid_graph(3, 3)
+        dm = distance_matrix(g)
+        tracemalloc.start()
+        try:
+            huge = find_fat_cycle(g, dm, Fraction(1, 2), 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert huge == find_fat_cycle(g, dm, Fraction(1, 2), 2 * g.n)
+        assert huge.outcome == "proven_absent" and huge.nodes_used > 0
 
     def test_heuristic_stays_within_the_budget(self):
         # grid 9x9 (n = 81) takes the heuristic path; its first closed walk

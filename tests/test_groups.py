@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypme.brackets import exp_pow
 from hypme.errors import Budget, BudgetError, ParseError, PreconditionError
 from hypme.groups import (
     MAX_ATOM_PARAMETER,
@@ -253,6 +254,19 @@ class TestBalls:
         with pytest.raises(PreconditionError, match="radius must be >= 0"):
             Spheres(parse_group("F2"), budget=Budget(0)).ball(-1)
 
+    def test_finite_group_levels_stop_at_the_first_empty_one(self):
+        # C6 has levels {0}, {1, 5}, {2, 4}, {3}, then the empty level 4,
+        # which every later depth reads without growing the BFS
+        to_four = Budget()
+        Spheres(parse_group("C6"), budget=to_four)[4]
+        budget = Budget()
+        spheres = Spheres(parse_group("C6"), budget=budget)
+        assert spheres[10**6] == [] and spheres[3] == [3]
+        assert len(spheres._levels) <= 5
+        assert budget.spent == to_four.spent == 6
+        with pytest.raises(PreconditionError, match="radius must be >= 0"):
+            spheres[-1]
+
     @pytest.mark.parametrize("spec, radius", [("F2", 5), ("Z^2", 6), ("C2*C3", 7), ("C3xC4", 8)])
     def test_growth_table_matches_ball(self, spec, radius):
         # C3xC4 has diameter 3, so its levels run out before the radius
@@ -351,7 +365,7 @@ class TestEntropy:
         assert est.lower == h.lo > 0
         assert h.hi - h.lo <= Fraction(1, 2**30)
         # ln sqrt(2) in [lo, hi] iff 2 in [exp(2 lo), exp(2 hi)]
-        assert FracInterval(2 * h.lo).exp().hi <= 2 <= FracInterval(2 * h.hi).exp().lo
+        assert exp_pow(2 * h.lo, Fraction(1))[1] <= 2 <= exp_pow(2 * h.hi, Fraction(1))[0]
 
     @pytest.mark.parametrize("spec, base", [("F2", 3), ("F3", 5), ("F2xZ", 3), ("F2xF2", 3)])
     def test_free_factor_bounds_are_exact_logs(self, spec, base):

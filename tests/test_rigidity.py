@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypme.brackets import exp_pow
 from hypme.errors import Budget, BudgetError, PreconditionError
 from hypme.groups import parse_group
 from hypme.integrability import exp_power, poly_plus, power
@@ -17,6 +18,7 @@ from hypme.rigidity import (
     check_condition_5,
     check_condition_6_7,
     _onset,
+    _sample_grid,
     corollary_schedules,
     threshold_p,
 )
@@ -239,6 +241,13 @@ class TestCondition5:
         rep = check_condition_5(rc, group)
         assert "r_exceeds_n_at" in encode(rep)
 
+    def test_identity_schedule_is_not_flagged(self):
+        # pow:1 is r(n) = n exactly, so no sample has r(n) > n
+        rc = make_rc(power(8), power(1), Schedule("pow", exponent=Fraction(1)), n_max=1000)
+        assert all(rc.r.value(n) == FracInterval(n) for n in (2, 3, 999, 1000))
+        rep = check_condition_5(rc, parse_group("Z^2"))
+        assert "r_exceeds_n_at" not in rep.notes
+
     def test_volumes_charged_in_words(self):
         # n^(1/2) up to n_max 10^4 reads Vol up to radius 100; F2's Vol(n) =
         # 2 * 3^n - 1 has 1 + floor(bits / 64) words, 183 over radii 0..100
@@ -349,6 +358,13 @@ def quadratic_onset_6_7(grid, flags):
     return None
 
 
+def test_sample_grid_closed_form():
+    # n_min (n_max/n_min)^(i/39) for i = 0..39, rounded, with both ends and every decade between
+    geometric = {round(2 * (10**6 / 2) ** (i / 39)) for i in range(40)}
+    expected = sorted(geometric | {2, 10**6} | {10**k for k in range(1, 7)})
+    assert _sample_grid(2, 10**6) == expected and len(expected) == 45
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([True, False, None]), max_size=12))
 def test_onset_matches_the_quadratic_definitions(flags):
@@ -370,7 +386,8 @@ class TestIntervalHelpers:
 
     def test_ln_exp_round_trip(self):
         x = FracInterval(Fraction(10))
-        back = x.ln().exp()
+        ln = x.ln()
+        back = FracInterval(exp_pow(ln.lo, Fraction(1))[0], exp_pow(ln.hi, Fraction(1))[1])
         assert back.lo <= 10 <= back.hi
         assert float(back.hi - back.lo) < 1e-6
 
