@@ -19,8 +19,9 @@ Modules by concern:
 Importing `hypme` runs none of them.  Importing `hypme.cli` runs `errors`
 and registers each other module above in sys.modules and on this package
 without running it; a module runs when one of its attributes is first read,
-so each CLI run executes only the modules its subcommand calls.  numpy is
-the only runtime dependency.
+so each CLI run executes only the modules its subcommand calls (see
+`hypme.cli` for the import rule that keeps this true).  numpy is the only
+runtime dependency.
 """
 
 __version__ = "0.1.0"

@@ -223,8 +223,9 @@ def exp_pow(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
     def bracket(w):
         ylo, yhi = _pow(x, e, w + v)
         lo, hi = _exp(Fraction(ylo, 1 << w + v), w)
-        # exp(y + d) <= exp(y) (1 + 2d) for 0 <= d <= 1/2
-        return lo, hi + (2 * hi * (yhi - ylo) >> w + v) + 1
+        # exp(y + d) <= exp(y) (1 + 2d) for 0 <= d <= 1/2, plus a unit for the
+        # shift's rounding; an exact power needs neither, so exp(0) is the point 1
+        return lo, hi + (2 * hi * (yhi - ylo) >> w + v) + (yhi != ylo)
 
     return _on_grid(bracket, x, e)
 

@@ -11,8 +11,11 @@ Importing this module runs none of the kernel modules: each is registered
 lazily (`_lazy`) and runs on first attribute access, so a subcommand pays
 only for the modules it calls.  Commands therefore call kernels through
 their module, as `graphs.distance_matrix(...)`, never through names bound at
-import time.  Certified brackets are computed in Python integers by
-`brackets`, which only the commands that take one run.
+import time.  A kernel module imports names only from a module that runs
+whenever it does; any other it imports as `from . import graphs`, which
+runs nothing until an attribute is read, or, when it names it only in
+annotations, under TYPE_CHECKING.  Certified brackets are computed in
+Python integers by `brackets`, which only the commands that take one run.
 
 Exit codes: 0 success; 1 usage, parse, precondition, budget or IO errors
 (the report file included), with one line on stderr and no report; 2 when
@@ -180,8 +183,15 @@ def cmd_check_obstruction(args, budget):
     return payload, report.verdict == "consistent"
 
 
+# 64-bit words a row of group-ball's growth table and entropy block takes (Budget.UNITS)
+_GROWTH_ROW_WORDS = 50
+
+
 def cmd_group_ball(args, budget):
     group = groups.parse_group(args.group)
+    rows = max(args.radius + 1, 0)  # n = 0..radius: Vol(n) and the entropy estimates at n
+    by = f"the growth table and entropy block to radius {args.radius}"
+    budget.charge("report words", _GROWTH_ROW_WORDS * rows, by=by)
     if args.counts_only:
         growth = groups.bfs_growth_table(group, args.radius, budget=budget)
         payload = {"group": group.name, "radius": args.radius, "entropy": None}

@@ -51,15 +51,19 @@ elements in the same order, whatever radius was read first.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import Budget, BudgetError, ParseError, PreconditionError
 from .groups import MarkedGroup, Spheres, parse_group
-from .integrability import IntegrabilityFunction
 from .rational import FracInterval, lower, matrix_rank, upper
 from .reports import encode, read_object
+
+if TYPE_CHECKING:
+    from .integrability import IntegrabilityFunction
 
 # the coset cap bounds the table's memory when an infinite index slips past the
 # rank check: <a> in C2*C3 reaches 20,000 cosets in 25-50 ms (2-core x86_64
@@ -465,8 +469,12 @@ class CheckReport:
     details: dict = field(default_factory=dict, metadata={"inline": True})
 
     @classmethod
-    def of(cls, name: str, cases: int, violations: int, **details) -> CheckReport:
-        return cls(name, cases, violations, violations == 0, details)
+    def of(cls, name: str, holds, **details) -> CheckReport:
+        """The report of a check whose cases `holds` yields, True for each case
+        in which the identity held.  The only place cases and violations are
+        counted: `Counter` tallies the outcomes without keeping them."""
+        tally = Counter(holds)
+        return cls(name, tally.total(), tally[False], not tally[False], details)
 
 
 def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
@@ -476,36 +484,29 @@ def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
     after the gamma ball and before the first case.
     """
     if radius < 1:
-        return CheckReport.of("cocycle_identity", 0, 0)
+        return CheckReport.of("cocycle_identity", ())
     points = c.x_lambda_points()
     ballg = c.gamma_spheres.ball(radius)
     cases = len(points) * len(ballg) ** 2
     c.budget.charge("cases", cases, by=f"cocycle identity check at radius {radius}")
-    bad = 0
-    for x in points:
-        alpha_x = {p: c.alpha(p, x) for p in ballg}
-        moved = {p: c.induced_gamma(p, x) for p in ballg}
-        for p in ballg:
-            ax = alpha_x[p]
-            mx = moved[p]
-            for q in ballg:
-                left = c.alpha(c.group.multiply(q, p), x)
-                right = c.group.multiply(c.alpha(q, mx), ax)
-                if left != right:
-                    bad += 1
-    return CheckReport.of("cocycle_identity", cases, bad, radius=radius)
+    mul = c.group.multiply
+    # g.x is a point of X_lambda, so alpha(g', g.x) is read from one table
+    alpha_at = {y: {q: c.alpha(q, y) for q in ballg} for y in points}
+    holds = (
+        c.alpha(mul(q, p), x) == mul(alpha_at[moved][q], alpha_at[x][p])
+        for x in points
+        for p in ballg
+        for moved in [c.induced_gamma(p, x)]
+        for q in ballg
+    )
+    return CheckReport.of("cocycle_identity", holds, radius=radius)
 
 
 def check_inverse_relation(c: Coupling, radius: int) -> CheckReport:
     """alpha(beta(lam), x0) == lam for |lam|_{S_lambda} <= radius."""
     c.require_inclusion("the inverse relation")
-    cases = 0
-    bad = 0
-    for lam in c.lambda_spheres.ball(radius):
-        cases += 1
-        if c.alpha(c.beta(lam), c.x0) != lam:
-            bad += 1
-    return CheckReport.of("inverse_relation", cases, bad, radius=radius)
+    holds = (c.alpha(c.beta(lam), c.x0) == lam for lam in c.lambda_spheres.ball(radius))
+    return CheckReport.of("inverse_relation", holds, radius=radius)
 
 
 def check_b_identity(c: Coupling, radius: int) -> CheckReport:
@@ -519,19 +520,16 @@ def check_b_identity(c: Coupling, radius: int) -> CheckReport:
     then a member, and the cases take beta without its membership trace.
     """
     elems = sorted(c.lambda_spheres.ball(radius), key=c.group.to_word)
-    cases = len(elems) ** 2
-    c.budget.charge("cases", cases, by=f"b-identity check at radius {radius}")
-    bad = 0
+    c.budget.charge("cases", len(elems) ** 2, by=f"b-identity check at radius {radius}")
     mul, inv = c.group.multiply, c.group.inverse
-    b_of = {u: c.b_map(u) for u in elems}
-    for u in elems:
-        bu_inv = inv(b_of[u])
-        for v in elems:
-            left = mul(bu_inv, b_of[v])
-            right = inv(c._conjugate_by_x0(mul(inv(v), u)))
-            if left != right:
-                bad += 1
-    return CheckReport.of("b_identity", cases, bad, radius=radius)
+    b_and_inverse = [(c.b_map(v), inv(v)) for v in elems]
+    holds = (
+        mul(b_u_inv, b_v) == inv(c._conjugate_by_x0(mul(v_inv, u)))
+        for u, (b_u, _) in zip(elems, b_and_inverse)
+        for b_u_inv in [inv(b_u)]
+        for b_v, v_inv in b_and_inverse
+    )
+    return CheckReport.of("b_identity", holds, radius=radius)
 
 
 def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> CheckReport:
@@ -542,18 +540,19 @@ def check_actions_commute(c: Coupling, radius: int, samples: int, seed: int) -> 
     mul = c.group.multiply
     ballg = c.gamma_spheres.ball(radius)
     lams = sorted(c.lambda_spheres.ball(radius), key=c.group.to_word)
-    cases = 0
-    bad = 0
-    for _ in range(samples):
-        p = rng.choice(ballg)
-        lam = rng.choice(lams)
-        w = rng.choice(ballg)
-        cases += 1
-        one = c.lambda_act(lam, mul(p, w))
-        two = mul(p, c.lambda_act(lam, w))
-        if one != two:
-            bad += 1
-    return CheckReport.of("actions_commute", cases, bad, radius=radius)
+    holds = (
+        c.lambda_act(lam, mul(p, w)) == mul(p, c.lambda_act(lam, w))
+        for _ in range(samples)
+        for p, lam, w in [(rng.choice(ballg), rng.choice(lams), rng.choice(ballg))]
+    )
+    return CheckReport.of("actions_commute", holds, radius=radius)
+
+
+def _first_visits(points, seen: set):
+    """For each point, whether it is not in `seen`; each is added after its test."""
+    for pt in points:
+        yield pt not in seen
+        seen.add(pt)
 
 
 def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
@@ -567,54 +566,31 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
     through the coset index.
     """
     g = c.group
-    bad = 0
-    cases = 0
-
     base_ball = c.gamma_spheres.ball(radius)
-    # transversal: each sampled element lies in exactly one t L
-    for w in base_ball:
-        cases += 1
-        hits = [
-            t for t in c.sub.transversal if c.sub.contains(g.multiply(g.inverse(t), w))
-        ]
-        if len(hits) != 1:
-            bad += 1
-
-    # gamma side: injectivity and coverage
-    c_gamma = g.word_length(c.x0)
-    seen = set()
-    for p in base_ball:
-        cases += 1
-        pt = g.multiply(p, c.x0)
-        if pt in seen:
-            bad += 1
-        seen.add(pt)
-    for w in base_ball:
-        if g.word_length(w) > radius - c_gamma:
-            continue
-        cases += 1
-        if w not in seen:
-            bad += 1
-
-    # lambda side: round-trip projection and injectivity over a lambda ball
     x_lambda = c.x_lambda_points()
-    seen_l = {}
-    for lam in c.lambda_spheres.ball(radius):
-        for x in x_lambda:
-            cases += 1
-            pt = c.lambda_act(lam, x)
-            if pt in seen_l:
-                bad += 1
-            seen_l[pt] = (lam, x)
+    c_gamma = g.word_length(c.x0)
     c_lambda = max(g.word_length(x) for x in x_lambda)
-    for w in base_ball:
-        cases += 1
+    t_invs = [g.inverse(t) for t in c.sub.transversal]
+    lambda_points = (c.lambda_act(lam, x) for lam in c.lambda_spheres.ball(radius) for x in x_lambda)
+    gamma_seen = set()
+
+    def round_trip(w) -> bool:
         x = c.x_lambda_rep(w)
         lam = g.multiply(g.inverse(w), x)  # x lam^-1 == w
-        if c.lambda_act(lam, x) != w or not c.sub.contains(lam):
-            bad += 1
+        return c.lambda_act(lam, x) == w and c.sub.contains(lam)
+
+    holds = itertools.chain(
+        # transversal: each sampled element lies in exactly one t L
+        (sum(c.sub.contains(g.multiply(t_inv, w)) for t_inv in t_invs) == 1 for w in base_ball),
+        # gamma side: injectivity, then coverage
+        _first_visits((g.multiply(p, c.x0) for p in base_ball), gamma_seen),
+        (w in gamma_seen for w in base_ball if g.word_length(w) <= radius - c_gamma),
+        # lambda side: injectivity over a lambda ball, then round-trip projection
+        _first_visits(lambda_points, set()),
+        map(round_trip, base_ball),
+    )
     return CheckReport.of(
-        "fundamental_domains", cases, bad, radius=radius, c_gamma=c_gamma, c_lambda=c_lambda
+        "fundamental_domains", holds, radius=radius, c_gamma=c_gamma, c_lambda=c_lambda
     )
 
 
@@ -642,13 +618,8 @@ def projection_and_similarity(
             if len(elems) != c.index or len(idxs) != c.index:
                 raise PreconditionError(f"{name} is not a transversal")
         by_idx2 = {c.sub.left_index(e): e for e in elems2}
-        pairs = []
-        corrections = []
-        for x in elems1:
-            x2 = by_idx2[c.sub.left_index(x)]
-            lam = g.multiply(g.inverse(x2), x)  # pi(x) = x lam^-1
-            corrections.append(lam)
-            pairs.append((x, x2))
+        pairs = [(x, by_idx2[c.sub.left_index(x)]) for x in elems1]
+        corrections = [g.multiply(g.inverse(x2), x) for x, x2 in pairs]  # pi(x) = x lam^-1
         lengths = c.lambda_lengths(set(corrections))
         dists = [lengths[lam] for lam in corrections]
     elif side == "gamma":

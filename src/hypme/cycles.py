@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import graphs
 from .errors import Budget, BudgetError, PreconditionError
-from .graphs import DistanceMatrix, Graph, direct_image_path, pairs_by_distance
 from .rational import FracInterval, log2_upper
 
 EXHAUSTIVE_VERTEX_LIMIT = 40
@@ -36,7 +36,7 @@ def cycle_distance(n: int, i: int, j: int) -> int:
     return min(k, n - k)
 
 
-def verify_embedding(host_d: DistanceMatrix, images: list[int]) -> CycleEmbedding:
+def verify_embedding(host_d: graphs.DistanceMatrix, images: list[int]) -> CycleEmbedding:
     """Tight constants: a = min over pairs of d_host/d_cycle, b = max.
 
     Repeated image vertices force a = 0 (the map cannot be injective).
@@ -118,7 +118,7 @@ def check_obstruction(e: CycleEmbedding, delta: Fraction) -> ObstructionReport:
     )
 
 
-def _simple_cycles(g: Graph, budget: Budget, d=None, need=()):
+def _simple_cycles(g: graphs.Graph, budget: Budget, d=None, need=()):
     """Depth-first search over simple cycles, each yielded once, in canonical
     form: a vertex list that starts at the cycle's smallest vertex, with the
     second vertex smaller than the last.  Each candidate extension is charged
@@ -154,14 +154,14 @@ class FatCycleResult:
     nodes_used: int
 
 
-def _closed_walk_images(dm: DistanceMatrix, corners: list[int]) -> list[int]:
+def _closed_walk_images(dm: graphs.DistanceMatrix, corners: list[int]) -> list[int]:
     """The closed walk through the corners along direct geodesics; every
     candidate of `_heuristic_candidates` has distinct consecutive corners."""
-    path = direct_image_path(dm, list(corners) + [corners[0]])
+    path = graphs.direct_image_path(dm, list(corners) + [corners[0]])
     return list(path.vertices[:-1])
 
 
-def _greedy_tour(dm: DistanceMatrix, pts: list[int]) -> list[int]:
+def _greedy_tour(dm: graphs.DistanceMatrix, pts: list[int]) -> list[int]:
     rest = sorted(pts)
     tour = [rest.pop(0)]
     while rest:
@@ -170,7 +170,7 @@ def _greedy_tour(dm: DistanceMatrix, pts: list[int]) -> list[int]:
     return tour
 
 
-def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int):
+def _heuristic_candidates(g: graphs.Graph, dm: graphs.DistanceMatrix, seed: int):
     """Deterministic corner quadruples: eccentricity extremes, far pairs with
     spread midpoints, then 40 seeded random quadruples."""
     import numpy as np  # only the heuristic search needs it; see graphs
@@ -182,7 +182,7 @@ def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int):
     if 3 <= len(corners) <= 12:
         yield _greedy_tour(dm, corners)
     # the five farthest pairs; no distance level past theirs is built
-    pairs = ((int(u), int(v)) for _, a, b in pairs_by_distance(dm) for u, v in zip(a, b))
+    pairs = ((int(u), int(v)) for _, a, b in graphs.pairs_by_distance(dm) for u, v in zip(a, b))
     for u, v in itertools.islice(pairs, 5):
         spread = np.minimum(d[u], d[v])
         w_order = sorted(range(n), key=lambda x: (-int(spread[x]), int(abs(d[u, x] - d[v, x])), x))
@@ -202,7 +202,9 @@ def _heuristic_candidates(g: Graph, dm: DistanceMatrix, seed: int):
             yield rng.sample(range(n), 4)
 
 
-def _heuristic_embeddings(g: Graph, dm: DistanceMatrix, min_n: int, seed: int, budget: Budget):
+def _heuristic_embeddings(
+    g: graphs.Graph, dm: graphs.DistanceMatrix, min_n: int, seed: int, budget: Budget
+):
     """The closed walks through the corner candidates, each verified."""
     for corners in _heuristic_candidates(g, dm, seed):
         images = _closed_walk_images(dm, corners)
@@ -212,8 +214,8 @@ def _heuristic_embeddings(g: Graph, dm: DistanceMatrix, min_n: int, seed: int, b
 
 
 def find_fat_cycle(
-    g: Graph,
-    dm: DistanceMatrix | None,
+    g: graphs.Graph,
+    dm: graphs.DistanceMatrix | None,
     min_a: Fraction,
     min_n: int,
     mode: str = "auto",

@@ -42,7 +42,10 @@ class Budget:
         "group elements (each element a BFS reaches is charged once), cosets defined by coset "
         "enumeration (dead ones included), identity-check cases, cycle-search candidate vertices, "
         "64-bit words of expanded growth volumes (condition (5), the measure bound, a ball's "
-        "vertex-cap check), bracket bits (working bits of each exp_power bracket) and cell blocks: "
+        "vertex-cap check), report words (50 per row of group-ball's growth table and entropy "
+        "block, radius + 1 rows, charged before the first: C6 to radius 10^6 peaked at 418 MB, "
+        "about 400 bytes or 50 words a row), bracket bits (working bits of each exp_power "
+        "bracket) and cell blocks: "
         "ceil(n ceil(n/64)/64) per APSP BFS level (64 bitset words a block), 0.4M-0.6M blocks/s "
         "at n >= 364; for the delta kernels, ceil(cells/64) (64 distance cells a block) of n^2 "
         "cells per thin-triangle table, 2n|G(a,b)| per row, n^3 + 2n sum|G(a,b)| per c-major "

@@ -27,11 +27,13 @@ Conventions:
     - all operations are pure functions of immutable inputs;
     - numpy is imported by the functions that build or read a distance
       matrix, not by the module, so a run that builds a Graph and no matrix
-      never loads it: group-ball, the coupling commands, conditions, and
-      threshold on a tree ball (a free product of F_k, Z and C2 atoms),
-      whose thin-triangle constant is read off the Graph alone, and
-      graph-analyze and find-cycles on a tree, whose constants, diameter
-      (tree_diameter) and cycle answer need no distances.
+      never loads it: group-ball, threshold on a tree ball (a free product
+      of F_k, Z and C2 atoms), whose thin-triangle constant is read off the
+      Graph alone, and graph-analyze and find-cycles on a tree, whose
+      constants, diameter (tree_diameter) and cycle answer need no
+      distances.  The coupling commands, conditions, group-ball
+      --counts-only and check-obstruction --delta build no Graph, and do
+      not run this module.
 """
 
 from __future__ import annotations

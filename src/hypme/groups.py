@@ -38,8 +38,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import graphs
 from .errors import Budget, ParseError, PreconditionError
-from .graphs import Graph, make_graph
 from .rational import FracInterval
 
 
@@ -523,7 +523,7 @@ def parse_group(spec: str) -> MarkedGroup:
 @dataclass(frozen=True)
 class CayleyBall:
     radius: int
-    graph: Graph
+    graph: graphs.Graph
     elements: tuple
     word_lengths: tuple[int, ...]
     growth: tuple[int, ...]  # Vol(0..radius), counted by the BFS
@@ -601,7 +601,7 @@ def ball(group: MarkedGroup, radius: int, budget: Budget | None = None) -> Cayle
             j = index.get(h)
             if j is not None and j != i:
                 edges.add((min(i, j), max(i, j)))
-    graph = make_graph(len(elements), edges)
+    graph = graphs.make_graph(len(elements), edges)
     return CayleyBall(
         radius=radius,
         graph=graph,

@@ -27,11 +27,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import Budget, PreconditionError
 from .groups import Growth, MarkedGroup
-from .integrability import IntegrabilityFunction
 from .rational import FracInterval, format_fraction
+
+if TYPE_CHECKING:
+    from .integrability import IntegrabilityFunction
 
 
 @functools.cache

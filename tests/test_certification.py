@@ -223,10 +223,14 @@ def test_exp_matches_oracle():
     xs += [Fraction(rng.getrandbits(210) * rng.choice((1, -1)), 2**200) for _ in range(40)]
     for x in [x for x in xs + [Fraction(1)] if x > 0]:
         assert_same(native.exp_pow(x, Fraction(1)), oracle_exp(x), x)
-    # the bracket at 0 holds exp(0) = 1 but is not the point: exp_pow's
-    # bound on the power's rounding adds one unit even to an exact 0
-    lo, hi = native.exp_pow(Fraction(0), Fraction(1))
-    assert lo == 1 <= hi
+    assert native.exp_pow(Fraction(0), Fraction(1)) == (1, 1)
+
+
+@pytest.mark.parametrize("e", ["1", "1/2", "3"])
+def test_exp_pow_at_zero_is_the_point_one(e):
+    # 0**e is exact, so no unit is added for the power's rounding
+    assert native.exp_pow(Fraction(0), Fraction(e)) == (1, 1)
+    assert tuple(exp_power(Fraction(e)).value(Fraction(0))) == (1, 1)
 
 
 @pytest.mark.parametrize("e", ["1/2", "1/3", "2/3", "3/2", "5/2"])

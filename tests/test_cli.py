@@ -14,6 +14,7 @@ from hypme.integrability import power
 from hypme.reports import encode
 from oracles import brute_claim_sweep
 
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 F2_SPEC = {"group": "F2", "subgroup_generators": ["aa", "b", "abA"], "x_gamma": "e"}
 Z2_SPEC = {"group": "Z^2", "subgroup_generators": ["aa", "b"], "x_gamma": "e"}
 
@@ -119,7 +120,7 @@ class TestEnvelope:
         # radius 1 has no entropy block) nor those that take ln, exp, power
         # and log2 brackets load it
         spec = write_spec(tmp_path, F2_SPEC)
-        embedding = os.path.join(os.path.dirname(__file__), "golden", "inputs", "embedding.json")
+        embedding = os.path.join(GOLDEN_INPUTS, "embedding.json")
         assert_commands_leave_unloaded(tmp_path, "mpmath", [
             ["graph-analyze", "--gen", "grid:9,9"],
             ["graph-analyze", "--gen", "grid:25,25", "--samples", "5"],
@@ -154,6 +155,34 @@ class TestEnvelope:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert json.loads(proc.stdout) == [0, unused, True]
+
+    @pytest.mark.parametrize("argv, unrun, ran", [
+        (["coupling-build", "--spec", "SPEC"], ["graphs", "integrability"], ["coupling", "groups"]),
+        (["group-ball", "--group", "F2", "--radius", "2"], ["coupling", "integrability"], ["graphs", "groups"]),
+        (["check-obstruction", "--embedding", "EMB", "--delta", "1"], ["graphs"], ["cycles"]),
+        (["threshold", "--group", "F2"], ["integrability"], ["graphs", "rigidity"]),
+    ], ids=["coupling-build", "group-ball", "check-obstruction-delta", "threshold"])
+    def test_commands_execute_only_the_modules_they_call(self, tmp_path, argv, unrun, ran):
+        # a module a command never calls may still be named in an annotation
+        # or imported by one it calls; neither may execute it
+        files = {name: os.path.join(GOLDEN_INPUTS, f) for name, f in
+                 (("SPEC", "f2.json"), ("EMB", "embedding.json"))}
+        argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "r.json")]
+        code = (
+            "import json, sys, types\n"
+            "import hypme.cli\n"
+            f"exit_code = hypme.cli.dispatch({argv!r})\n"
+            "ran = sorted(name[6:] for name, m in sys.modules.items()\n"
+            "             if name.startswith('hypme.') and type(m) is types.ModuleType)\n"
+            "print(json.dumps([exit_code, ran]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        exit_code, executed = json.loads(proc.stdout)
+        assert exit_code == 0
+        assert set(ran) <= set(executed) and not set(unrun) & set(executed), executed
 
 
 class TestExitCodes:
@@ -303,6 +332,34 @@ class TestExitCodes:
         assert "Vol(5000) needs 1 volume words" in err and "--budget or HYPME_BUDGET" in err
         code, doc = run(tmp_path, "claim-check", "--spec", spec, "--radii", "5000", "--budget", "6000")
         assert code == 0 and doc["report"]["passed"]
+
+    def test_group_ball_charges_its_rows_first(self, tmp_path, capsys):
+        # radius 10 is 11 rows of 50 words; C6's BFS then charges its 6 elements
+        argv = ["group-ball", "--group", "C6", "--radius", "10", "--counts-only", "--budget"]
+        code, doc = run(tmp_path, *argv, "549")
+        assert code == 1 and doc is None
+        err = capsys.readouterr().err
+        assert "the growth table and entropy block to radius 10 needs 550 report words" in err
+        assert "with 0 already spent" in err
+        assert run(tmp_path, *argv, "555")[0] == 1
+        code, doc = run(tmp_path, *argv, "556")
+        assert code == 0 and doc["report"]["growth"][-1] == 6
+
+    @pytest.mark.parametrize("radius, exit_code", [(10**6, 1), (10**5, 0)])
+    def test_group_ball_radius_at_the_default_budget(self, tmp_path, radius, exit_code):
+        # uncharged, 10^6 rows took 7.6-10.5 s and 418 MB and wrote a 53 MB report
+        out = tmp_path / "r.json"
+        argv = ["group-ball", "--group", "C6", "--radius", str(radius), "--counts-only", "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("HYPME_BUDGET", None)
+        proc = subprocess.run([sys.executable, "-m", "hypme.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == exit_code, proc.stderr
+        if exit_code:
+            assert not out.exists()
+            assert f"entropy block to radius {radius} needs {50 * (radius + 1)} report words" in proc.stderr
+        else:
+            assert json.loads(out.read_text())["report"]["growth"][-1] == 6
 
     def test_infinite_index_names_the_coset_cap(self, tmp_path, capsys):
         # <a> in C2*C3 has infinite index, yet the abelianization has rank 0

@@ -4,11 +4,13 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hypme import coupling
 from hypme.coupling import (
+    CheckReport,
     Coupling,
     check_actions_commute,
     check_b_identity,
@@ -38,6 +40,7 @@ from oracles import (
 )
 
 F2_GENS = ["aa", "b", "abA"]
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 @pytest.fixture(scope="module")
@@ -896,3 +899,61 @@ class TestCocycleIdentityBudget:
         assert check_cocycle_identity(f2_coupling_with(2 + 53 + 5618), 3).cases == 5618
         with pytest.raises(BudgetError, match="needs 5618 cases.*--budget or HYPME_BUDGET"):
             check_cocycle_identity(f2_coupling_with(2 + 53 + 5617), 3)
+
+
+class TestCheckReportOf:
+    def test_empty_sequence_passes_with_no_cases(self):
+        rep = CheckReport.of("empty", iter(()))
+        assert (rep.cases, rep.violations, rep.passed, rep.details) == (0, 0, True, {})
+
+    def test_counts_each_outcome(self):
+        # x = 0, 3, 6 and 9 are the four cases that fail
+        rep = CheckReport.of("mixed", (x % 3 != 0 for x in range(10)), radius=2)
+        assert (rep.name, rep.cases, rep.violations, rep.passed) == ("mixed", 10, 4, False)
+        assert rep.details == {"radius": 2}
+
+    @pytest.mark.parametrize("outcomes", [
+        [True], [True] * 5, [False], [False] * 3, [True, True, False], [False, True],
+    ])
+    def test_passes_only_when_no_case_is_false(self, outcomes):
+        rep = CheckReport.of("check", outcomes)
+        assert (rep.cases, rep.violations) == (len(outcomes), outcomes.count(False))
+        assert rep.passed is (False not in outcomes)
+
+
+class TestCaseCountsInClosedForm:
+    """Each check's case count, derived without running the check: |B_gamma(r)|
+    from the group's growth series, |B_lambda(r)| from a BFS that shares no
+    code with `groups.Spheres`, |X_lambda| as the index."""
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ["f2", "f2b", "c3c4"])
+    def test_every_check(self, spec, radius):
+        # strengthened first, as coupling-verify does, so the inverse relation runs on f2b too
+        c = strengthen_coboundedness(coupling_from_spec((INPUTS / f"{spec}.json").read_text()))
+        g = c.group
+        gamma = g.volume(radius)
+        lam = len(independent_word_lengths(g, c.sub.schreier_generators, max_radius=radius))
+        reach = radius - g.word_length(c.x0)  # gamma x0 covers the points this close to e
+        covered = g.volume(reach) if reach >= 0 else 0
+        expected = {
+            "cocycle_identity": c.index * gamma**2,
+            "b_identity": lam**2,
+            "inverse_relation": lam,
+            "actions_commute": 37,
+            "fundamental_domains": 3 * gamma + covered + lam * c.index,
+        }
+        reports = [
+            check_cocycle_identity(c, radius),
+            check_b_identity(c, radius),
+            check_inverse_relation(c, radius),
+            check_actions_commute(c, radius, samples=37, seed=radius),
+            check_fundamental_domains(c, radius),
+        ]
+        assert {r.name: r.cases for r in reports} == expected
+        assert all(r.passed and r.violations == 0 for r in reports)
+
+    def test_f2_at_radius_three(self, f2_coupling):
+        # |B_gamma(3)| = 53 and |B_lambda(3)| = 187: 3 * 53 + 53 + 187 * 2
+        assert check_fundamental_domains(f2_coupling, 3).cases == 586
+        assert check_inverse_relation(f2_coupling, 3).cases == 187
