@@ -7,6 +7,11 @@ the configuration echo, the seed, and the budget, so identical invocations
 produce byte-identical files.  One `Budget`, from --budget or HYPME_BUDGET,
 bounds the work of every kernel a run calls.
 
+Each subcommand is declared once, by `_command`, and named after the
+function that runs it by the rule cmd_x_y <-> x-y: `cmd_claim_check` runs
+claim-check.  perfbench/tracing.py finds every command's function by that
+rule.  --gen and --edges name the host two ways, so a command refuses both.
+
 Importing this module runs none of the kernel modules: each is registered
 lazily (`_lazy`) and runs on first attribute access, so a subcommand pays
 only for the modules it calls.  Commands therefore call kernels through
@@ -103,19 +108,6 @@ def _config_echo(args) -> dict:
             continue
         out[key] = value
     return out
-
-
-def _add_host_args(p):
-    p.add_argument("--gen", help="generator spec: tree:b,d | grid:w,h | cycle:n")
-    p.add_argument("--edges", help="edge-list file (one 'u v' pair per line)")
-    p.add_argument("--largest-component", action="store_true")
-
-
-def _add_common(p):
-    p.add_argument("--out", required=True, help="output report path (JSON)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"work budget in {Budget.UNITS} (or HYPME_BUDGET)")
 
 
 def cmd_graph_analyze(args, budget):
@@ -232,8 +224,8 @@ def _coupling_view(c) -> dict:
         "x_gamma": g.describe(c.x0),
         "mu_scale": Fraction(1),  # mu is counting measure
         "mu_x_gamma": Fraction(1),  # X_gamma is the one point x0
-        "mu_x_lambda": c.mu_x_lambda(),
-        "x_gamma_in_x_lambda": c.x_gamma_in_x_lambda(),
+        "mu_x_lambda": Fraction(c.index),
+        "x_gamma_in_x_lambda": c.in_x_lambda(c.x0),
     }
 
 
@@ -345,6 +337,24 @@ def cmd_conditions(args, budget):
     return payload, True
 
 
+def _command(sub, func, help: str, host: bool = False, **kwargs) -> argparse.ArgumentParser:
+    """The subparser that runs `func`, named by the rule cmd_x_y -> x-y, with
+    the host options when `host` (--gen and --edges exclusive), then the
+    options every command takes."""
+    p = sub.add_parser(func.__name__.removeprefix("cmd_").replace("_", "-"), help=help, **kwargs)
+    if host:
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--gen", help="generator spec: tree:b,d | grid:w,h | cycle:n")
+        source.add_argument("--edges", help="edge-list file (one 'u v' pair per line)")
+        p.add_argument("--largest-component", action="store_true")
+    p.add_argument("--out", required=True, help="output report path (JSON)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"work budget in {Budget.UNITS} (or HYPME_BUDGET)")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hypme",
@@ -353,75 +363,54 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"hypme {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graph-analyze", help="distances and hyperbolicity constants")
-    _add_host_args(p)
-    _add_common(p)
+    p = _command(sub, cmd_graph_analyze, "distances and hyperbolicity constants", host=True)
     p.add_argument("--samples", type=int, default=100_000, help="sample count past the cutoff")
-    p.set_defaults(func=cmd_graph_analyze)
 
-    p = sub.add_parser("find-cycles", help="search for fat bi-Lipschitz embedded cycles")
-    _add_host_args(p)
-    _add_common(p)
+    p = _command(sub, cmd_find_cycles, "search for fat bi-Lipschitz embedded cycles", host=True)
     p.add_argument("--min-a", required=True, help="lower bi-Lipschitz threshold, e.g. 1/2")
     p.add_argument("--min-n", type=int, required=True)
     p.add_argument("--mode", choices=["auto", "exhaustive", "heuristic"], default="auto")
-    p.set_defaults(func=cmd_find_cycles)
 
-    p = sub.add_parser("check-obstruction", help="evaluate the cycle obstruction inequality")
-    _add_host_args(p)
-    _add_common(p)
+    p = _command(sub, cmd_check_obstruction, "evaluate the cycle obstruction inequality", host=True)
     p.add_argument("--embedding", required=True, help="CycleEmbedding JSON file")
     p.add_argument("--delta", help="hypothetical delta as p/q (else certified from host)")
-    p.set_defaults(func=cmd_check_obstruction)
 
-    p = sub.add_parser("group-ball", help="Cayley ball, growth table, entropy")
-    _add_common(p)
+    p = _command(sub, cmd_group_ball, "Cayley ball, growth table, entropy")
     p.add_argument("--group", required=True, help="family DSL, e.g. F2, Z^2, C2*C3")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--csv", help="also write the growth table as CSV")
     p.add_argument("--counts-only", action="store_true", help="skip the ball graph")
-    p.set_defaults(func=cmd_group_ball)
 
-    p = sub.add_parser("coupling-build", help="build a subgroup coupling from a spec file")
-    _add_common(p)
+    p = _command(sub, cmd_coupling_build, "build a subgroup coupling from a spec file")
     p.add_argument("--spec", required=True, help='JSON: {"group","subgroup_generators","x_gamma"}')
-    p.set_defaults(func=cmd_coupling_build)
 
-    p = sub.add_parser("coupling-verify", help="strengthen the coupling, then run exhaustive checks")
-    _add_common(p)
+    p = _command(sub, cmd_coupling_verify, "strengthen the coupling, then run exhaustive checks")
     p.add_argument("--spec", required=True)
     p.add_argument("--radius", type=int, default=3)
-    p.set_defaults(func=cmd_coupling_verify)
 
-    p = sub.add_parser("integrability", help="the K and L integral constants")
-    _add_common(p)
+    p = _command(sub, cmd_integrability, "the K and L integral constants")
     p.add_argument("--spec", required=True)
     p.add_argument("--phi", default="power:1")
     p.add_argument("--psi", default="power:1")
-    p.set_defaults(func=cmd_integrability)
 
-    p = sub.add_parser(
-        "claim-check",
-        help="strengthen the coupling, then sweep the measure bound over a subgroup ball",
+    p = _command(
+        sub,
+        cmd_claim_check,
+        "strengthen the coupling, then sweep the measure bound over a subgroup ball",
         description="Strengthen the coupling first, shifting X_lambda by the coboundedness "
         "witness so that it contains X_gamma, then check the measure bound for every pair "
         "of the subgroup ball.",
     )
-    _add_common(p)
     p.add_argument("--spec", required=True)
     p.add_argument("--lambda-radius", type=int, default=4)
     p.add_argument("--radii", default="1,2,3", help="comma-separated R values")
     p.add_argument("--phi", default="power:1,power:2", help="comma-separated functions")
-    p.set_defaults(func=cmd_claim_check)
 
-    p = sub.add_parser("threshold", help="critical exponent from group data")
-    _add_common(p)
+    p = _command(sub, cmd_threshold, "critical exponent from group data")
     p.add_argument("--group", required=True)
     p.add_argument("--ball-radius", type=int, default=4)
-    p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("conditions", help="vanishing and schedule condition checks")
-    _add_common(p)
+    p = _command(sub, cmd_conditions, "vanishing and schedule condition checks")
     p.add_argument("--group", required=True, help="growth source (closed-form families)")
     p.add_argument("--check", default="5,6,7", help="which conditions to run")
     p.add_argument("--delta", default="1")
@@ -431,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", default="log:108", help="schedule: log:<c> or pow:<e>")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=10**6)
-    p.set_defaults(func=cmd_conditions)
 
     return ap
 

@@ -8,7 +8,10 @@ of the space are group elements.  The gamma side acts simply transitively,
 so its fundamental domain X_gamma is one point x0 = g0 and mu(X_gamma) = 1.
 The lambda fundamental domain is the left-coset transversal T shifted by
 one subgroup element f, X_lambda = T f^-1, so mu(X_lambda) = [G : L]; a
-plain subgroup coupling has f = e.
+plain subgroup coupling has f = e.  X_lambda is one table in coset order:
+its point i, t_i f^-1, lies in the left coset t_i L because f is in L.  So
+the point of X_lambda in w L is read at w's left-coset index, and whether a
+point lies in X_lambda is a set lookup, with no trace.
 
 The measure bound is stated for a strengthened coupling, one with X_gamma
 inside X_lambda.  A coupling is cobounded when X_gamma lies in F * X_lambda
@@ -111,10 +114,6 @@ class SubgroupData:
     def left_index(self, g) -> int:
         """Index of the left coset gL (an arbitrary but fixed numbering)."""
         return self.trace(0, self.group.inverse(g))
-
-    def rep(self, g):
-        """The transversal representative of gL."""
-        return self.transversal[self.left_index(g)]
 
 
 def _columns(group: MarkedGroup, word: str) -> list[int]:
@@ -325,29 +324,29 @@ class Coupling:
 
     # --- fundamental domains ---------------------------------------------------
 
-    def x_lambda_points(self) -> list:
+    @cached_property
+    def x_lambda(self) -> tuple:
+        """X_lambda in coset order: point i is t_i f^-1, in left coset i as f is in L."""
         finv = self.group.inverse(self.shift)
-        return [self.group.multiply(t, finv) for t in self.sub.transversal]
+        return tuple(self.group.multiply(t, finv) for t in self.sub.transversal)
+
+    @cached_property
+    def _x_lambda_set(self) -> frozenset:
+        return frozenset(self.x_lambda)
 
     def x_lambda_rep(self, w):
         """The point of X_lambda in the lambda orbit w L."""
-        return self.group.multiply(self.sub.rep(w), self.group.inverse(self.shift))
+        return self.x_lambda[self.sub.left_index(w)]
 
     def in_x_lambda(self, w) -> bool:
-        return w == self.x_lambda_rep(w)
-
-    def x_gamma_in_x_lambda(self) -> bool:
-        return self.in_x_lambda(self.x0)
+        return w in self._x_lambda_set
 
     def require_inclusion(self, what: str) -> None:
         """Refuse a coupling whose X_gamma is not inside X_lambda."""
-        if not self.x_gamma_in_x_lambda():
+        if not self.in_x_lambda(self.x0):
             raise PreconditionError(
                 f"{what} requires X_gamma inside X_lambda; run strengthen_coboundedness first"
             )
-
-    def mu_x_lambda(self) -> Fraction:
-        return Fraction(self.index)
 
     # --- cocycles ---------------------------------------------------------------
 
@@ -361,8 +360,8 @@ class Coupling:
     @cached_property
     def alpha_lengths(self) -> list[list[int]]:
         """|alpha(s, x)|_lambda, a row for each s in S_gamma over x in X_lambda."""
-        points = self.x_lambda_points()
-        rows = [[self.alpha(s, x) for x in points] for _, s in self.group.symmetric_generators()]
+        gens = self.group.symmetric_generators()
+        rows = [[self.alpha(s, x) for x in self.x_lambda] for _, s in gens]
         lengths = self.lambda_lengths({v for row in rows for v in row})
         return [[lengths[v] for v in row] for row in rows]
 
@@ -485,7 +484,7 @@ def check_cocycle_identity(c: Coupling, radius: int) -> CheckReport:
     """
     if radius < 1:
         return CheckReport.of("cocycle_identity", ())
-    points = c.x_lambda_points()
+    points = c.x_lambda
     ballg = c.gamma_spheres.ball(radius)
     cases = len(points) * len(ballg) ** 2
     c.budget.charge("cases", cases, by=f"cocycle identity check at radius {radius}")
@@ -567,11 +566,10 @@ def check_fundamental_domains(c: Coupling, radius: int) -> CheckReport:
     """
     g = c.group
     base_ball = c.gamma_spheres.ball(radius)
-    x_lambda = c.x_lambda_points()
     c_gamma = g.word_length(c.x0)
-    c_lambda = max(g.word_length(x) for x in x_lambda)
+    c_lambda = max(g.word_length(x) for x in c.x_lambda)
     t_invs = [g.inverse(t) for t in c.sub.transversal]
-    lambda_points = (c.lambda_act(lam, x) for lam in c.lambda_spheres.ball(radius) for x in x_lambda)
+    lambda_points = (c.lambda_act(lam, x) for lam in c.lambda_spheres.ball(radius) for x in c.x_lambda)
     gamma_seen = set()
 
     def round_trip(w) -> bool:

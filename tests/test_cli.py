@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hypme import __version__, coupling, graphs, groups, hyperbolicity
+from hypme import __version__, cli, coupling, graphs, groups, hyperbolicity
 from hypme.cli import dispatch
 from hypme.integrability import power
 from hypme.reports import encode
@@ -736,3 +737,107 @@ class TestSubcommands:
         conds = doc["report"]["conditions"]
         assert conds[0]["condition"] == "(7)"
         assert conds[0]["verdict"] == "holds_eventually"
+
+
+# Each subcommand's parser actions, in order: option strings, dest, default,
+# required, choices and the name of the type.  How the options are declared
+# may change; what each command accepts, and its config echo, may not.
+HELP = [(("-h", "--help"), "help", "==SUPPRESS==", False, None, None)]
+HOST = [
+    (("--gen",), "gen", None, False, None, None),
+    (("--edges",), "edges", None, False, None, None),
+    (("--largest-component",), "largest_component", False, False, None, None),
+]
+COMMON = [
+    (("--out",), "out", None, True, None, None),
+    (("--seed",), "seed", 0, False, None, "int"),
+    (("--budget",), "budget", None, False, None, "int"),
+]
+SPEC = [(("--spec",), "spec", None, True, None, None)]
+GROUP = [(("--group",), "group", None, True, None, None)]
+PARSER_PIN = {
+    "graph-analyze": HELP + HOST + COMMON + [
+        (("--samples",), "samples", 100000, False, None, "int"),
+    ],
+    "find-cycles": HELP + HOST + COMMON + [
+        (("--min-a",), "min_a", None, True, None, None),
+        (("--min-n",), "min_n", None, True, None, "int"),
+        (("--mode",), "mode", "auto", False, ["auto", "exhaustive", "heuristic"], None),
+    ],
+    "check-obstruction": HELP + HOST + COMMON + [
+        (("--embedding",), "embedding", None, True, None, None),
+        (("--delta",), "delta", None, False, None, None),
+    ],
+    "group-ball": HELP + COMMON + GROUP + [
+        (("--radius",), "radius", None, True, None, "int"),
+        (("--csv",), "csv", None, False, None, None),
+        (("--counts-only",), "counts_only", False, False, None, None),
+    ],
+    "coupling-build": HELP + COMMON + SPEC,
+    "coupling-verify": HELP + COMMON + SPEC + [
+        (("--radius",), "radius", 3, False, None, "int"),
+    ],
+    "integrability": HELP + COMMON + SPEC + [
+        (("--phi",), "phi", "power:1", False, None, None),
+        (("--psi",), "psi", "power:1", False, None, None),
+    ],
+    "claim-check": HELP + COMMON + SPEC + [
+        (("--lambda-radius",), "lambda_radius", 4, False, None, "int"),
+        (("--radii",), "radii", "1,2,3", False, None, None),
+        (("--phi",), "phi", "power:1,power:2", False, None, None),
+    ],
+    "threshold": HELP + COMMON + GROUP + [
+        (("--ball-radius",), "ball_radius", 4, False, None, "int"),
+    ],
+    "conditions": HELP + COMMON + GROUP + [
+        (("--check",), "check", "5,6,7", False, None, None),
+        (("--delta",), "delta", "1", False, None, None),
+        (("--L",), "L", "1", False, None, None),
+        (("--phi",), "phi", "power:2", False, None, None),
+        (("--psi",), "psi", "power:1", False, None, None),
+        (("--r",), "r", "log:108", False, None, None),
+        (("--n-min",), "n_min", 2, False, None, "int"),
+        (("--n-max",), "n_max", 1000000, False, None, "int"),
+    ],
+}
+
+
+def subparsers():
+    """Each subcommand's name and parser, in declaration order."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestParser:
+    def test_actions_are_pinned(self):
+        actions = {
+            name: [
+                (tuple(a.option_strings), a.dest, a.default, a.required, a.choices,
+                 getattr(a.type, "__name__", a.type))
+                for a in p._actions
+            ]
+            for name, p in subparsers().items()
+        }
+        assert list(actions) == list(PARSER_PIN)
+        for name, pinned in PARSER_PIN.items():
+            assert actions[name] == pinned, name
+
+    def test_each_command_binds_its_function_by_name(self):
+        # perfbench/tracing.py finds each command as cmd_<name with - as _>
+        for name, p in subparsers().items():
+            assert p.get_default("func") is getattr(cli, "cmd_" + name.replace("-", "_")), name
+
+    @pytest.mark.parametrize("argv", [
+        ["graph-analyze"],
+        ["find-cycles", "--min-a", "1/2", "--min-n", "4"],
+        ["check-obstruction", "--embedding", os.path.join(GOLDEN_INPUTS, "embedding.json")],
+    ])
+    def test_gen_and_edges_together_are_refused(self, argv, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        out = tmp_path / "x.json"
+        both = ["--gen", "cycle:7", "--edges", str(edges), "--out", str(out)]
+        assert dispatch(argv + both) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--gen" in err and "--edges" in err

@@ -69,7 +69,7 @@ class TestSubgroupCoupling:
         c = f2_coupling
         assert c.index == 2
         assert [f2.describe(t) for t in c.sub.transversal] == ["e", "a"]
-        assert c.x0 == f2.identity() and c.mu_x_lambda() == 2
+        assert c.x0 == f2.identity() and len(c.x_lambda) == 2
 
     def test_index_agrees_with_parity_homomorphism(self, f2, f2_coupling):
         # the subgroup is the kernel of a |-> 1, b |-> 0 into C2: check that
@@ -300,14 +300,14 @@ class TestCocycles:
     def test_alpha_of_generators_are_schreier_generators(self, f2, f2_coupling):
         c = f2_coupling
         for _, s in f2.symmetric_generators():
-            for x in c.x_lambda_points():
+            for x in c.x_lambda:
                 val = c.alpha(s, x)
                 assert f2.is_identity(val) or val in c.sub.schreier_generators
 
     def test_alpha_returns_the_induced_point_on_z2(self, z2_coupling):
         c = z2_coupling
         for _, s in c.group.symmetric_generators():
-            for x in c.x_lambda_points():
+            for x in c.x_lambda:
                 lam = c.alpha(s, x)
                 assert c.sub.contains(lam)
                 moved = c.group.multiply(s, x)
@@ -572,12 +572,12 @@ class TestIntegrability:
         ref_lengths = independent_word_lengths(
             f2, list(f2_coupling.sub.schreier_generators),
             [f2_coupling.alpha(s, x) for _, s in f2.symmetric_generators()
-             for x in f2_coupling.x_lambda_points()],
+             for x in f2_coupling.x_lambda],
         )
         for _, s in f2.symmetric_generators():
             total = sum(
                 Fraction(ref_lengths[f2_coupling.alpha(s, x)])
-                for x in f2_coupling.x_lambda_points()
+                for x in f2_coupling.x_lambda
             )
             best = max(best, total)
         assert rep.k_constant == best
@@ -603,7 +603,7 @@ class TestIntegrability:
         c = f2_coupling
         extra = f2.parse_word("aabb")
         bigger = list(c.sub.schreier_generators) + [extra, f2.inverse(extra)]
-        targets = [c.alpha(s, x) for _, s in f2.symmetric_generators() for x in c.x_lambda_points()]
+        targets = [c.alpha(s, x) for _, s in f2.symmetric_generators() for x in c.x_lambda]
         ref = independent_word_lengths(f2, bigger, targets)
         total = sum(ref[t] for t in targets)
         assert total < float("inf")
@@ -617,20 +617,20 @@ class TestCoboundedness:
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
         W = coboundedness_witness(c)
         assert [f2.describe(w) for w in W] == ["B"]
-        assert not c.x_gamma_in_x_lambda()
+        assert not c.in_x_lambda(c.x0)
 
     def test_witness_for_a_is_identity(self, f2):
         # 'a' is itself a transversal representative, so e * X_lambda covers it
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="a")
         W = coboundedness_witness(c)
         assert [f2.describe(w) for w in W] == ["e"]
-        assert c.x_gamma_in_x_lambda()
+        assert c.in_x_lambda(c.x0)
 
     def test_witness_covers(self, f2):
         for word in ("b", "ab", "aab", "ba"):
             c = subgroup_coupling(f2, F2_GENS, x_gamma_word=word)
             st = strengthen_coboundedness(c)
-            assert st.x_gamma_in_x_lambda()
+            assert st.in_x_lambda(st.x0)
 
 
 # (group, subgroup generators, x_gamma): the golden specs, and F2 at base
@@ -652,13 +652,13 @@ class TestStrengthening:
         st = strengthen_coboundedness(f2_coupling)
         assert st.shift == f2_coupling.shift == f2.identity()
         assert st.x0 == f2_coupling.x0
-        assert st.x_lambda_points() == f2_coupling.x_lambda_points()
+        assert st.x_lambda == f2_coupling.x_lambda
 
     @pytest.mark.parametrize("case", STRENGTHEN_CASES, ids=[f"{g}@{x}" for g, _, x in STRENGTHEN_CASES])
     def test_strengthened_passes_the_checks(self, case):
         group, gens, x_gamma = case
         st = strengthen_coboundedness(subgroup_coupling(parse_group(group), gens, x_gamma_word=x_gamma))
-        assert st.x_gamma_in_x_lambda()
+        assert st.in_x_lambda(st.x0)
         assert coboundedness_witness(st) == [st.group.identity()]
         assert strengthen_coboundedness(st) == st
         for report in (
@@ -674,7 +674,7 @@ class TestStrengthening:
         # to {e, a} B^-1 = {b, ab}, which holds b
         c = subgroup_coupling(f2, F2_GENS, x_gamma_word="b")
         st = strengthen_coboundedness(c)
-        assert [f2.describe(x) for x in st.x_lambda_points()] == ["b", "ab"]
+        assert [f2.describe(x) for x in st.x_lambda] == ["b", "ab"]
         assert st.shift == f2.parse_word("B") and st.x0 == c.x0 and st.sub is c.sub
 
     def test_cocycles_still_exact_after_strengthening(self, f2):
@@ -798,7 +798,7 @@ class TestClaimSweepOracle:
         phis = [power(1), exp_power(1)]
         for lambda_radius in (1, 2, 3):
             for radii in ([1, 2, 3], [3, 1], [2]):
-                if not c.x_gamma_in_x_lambda():
+                if not c.in_x_lambda(c.x0):
                     # unstrengthened: the pair loop refuses, and so does the sweep
                     assert_pair_loop_refuses(c, lambda_radius, max(radii), phis[0])
                     with pytest.raises(PreconditionError, match=INCLUSION):
@@ -820,7 +820,7 @@ class TestClaimSweepOracle:
         c = sweep_coupling(*case)
         phis = [power(1), power(2)]
         for lambda_radius in (1, 2, 3):
-            if not c.x_gamma_in_x_lambda():
+            if not c.in_x_lambda(c.x0):
                 # unstrengthened: refused before any K is computed or any
                 # failure listed, as the pair loop refuses on its first pair
                 assert_pair_loop_refuses(c, lambda_radius, 3, phis[0])
@@ -899,6 +899,55 @@ class TestCocycleIdentityBudget:
         assert check_cocycle_identity(f2_coupling_with(2 + 53 + 5618), 3).cases == 5618
         with pytest.raises(BudgetError, match="needs 5618 cases.*--budget or HYPME_BUDGET"):
             check_cocycle_identity(f2_coupling_with(2 + 53 + 5617), 3)
+
+
+class TestCocycleIdentityMembership:
+    def test_one_trace_per_alpha(self, monkeypatch):
+        # 2 * 53^2 = 5,618 cases read alpha at 5,724 places (the cases and a
+        # table of 2 * 53), and the induced action at 106: one trace each,
+        # where testing membership of X_lambda by a trace made it 11,660
+        c = coupling_from_spec((INPUTS / "f2.json").read_text())
+        traces = []
+        trace = coupling.SubgroupData.trace
+        monkeypatch.setattr(
+            coupling.SubgroupData, "trace", lambda sub, start, g: traces.append(g) or trace(sub, start, g)
+        )
+        rep = check_cocycle_identity(c, 3)
+        assert (rep.cases, rep.violations) == (5618, 0)
+        assert len(traces) <= 5830
+
+
+GOLDEN_SPECS = ["f2", "f2b", "c2c3", "c3c4", "z2"]
+
+
+def golden_coupling(spec: str, strengthened: bool) -> Coupling:
+    c = coupling_from_spec((INPUTS / f"{spec}.json").read_text())
+    return strengthen_coboundedness(c) if strengthened else c
+
+
+@pytest.mark.parametrize("strengthened", [False, True], ids=["plain", "strengthened"])
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+class TestXLambdaTable:
+    """X_lambda as one table in coset order, against the transversal it is read from."""
+
+    def test_point_i_lies_in_left_coset_i(self, spec, strengthened):
+        c = golden_coupling(spec, strengthened)
+        assert [c.sub.left_index(x) for x in c.x_lambda] == list(range(c.index))
+        assert all(c.in_x_lambda(x) for x in c.x_lambda)
+
+    def test_rep_and_membership_over_the_gamma_ball(self, spec, strengthened):
+        # the definitions the table replaced: rep(w) f^-1 for the transversal
+        # representative rep(w) of wL, and w in X_lambda when w is its own rep
+        c = golden_coupling(spec, strengthened)
+        g = c.group
+        f_inv = g.inverse(c.shift)
+        members = 0
+        for w in c.gamma_spheres.ball(3):
+            expected = g.multiply(c.sub.transversal[c.sub.left_index(w)], f_inv)
+            assert c.x_lambda_rep(w) == expected
+            assert c.in_x_lambda(w) is (w == expected)
+            members += w == expected
+        assert members == c.index  # every point of X_lambda lies in B_gamma(3)
 
 
 class TestCheckReportOf:
