@@ -11,6 +11,10 @@ Each subcommand is declared once, by `_command`, and named after the
 function that runs it by the rule cmd_x_y <-> x-y: `cmd_claim_check` runs
 claim-check.  perfbench/tracing.py finds every command's function by that
 rule.  --gen and --edges name the host two ways, so a command refuses both.
+Each command builds its report on one path.  check-obstruction always loads
+a host that is given, checks the embedding's images against it and
+re-verifies the embedding's constants on it; --delta replaces only the
+certified delta, and with no host it is required.
 
 Importing this module runs none of the kernel modules: each is registered
 lazily (`_lazy`) and runs on first attribute access, so a subcommand pays
@@ -112,15 +116,13 @@ def _config_echo(args) -> dict:
 
 def cmd_graph_analyze(args, budget):
     g = _load_host(args)
-    if g.is_tree:  # both constants and the diameter come without a distance matrix
-        rep = hyperbolicity.hyperbolicity_report(g, None, budget)
-        return {"n": g.n, "m": g.m, "diameter": graphs.tree_diameter(g), **vars(rep)}, True
-    dm = graphs.distance_matrix(g, budget)
-    if g.n <= hyperbolicity.EXACT_CUTOFF:
+    dm = None if g.is_tree else graphs.distance_matrix(g, budget)  # a tree's report needs none
+    if dm is None or g.n <= hyperbolicity.EXACT_CUTOFF:
         rep = hyperbolicity.hyperbolicity_report(g, dm, budget)
     else:
-        rep = hyperbolicity.sampled_hyperbolicity(g, dm, args.samples, args.seed, budget=budget)
-    return {"n": g.n, "m": g.m, "diameter": int(dm.d.max()), **vars(rep)}, True
+        rep = hyperbolicity.sampled_hyperbolicity(dm, args.samples, args.seed, budget=budget)
+    diameter = graphs.tree_diameter(g) if dm is None else int(dm.d.max())
+    return {"n": g.n, "m": g.m, "diameter": diameter, **vars(rep)}, True
 
 
 def cmd_find_cycles(args, budget):
@@ -159,17 +161,18 @@ def _read_embedding(path: str) -> cycles.CycleEmbedding:
 
 def cmd_check_obstruction(args, budget):
     emb = _read_embedding(args.embedding)
-    if args.delta is not None:
-        delta = rational.parse_fraction(args.delta)
-        delta_source = "supplied"
-    else:
+    delta = None if args.delta is None else rational.parse_fraction(args.delta)
+    delta_source = "supplied"
+    # a host that is given is always read, and with no --delta one is needed to certify delta
+    if args.gen or args.edges or delta is None:
         host = _load_host(args)
         if not all(0 <= v < host.n for v in emb.images):
             raise ParseError(f"embedding image vertex out of range for a host with {host.n} vertices")
         dm = graphs.distance_matrix(host, budget)
-        delta = hyperbolicity.thin_triangle_delta(host, dm, budget)[0] + 2
-        delta_source = "thin_triangle_plus_slack_2"
-        emb = cycles.verify_embedding(dm, list(emb.images))  # re-verify against the host
+        if delta is None:
+            delta = hyperbolicity.thin_triangle_delta(host, dm, budget)[0] + 2
+            delta_source = "thin_triangle_plus_slack_2"
+        emb = cycles.verify_embedding(dm, list(emb.images))
     report = cycles.check_obstruction(emb, delta)
     payload = {"delta_source": delta_source, **vars(report)}
     return payload, report.verdict == "consistent"
@@ -185,22 +188,18 @@ def cmd_group_ball(args, budget):
     by = f"the growth table and entropy block to radius {args.radius}"
     budget.charge("report words", _GROWTH_ROW_WORDS * rows, by=by)
     if args.counts_only:
-        growth = groups.bfs_growth_table(group, args.radius, budget=budget)
-        payload = {"group": group.name, "radius": args.radius, "entropy": None}
+        growth, ball = groups.bfs_growth_table(group, args.radius, budget=budget), {}
     else:
         b = groups.ball(group, args.radius, budget=budget)
         growth = b.growth
-        payload = {
-            "radius": b.radius,
-            "group": group.name,
+        ball = {
             "n": b.graph.n,
             "edges": sorted(b.graph.edges),
             "word_lengths": b.word_lengths,
             "labels": [group.describe(g) for g in b.elements],
         }
-    payload["growth"] = growth
-    if args.radius >= 2:
-        payload["entropy"] = groups.entropy_estimate(group, args.radius)
+    entropy = groups.entropy_estimate(group, args.radius) if args.radius >= 2 else None
+    payload = {"group": group.name, "radius": args.radius, **ball, "growth": growth, "entropy": entropy}
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("n,vol\n" + "".join(f"{n},{v}\n" for n, v in enumerate(growth)))
@@ -373,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, cmd_check_obstruction, "evaluate the cycle obstruction inequality", host=True)
     p.add_argument("--embedding", required=True, help="CycleEmbedding JSON file")
-    p.add_argument("--delta", help="hypothetical delta as p/q (else certified from host)")
+    p.add_argument("--delta", help="hypothetical delta as p/q, in place of the certified one; "
+                   "a given host still re-verifies the embedding")
 
     p = _command(sub, cmd_group_ball, "Cayley ball, growth table, entropy")
     p.add_argument("--group", required=True, help="family DSL, e.g. F2, Z^2, C2*C3")

@@ -39,26 +39,22 @@ def cycle_distance(n: int, i: int, j: int) -> int:
 def verify_embedding(host_d: graphs.DistanceMatrix, images: list[int]) -> CycleEmbedding:
     """Tight constants: a = min over pairs of d_host/d_cycle, b = max.
 
-    Repeated image vertices force a = 0 (the map cannot be injective).
+    The pairs at cycle distance k are (i, i+k mod n).  For each k in
+    1..n//2 one gathered row of n host distances holds them, and a and b are
+    the least min(row)/k and the greatest max(row)/k, as exact Fractions; at
+    even n the row at k = n/2 holds each of its pairs twice.  Repeated image
+    vertices force a = 0 (the map cannot be injective).
     """
     n = len(images)
     if n < 3:
         raise PreconditionError("cycle length must be >= 3")
-    d = host_d.d
-    a_num, a_den = None, None  # running min of host/cycle as an int pair
-    b_num, b_den = 0, 1
-    for i in range(n):
-        di = d[images[i]]
-        for j in range(i + 1, n):
-            dc = cycle_distance(n, i, j)
-            dh = int(di[images[j]])
-            if a_num is None or dh * a_den < a_num * dc:
-                a_num, a_den = dh, dc
-            if dh * b_den > b_num * dc:
-                b_num, b_den = dh, dc
-    return CycleEmbedding(
-        n=n, images=tuple(images), a=Fraction(a_num, a_den), b=Fraction(b_num, b_den)
-    )
+    import numpy as np  # host_d already holds a numpy array
+
+    ring = np.array(images * 2)
+    rows = (host_d.d[ring[:n], ring[k:k + n]] for k in range(1, n // 2 + 1))  # one row alive at a time
+    lows, highs = zip(*[(Fraction(int(row.min()), k), Fraction(int(row.max()), k))
+                        for k, row in enumerate(rows, 1)])
+    return CycleEmbedding(n=n, images=tuple(images), a=min(lows), b=max(highs))
 
 
 def obstruction_bound(delta: Fraction, b: Fraction, n: int) -> Fraction:

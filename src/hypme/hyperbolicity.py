@@ -321,7 +321,7 @@ def hyperbolicity_report(
 
 
 def sampled_hyperbolicity(
-    g: Graph, dm: DistanceMatrix, samples: int, seed: int, budget: Budget | None = None
+    dm: DistanceMatrix, samples: int, seed: int, budget: Budget | None = None
 ) -> HyperbolicityReport:
     """Seeded uniform sampling of triples/quadruples: a lower bound on both deltas.
 
@@ -364,7 +364,6 @@ class GeodesicPathBoundReport:
 
 
 def verify_geodesic_path_bound(
-    g: Graph,
     dm: DistanceMatrix,
     alpha: Path,
     x1: int,

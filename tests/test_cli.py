@@ -504,6 +504,42 @@ class TestExitCodes:
         assert code == 1
         assert "out of range for a host with 36 vertices" in capsys.readouterr().err
 
+    def test_host_beside_delta_checks_the_image_range(self, tmp_path, capsys):
+        # the golden embedding reaches vertex 14, which a 3-vertex host lacks
+        out = tmp_path / "obs.json"
+        code = dispatch(["check-obstruction", "--gen", "cycle:3", "--delta", "1/10",
+                         "--embedding", os.path.join(GOLDEN_INPUTS, "embedding.json"),
+                         "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "out of range for a host with 3 vertices" in capsys.readouterr().err
+
+    def test_host_beside_delta_reverifies_the_embedding(self, tmp_path):
+        # the file claims a = 1 for a loop whose host gives a = 1/2; the claim
+        # alone would be a violation at delta 1/10
+        with open(os.path.join(GOLDEN_INPUTS, "embedding.json")) as fh:
+            claimed = {**json.load(fh), "a": "1/1"}
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(claimed))
+        code, doc = run(tmp_path, "check-obstruction", "--gen", "grid:4,4", "--embedding", str(emb),
+                        "--delta", "1/10")
+        assert code == 0
+        rep = doc["report"]
+        assert (rep["a"], rep["delta_source"], rep["verdict"]) == ("1/2", "supplied", "consistent")
+
+    def test_malformed_delta_is_refused_before_the_apsp(self, tmp_path, capsys, monkeypatch):
+        def fail_if_called(*args):
+            raise AssertionError("the host's distance matrix was built before --delta was parsed")
+
+        monkeypatch.setattr(graphs, "distance_matrix", fail_if_called)
+        out = tmp_path / "obs.json"
+        code = dispatch(["check-obstruction", "--gen", "grid:30,30", "--delta", "abc",
+                         "--embedding", os.path.join(GOLDEN_INPUTS, "embedding.json"),
+                         "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
 
     @pytest.mark.parametrize("argv", [
         ["find-cycles", "--gen", "grid:4,4", "--min-n", "4", "--min-a", "abc"],
@@ -661,6 +697,17 @@ class TestSubcommands:
         assert doc["report"]["growth"] == [1, 5, 17, 53]
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "n,vol" and lines[1] == "0,1" and lines[-1] == "3,53"
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_group_ball_below_radius_two_has_null_entropy(self, tmp_path, radius):
+        # the entropy estimate starts at radius 2; both modes carry the key
+        reports = {}
+        for mode in ([], ["--counts-only"]):
+            code, doc = run(tmp_path, "group-ball", "--group", "F2", "--radius", str(radius), *mode)
+            assert code == 0 and doc["report"]["entropy"] is None
+            reports[bool(mode)] = doc["report"]
+        assert set(reports[False]) - set(reports[True]) == {"n", "edges", "word_lengths", "labels"}
+        assert set(reports[True]) <= set(reports[False])
 
     def test_group_ball_counts_only(self, tmp_path):
         code, doc = run(tmp_path, "group-ball", "--group", "Z^2", "--radius", "4",

@@ -68,12 +68,16 @@ class TestVerifyEmbedding:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_constants_are_tight(self, seed):
+        # odd and even lengths (at even n the pairs at distance n/2 are read
+        # twice), distinct images and images drawn with repeats
         rng = random.Random(seed)
         g = random_connected_graph(rng, 14, 5)
         dm = distance_matrix(g)
-        images = rng.sample(range(g.n), 6)
-        e = verify_embedding(dm, images)
-        assert (e.a, e.b) == brute_constants(dm, images)
+        for n in range(3, 13):
+            for images in (rng.sample(range(g.n), n), rng.choices(range(g.n), k=n)):
+                e = verify_embedding(dm, images)
+                assert (e.n, e.images) == (n, tuple(images))
+                assert (e.a, e.b) == brute_constants(dm, images)
 
     def test_too_short_rejected(self):
         dm = distance_matrix(cycle_graph(4))

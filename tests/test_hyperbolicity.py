@@ -457,8 +457,8 @@ class TestWitnesses:
         g = grid_graph(6, 6)
         dm = distance_matrix(g)
         exact, _ = thin_triangle_delta(g, dm)
-        r1 = sampled_hyperbolicity(g, dm, samples=300, seed=11)
-        r2 = sampled_hyperbolicity(g, dm, samples=300, seed=11)
+        r1 = sampled_hyperbolicity(dm, samples=300, seed=11)
+        r2 = sampled_hyperbolicity(dm, samples=300, seed=11)
         assert r1 == r2
         assert not r1.exact
         assert r1.delta_thin <= exact
@@ -466,7 +466,7 @@ class TestWitnesses:
     def test_sampled_thin_witness_attains_the_value(self):
         g = grid_graph(8, 5)
         dm = distance_matrix(g)
-        rep = sampled_hyperbolicity(g, dm, samples=200, seed=3)
+        rep = sampled_hyperbolicity(dm, samples=200, seed=3)
         (a, b, c), x = rep.witness["thin_triple"], rep.witness["thin_vertex"]
         union = geodesic_mask(dm, a, c) | geodesic_mask(dm, b, c)
         assert thin_triangle_value(dm, a, b, c) == rep.delta_thin > 0
@@ -620,7 +620,7 @@ class TestGeodesicPathBound:
                 continue
             mid = rng.randrange(g.n)
             alpha = direct_image_path(dm, [x1, mid, x2])
-            rep = verify_geodesic_path_bound(g, dm, alpha, x1, x2, Fraction(0))
+            rep = verify_geodesic_path_bound(dm, alpha, x1, x2, Fraction(0))
             assert rep.max_observed == 0
             assert rep.passes
 
@@ -634,7 +634,7 @@ class TestGeodesicPathBound:
 
         alpha = Path(vertices=tuple(arc))
         assert alpha.length == 12
-        rep = verify_geodesic_path_bound(g, dm, alpha, 0, 4, dt)
+        rep = verify_geodesic_path_bound(dm, alpha, 0, 4, dt)
         # geodesic vertices are 0..4; farthest from the long arc is distance 0
         # (its endpoints lie on the arc) so the bound holds comfortably
         assert rep.passes
@@ -650,7 +650,7 @@ class TestGeodesicPathBound:
                 continue
             mids = [rng.randrange(g.n) for _ in range(2)]
             alpha = direct_image_path(dm, [x1, *mids, x2])
-            rep = verify_geodesic_path_bound(g, dm, alpha, x1, x2, dt + 2)
+            rep = verify_geodesic_path_bound(dm, alpha, x1, x2, dt + 2)
             assert rep.passes
 
     def test_default_slack_is_two(self):
@@ -662,9 +662,9 @@ class TestGeodesicPathBound:
         from hypme.graphs import Path
 
         alpha = Path(vertices=(0, *range(23, 5, -1)))
-        rep = verify_geodesic_path_bound(g, dm, alpha, 0, 6, Fraction(0))
+        rep = verify_geodesic_path_bound(dm, alpha, 0, 6, Fraction(0))
         assert (rep.slack, rep.max_observed, rep.bound, rep.passes) == (2, 3, 3, True)
-        assert not verify_geodesic_path_bound(g, dm, alpha, 0, 6, Fraction(0), slack=1).passes
+        assert not verify_geodesic_path_bound(dm, alpha, 0, 6, Fraction(0), slack=1).passes
 
     def test_endpoint_mismatch_rejected(self):
         g = cycle_graph(6)
@@ -673,4 +673,4 @@ class TestGeodesicPathBound:
         from hypme.errors import PreconditionError
 
         with pytest.raises(PreconditionError):
-            verify_geodesic_path_bound(g, dm, alpha, 1, 2, Fraction(1))
+            verify_geodesic_path_bound(dm, alpha, 1, 2, Fraction(1))
